@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
+# distance to a pole below which its limit is taken, and below which the
+# direct value needs a widened error band; expect shares both
+_POLE_EXACT = 1e-12
+_POLE_NEAR = 1e-6
 
 
 class ParamMultiset:
@@ -397,10 +401,6 @@ def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithEr
 
     res = quad.integrate_finite(f, 0.0, 1.0, cfg)
     return ValueWithError(res.value, res.abs_err_est, "tanh-sinh-alt")
-
-
-_POLE_EXACT = 1e-12
-_POLE_NEAR = 1e-6
 
 
 def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:

@@ -7,8 +7,11 @@ cross-checks with a z-score against the formula engine) and ``verify``
 (the full invariant suite).
 
 Machine-readable output: one JSON record per command on stdout, schema
-{command, params{}, value, abs_err_est, exact?, method, seed?}.  Exit
-codes: 0 ok, 1 verification failure, 2 usage or domain error.
+{command, params{}, value, abs_err_est, exact?, method, seed?}.  When
+quadrature does not converge the record is instead {command, error:
+"quadrature-not-converged", message, estimate, abs_err_est}, holding
+the last estimate of the integral that did not converge.  Exit codes: 0 ok, 1 verification failure,
+2 usage or domain error, 3 quadrature not converged.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 from . import expect, mcsim, verify
 from .expect import BetaSpec, ExpectationResult
 from .mcsim import McEstimate, SampleConfig
-from .quad import QuadConfig
+from .quad import QuadConfig, QuadratureError
 
 
 def output_record(command: str, params: dict, result, seed=None) -> dict:
@@ -89,32 +92,26 @@ def _cmd_expect(args) -> tuple[str, int]:
     return render_json(output_record("expect", params, res)), 0
 
 
-def _hypvolume_case(args) -> ExpectationResult:
-    cfg = _quad_config(args)
-    case = args.case
+def _case_result(case: str, param: int, cfg: QuadConfig | None = None) -> ExpectationResult:
+    """One exact-family case; param is the dimension for ideal-simplex, else n."""
     if case == "ideal3":
-        if args.n is None:
-            raise ValueError("--case ideal3 requires --n")
-        exact = expect.ideal_polytope3(args.n)
-        return ExpectationResult(exact.evaluate(), 0.0, exact, "upper", True)
+        return expect.expected_hyp_volume(BetaSpec(3, (-1.0,) * param), cfg)
     if case == "ideal-simplex":
-        if args.dim is None:
-            raise ValueError("--case ideal-simplex requires --dim")
-        return expect.ideal_simplex_volume(args.dim, cfg)
+        return expect.ideal_simplex_volume(param, cfg)
     if case == "polygon-beta0":
-        if args.n is None:
-            raise ValueError("--case polygon-beta0 requires --n")
-        return expect.polygon_beta0(args.n, cfg)
+        return expect.polygon_beta0(param, cfg)
     if case == "ideal2":
-        if args.n is None:
-            raise ValueError("--case ideal2 requires --n")
-        return expect.expected_hyp_volume(BetaSpec(2, (-1.0,) * args.n), cfg)
+        return expect.expected_hyp_volume(BetaSpec(2, (-1.0,) * param), cfg)
     raise ValueError(f"unknown case {case!r}")
 
 
 def _cmd_hypvolume(args) -> tuple[str, int]:
     if args.case is not None:
-        res = _hypvolume_case(args)
+        flag = "dim" if args.case == "ideal-simplex" else "n"
+        param = getattr(args, flag)
+        if param is None:
+            raise ValueError(f"--case {args.case} requires --{flag}")
+        res = _case_result(args.case, param, _quad_config(args))
         params = {"case": args.case}
         if args.n is not None:
             params["n"] = args.n
@@ -132,20 +129,8 @@ def _cmd_hypvolume(args) -> tuple[str, int]:
 def _table_rows(case: str, start: int, stop: int):
     rows = []
     for value in range(start, stop + 1):
-        if case == "ideal3":
-            exact = expect.ideal_polytope3(value)
-            rows.append((value, exact.evaluate(), 0.0, exact.render()))
-        elif case == "ideal-simplex":
-            res = expect.ideal_simplex_volume(value)
-            rows.append((value, res.value, res.abs_err_est, res.exact.render() if res.exact else ""))
-        elif case == "polygon-beta0":
-            res = expect.polygon_beta0(value)
-            rows.append((value, res.value, res.abs_err_est, res.exact.render()))
-        elif case == "ideal2":
-            res = expect.expected_hyp_volume(BetaSpec(2, (-1.0,) * value))
-            rows.append((value, res.value, res.abs_err_est, res.exact.render()))
-        else:
-            raise ValueError(f"unknown case {case!r}")
+        res = _case_result(case, value)
+        rows.append((value, res.value, res.abs_err_est, res.exact.render() if res.exact else ""))
     return rows
 
 
@@ -330,6 +315,17 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except QuadratureError as exc:
+        est = exc.estimate
+        record = {
+            "command": args.command,
+            "error": "quadrature-not-converged",
+            "message": str(exc),
+            "estimate": None if est is None else est.value,
+            "abs_err_est": None if est is None else est.abs_err_est,
+        }
+        sys.stdout.write(render_json(record) + "\n")
+        return 3
     sys.stdout.write(text + "\n")
     return code
 

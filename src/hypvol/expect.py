@@ -2,9 +2,12 @@
 
 Computes expected beta integrals E[int over hull of (1-|x|^2)^beta dx]
 and expected hyperbolic volumes for n independent beta-distributed
-points in dimension d, by summing a * (linear factor) * b products over
-subset classes.  Negative-integer exponents go through the derivative
-path where the plain formula has a removable singularity.  Several
+points in dimension d.  Every such query is one subset sum,
+``_subset_sum``: over the subset classes it adds up
+A(t+2+s) * (t+1+s) * b(t+s), with s the inside parameter total,
+t = 2*beta + d for beta integrals and t = -1 for hyperbolic volumes.
+A is a_fn, or its derivative a_prime for the removable singularity at
+negative-integer exponents (the pole path) and for odd-d volumes.  Several
 families admit exact closed forms (rational multiples of powers of pi):
 ideal polytopes in dimension 3, ideal simplices in odd dimension, ideal
 polygons, and uniform-in-the-disk polygons.
@@ -18,7 +21,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abcore import ParamMultiset, a_fn, a_prime, b_fn, limit_alpha_plus_one_times_b
+from .abcore import (
+    _POLE_EXACT,
+    _POLE_NEAR,
+    ParamMultiset,
+    a_fn,
+    a_prime,
+    b_fn,
+    limit_alpha_plus_one_times_b,
+)
 from .exact import PiPoly, TrigExpPoly, _cplx, poly_integral_01, poly_pow
 from .quad import QuadConfig
 from .specfun import gamma_real, harmonic, log_gamma
@@ -40,10 +51,6 @@ __all__ = [
     "polygon_beta0",
     "poly_log_cos_check",
 ]
-
-_POLE_EXACT = 1e-12
-_POLE_NEAR = 1e-6
-
 
 @dataclass(frozen=True)
 class BetaSpec:
@@ -154,73 +161,39 @@ def _pick_representation(spec: BetaSpec, representation: str) -> str:
     return "lower" if lower_count < upper_count else "upper"
 
 
-def _sum_terms(classes, term_fn):
-    """fsum of multiplicity-weighted terms and their error bounds."""
+def _subset_sum(
+    spec: BetaSpec, t: float, derivative: bool, rep: str, prefactor: float, cfg: QuadConfig, closed_forms: bool
+) -> tuple[float, float]:
+    """The subset sum behind every query, as (value, abs_err_est).
+
+    Sums m * A(t+2+s) * (t+1+s) * b(t+s) over the subset classes of the
+    representation, with s the inside parameter total and A = a_prime
+    when ``derivative`` else a_fn.  A vanishing linear factor (d = 2
+    volumes with all inside points ideal) meets the b-pole, and the
+    product takes its finite limit instead.
+    """
+    a = a_prime if derivative else a_fn
     vals, errs = [], []
-    for cls in classes:
-        v, e = term_fn(cls)
+    for cls in enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec)):
+        s = cls.inside.total()
+        a_res = a(t + 2.0 + s, cls.inside, cfg, closed_forms=closed_forms)
+        lin = t + 1.0 + s
+        if lin == 0.0:
+            prod = limit_alpha_plus_one_times_b(cls.outside)
+            prod_err = 1e-14 * abs(prod)
+        else:
+            b_res = b_fn(t + s, cls.outside, cfg, closed_forms=closed_forms)
+            prod = lin * b_res.value
+            prod_err = abs(lin) * b_res.abs_err_est
         m = float(cls.multiplicity)
-        vals.append(m * v)
-        errs.append(m * e)
-    return math.fsum(vals), math.fsum(errs)
-
-
-def _beta_integral_regular(
-    spec: BetaSpec, beta: float, cfg: QuadConfig, representation: str, closed_forms: bool
-) -> tuple[float, float, str]:
-    d, n = spec.d, spec.n
-    rep = _pick_representation(spec, representation)
-    gammas = spec.gammas()
-    prefactor = (
-        math.pi ** (0.5 * d - 1.0) * gamma_real(beta + 1.0) / math.exp(log_gamma(0.5 * d + beta + 1.0))
-    )
-    cprod = _c_product(gammas)
-
-    def term(cls: SubsetClass):
-        s = cls.inside.total()
-        a_res = a_fn(2.0 * beta + d + 2.0 + s, cls.inside, cfg, closed_forms=closed_forms)
-        b_res = b_fn(2.0 * beta + d + s, cls.outside, cfg, closed_forms=closed_forms)
-        lin = 2.0 * beta + d + 1.0 + s
-        v = a_res.value * lin * b_res.value
-        e = abs(lin) * (a_res.abs_err_est * abs(b_res.value) + abs(a_res.value) * b_res.abs_err_est)
-        return v, e
-
+        vals.append(m * (a_res.value * prod))
+        errs.append(m * (a_res.abs_err_est * abs(prod) + abs(a_res.value) * prod_err))
+    total, err = math.fsum(vals), math.fsum(errs)
+    cprod = _c_product(spec.gammas())
     if rep == "upper":
-        total, err = _sum_terms(enumerate_classes(spec, _upper_cards(spec)), term)
         value = prefactor * cprod * total
-        err_out = abs(prefactor) * cprod * err
     else:
-        total, err = _sum_terms(enumerate_classes(spec, _lower_cards(spec)), term)
         value = prefactor * (math.pi - cprod * total)
-        err_out = abs(prefactor) * cprod * err
-    return value, err_out + 1e-15 * abs(value), rep
-
-
-def _beta_integral_pole(spec: BetaSpec, k: int, cfg: QuadConfig, closed_forms: bool) -> tuple[float, float]:
-    """Value at the negative-integer exponent beta = -k via the derivative path."""
-    d, n = spec.d, spec.n
-    beta = -float(k)
-    gammas = spec.gammas()
-    prefactor = (
-        2.0
-        * math.pi ** (0.5 * d - 1.0)
-        / math.exp(log_gamma(beta + 0.5 * d + 1.0))
-        * (-1.0) ** (k - 1)
-        / math.factorial(k - 1)
-    )
-    cprod = _c_product(gammas)
-
-    def term(cls: SubsetClass):
-        s = cls.inside.total()
-        ap = a_prime(2.0 * beta + d + 2.0 + s, cls.inside, cfg, closed_forms=closed_forms)
-        b_res = b_fn(2.0 * beta + d + s, cls.outside, cfg, closed_forms=closed_forms)
-        lin = 2.0 * beta + d + 1.0 + s
-        v = ap.value * lin * b_res.value
-        e = abs(lin) * (ap.abs_err_est * abs(b_res.value) + abs(ap.value) * b_res.abs_err_est)
-        return v, e
-
-    total, err = _sum_terms(enumerate_classes(spec, _upper_cards(spec)), term)
-    value = prefactor * cprod * total
     return value, abs(prefactor) * cprod * err + 1e-15 * abs(value)
 
 
@@ -242,75 +215,34 @@ def expected_beta_integral(
     cfg = cfg or QuadConfig()
     if not beta > -0.5 * (spec.d + 1):
         raise ValueError("expected_beta_integral requires beta > -(d+1)/2")
+    rep = _pick_representation(spec, representation)
+    d = spec.d
     nearest = round(beta)
     gap = abs(beta - nearest)
-    if nearest <= -1:
-        if gap <= _POLE_EXACT:
-            value, err = _beta_integral_pole(spec, -int(nearest), cfg, closed_forms)
-            return ExpectationResult(value, err, None, "upper", True)
-        if gap < _POLE_NEAR:
-            value, err, rep = _beta_integral_regular(spec, beta, cfg, representation, closed_forms)
-            ref, ref_err = _beta_integral_pole(spec, -int(nearest), cfg, closed_forms)
-            return ExpectationResult(value, err + abs(value - ref) + ref_err, None, rep, False)
-    value, err, rep = _beta_integral_regular(spec, beta, cfg, representation, closed_forms)
+
+    def pole_path():
+        k = -int(nearest)
+        pole = -float(k)
+        prefactor = (
+            2.0
+            * math.pi ** (0.5 * d - 1.0)
+            / math.exp(log_gamma(pole + 0.5 * d + 1.0))
+            * (-1.0) ** (k - 1)
+            / math.factorial(k - 1)
+        )
+        return _subset_sum(spec, 2.0 * pole + d, True, "upper", prefactor, cfg, closed_forms)
+
+    if nearest <= -1 and gap <= _POLE_EXACT:
+        value, err = pole_path()
+        return ExpectationResult(value, err, None, "upper", True)
+    prefactor = (
+        math.pi ** (0.5 * d - 1.0) * gamma_real(beta + 1.0) / math.exp(log_gamma(0.5 * d + beta + 1.0))
+    )
+    value, err = _subset_sum(spec, 2.0 * beta + d, False, rep, prefactor, cfg, closed_forms)
+    if nearest <= -1 and gap < _POLE_NEAR:
+        ref, ref_err = pole_path()
+        err = err + abs(value - ref) + ref_err
     return ExpectationResult(value, err, None, rep, False)
-
-
-def _hyp_volume_term_even(cls: SubsetClass, cfg: QuadConfig, closed_forms: bool):
-    s = cls.inside.total()
-    a_res = a_fn(1.0 + s, cls.inside, cfg, closed_forms=closed_forms)
-    if s == 0.0:
-        # only possible when every inside parameter is 0 (d = 2 with
-        # ideal points); the vanishing linear factor times the b-pole
-        # has the finite limit below
-        prod = limit_alpha_plus_one_times_b(cls.outside)
-        prod_err = 1e-14 * abs(prod)
-    else:
-        b_res = b_fn(s - 1.0, cls.outside, cfg, closed_forms=closed_forms)
-        prod = s * b_res.value
-        prod_err = s * b_res.abs_err_est
-    v = a_res.value * prod
-    e = a_res.abs_err_est * abs(prod) + abs(a_res.value) * prod_err
-    return v, e
-
-
-def _hyp_volume_even(spec: BetaSpec, cfg: QuadConfig, representation: str, closed_forms: bool):
-    d = spec.d
-    gammas = spec.gammas()
-    rep = _pick_representation(spec, representation)
-    prefactor = (-2.0 * math.pi) ** (d // 2) / (math.pi * _double_factorial(d - 1))
-    cprod = _c_product(gammas)
-
-    def term(cls):
-        return _hyp_volume_term_even(cls, cfg, closed_forms)
-
-    if rep == "upper":
-        total, err = _sum_terms(enumerate_classes(spec, _upper_cards(spec)), term)
-        value = prefactor * cprod * total
-    else:
-        total, err = _sum_terms(enumerate_classes(spec, _lower_cards(spec)), term)
-        value = prefactor * (math.pi - cprod * total)
-    return value, abs(prefactor) * cprod * err + 1e-15 * abs(value), rep
-
-
-def _hyp_volume_odd(spec: BetaSpec, cfg: QuadConfig, closed_forms: bool):
-    d = spec.d
-    gammas = spec.gammas()
-    half = (d - 1) // 2
-    prefactor = 2.0 * math.pi ** (half - 1.0) * (-1.0) ** half / math.factorial(half)
-    cprod = _c_product(gammas)
-
-    def term(cls: SubsetClass):
-        s = cls.inside.total()
-        ap = a_prime(1.0 + s, cls.inside, cfg, closed_forms=closed_forms)
-        b_res = b_fn(s - 1.0, cls.outside, cfg, closed_forms=closed_forms)
-        v = ap.value * s * b_res.value
-        e = s * (ap.abs_err_est * abs(b_res.value) + abs(ap.value) * b_res.abs_err_est)
-        return v, e
-
-    total, err = _sum_terms(enumerate_classes(spec, _upper_cards(spec)), term)
-    value = prefactor * cprod * total
-    return value, abs(prefactor) * cprod * err + 1e-15 * abs(value)
 
 
 def _double_factorial(m: int) -> float:
@@ -328,22 +260,28 @@ def expected_hyp_volume(
 
     method="auto" returns exact values on the two special families
     (d=2 and d=3 with all points ideal); method="generic" always runs
-    the subset-sum formulas, which is the cross-validation path.
+    the subset-sum formulas, which is the cross-validation path.  Odd d
+    always sums the upper representation.
     """
     cfg = cfg or QuadConfig()
     if method not in ("auto", "generic"):
         raise ValueError("method must be 'auto' or 'generic'")
+    rep = _pick_representation(spec, representation)
+    d = spec.d
     all_ideal = all(b == -1.0 for b in spec.betas)
-    if method == "auto" and all_ideal and spec.d == 2:
+    if method == "auto" and all_ideal and d == 2:
         exact = PiPoly({1: Fraction(spec.n - 2)})
         return ExpectationResult(exact.evaluate(), 0.0, exact, "lower", False)
-    if method == "auto" and all_ideal and spec.d == 3:
+    if method == "auto" and all_ideal and d == 3:
         exact = ideal_polytope3(spec.n)
         return ExpectationResult(exact.evaluate(), 0.0, exact, "upper", True)
-    if spec.d % 2 == 0:
-        value, err, rep = _hyp_volume_even(spec, cfg, representation, closed_forms)
+    if d % 2 == 0:
+        prefactor = (-2.0 * math.pi) ** (d // 2) / (math.pi * _double_factorial(d - 1))
+        value, err = _subset_sum(spec, -1.0, False, rep, prefactor, cfg, closed_forms)
         return ExpectationResult(value, err, None, rep, False)
-    value, err = _hyp_volume_odd(spec, cfg, closed_forms)
+    half = (d - 1) // 2
+    prefactor = 2.0 * math.pi ** (half - 1.0) * (-1.0) ** half / math.factorial(half)
+    value, err = _subset_sum(spec, -1.0, True, "upper", prefactor, cfg, closed_forms)
     return ExpectationResult(value, err, None, "upper", True)
 
 

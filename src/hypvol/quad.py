@@ -195,12 +195,6 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig | None = None) -> Va
     return ValueWithError(float(np.real(total)), err, "tanh-sinh")
 
 
-def integrate_finite_any(f, a: float, b: float, cfg: QuadConfig | None = None):
-    """Like integrate_finite but returns (value, err) with value possibly complex."""
-    cfg = cfg or QuadConfig()
-    return _integrate_finite_raw(f, a, b, cfg)
-
-
 def _integrate_real_line_raw(f, cfg: QuadConfig):
     def eval_level(level):
         x, weight = _line_nodes(level)

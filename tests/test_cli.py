@@ -90,6 +90,25 @@ class TestHypVolume:
         code, _, err = run(capsys, "hypvolume", "--case", "ideal3")
         assert code == 2 and "requires --n" in err
 
+    def test_quadrature_failure_record(self, capsys, monkeypatch):
+        from hypvol import expect
+        from hypvol.quad import QuadratureError, ValueWithError
+
+        def unconverged(*args, **kwargs):
+            raise QuadratureError("tanh-sinh: no convergence", ValueWithError(1.25, 0.5, "tanh-sinh"))
+
+        monkeypatch.setattr(expect, "expected_hyp_volume", unconverged)
+        code, out, err = run(capsys, "hypvolume", "--dim", "2", "--betas", "-0.999,-0.999,-0.999")
+        assert code == 3 and err == ""
+        rec = json.loads(out)
+        assert rec == {
+            "command": "hypvolume",
+            "error": "quadrature-not-converged",
+            "message": "tanh-sinh: no convergence",
+            "estimate": 1.25,
+            "abs_err_est": 0.5,
+        }
+
 
 class TestTable:
     def test_ideal3_range(self, capsys):

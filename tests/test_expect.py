@@ -111,6 +111,8 @@ class TestExpectedBetaIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             expect.expected_beta_integral(BetaSpec(2, (0.0,) * 3), -1.5, CFG)
+        with pytest.raises(ValueError):
+            expect.expected_beta_integral(BetaSpec(3, (0.0,) * 5), -1.0, CFG, representation="bogus")
 
 
 class TestExpectedHypVolume:
@@ -144,13 +146,21 @@ class TestExpectedHypVolume:
         assert generic.value == pytest.approx(expect.polygon_beta0(3, CFG).value, abs=1e-10)
 
     def test_monotone_limit_of_beta_integral(self):
-        spec = BetaSpec(3, (-1.0, 0.0, 0.5, 1.0))
-        b0 = -2.0
-        vals = [expect.expected_beta_integral(spec, b0 + e, CFG).value for e in (4e-4, 2e-4, 1e-4)]
-        assert vals[0] < vals[1] < vals[2]
-        limit = richardson3(lambda e: expect.expected_beta_integral(spec, b0 + e, CFG).value, 4e-4)
-        hv = expect.expected_hyp_volume(spec, CFG, method="generic")
-        assert limit == pytest.approx(hv.value, abs=1e-6)
+        for spec in (
+            BetaSpec(3, (-1.0, 0.0, 0.5, 1.0)),
+            BetaSpec(4, (-1.0, -0.5, 0.0, 1.0, 1.0, 2.0)),
+            BetaSpec(5, (-1.0,) * 7),
+        ):
+            b0 = -0.5 * (spec.d + 1)
+            vals = [expect.expected_beta_integral(spec, b0 + e, CFG).value for e in (4e-4, 2e-4, 1e-4)]
+            assert vals[0] < vals[1] < vals[2]
+            limit = richardson3(lambda e: expect.expected_beta_integral(spec, b0 + e, CFG).value, 4e-4)
+            hv = expect.expected_hyp_volume(spec, CFG, method="generic")
+            assert limit == pytest.approx(hv.value, abs=1e-6)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            expect.expected_hyp_volume(BetaSpec(3, (-1.0, 0.0, 0.5, 1.0, 2.0)), CFG, representation="bogus")
 
 
 class TestSimplexCorollaries:
@@ -163,7 +173,12 @@ class TestSimplexCorollaries:
         )
 
     def test_hyp_volume_matches_general_engine(self):
-        for d, betas in ((2, (0.0, 0.0, 0.0)), (3, (-1.0, 0.0, 1.0, 2.0)), (4, (-0.5,) * 5)):
+        for d, betas in (
+            (2, (0.0, 0.0, 0.0)),
+            (3, (-1.0, 0.0, 1.0, 2.0)),
+            (4, (-0.5,) * 5),
+            (5, (-0.5, 0.0, 0.0, 1.0, 1.0, 2.0)),
+        ):
             one_term = expect.expected_hyp_volume_simplex(d, betas, CFG)
             general = expect.expected_hyp_volume(BetaSpec(d, betas), CFG, method="generic")
             assert one_term.value == pytest.approx(general.value, abs=1e-9)
