@@ -9,6 +9,7 @@ import pytest
 from hypvol import abcore
 from hypvol.abcore import ParamMultiset
 from hypvol.quad import QuadConfig
+from hypvol.verify import _ABSORPTION_GRID
 
 CFG = QuadConfig()
 P = ParamMultiset
@@ -207,22 +208,10 @@ class TestTheta:
             abcore.theta_fn(-0.6, P(), P(), CFG)
 
 
-ABSORPTION_GRID = [
-    (2, (-1.0, -1.0, -1.0), 0.0),
-    (2, (-1.0, 0.0, 1.0, 2.0), -1.0),
-    (2, (0.0,) * 5, 0.5),
-    (3, (-1.0,) * 4, 0.0),
-    (3, (-1.0, -0.5, 0.0, 1.0, 2.0), 0.5),
-    (3, (-1.0,) * 6, 1.0),
-    (4, (-1.0,) * 5, 0.0),
-    (4, (-1.0, -1.0, 0.0, 0.0, 1.0, 1.0), -1.0),
-    (5, (-1.0,) * 6, 0.0),
-    (5, (0.0, 0.0, 0.0, -0.5, -0.5, 1.0, 2.0), 2.0),
-]
-
-
 class TestAbsorptionIdentity:
-    @pytest.mark.parametrize("d,betas,beta", ABSORPTION_GRID)
+    # sums over raw subsets, not the classes of expect.enumerate_classes,
+    # so it checks the grid of abcore.absorption-identity by another route
+    @pytest.mark.parametrize("d,betas,beta", _ABSORPTION_GRID)
     def test_theta_sums_to_half(self, d, betas, beta):
         n = len(betas)
         gammas = [b + 0.5 * d for b in betas]

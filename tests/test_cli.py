@@ -218,14 +218,36 @@ class TestVerifyCommand:
 
     def test_injected_failure_exits_one(self, capsys, monkeypatch):
         from hypvol import verify
+        from hypvol.quad import QuadratureError
 
         def broken(quick):
             return False, "injected failure"
+
+        def divides(quick):
+            return 1 / 0
+
+        def unconverged(quick):
+            raise QuadratureError("no convergence")
 
         monkeypatch.setattr(verify, "_REGISTRY", [("injected.check", broken)])
         code, out, _ = run(capsys, "verify", "--quick")
         assert code == 1
         assert "[FAIL] injected.check" in out and "failing:" in out
+
+        # a check that raises fails alone; the others still run and report
+        monkeypatch.setattr(
+            verify,
+            "_REGISTRY",
+            [("r.zero", divides), ("r.quad", unconverged), ("r.ok", lambda quick: (True, "ok"))],
+        )
+        for threads in ("1", "4"):
+            monkeypatch.setenv("HYPVOL_THREADS", threads)
+            code, out, _ = run(capsys, "verify", "--quick")
+            assert code == 1
+            assert "[FAIL] r.zero  raised ZeroDivisionError: division by zero" in out
+            assert "[FAIL] r.quad  raised QuadratureError: no convergence" in out
+            assert "[PASS] r.ok    ok" in out
+            assert out.endswith("1/3 checks passed\nfailing: r.zero, r.quad\n")
 
     def test_thread_env_does_not_change_results(self, capsys, monkeypatch):
         from hypvol import verify

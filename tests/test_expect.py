@@ -17,13 +17,9 @@ from hypvol import expect
 from hypvol.exact import PiPoly
 from hypvol.expect import BetaSpec
 from hypvol.quad import QuadConfig
+from hypvol.verify import _richardson3
 
 CFG = QuadConfig()
-
-
-def richardson3(f, eps):
-    i1, i2, i4 = f(eps), f(eps / 2), f(eps / 4)
-    return (4 * (2 * i4 - i2) - (2 * i2 - i1)) / 3
 
 
 class TestBetaSpec:
@@ -96,7 +92,7 @@ class TestExpectedBetaIntegral:
         spec = BetaSpec(3, (-1.0,) * 4)
         pole = expect.expected_beta_integral(spec, -1.0, CFG)
         assert pole.pole_path
-        extrapolated = richardson3(
+        extrapolated = _richardson3(
             lambda e: expect.expected_beta_integral(spec, -1.0 + e, CFG).value, 1e-2
         )
         assert pole.value == pytest.approx(extrapolated, abs=1e-6)
@@ -154,7 +150,7 @@ class TestExpectedHypVolume:
             b0 = -0.5 * (spec.d + 1)
             vals = [expect.expected_beta_integral(spec, b0 + e, CFG).value for e in (4e-4, 2e-4, 1e-4)]
             assert vals[0] < vals[1] < vals[2]
-            limit = richardson3(lambda e: expect.expected_beta_integral(spec, b0 + e, CFG).value, 4e-4)
+            limit = _richardson3(lambda e: expect.expected_beta_integral(spec, b0 + e, CFG).value, 4e-4)
             hv = expect.expected_hyp_volume(spec, CFG, method="generic")
             assert limit == pytest.approx(hv.value, abs=1e-6)
 
@@ -193,7 +189,7 @@ class TestSimplexCorollaries:
         d, betas = 3, (-1.0,) * 4
         pole = expect.expected_beta_integral_simplex(d, betas, -1.0, CFG)
         assert pole.pole_path
-        extrapolated = richardson3(
+        extrapolated = _richardson3(
             lambda e: expect.expected_beta_integral_simplex(d, betas, -1.0 + e, CFG).value, 1e-2
         )
         assert pole.value == pytest.approx(extrapolated, abs=1e-6)

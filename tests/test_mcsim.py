@@ -191,14 +191,6 @@ class TestMcIdealPolytope:
         target = expect.ideal_polytope3(6).evaluate()
         assert abs(est6.mean - target) <= 3.0 * est6.stderr
 
-    def test_volume_bound(self):
-        rng = np.random.default_rng(13)
-        P = rng.standard_normal((2000, 6, 3))
-        P /= np.linalg.norm(P, axis=2, keepdims=True)
-        vols = mcsim._hull_volumes_bruteforce(P)
-        bound = math.comb(6, 4) * 3.0 * lobachevsky(math.pi / 3)
-        assert np.nanmax(vols) <= bound + 1e-9
-
     def test_determinism(self):
         cfg = SampleConfig(seed=3, n_samples=5000, streams=3)
         assert mcsim.mc_ideal_polytope3_volume(5, cfg) == mcsim.mc_ideal_polytope3_volume(5, cfg)

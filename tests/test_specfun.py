@@ -15,27 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypvol import quad, specfun
+from hypvol.verify import _quad_f_beta
 
 CFG = quad.QuadConfig()
 
 # frozen via mpmath (clsin) and confirmed by direct quadrature below
 LOBACHEVSKY_PI_3 = 0.33831386880321788
 REGULAR_IDEAL_TETRA = 1.0149416064096536
-
-
-def quad_f_beta(beta: float, x: float) -> float:
-    """Quadrature oracle for the segment primitive, singularity moved to 0."""
-    pio2_hi, pio2_lo = 1.5707963267948966, 6.123233995736766e-17
-    if x <= 0.0:
-        upper = (pio2_hi + x) + pio2_lo
-        if upper <= 0.0:
-            return 0.0
-        return quad.integrate_finite(lambda t: np.sin(t) ** beta, 0.0, upper, CFG).value
-    head = quad.integrate_finite(lambda t: np.sin(t) ** beta, 0.0, 0.5 * math.pi, CFG).value
-    w = (pio2_hi - x) + pio2_lo
-    if w <= 0.0:
-        return 2.0 * head
-    return 2.0 * head - quad.integrate_finite(lambda t: np.sin(t) ** beta, 0.0, w, CFG).value
 
 
 class TestLogGamma:
@@ -133,7 +119,7 @@ class TestFReal:
         for _ in range(200):
             beta = float(rng.uniform(-0.95, 8.0))
             x = float(rng.uniform(-math.pi / 2, math.pi / 2))
-            assert specfun.f_real(beta, x) == pytest.approx(quad_f_beta(beta, x), abs=1e-10)
+            assert specfun.f_real(beta, x) == pytest.approx(_quad_f_beta(beta, x), abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -153,20 +139,6 @@ class TestFImag:
         for x in (-2.0, -0.3, 0.0, 1.0, 3.0):
             got = specfun.f_imag(1.0, x)
             assert got == pytest.approx(complex(1.0, math.sinh(x)), rel=1e-12)
-
-    def test_odd_parameter_identity(self):
-        for m in (1, 2, 3, 4):
-            for u in (-3.0, -1.0, 0.0, 0.5, 2.0):
-                got = specfun.f_imag(2 * m - 1, u)
-                theta = math.atan(math.sinh(u))
-                bmm = math.factorial(m - 1) ** 2 / math.factorial(2 * m - 1)
-                want = (
-                    bmm
-                    * complex(math.cos(theta), math.sin(theta))
-                    / math.cos(theta) ** (2 * m - 1)
-                    * specfun.p_m_poly(m, complex(math.cos(2 * theta), math.sin(2 * theta)))
-                )
-                assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
     def test_domain(self):
         with pytest.raises(ValueError):
