@@ -7,10 +7,18 @@ normalized product a * (linear factor) * b that the expectation engine
 sums over subsets.  Closed forms are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
+
+Each integrand is a product of one factor per parameter.  Inside
+``shared_factors`` (opened by ``expect.expected_beta_integral`` and
+``expect.expected_hyp_volume``) a factor is evaluated once per parameter
+and node set and reused by every integral of the query that contains
+that parameter; outside it every integral evaluates its own factors.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import threading
 from fractions import Fraction
@@ -43,6 +51,7 @@ __all__ = [
     "theta_fn",
     "clear_cache",
     "set_cache_enabled",
+    "shared_factors",
 ]
 
 _REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
@@ -129,6 +138,44 @@ def _cache_put(key, value):
 
 def _cfg_key(cfg: QuadConfig):
     return (cfg.rel_tol, cfg.abs_tol, cfg.max_level)
+
+
+# -- per-query factor table ------------------------------------------------
+
+_factors: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypvol_factors", default=None)
+
+
+@contextlib.contextmanager
+def shared_factors():
+    """Share per-parameter integrand factors among the integrals run inside.
+
+    A nested scope reuses the outer table; the table is dropped when the
+    outermost scope exits.  Values and error estimates are the same in
+    every bit as without the scope.
+    """
+    if _factors.get() is not None:
+        yield
+        return
+    token = _factors.set({})
+    try:
+        yield
+    finally:
+        _factors.reset(token)
+
+
+def _factor(key, fn, *args):
+    """fn(*args), looked up by key in the active factor table, if any.
+
+    A key holds the parameter and the node abscissae as bytes, so it
+    never matches two different node arrays.
+    """
+    table = _factors.get()
+    if table is None:
+        return fn(*args)
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = fn(*args)
+    return hit
 
 
 # -- closed forms ---------------------------------------------------------
@@ -245,20 +292,26 @@ def _all_ones(params: ParamMultiset) -> bool:
 
 # -- quadrature integrands -------------------------------------------------
 
+def _a_factor(b: float, x: np.ndarray, L: np.ndarray):
+    """(log-magnitude, phase) of one imaginary-axis factor, scaled by cosh(x)**-b."""
+    g_scaled = cosh_pow_integral_scaled(b, x)
+    h_scaled = 0.5 / c_one_dim(0.5 * (b - 1.0)) * np.exp(-b * L)
+    return np.log(np.hypot(h_scaled, g_scaled)), np.arctan2(g_scaled, h_scaled)
+
+
 def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
     betas = params.entries
     tau = alpha - params.total()
-    h_consts = [0.5 / c_one_dim(0.5 * (b - 1.0)) for b in betas]
 
     def f(x):
         L = _log_cosh(x)
         logmag = -tau * L
         phase = np.zeros_like(L)
-        for b, hb in zip(betas, h_consts):
-            g_scaled = cosh_pow_integral_scaled(b, x)
-            h_scaled = hb * np.exp(-b * L)
-            logmag = logmag + np.log(np.hypot(h_scaled, g_scaled))
-            phase = phase + np.arctan2(g_scaled, h_scaled)
+        nodes = x.tobytes()
+        for b in betas:
+            log_abs, arg = _factor(("a", b, nodes), _a_factor, b, x, L)
+            logmag = logmag + log_abs
+            phase = phase + arg
         mag = np.exp(logmag)
         vals = mag * np.cos(phase) + 1j * (mag * np.sin(phase))
         if log_weight:
@@ -281,12 +334,11 @@ def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> Value
             half_t = 0.5 * t
             z_low = np.sin(half_t) ** 2
             z_high = np.cos(half_t) ** 2
+            z, zc = (z_high, z_low) if upper else (z_low, z_high)
             vals = np.sin(t) ** alpha
+            nodes = t.tobytes()
             for b in betas:
-                if upper:
-                    vals = vals * _f_real_from_z(b, z_high, z_low)
-                else:
-                    vals = vals * _f_real_from_z(b, z_low, z_high)
+                vals = vals * _factor(("b", b, upper, nodes), _f_real_from_z, b, z, zc)
             return vals
 
         return quad.integrate_finite(f, 0.0, 0.5 * math.pi, cfg)

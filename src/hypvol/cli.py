@@ -224,7 +224,8 @@ def _cmd_simulate(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    threads = int(os.environ.get("HYPVOL_THREADS", os.cpu_count() or 1))
+    # serial by default: the checks hold the interpreter lock, so threads only add switching
+    threads = int(os.environ.get("HYPVOL_THREADS", 1))
     results = verify.run_all(quick=args.quick, threads=max(1, threads))
     width = max(len(r.check_id) for r in results)
     lines = []

@@ -7,7 +7,9 @@ points in dimension d.  Every such query is one subset sum,
 A(t+2+s) * (t+1+s) * b(t+s), with s the inside parameter total,
 t = 2*beta + d for beta integrals and t = -1 for hyperbolic volumes.
 A is a_fn, or its derivative a_prime for the removable singularity at
-negative-integer exponents (the pole path) and for odd-d volumes.  Several
+negative-integer exponents (the pole path) and for odd-d volumes.  Both
+queries run inside ``abcore.shared_factors``, so the integrals of one
+query evaluate each parameter's integrand factor once per node set.  Several
 families admit exact closed forms (rational multiples of powers of pi):
 ideal polytopes in dimension 3, ideal simplices in odd dimension, ideal
 polygons, and uniform-in-the-disk polygons.
@@ -29,6 +31,7 @@ from .abcore import (
     a_prime,
     b_fn,
     limit_alpha_plus_one_times_b,
+    shared_factors,
 )
 from .exact import PiPoly, TrigExpPoly, _cplx, poly_integral_01, poly_pow
 from .quad import QuadConfig
@@ -197,6 +200,7 @@ def _subset_sum(
     return value, abs(prefactor) * cprod * err + 1e-15 * abs(value)
 
 
+@shared_factors()
 def expected_beta_integral(
     spec: BetaSpec,
     beta: float,
@@ -249,6 +253,7 @@ def _double_factorial(m: int) -> float:
     return float(math.prod(range(m, 0, -2))) if m > 0 else 1.0
 
 
+@shared_factors()
 def expected_hyp_volume(
     spec: BetaSpec,
     cfg: QuadConfig | None = None,

@@ -257,6 +257,39 @@ def _g_at_one(beta: float) -> float:
     return float(_cosh_pow_integral_small(beta, np.asarray(1.0)))
 
 
+_TAIL_BLOCK = 2048  # abscissae per (terms, abscissae) array in the tail
+
+
+def _cosh_pow_tail(beta: float, xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
+    """Scaled g(beta, x) for x > 1: g(beta, 1) plus the binomial series.
+
+    Term k integrates 2**-beta C(beta, k) exp((beta - 2k) y) over (1, x);
+    the terms form one row each and are added in order of k, so the sum
+    is the same in every bit as a term-by-term loop.
+    """
+    coeffs = _binom_series_coeffs(beta)
+    k = np.flatnonzero(coeffs)  # integer beta truncates the series exactly
+    ck = (2.0**-beta * coeffs[k])[:, None]
+    ex = (beta - 2.0 * k)[:, None]
+    bL = beta * Lb
+    e_beta = np.exp(-bL)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        # (exp(ex*x) - exp(ex)) / ex, scaled by exp(-beta*L); both
+        # exponents are bounded above, so the plain difference is safe
+        # except when they nearly coincide
+        arg = ex * (xb - 1.0)
+        e2 = np.exp(ex - bL)
+        via_expm1 = e2 * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
+        plain = (np.exp(ex * xb - bL) - e2) / ex
+        terms = ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
+        flat = np.abs(ex[:, 0]) < 1e-12  # exponent 0: the term is linear in x
+        terms[flat] = ck[flat] * (xb - 1.0) * e_beta
+        acc = _g_at_one(beta) * e_beta
+        for row in terms:
+            acc += row
+    return acc
+
+
 def cosh_pow_integral_scaled(beta: float, x) -> np.ndarray:
     """g(beta, x) * cosh(x)**(-beta) with g the cosh-power primitive from 0.
 
@@ -272,29 +305,11 @@ def cosh_pow_integral_scaled(beta: float, x) -> np.ndarray:
         out[small] = _cosh_pow_integral_small(beta, ax[small]) * np.exp(-beta * L[small])
     big = ~small
     if big.any():
-        xb = ax[big]
-        Lb = L[big]
-        coeffs = _binom_series_coeffs(beta)
-        acc = _g_at_one(beta) * np.exp(-beta * Lb)
-        scale = 2.0**-beta
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for k, ck in enumerate(coeffs):
-                if ck == 0.0:
-                    continue
-                ex = beta - 2.0 * k
-                if abs(ex) < 1e-12:
-                    acc += scale * ck * (xb - 1.0) * np.exp(-beta * Lb)
-                    continue
-                # (exp(ex*x) - exp(ex)) / ex, scaled by exp(-beta*L); both
-                # exponents are bounded above, so the plain difference is
-                # safe except when they nearly coincide
-                a1 = ex * xb - beta * Lb
-                a2 = ex - beta * Lb
-                arg = ex * (xb - 1.0)
-                near = np.abs(arg) < 1.0
-                via_expm1 = np.exp(a2) * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
-                plain = (np.exp(a1) - np.exp(a2)) / ex
-                acc += scale * ck * np.where(near, via_expm1, plain)
+        xb, Lb = ax[big], L[big]
+        acc = np.empty_like(xb)
+        for lo in range(0, xb.size, _TAIL_BLOCK):
+            block = slice(lo, lo + _TAIL_BLOCK)
+            acc[block] = _cosh_pow_tail(beta, xb[block], Lb[block])
         out[big] = acc
     return np.sign(xa) * out
 

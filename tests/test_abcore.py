@@ -1,14 +1,16 @@
 """The a/b/theta layer: closed forms versus quadrature, limits, identities."""
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hypvol import abcore
+from hypvol import abcore, expect
 from hypvol.abcore import ParamMultiset
-from hypvol.quad import QuadConfig
+from hypvol.expect import BetaSpec, enumerate_classes
+from hypvol.quad import QuadConfig, QuadratureError
 from hypvol.verify import _ABSORPTION_GRID
 
 CFG = QuadConfig()
@@ -238,7 +240,84 @@ class TestCache:
         assert third == first
 
 
+class TestSharedFactors:
+    SPEC = BetaSpec(3, (-0.6, -0.1, 0.3, 0.8, 1.4, 2.5))
+    T = 2.0 * 0.3 + 3  # the beta integral at exponent 0.3
+
+    def _integrals(self):
+        out = []
+        for cls in enumerate_classes(self.SPEC, (0, 2, 4, 6)):  # lower and upper
+            s = cls.inside.total()
+            for fn, alpha, params in (
+                (abcore.a_fn, self.T + 2.0 + s, cls.inside),
+                (abcore.a_prime, self.T + 2.0 + s, cls.inside),
+                (abcore.b_fn, self.T + s, cls.outside),
+            ):
+                abcore.clear_cache()
+                res = fn(alpha, params, CFG, closed_forms=False)
+                out.append((res.value, res.abs_err_est))
+        return out
+
+    def test_bit_identical_inside_a_scope(self, monkeypatch):
+        calls = [0]
+        kernel = abcore.cosh_pow_integral_scaled
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(abcore, "cosh_pow_integral_scaled", counted)
+        outside = self._integrals()
+        unshared = calls[0]
+        with abcore.shared_factors():
+            with abcore.shared_factors():  # a nested scope reuses the outer table
+                inside = self._integrals()
+        assert len(inside) == 3 * 32
+        assert inside == outside
+        assert calls[0] - unshared < unshared / 4
+
+    def test_no_table_after_a_query(self, monkeypatch):
+        seen = []
+        a_fn = expect.a_fn
+
+        def watched(*args, **kwargs):
+            seen.append(abcore._factors.get() is not None)
+            return a_fn(*args, **kwargs)
+
+        monkeypatch.setattr(expect, "a_fn", watched)
+        spec = BetaSpec(2, (-0.5, 0.4, 1.1, 2.0))
+        expect.expected_hyp_volume(spec, CFG, representation="upper", closed_forms=False)
+        assert seen and all(seen)
+        assert abcore._factors.get() is None
+        abcore.clear_cache()
+        strict = QuadConfig(rel_tol=1e-16, abs_tol=1e-300, max_level=3)
+        with pytest.raises(QuadratureError):
+            expect.expected_hyp_volume(spec, strict, representation="upper", closed_forms=False)
+        assert abcore._factors.get() is None
+
+
 class TestConcurrency:
+    def test_parallel_queries_match_serial(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        specs = (BetaSpec(3, (-0.5, 0.2, 0.7, 1.3, 2.1)), BetaSpec(2, (0.1, 0.6, 1.2, 2.5, -0.3)))
+
+        def work(i):
+            res = expect.expected_hyp_volume(specs[i % 2], CFG, closed_forms=False)
+            return res.value, res.abs_err_est
+
+        abcore.clear_cache()
+        serial = [work(i) for i in range(2)]
+        abcore.clear_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(work, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == [serial[i % 2] for i in range(8)]
+
     def test_parallel_cache_inserts_consistent(self):
         from concurrent.futures import ThreadPoolExecutor
 

@@ -249,6 +249,22 @@ class TestVerifyCommand:
             assert "[PASS] r.ok    ok" in out
             assert out.endswith("1/3 checks passed\nfailing: r.zero, r.quad\n")
 
+    def test_serial_unless_threads_requested(self, capsys, monkeypatch):
+        from hypvol import verify
+
+        seen = []
+
+        def run_all(quick, threads):
+            seen.append(threads)
+            return [verify.CheckResult("c", True, "ok")]
+
+        monkeypatch.setattr(verify, "run_all", run_all)
+        monkeypatch.delenv("HYPVOL_THREADS", raising=False)
+        run(capsys, "verify", "--quick")
+        monkeypatch.setenv("HYPVOL_THREADS", "3")
+        run(capsys, "verify", "--quick")
+        assert seen == [1, 3]
+
     def test_thread_env_does_not_change_results(self, capsys, monkeypatch):
         from hypvol import verify
 

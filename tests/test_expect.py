@@ -88,15 +88,6 @@ class TestExpectedBetaIntegral:
                 assert up.value == pytest.approx(lo.value, abs=1e-9)
                 assert up.representation == "upper" and lo.representation == "lower"
 
-    def test_pole_path_matches_richardson(self):
-        spec = BetaSpec(3, (-1.0,) * 4)
-        pole = expect.expected_beta_integral(spec, -1.0, CFG)
-        assert pole.pole_path
-        extrapolated = _richardson3(
-            lambda e: expect.expected_beta_integral(spec, -1.0 + e, CFG).value, 1e-2
-        )
-        assert pole.value == pytest.approx(extrapolated, abs=1e-6)
-
     def test_near_pole_widens_error(self):
         spec = BetaSpec(3, (-1.0,) * 4)
         res = expect.expected_beta_integral(spec, -1.0 + 1e-8, CFG)

@@ -203,17 +203,75 @@ class TestLobachevsky:
         assert abs(ts[np.argmax(vals)] - math.pi / 6) < 1e-3
 
 
+def _tail_by_term(beta, x):
+    """The x > 1 series of the scaled cosh-power primitive, one term at a time.
+
+    Reference for the kernel, which sums the same terms in the same order.
+    """
+    L = specfun._log_cosh(x)
+    acc = specfun._g_at_one(beta) * np.exp(-beta * L)
+    scale = 2.0**-beta
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        for k, ck in enumerate(specfun._binom_series_coeffs(beta)):
+            if ck == 0.0:
+                continue
+            ex = beta - 2.0 * k
+            if abs(ex) < 1e-12:
+                acc += scale * ck * (x - 1.0) * np.exp(-beta * L)
+                continue
+            arg = ex * (x - 1.0)
+            via_expm1 = np.exp(ex - beta * L) * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
+            plain = (np.exp(ex * x - beta * L) - np.exp(ex - beta * L)) / ex
+            acc += scale * ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
+    return acc
+
+
+# one array mixing small, tail and negative abscissae; 1 + tiny takes the
+# expm1 rows of the tail series
+_BRANCH_X = np.array(
+    [-30.0, -2.5, -1.0 - 1e-9, -0.4, 0.0, 0.25, 0.7, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.0 + 1e-3, 1.3, 2.0, 2.5,
+     7.5, 10.0, 30.0]
+)
+# integers truncate the series and reach the exponent-0 row; 2 + 1e-13
+# reaches that row without truncation
+_BRANCH_BETAS = (0.0, 1.0, 2.0, 4.0, 12.0, 0.5, 3.7, 2.0 + 1e-13)
+
+
 class TestCoshPowIntegral:
     def test_scaled_against_quadrature(self):
-        for beta in (0.0, 1.0, 2.0, 3.7, 12.0):
-            for x in (0.25, 1.0, 2.5, 10.0):
-                direct = quad.integrate_finite(lambda y: np.cosh(y) ** beta, 0.0, x, CFG).value
-                got = float(specfun.cosh_pow_integral_scaled(beta, x)[0]) * math.cosh(x) ** beta
-                assert got == pytest.approx(direct, rel=1e-12)
+        for beta in _BRANCH_BETAS:
+            got = specfun.cosh_pow_integral_scaled(beta, _BRANCH_X)
+            for x, g in zip(_BRANCH_X, got):
+                if x == 0.0:
+                    assert g == 0.0
+                    continue
+                direct = quad.integrate_finite(lambda y: np.cosh(y) ** beta, 0.0, abs(x), CFG).value
+                assert g * math.cosh(x) ** beta == pytest.approx(math.copysign(direct, x), rel=1e-12)
 
     def test_odd_in_x(self):
-        got = specfun.cosh_pow_integral_scaled(2.0, np.array([-1.5, 1.5]))
-        assert got[0] == -got[1]
+        for beta in _BRANCH_BETAS:
+            got = specfun.cosh_pow_integral_scaled(beta, _BRANCH_X)
+            assert np.array_equal(got, -specfun.cosh_pow_integral_scaled(beta, -_BRANCH_X))
+
+    def test_tail_sums_terms_in_order(self):
+        tail = np.abs(_BRANCH_X) > 1.0
+        for beta in _BRANCH_BETAS:
+            got = specfun.cosh_pow_integral_scaled(beta, _BRANCH_X)
+            ref = np.sign(_BRANCH_X[tail]) * _tail_by_term(beta, np.abs(_BRANCH_X[tail]))
+            assert got[tail].tobytes() == ref.tobytes()
+
+    def test_sizes_one_and_beyond_a_block(self):
+        rng = np.random.default_rng(5)
+        x = np.sinh(np.sinh(rng.uniform(-6.5, 6.5, 2 * specfun._TAIL_BLOCK)))
+        tail = np.abs(x) > 1.0
+        assert tail.sum() > specfun._TAIL_BLOCK
+        for beta in (0.0, 3.0, 2.7):
+            got = specfun.cosh_pow_integral_scaled(beta, x)
+            ref = np.sign(x[tail]) * _tail_by_term(beta, np.abs(x[tail]))
+            assert got[tail].tobytes() == ref.tobytes()
+            one = np.array([specfun.cosh_pow_integral_scaled(beta, v)[0] for v in x])
+            assert got.tobytes() == one.tobytes()
+            assert specfun.cosh_pow_integral_scaled(beta, 2.5).shape == (1,)
 
     def test_huge_argument_finite(self):
         out = specfun.cosh_pow_integral_scaled(4.0, np.array([1e3, 1e150]))
