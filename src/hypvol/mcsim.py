@@ -6,6 +6,13 @@ containment test, hyperbolic area via angle defect in the Klein disk,
 ideal tetrahedron volumes through the Lobachevsky function, and
 estimators with standard errors.
 
+The estimators run batched numpy kernels over each block of samples:
+hull facets by the brute-force one-side test, containment by
+Carathéodory's theorem, both from determinants shared between point
+subsets.  The scalar oracles (``contains``, ``hull_d2``, ``hull_d3``,
+``hyp_area_polygon_d2``) take the rare samples a kernel cannot decide
+and serve as the references the kernels are checked against.
+
 Sampling is organized in streams: stream s of a run draws from a
 counter-based Philox generator keyed by (seed, s), so results are
 bit-identical for a fixed (seed, streams, n_samples) triple no matter
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -42,6 +50,8 @@ __all__ = [
 
 _BLOCK = 1 << 16  # sub-batch size; fixed so stream output is reproducible
 _IDEAL_EPS = 1e-12
+_SIDE_EPS = 1e-12  # a point this close to a facet's hyperplane is on neither side
+_BARY_EPS = 1e-9  # barycentric margin below which the LP decides containment
 
 
 class DegenerateHullError(ValueError):
@@ -139,6 +149,57 @@ def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarr
     return _sample_beta_batch(d, beta, rng, 1)[0]
 
 
+# -- determinants of point subsets -------------------------------------------
+
+def _frozen(a) -> np.ndarray:
+    a = np.array(a)
+    a.flags.writeable = False  # cached tables are shared by every caller
+    return a
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of range(n) in combinations order, shape (C(n, k), k),
+    and for each subset S and position i the index of S without S[i]
+    among the (k-1)-subsets."""
+    subs = list(combinations(range(n), k))
+    where = {s: m for m, s in enumerate(combinations(range(n), k - 1))}
+    drop = [[where[s[:i] + s[i + 1 :]] for i in range(k)] for s in subs]
+    return _frozen(subs), _frozen(drop)
+
+
+def _expand(m: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Cofactor terms (-1)**i * m[:, S without S[i]] for every k-subset S.
+
+    m holds one value per (k-1)-subset; the result has shape
+    (N, C(n, k), k).
+    """
+    return m[:, _subsets(n, k)[1]] * (-1.0) ** np.arange(k)
+
+
+def _minors(a: np.ndarray) -> np.ndarray:
+    """All k x k minors of the rows of a; a is (N, n, k), the result is
+    (N, C(n, k)) in combinations order.
+
+    Laplace expansion along the last column, one column at a time, so
+    each level's minors are shared by every subset above them.  Singular
+    row sets give (near) zero; nothing raises.
+    """
+    n, k = a.shape[1], a.shape[2]
+    m = a[:, :, 0]
+    for j in range(2, k + 1):
+        rows = _subsets(n, j)[0]
+        m = (-1.0) ** (j - 1) * (a[:, rows, j - 1] * _expand(m, n, j)).sum(axis=2)
+    return m
+
+
+def _row_chunks(count: int, width: int):
+    """Slices of samples whose (samples x width) temporaries hold about
+    _BLOCK elements."""
+    step = max(1, _BLOCK // width)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 # -- containment ------------------------------------------------------------
 
 def contains(points, x, tol: float = 1e-10) -> bool:
@@ -201,18 +262,34 @@ def _inside_hull_d2_batch(q: np.ndarray) -> np.ndarray:
     return max_gap <= math.pi
 
 
-def _inside_hull_d3_batch(q: np.ndarray) -> np.ndarray:
-    """0 in conv(q) per sample; q has shape (N, n, 3)."""
-    N, n, _ = q.shape
-    outside = np.zeros(N, dtype=bool)
-    for i, j in combinations(range(n), 2):
-        c = np.cross(q[:, i, :], q[:, j, :])
-        ok = np.linalg.norm(c, axis=1) > 1e-12
-        dots = np.einsum("nd,nkd->nk", c, q)
-        pos = (dots >= -1e-12).all(axis=1)
-        neg = (dots <= 1e-12).all(axis=1)
-        outside |= ok & (pos | neg)
-    return ~outside
+def _inside_hull_batch(q: np.ndarray) -> np.ndarray:
+    """0 in conv(q) per sample, any d; q has shape (N, n, d) with n > d.
+
+    Carathéodory: 0 is in the hull iff it is in the simplex of some d+1
+    of the points.  The barycentric coordinates of 0 in a simplex S are
+    g_i / sum(g) with g_i = (-1)**i det(q[S without S[i]]), so each
+    d-point determinant is computed once for all simplices sharing it.
+    A sample is decided here when some simplex holds 0 with every
+    coordinate >= _BARY_EPS, or every simplex has a coordinate below
+    -_BARY_EPS; the others (0 on a face within that margin, or a simplex
+    of near-zero volume) go to the LP ``contains``.
+    """
+    N, n, d = q.shape
+    inside = np.empty(N, dtype=bool)
+    for rows in _row_chunks(N, _subsets(n, d + 1)[1].size):
+        qs = q[rows]
+        g = _expand(_minors(qs), n, d + 1)
+        total = g.sum(axis=2)
+        size = np.abs(g).sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            least = (g * np.sign(total)[..., None]).min(axis=2) / size
+        solid = size > 1e-12 * np.abs(qs).max(axis=(1, 2))[:, None] ** d
+        hit = (solid & (least >= _BARY_EPS)).any(axis=1)
+        miss = (solid & (least < -_BARY_EPS)).all(axis=1)
+        inside[rows] = hit
+        for s in np.nonzero(~hit & ~miss)[0]:
+            inside[rows.start + s] = contains(qs[s], np.zeros(d))
+    return inside
 
 
 def mc_absorption(spec: BetaSpec, beta: float, cfg: SampleConfig) -> McEstimate:
@@ -233,14 +310,7 @@ def mc_absorption(spec: BetaSpec, beta: float, cfg: SampleConfig) -> McEstimate:
             pts[:, i, :] = _sample_beta_batch(d, bi, rng, block)
         x0 = _sample_beta_batch(d, beta, rng, block)
         q = pts - x0[:, None, :]
-        if d == 2:
-            hits = _inside_hull_d2_batch(q)
-        elif d == 3:
-            hits = _inside_hull_d3_batch(q)
-        else:
-            hits = np.fromiter(
-                (contains(pts[s], x0[s]) for s in range(block)), dtype=bool, count=block
-            )
+        hits = _inside_hull_d2_batch(q) if d == 2 else _inside_hull_batch(q)
         acc.add(hits.astype(float) * scale)
     return acc.estimate()
 
@@ -351,7 +421,46 @@ def hull_d3(points) -> list[tuple[int, int, int]]:
     return sorted(facets)
 
 
+@lru_cache(maxsize=None)
+def _facet_sides(n: int, d: int) -> np.ndarray:
+    """Flat indices into the (C(n, d+1), d+1) cofactor terms: row F lists,
+    for the d-subset F, the terms of F joined with each other point."""
+    drop = _subsets(n, d + 1)[1]
+    return _frozen(np.argsort(drop.ravel(), kind="stable").reshape(-1, n - d))
+
+
+def _hull_facets(P: np.ndarray) -> np.ndarray:
+    """Hull facets per sample by the brute-force one-side test.
+
+    P is (N, n, d).  Returns (N, C(n, d)) bools over the d-subsets in
+    combinations order: true where every other point lies strictly
+    (beyond _SIDE_EPS) on one side of the subset's hyperplane.  The side
+    of point r is the sign of det [P | 1] over the subset and r; each
+    (d+1)-point determinant serves the d+1 subsets it contains.
+    """
+    N, n, d = P.shape
+    orient = _minors(np.concatenate([P, np.ones((N, n, 1))], axis=2))
+    sides = (orient[:, :, None] * (-1.0) ** np.arange(d + 1)).reshape(N, -1)[:, _facet_sides(n, d)]
+    return (sides > _SIDE_EPS).all(axis=2) | (sides < -_SIDE_EPS).all(axis=2)
+
+
 # -- hyperbolic measurements -------------------------------------------------
+
+def _klein_angles(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Klein-disk angles at x between directions u and w, arrays (..., 2).
+
+    Points within _IDEAL_EPS of the unit circle are ideal: angle 0.
+    """
+    r2 = (x * x).sum(axis=-1)
+    one = 1.0 - r2
+    xu, xw = (x * u).sum(axis=-1), (x * w).sum(axis=-1)
+    gu = one * (u * u).sum(axis=-1) + xu * xu
+    gw = one * (w * w).sum(axis=-1) + xw * xw
+    guw = one * (u * w).sum(axis=-1) + xu * xw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angles = np.arccos(np.clip(guw / np.sqrt(gu * gw), -1.0, 1.0))
+    return np.where(r2 >= (1.0 - _IDEAL_EPS) ** 2, 0.0, angles)
+
 
 def hyp_area_polygon_d2(vertices) -> float:
     """Area by angle defect: (n-2) pi minus the interior angles.
@@ -371,20 +480,38 @@ def hyp_area_polygon_d2(vertices) -> float:
         v = v[::-1]
     elif not all(c >= -1e-14 for c in crosses):
         raise ValueError("vertex cycle is not convex")
-    angles = 0.0
-    for i in range(n):
-        x = v[i]
-        r2 = float(x @ x)
-        if r2 >= (1.0 - _IDEAL_EPS) ** 2:
-            continue
-        u = v[(i + 1) % n] - x
-        w = v[i - 1] - x
-        one = 1.0 - r2
-        gu = one * float(u @ u) + float(x @ u) ** 2
-        gw = one * float(w @ w) + float(x @ w) ** 2
-        guw = one * float(u @ w) + float(x @ u) * float(x @ w)
-        angles += math.acos(min(1.0, max(-1.0, guw / math.sqrt(gu * gw))))
-    return (n - 2) * math.pi - angles
+    angles = _klein_angles(v, np.roll(v, -1, axis=0) - v, np.roll(v, 1, axis=0) - v)
+    return (n - 2) * math.pi - float(angles.sum())
+
+
+def _hyp_areas_d2(P: np.ndarray) -> np.ndarray:
+    """Angle-defect areas of the hulls of P, shape (N, n, 2), per sample.
+
+    Hull edges come from the one-side test, so each hull vertex has
+    degree 2 and the angle at it needs only its two neighbours, not the
+    cycle order.  Samples whose edges do not form such a cycle (a degree
+    other than 0 or 2, or fewer than 3 hull vertices) get nan.
+    """
+    N, n, _ = P.shape
+    pairs = _subsets(n, 2)[0]
+    areas = np.empty(N)
+    for rows in _row_chunks(N, _subsets(n, 3)[1].size):
+        Q = P[rows]
+        edges = _hull_facets(Q)
+        adj = np.zeros((len(Q), n, n), dtype=bool)
+        adj[:, pairs[:, 0], pairs[:, 1]] = edges
+        adj[:, pairs[:, 1], pairs[:, 0]] = edges
+        degree = adj.sum(axis=2)
+        hull = degree == 2
+        sample = np.arange(len(Q))[:, None]
+        ahead = Q[sample, adj.argmax(axis=2)] - Q
+        behind = Q[sample, n - 1 - adj[:, :, ::-1].argmax(axis=2)] - Q
+        angles = np.where(hull, _klein_angles(Q, ahead, behind), 0.0)
+        vertices = hull.sum(axis=1)
+        area = (vertices - 2) * math.pi - angles.sum(axis=1)
+        area[((degree != 0) & ~hull).any(axis=1) | (vertices < 3)] = np.nan
+        areas[rows] = area
+    return areas
 
 
 _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -444,30 +571,23 @@ def ideal_tetra_volume(v1, v2, v3, v4) -> float:
 def _hull_volumes_bruteforce(P: np.ndarray) -> np.ndarray:
     """Hull volumes via star decomposition from vertex 0; P is (N, n, 3).
 
-    Enumerates candidate facets as triples with every other point
-    strictly on one side; valid for points in general position on the
-    sphere.  Samples violating the triangulated Euler count F = 2n - 4
-    get volume nan (callers resample them).
+    Candidate facets are the triples with every other point strictly on
+    one side (``_hull_facets``); valid for points in general position on
+    the sphere.  Samples violating the triangulated Euler count
+    F = 2n - 4 get volume nan (callers resample them).
     """
     N, n, _ = P.shape
-    vols = np.zeros(N)
-    facet_count = np.zeros(N, dtype=int)
-    for tri in combinations(range(n), 3):
-        i, j, k = tri
-        normal = np.cross(P[:, j, :] - P[:, i, :], P[:, k, :] - P[:, i, :])
-        rest = [r for r in range(n) if r not in tri]
-        dots = np.einsum("nd,nrd->nr", normal, P[:, rest, :] - P[:, i, None, :])
-        is_facet = (dots > 1e-12).all(axis=1) | (dots < -1e-12).all(axis=1)
-        facet_count += is_facet
-        if 0 in tri:
-            continue
-        idx = np.nonzero(is_facet)[0]
-        if idx.size:
-            quad = P[idx][:, [0, i, j, k], :]
-            vols[idx] += _tetra_volumes_batch(quad)
-    bad = facet_count != 2 * n - 4
-    if bad.any():
-        vols[bad] = np.nan
+    triples = _subsets(n, 3)[0]
+    star = triples[:, 0] > 0  # facets away from vertex 0
+    vols = np.empty(N)
+    for rows in _row_chunks(N, _subsets(n, 4)[1].size):
+        Q = P[rows]
+        facets = _hull_facets(Q)
+        s, f = np.nonzero(facets & star)
+        tetra = Q[s[:, None], np.column_stack([np.zeros_like(f), triples[f]])]
+        v = np.bincount(s, weights=_tetra_volumes_batch(tetra), minlength=len(Q))
+        v[facets.sum(axis=1) != 2 * n - 4] = np.nan
+        vols[rows] = v
     return vols
 
 
@@ -497,7 +617,7 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
         P /= np.linalg.norm(P, axis=2, keepdims=True)
         if n == 4:
             vols = _tetra_volumes_batch(P)
-        elif n <= 10:
+        else:
             vols = _hull_volumes_bruteforce(P)
             while np.isnan(vols).any():
                 bad = np.nonzero(np.isnan(vols))[0]
@@ -505,10 +625,6 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
                 Q = rng.standard_normal((bad.size, n, 3))
                 Q /= np.linalg.norm(Q, axis=2, keepdims=True)
                 vols[bad] = _hull_volumes_bruteforce(Q)
-        else:
-            vols = np.fromiter(
-                (_hull_volume_via_hull_d3(P[s]) for s in range(block)), dtype=float, count=block
-            )
         acc.add(vols)
     est = acc.estimate()
     est.resampled = resampled
@@ -524,8 +640,8 @@ def mc_hyp_area_d2(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
         pts = np.empty((block, spec.n, 2))
         for i, bi in enumerate(spec.betas):
             pts[:, i, :] = _sample_beta_batch(2, bi, rng, block)
-        areas = np.empty(block)
-        for s in range(block):
+        areas = _hyp_areas_d2(pts)
+        for s in np.nonzero(np.isnan(areas))[0]:
             areas[s] = hyp_area_polygon_d2(hull_d2(pts[s]))
         acc.add(areas)
     return acc.estimate()

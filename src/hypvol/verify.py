@@ -182,40 +182,58 @@ def _closed_form_suite():
     return cases
 
 
+def _closed_form_errors(case: int, rels):
+    """(rel_tol, true error, abs_err_est, rounding slack) of closed-form
+    case ``case`` at each rel_tol in ``rels``."""
+    kind, f, ab, truth = _closed_form_suite()[case]
+    for rel in rels:
+        cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
+        res = (
+            quad.integrate_finite(f, ab[0], ab[1], cfg)
+            if kind == "finite"
+            else quad.integrate_real_line(f, cfg)
+        )
+        yield rel, abs(res.value - truth), res.abs_err_est, 5e-15 * max(1.0, abs(truth))
+
+
+def _error_bound_case(case: int) -> tuple[str | None, float]:
+    """The failure of one closed-form case (None if it holds) and its worst
+    true-error / estimate ratio."""
+    worst = 0.0
+    for rel, err, est, slack in _closed_form_errors(case, (1e-8, 1e-10, 1e-12)):
+        if err > est + slack:
+            return f"case {case} at rel_tol={rel:.0e}: estimate too small: true {err:.2e} vs est {est:.2e}", worst
+        worst = max(worst, err / max(est, 1e-300))
+    return None, worst
+
+
+def _monotone_case(case: int) -> str | None:
+    """The failure of one closed-form case (None if it holds)."""
+    prev = None
+    for rel, err, _, slack in _closed_form_errors(case, (1e-6, 1e-8, 1e-10, 1e-12)):
+        if prev is not None and err > prev + slack:
+            return f"case {case} at rel_tol={rel:.0e}: error grew from {prev:.2e} to {err:.2e}"
+        prev = err
+    return None
+
+
 @_check("quad.error-estimate-bounds")
 def _quad_error_bounds(quick: bool):
     worst_ratio = 0.0
-    for rel in (1e-8, 1e-10, 1e-12):
-        cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
-        for kind, f, ab, truth in _closed_form_suite():
-            res = (
-                quad.integrate_finite(f, ab[0], ab[1], cfg)
-                if kind == "finite"
-                else quad.integrate_real_line(f, cfg)
-            )
-            true_err = abs(res.value - truth)
-            if true_err > res.abs_err_est + 5e-15 * max(1.0, abs(truth)):
-                return False, f"estimate too small: true {true_err:.2e} vs est {res.abs_err_est:.2e}"
-            worst_ratio = max(worst_ratio, true_err / max(res.abs_err_est, 1e-300))
+    for case in range(len(_closed_form_suite())):
+        failure, ratio = _error_bound_case(case)
+        if failure:
+            return False, failure
+        worst_ratio = max(worst_ratio, ratio)
     return True, f"estimates bound true error (worst ratio {worst_ratio:.2f})"
 
 
 @_check("quad.tolerance-monotonic")
 def _quad_tolerance_monotonic(quick: bool):
-    slack = 5e-15
-    for kind, f, ab, truth in _closed_form_suite():
-        prev = None
-        for rel in (1e-6, 1e-8, 1e-10, 1e-12):
-            cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
-            res = (
-                quad.integrate_finite(f, ab[0], ab[1], cfg)
-                if kind == "finite"
-                else quad.integrate_real_line(f, cfg)
-            )
-            err = abs(res.value - truth)
-            if prev is not None and err > prev + slack * max(1.0, abs(truth)):
-                return False, f"error grew from {prev:.2e} to {err:.2e} at rel_tol={rel}"
-            prev = err
+    for case in range(len(_closed_form_suite())):
+        failure = _monotone_case(case)
+        if failure:
+            return False, failure
     return True, "true error non-increasing as rel_tol halves"
 
 
@@ -516,6 +534,39 @@ def _hull_euler(quick: bool):
         if len(mcsim.hull_d3(P)) != 2 * n - 4:
             return False, f"facet count violated Euler relation for n={n}"
     return True, "triangulated hulls satisfy F = 2V - 4"
+
+
+def _beta_block(rng, d: int, betas, count: int) -> np.ndarray:
+    return np.stack([mcsim._sample_beta_batch(d, b, rng, count) for b in betas], axis=1)
+
+
+@_check("mcsim.batched-oracles")
+def _batched_oracles(quick: bool):
+    """Each batched Monte-Carlo kernel against its scalar oracle."""
+    rng = np.random.default_rng(17)
+    reps = 1 if quick else 4
+    samples = 0
+    for d, n, count in ((3, 6, 50), (4, 6, 50), (4, 8, 25), (5, 7, 25)):
+        count *= reps
+        pts = _beta_block(rng, d, rng.choice([-1.0, -0.5, 0.0, 2.0], n), count)
+        x0 = mcsim._sample_beta_batch(d, 0.0, rng, count)
+        got = mcsim._inside_hull_batch(pts - x0[:, None, :])
+        want = np.array([mcsim.contains(pts[s], x0[s]) for s in range(count)])
+        if (got != want).any():
+            return False, f"containment differs from the LP at d={d}, n={n} on {int((got != want).sum())} samples"
+        samples += count
+    errs = []
+    for n, count in ((5, 40), (8, 20), (12, 10)):
+        P = _beta_block(rng, 3, (-1.0,) * n, count * reps)
+        slow = [mcsim._hull_volume_via_hull_d3(p) for p in P]
+        errs.append(np.abs(mcsim._hull_volumes_bruteforce(P) - slow))
+    for betas in ((-0.999,) * 6, (-1.0, -0.999, -0.5, 0.0, 2.0)):
+        pts = _beta_block(rng, 2, betas, 100 * reps)
+        slow = [mcsim.hyp_area_polygon_d2(mcsim.hull_d2(p)) for p in pts]
+        errs.append(np.abs(mcsim._hyp_areas_d2(pts) - slow))
+    worst = float(np.concatenate(errs).max())
+    ok = worst <= 1e-9
+    return ok, f"containment equal to the LP on {samples} samples; hull volumes and areas worst {worst:.3e} (tol 1e-09)"
 
 
 # -- cli-facing output invariants ---------------------------------------------

@@ -70,11 +70,27 @@ class TestContains:
         fast = mcsim._inside_hull_d2_batch(pts - x0[:, None, :])
         slow = np.array([mcsim.contains(pts[i], x0[i]) for i in range(400)])
         assert (fast == slow).all()
-        pts3 = rng.standard_normal((300, 5, 3))
-        x03 = 0.3 * rng.standard_normal((300, 3))
-        fast3 = mcsim._inside_hull_d3_batch(pts3 - x03[:, None, :])
-        slow3 = np.array([mcsim.contains(pts3[i], x03[i]) for i in range(300)])
-        assert (fast3 == slow3).all()
+        for d, n, count in ((3, 5, 300), (4, 6, 300), (4, 8, 150), (5, 7, 150)):
+            pts = rng.standard_normal((count, n, d))
+            x0 = 0.3 * rng.standard_normal((count, d))
+            fast = mcsim._inside_hull_batch(pts - x0[:, None, :])
+            slow = np.array([mcsim.contains(pts[i], x0[i]) for i in range(count)])
+            assert (fast == slow).all(), (d, n)
+            assert 0 < slow.sum() < count
+
+    def test_singular_subsets_do_not_raise(self):
+        # duplicated points make some determinants exactly zero; points in
+        # a hyperplane through x make all of them zero
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((100, 6, 4))
+        pts[:, 5] = pts[:, 4]
+        flat = rng.standard_normal((100, 6, 4))
+        flat[:, :, 3] = 0.0
+        for block in (pts, flat):
+            x0 = 0.3 * rng.standard_normal((100, 4))
+            x0[:, 3] = block[:, 0, 3]
+            fast = mcsim._inside_hull_batch(block - x0[:, None, :])
+            assert (fast == [mcsim.contains(block[i], x0[i]) for i in range(100)]).all()
 
 
 class TestHulls:
@@ -177,12 +193,15 @@ class TestMcIdealPolytope:
         assert est.stderr == 0.0 and est.n == 1
 
     def test_bruteforce_matches_hull_reference(self):
+        # a 1000-sample block spans many kernel chunks; every 40th sample
+        # is checked against the per-sample hull
         rng = np.random.default_rng(5)
-        P = rng.standard_normal((150, 6, 3))
-        P /= np.linalg.norm(P, axis=2, keepdims=True)
-        fast = mcsim._hull_volumes_bruteforce(P)
-        slow = np.array([mcsim._hull_volume_via_hull_d3(P[i]) for i in range(150)])
-        assert np.abs(fast - slow).max() <= 1e-9
+        for n, count, stride in ((6, 150, 1), (12, 12, 1), (12, 1000, 40), (16, 12, 1), (16, 1000, 40)):
+            P = rng.standard_normal((count, n, 3))
+            P /= np.linalg.norm(P, axis=2, keepdims=True)
+            fast = mcsim._hull_volumes_bruteforce(P)[::stride]
+            slow = np.array([mcsim._hull_volume_via_hull_d3(p) for p in P[::stride]])
+            assert np.abs(fast - slow).max() <= 1e-9, (n, count)
 
     def test_statistical_agreement(self):
         est = mcsim.mc_ideal_polytope3_volume(4, SampleConfig(seed=7, n_samples=30000, streams=3))
@@ -190,10 +209,14 @@ class TestMcIdealPolytope:
         est6 = mcsim.mc_ideal_polytope3_volume(6, SampleConfig(seed=8, n_samples=30000, streams=3))
         target = expect.ideal_polytope3(6).evaluate()
         assert abs(est6.mean - target) <= 3.0 * est6.stderr
+        est12 = mcsim.mc_ideal_polytope3_volume(12, SampleConfig(seed=9, n_samples=8000, streams=2))
+        target = expect.ideal_polytope3(12).evaluate()
+        assert abs(est12.mean - target) <= 3.0 * est12.stderr
 
     def test_determinism(self):
-        cfg = SampleConfig(seed=3, n_samples=5000, streams=3)
-        assert mcsim.mc_ideal_polytope3_volume(5, cfg) == mcsim.mc_ideal_polytope3_volume(5, cfg)
+        for n, count in ((5, 5000), (12, 600)):
+            cfg = SampleConfig(seed=3, n_samples=count, streams=3)
+            assert mcsim.mc_ideal_polytope3_volume(n, cfg) == mcsim.mc_ideal_polytope3_volume(n, cfg)
 
 
 class TestMcAbsorption:
@@ -209,16 +232,17 @@ class TestMcAbsorption:
         target = expect.expected_beta_integral(spec, 0.0).value
         assert abs(est.mean - target) <= 3.0 * est.stderr
 
-    def test_matches_formula_d4_lp_path(self):
+    def test_matches_formula_d4(self):
         spec = BetaSpec(4, (0.0,) * 5)
         est = mcsim.mc_absorption(spec, 0.0, SampleConfig(seed=12, n_samples=4000))
         target = expect.expected_beta_integral(spec, 0.0).value
         assert abs(est.mean - target) <= 3.5 * max(est.stderr, 1e-6)
 
     def test_determinism(self):
-        spec = BetaSpec(2, (0.0, 0.0, 0.0, 0.0))
-        cfg = SampleConfig(seed=11, n_samples=20000, streams=2)
-        assert mcsim.mc_absorption(spec, 0.5, cfg) == mcsim.mc_absorption(spec, 0.5, cfg)
+        for d, count in ((2, 20000), (4, 3000)):
+            spec = BetaSpec(d, (0.0,) * (d + 2))
+            cfg = SampleConfig(seed=11, n_samples=count, streams=2)
+            assert mcsim.mc_absorption(spec, 0.5, cfg) == mcsim.mc_absorption(spec, 0.5, cfg)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -243,6 +267,28 @@ class TestGaussBonnetSampling:
         est = mcsim.mc_hyp_area_d2(spec, SampleConfig(seed=14, n_samples=20000, streams=2))
         target = expect.expected_hyp_volume(spec, method="generic").value
         assert abs(est.mean - target) <= 3.0 * est.stderr
+
+    def test_batched_matches_scalar_near_ideal(self):
+        rng = mcsim._stream_rng(21, 0)
+        betas = (-0.999, -0.999, -0.999, 0.0, 1.0, -0.5)
+        pts = np.stack([mcsim._sample_beta_batch(2, b, rng, 500) for b in betas], axis=1)
+        fast = mcsim._hyp_areas_d2(pts)
+        slow = np.array([mcsim.hyp_area_polygon_d2(mcsim.hull_d2(p)) for p in pts])
+        assert np.abs(fast - slow).max() <= 1e-9
+
+    def test_degenerate_edges_left_to_scalar(self):
+        # a point on a hull edge, and five collinear points: both nan, so the
+        # estimator hands them to hull_d2 (which raises on the second)
+        on_edge = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5], [0.25, 0.25]])
+        collinear = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4], [0.5, 0.5]])
+        assert np.isnan(mcsim._hyp_areas_d2(np.stack([on_edge, collinear]))).all()
+        with pytest.raises(DegenerateHullError):
+            mcsim.hull_d2(collinear)
+
+    def test_determinism(self):
+        spec = BetaSpec(2, (-0.5, 0.0, 1.0, -1.0, 2.0, 0.0))
+        cfg = SampleConfig(seed=15, n_samples=3000, streams=2)
+        assert mcsim.mc_hyp_area_d2(spec, cfg) == mcsim.mc_hyp_area_d2(spec, cfg)
 
 
 class TestSimplexQuadrature:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypvol import quad, specfun
+from hypvol import quad, specfun, verify
 from hypvol.quad import QuadConfig, QuadratureError, ValueWithError
 from hypvol.verify import _closed_form_suite
 
@@ -75,34 +75,19 @@ class TestRealLine:
 
 
 class TestClosedFormSuite:
+    """One item per closed-form case of the ``quad.error-estimate-bounds`` and
+    ``quad.tolerance-monotonic`` checks; the checks hold the cases and
+    tolerances, the items report each case on its own."""
+
     @pytest.mark.parametrize("case", range(len(_closed_form_suite())))
     def test_estimate_bounds_true_error(self, case):
-        kind, f, ab, truth = _closed_form_suite()[case]
-        for rel in (1e-8, 1e-10, 1e-12):
-            cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
-            res = (
-                quad.integrate_finite(f, ab[0], ab[1], cfg)
-                if kind == "finite"
-                else quad.integrate_real_line(f, cfg)
-            )
-            true_err = abs(res.value - truth)
-            assert true_err <= res.abs_err_est + 5e-15 * max(1.0, abs(truth))
+        failure, _ = verify._error_bound_case(case)
+        assert failure is None, failure
 
     @pytest.mark.parametrize("case", range(len(_closed_form_suite())))
     def test_true_error_monotone_in_tolerance(self, case):
-        kind, f, ab, truth = _closed_form_suite()[case]
-        prev = None
-        for rel in (1e-6, 1e-8, 1e-10, 1e-12):
-            cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
-            res = (
-                quad.integrate_finite(f, ab[0], ab[1], cfg)
-                if kind == "finite"
-                else quad.integrate_real_line(f, cfg)
-            )
-            err = abs(res.value - truth)
-            if prev is not None:
-                assert err <= prev + 5e-15 * max(1.0, abs(truth))
-            prev = err
+        failure = verify._monotone_case(case)
+        assert failure is None, failure
 
     def test_complex_capable_core(self):
         value, err = quad.integrate_real_line_any(lambda x: np.exp(-x * x) * (1.0 + 2.0j))
