@@ -23,7 +23,6 @@ from .abcore import (
     b_fn_alt,
     b_ones,
     limit_alpha_plus_one_times_b,
-    theta_fn,
 )
 from .exact import PiPoly, Rational
 from .expect import (
@@ -33,14 +32,13 @@ from .expect import (
     alternating_harmonic_sum,
     enumerate_classes,
     expected_beta_integral,
-    expected_beta_integral_simplex,
     expected_hyp_volume,
-    expected_hyp_volume_simplex,
     ideal_polytope3,
     ideal_polytope3_via_sum,
     ideal_simplex_volume,
     polygon_beta0,
     poly_log_cos_check,
+    theta_fn,
 )
 from .mcsim import (
     DegenerateHullError,

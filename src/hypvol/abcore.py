@@ -2,9 +2,9 @@
 
 ``a_fn`` integrates cosh(x)**(-alpha) times a product of imaginary-axis
 factors over the real line; ``b_fn`` integrates cos(x)**alpha times a
-product of segment factors over (-pi/2, pi/2).  ``theta_fn`` is the
-normalized product a * (linear factor) * b that the expectation engine
-sums over subsets.  Closed forms are dispatched for empty, singleton and
+product of segment factors over (-pi/2, pi/2); the expectation engine
+sums products a * (linear factor) * b of them over subsets.  Closed
+forms are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
 
@@ -48,17 +48,11 @@ __all__ = [
     "a_prime_ones_at_pole",
     "a_prime_odd_repeated",
     "limit_alpha_plus_one_times_b",
-    "theta_fn",
     "clear_cache",
-    "set_cache_enabled",
     "shared_factors",
 ]
 
 _REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
-# distance to a pole below which its limit is taken, and below which the
-# direct value needs a widened error band; expect shares both
-_POLE_EXACT = 1e-12
-_POLE_NEAR = 1e-6
 
 
 class ParamMultiset:
@@ -107,15 +101,6 @@ def _as_params(params) -> ParamMultiset:
 
 _cache_lock = threading.Lock()
 _cache: dict = {}
-_cache_enabled = True
-
-
-def set_cache_enabled(enabled: bool) -> None:
-    global _cache_enabled
-    with _cache_lock:
-        _cache_enabled = bool(enabled)
-        if not enabled:
-            _cache.clear()
 
 
 def clear_cache() -> None:
@@ -124,16 +109,13 @@ def clear_cache() -> None:
 
 
 def _cache_get(key):
-    if not _cache_enabled:
-        return None
     with _cache_lock:
         return _cache.get(key)
 
 
 def _cache_put(key, value):
-    if _cache_enabled:
-        with _cache_lock:
-            _cache[key] = value
+    with _cache_lock:
+        _cache[key] = value
 
 
 def _cfg_key(cfg: QuadConfig):
@@ -454,41 +436,3 @@ def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithEr
     res = quad.integrate_finite(f, 0.0, 1.0, cfg)
     return ValueWithError(res.value, res.abs_err_est, "tanh-sinh-alt")
 
-
-def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
-    """Normalized product (1/2pi) * prod(c) * a(...) * (linear) * b(...).
-
-    The first argument of the b-term is 2x + 2*sum(y); when it equals -1
-    (within 1e-12) the product (linear factor) * b is replaced by its
-    finite limit.  Within (1e-12, 1e-6) of -1 the value is computed
-    directly and the error estimate inflated by the cancellation factor.
-    """
-    y = _as_params(y)
-    z = _as_params(z)
-    cfg = cfg or QuadConfig()
-    if x < -0.5:
-        raise ValueError("theta_fn requires x >= -1/2")
-    s = 2.0 * x + 2.0 * y.total()
-    pref = 1.0 / (2.0 * math.pi)
-    for w in (*y, *z):
-        pref *= c_one_dim(w - 0.5)
-    a_res = a_fn(s + 2.0, y.scaled(2.0), cfg, closed_forms=closed_forms)
-    barg = s
-    gap = abs(barg + 1.0)
-    if gap <= _POLE_EXACT:
-        prod = limit_alpha_plus_one_times_b(z.scaled(2.0))
-        prod_err = _REL_CLOSED * abs(prod)
-    elif gap < _POLE_NEAR:
-        # the b-integrand's mass near the pole sits below double-precision
-        # node depth, so direct quadrature is meaningless here; use the
-        # limit value with a first-order error band in the gap
-        prod = limit_alpha_plus_one_times_b(z.scaled(2.0))
-        prod_err = abs(prod) * 100.0 * gap
-    else:
-        b_res = b_fn(barg, z.scaled(2.0), cfg, closed_forms=closed_forms)
-        lin = s + 1.0
-        prod = lin * b_res.value
-        prod_err = abs(lin) * b_res.abs_err_est
-    value = pref * a_res.value * prod
-    err = abs(pref) * (abs(a_res.value) * prod_err + a_res.abs_err_est * abs(prod))
-    return ValueWithError(value, max(err, cfg.abs_tol), "theta")

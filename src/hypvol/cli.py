@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import expect, mcsim, verify
@@ -224,9 +223,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    # serial by default: the checks hold the interpreter lock, so threads only add switching
-    threads = int(os.environ.get("HYPVOL_THREADS", 1))
-    results = verify.run_all(quick=args.quick, threads=max(1, threads))
+    results = verify.run_all(quick=args.quick)
     width = max(len(r.check_id) for r in results)
     lines = []
     failures = 0

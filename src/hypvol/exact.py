@@ -31,10 +31,6 @@ class PiPoly:
     def from_rational(cls, c) -> "PiPoly":
         return cls({0: Fraction(c)})
 
-    @classmethod
-    def pi_times(cls, c, power: int = 1) -> "PiPoly":
-        return cls({power: Fraction(c)})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -210,14 +206,6 @@ class TrigExpPoly:
     def constant(cls, c) -> "TrigExpPoly":
         c = c if isinstance(c, PiPoly) else PiPoly.from_rational(c)
         return cls({(0, 0): _cplx(c)})
-
-    @classmethod
-    def x_power(cls, j: int) -> "TrigExpPoly":
-        return cls({(j, 0): _cplx(1)})
-
-    @classmethod
-    def exp_ix(cls, m: int, coeff=None) -> "TrigExpPoly":
-        return cls({(0, m): coeff if coeff is not None else _cplx(1)})
 
     def __add__(self, other: "TrigExpPoly") -> "TrigExpPoly":
         out = dict(self.terms)

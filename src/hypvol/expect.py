@@ -3,11 +3,13 @@
 Computes expected beta integrals E[int over hull of (1-|x|^2)^beta dx]
 and expected hyperbolic volumes for n independent beta-distributed
 points in dimension d.  Every such query is one subset sum,
-``_subset_sum``: over the subset classes it adds up
-A(t+2+s) * (t+1+s) * b(t+s), with s the inside parameter total,
-t = 2*beta + d for beta integrals and t = -1 for hyperbolic volumes.
-A is a_fn, or its derivative a_prime for the removable singularity at
-negative-integer exponents (the pole path) and for odd-d volumes.  Both
+``_subset_sum``: over the subset classes it adds up the class term
+``_class_term``, A(t+2+s) * (t+1+s) * b(t+s), with s the inside
+parameter total, t = 2*beta + d for beta integrals and t = -1 for
+hyperbolic volumes.  A is a_fn, or its derivative a_prime for the
+removable singularity at negative-integer exponents (the pole path) and
+for odd-d volumes.  ``theta_fn`` is the class term normalized, and a
+simplex (n = d+1) is the upper sum with its single class.  Both
 queries run inside ``abcore.shared_factors``, so the integrals of one
 query evaluate each parameter's integrand factor once per node set.  Several
 families admit exact closed forms (rational multiples of powers of pi):
@@ -24,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .abcore import (
-    _POLE_EXACT,
-    _POLE_NEAR,
+    _REL_CLOSED,
     ParamMultiset,
+    _as_params,
     a_fn,
     a_prime,
     b_fn,
@@ -34,8 +36,8 @@ from .abcore import (
     shared_factors,
 )
 from .exact import PiPoly, TrigExpPoly, _cplx, poly_integral_01, poly_pow
-from .quad import QuadConfig
-from .specfun import gamma_real, harmonic, log_gamma
+from .quad import QuadConfig, ValueWithError
+from .specfun import c_one_dim, gamma_real, harmonic, log_gamma
 from . import quad as _quad
 
 __all__ = [
@@ -45,8 +47,7 @@ __all__ = [
     "enumerate_classes",
     "expected_beta_integral",
     "expected_hyp_volume",
-    "expected_hyp_volume_simplex",
-    "expected_beta_integral_simplex",
+    "theta_fn",
     "ideal_polytope3",
     "ideal_polytope3_via_sum",
     "alternating_harmonic_sum",
@@ -54,6 +55,12 @@ __all__ = [
     "polygon_beta0",
     "poly_log_cos_check",
 ]
+
+# distance to a pole below which its limit is taken (beta at a negative
+# integer), and below which the direct value needs a widened error band
+_POLE_EXACT = 1e-12
+_POLE_NEAR = 1e-6
+
 
 @dataclass(frozen=True)
 class BetaSpec:
@@ -164,33 +171,45 @@ def _pick_representation(spec: BetaSpec, representation: str) -> str:
     return "lower" if lower_count < upper_count else "upper"
 
 
+def _class_term(
+    t: float, inside: ParamMultiset, outside: ParamMultiset, derivative: bool, cfg: QuadConfig, closed_forms: bool
+) -> tuple[float, float]:
+    """A(t+2+s) * (t+1+s) * b(t+s) for one subset class, as (value, abs_err_est).
+
+    s is the inside parameter total and A = a_prime when ``derivative``
+    else a_fn.  Within _POLE_NEAR of the b-pole (linear factor near 0,
+    e.g. d = 2 volumes with near-ideal inside points) the b-integrand's
+    mass sits below the depth of double-precision nodes, so the product
+    (t+1+s) * b takes its limit at the pole, with an error band of
+    100 * |t+1+s| relative on top of the closed-form error.
+    """
+    s = inside.total()
+    a = (a_prime if derivative else a_fn)(t + 2.0 + s, inside, cfg, closed_forms=closed_forms)
+    lin = t + 1.0 + s
+    if abs(lin) < _POLE_NEAR:
+        prod = limit_alpha_plus_one_times_b(outside)
+        prod_err = abs(prod) * (_REL_CLOSED + 100.0 * abs(lin))
+    else:
+        b = b_fn(t + s, outside, cfg, closed_forms=closed_forms)
+        prod = lin * b.value
+        prod_err = abs(lin) * b.abs_err_est
+    return a.value * prod, a.abs_err_est * abs(prod) + abs(a.value) * prod_err
+
+
 def _subset_sum(
     spec: BetaSpec, t: float, derivative: bool, rep: str, prefactor: float, cfg: QuadConfig, closed_forms: bool
 ) -> tuple[float, float]:
     """The subset sum behind every query, as (value, abs_err_est).
 
-    Sums m * A(t+2+s) * (t+1+s) * b(t+s) over the subset classes of the
-    representation, with s the inside parameter total and A = a_prime
-    when ``derivative`` else a_fn.  A vanishing linear factor (d = 2
-    volumes with all inside points ideal) meets the b-pole, and the
-    product takes its finite limit instead.
+    Sums the multiplicity times ``_class_term`` over the subset classes
+    of the representation.
     """
-    a = a_prime if derivative else a_fn
     vals, errs = [], []
     for cls in enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec)):
-        s = cls.inside.total()
-        a_res = a(t + 2.0 + s, cls.inside, cfg, closed_forms=closed_forms)
-        lin = t + 1.0 + s
-        if lin == 0.0:
-            prod = limit_alpha_plus_one_times_b(cls.outside)
-            prod_err = 1e-14 * abs(prod)
-        else:
-            b_res = b_fn(t + s, cls.outside, cfg, closed_forms=closed_forms)
-            prod = lin * b_res.value
-            prod_err = abs(lin) * b_res.abs_err_est
+        value, err = _class_term(t, cls.inside, cls.outside, derivative, cfg, closed_forms)
         m = float(cls.multiplicity)
-        vals.append(m * (a_res.value * prod))
-        errs.append(m * (a_res.abs_err_est * abs(prod) + abs(a_res.value) * prod_err))
+        vals.append(m * value)
+        errs.append(m * err)
     total, err = math.fsum(vals), math.fsum(errs)
     cprod = _c_product(spec.gammas())
     if rep == "upper":
@@ -198,6 +217,24 @@ def _subset_sum(
     else:
         value = prefactor * (math.pi - cprod * total)
     return value, abs(prefactor) * cprod * err + 1e-15 * abs(value)
+
+
+def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
+    """Normalized class term (1/2pi) * prod(c) * a(...) * (linear) * b(...).
+
+    y and z are the inside and outside gammas; the term is ``_class_term``
+    at t = 2x with parameters 2y and 2z, so it follows the same b-pole rule.
+    """
+    y = _as_params(y)
+    z = _as_params(z)
+    cfg = cfg or QuadConfig()
+    if x < -0.5:
+        raise ValueError("theta_fn requires x >= -1/2")
+    pref = 1.0 / (2.0 * math.pi)
+    for w in (*y, *z):
+        pref *= c_one_dim(w - 0.5)
+    value, err = _class_term(2.0 * x, y.scaled(2.0), z.scaled(2.0), False, cfg, closed_forms)
+    return ValueWithError(pref * value, max(abs(pref) * err, cfg.abs_tol), "theta")
 
 
 @shared_factors()
@@ -288,78 +325,6 @@ def expected_hyp_volume(
     prefactor = 2.0 * math.pi ** (half - 1.0) * (-1.0) ** half / math.factorial(half)
     value, err = _subset_sum(spec, -1.0, True, "upper", prefactor, cfg, closed_forms)
     return ExpectationResult(value, err, None, "upper", True)
-
-
-def _simplex_common(d: int, betas) -> tuple[tuple[float, ...], float, float]:
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != d + 1:
-        raise ValueError("a simplex spec needs exactly d+1 beta parameters")
-    if any(b < -1.0 for b in betas):
-        raise ValueError("every beta parameter must be >= -1")
-    gammas = tuple(b + 0.5 * d for b in betas)
-    gsum = math.fsum(gammas)
-    gprod = math.exp(math.fsum(log_gamma(g + 1.0) - log_gamma(g + 0.5) for g in gammas))
-    return gammas, gsum, gprod
-
-
-def expected_hyp_volume_simplex(d: int, betas, cfg: QuadConfig | None = None) -> ExpectationResult:
-    """One-term corollary formulas for n = d+1 points."""
-    cfg = cfg or QuadConfig()
-    if d < 2:
-        raise ValueError("requires d >= 2")
-    gammas, gsum, gprod = _simplex_common(d, betas)
-    params = ParamMultiset(2.0 * g for g in gammas)
-    ratio = math.exp(log_gamma(1.0 + gsum) - log_gamma(0.5 + gsum))
-    if d % 2 == 0:
-        pref = 2.0 * (-2.0) ** (d // 2) / (math.pi * _double_factorial(d - 1)) * gprod * ratio
-        a_res = a_fn(1.0 + 2.0 * gsum, params, cfg)
-        value = pref * a_res.value
-        err = abs(pref) * a_res.abs_err_est
-        return ExpectationResult(value, err + 1e-15 * abs(value), None, "upper", False)
-    half = (d - 1) // 2
-    pref = 4.0 * (-1.0) ** half / (math.pi**1.5 * math.factorial(half)) * gprod * ratio
-    ap = a_prime(1.0 + 2.0 * gsum, params, cfg)
-    value = pref * ap.value
-    err = abs(pref) * ap.abs_err_est
-    return ExpectationResult(value, err + 1e-15 * abs(value), None, "upper", True)
-
-
-def expected_beta_integral_simplex(
-    d: int, betas, beta: float, cfg: QuadConfig | None = None
-) -> ExpectationResult:
-    """One-term corollary formulas for the expected beta integral, n = d+1."""
-    cfg = cfg or QuadConfig()
-    if d < 2:
-        raise ValueError("requires d >= 2")
-    if not beta > -0.5 * (d + 1):
-        raise ValueError("requires beta > -(d+1)/2")
-    gammas, gsum, gprod = _simplex_common(d, betas)
-    params = ParamMultiset(2.0 * g for g in gammas)
-    ratio = math.exp(log_gamma(0.5 * d + beta + gsum + 1.5) - log_gamma(0.5 * d + beta + gsum + 1.0))
-    nearest = round(beta)
-    if nearest <= -1 and abs(beta - nearest) <= _POLE_EXACT:
-        k = -int(nearest)
-        pref = (
-            4.0
-            / (math.pi * math.exp(log_gamma(beta + 0.5 * d + 1.0)))
-            * (-1.0) ** (k - 1)
-            / math.factorial(k - 1)
-            * ratio
-            * gprod
-        )
-        ap = a_prime(2.0 * beta + d + 2.0 + 2.0 * gsum, params, cfg)
-        value = pref * ap.value
-        return ExpectationResult(value, abs(pref) * ap.abs_err_est + 1e-15 * abs(value), None, "upper", True)
-    pref = (
-        2.0
-        * gamma_real(beta + 1.0)
-        / (math.pi * math.exp(log_gamma(0.5 * d + beta + 1.0)))
-        * ratio
-        * gprod
-    )
-    a_res = a_fn(2.0 * beta + d + 2.0 + 2.0 * gsum, params, cfg)
-    value = pref * a_res.value
-    return ExpectationResult(value, abs(pref) * a_res.abs_err_est + 1e-15 * abs(value), None, "upper", False)
 
 
 # -- exact families ---------------------------------------------------------

@@ -52,6 +52,7 @@ _BLOCK = 1 << 16  # sub-batch size; fixed so stream output is reproducible
 _IDEAL_EPS = 1e-12
 _SIDE_EPS = 1e-12  # a point this close to a facet's hyperplane is on neither side
 _BARY_EPS = 1e-9  # barycentric margin below which the LP decides containment
+_INNER = 128  # barycentric points per simplex in mc_simplex_hyp_volume
 
 
 class DegenerateHullError(ValueError):
@@ -672,7 +673,7 @@ def hyp_volume_simplex_quadrature(vertices, cfg: SampleConfig) -> McEstimate:
     return acc.estimate()
 
 
-def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig, inner: int = 128) -> McEstimate:
+def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
     """Expected hyperbolic simplex volume for interior beta points.
 
     Outer samples draw the d+1 vertices; each volume is estimated by a
@@ -691,7 +692,7 @@ def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig, inner: int = 128) -
         for i, bi in enumerate(spec.betas):
             verts[:, i, :] = _sample_beta_batch(d, bi, rng, block)
         vol_eucl = np.abs(np.linalg.det(verts[:, 1:, :] - verts[:, :1, :])) / fact
-        w = rng.standard_exponential((block, inner, d + 1))
+        w = rng.standard_exponential((block, _INNER, d + 1))
         w /= w.sum(axis=2, keepdims=True)
         x = np.einsum("bik,bkd->bid", w, verts)
         r2 = (x * x).sum(axis=2)

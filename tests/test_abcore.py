@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hypvol import abcore, expect
+from hypvol import abcore, expect, specfun
 from hypvol.abcore import ParamMultiset
 from hypvol.expect import BetaSpec, enumerate_classes
 from hypvol.quad import QuadConfig, QuadratureError
@@ -195,19 +195,39 @@ class TestLimitLemma:
 class TestTheta:
     def test_empty_is_one(self):
         for x in (0.0, 0.5, 3.0):
-            assert abcore.theta_fn(x, P(), P(), CFG).value == pytest.approx(1.0, abs=1e-13)
+            assert expect.theta_fn(x, P(), P(), CFG).value == pytest.approx(1.0, abs=1e-13)
 
     def test_limit_convention_case(self):
-        got = abcore.theta_fn(-0.5, P([0.0]), P([0.0]), CFG)
+        got = expect.theta_fn(-0.5, P([0.0]), P([0.0]), CFG)
         assert got.value == pytest.approx(0.25, abs=1e-13)
 
     def test_finite_at_half_pole(self):
-        got = abcore.theta_fn(-0.5, P([0.0] * 4), P(), CFG)
+        got = expect.theta_fn(-0.5, P([0.0] * 4), P(), CFG)
         assert math.isfinite(got.value)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            abcore.theta_fn(-0.6, P(), P(), CFG)
+            expect.theta_fn(-0.6, P(), P(), CFG)
+
+    @pytest.mark.parametrize("outside", [(), (0.7,)])
+    @pytest.mark.parametrize("gap", [1e-11, 1e-9, 1e-7, 9e-7])
+    def test_near_b_pole_against_closed_forms(self, gap, outside):
+        # linear factor 2x + 1 = gap: the product (linear) * b takes its
+        # limit at the pole, which is off by about 0.69 * gap relative,
+        # inside the band of 100 * gap
+        x = 0.5 * (gap - 1.0)
+        lin = 2.0 * x + 1.0
+        got = expect.theta_fn(x, P(), P(outside), CFG)
+        if outside:
+            b = abcore._b_single(lin - 1.0, 2.0 * outside[0])
+        else:
+            b = abcore._b_empty(lin - 1.0)
+        pref = 1.0 / (2.0 * math.pi)
+        for w in outside:
+            pref *= specfun.c_one_dim(w - 0.5)
+        want = pref * abcore._a_empty(lin + 1.0) * lin * b
+        assert abs(got.value - want) <= got.abs_err_est
+        assert got.abs_err_est <= 101.0 * lin * abs(want)
 
 
 class TestAbsorptionIdentity:
@@ -223,7 +243,7 @@ class TestAbsorptionIdentity:
                 for subset in combinations(range(n), k):
                     y = P(gammas[i] for i in subset)
                     z = P(gammas[i] for i in range(n) if i not in subset)
-                    terms.append(abcore.theta_fn(beta + 0.5 * d, y, z, CFG).value)
+                    terms.append(expect.theta_fn(beta + 0.5 * d, y, z, CFG).value)
         assert math.fsum(terms) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -234,9 +254,11 @@ class TestCache:
         first = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
         second = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
         assert first == second
-        abcore.set_cache_enabled(False)
+        key = ("a", 3.0, params.entries, abcore._cfg_key(CFG))
+        assert abcore._cache_get(key) is not None
+        abcore.clear_cache()
+        assert abcore._cache_get(key) is None
         third = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
-        abcore.set_cache_enabled(True)
         assert third == first
 
 

@@ -240,40 +240,9 @@ class TestVerifyCommand:
             "_REGISTRY",
             [("r.zero", divides), ("r.quad", unconverged), ("r.ok", lambda quick: (True, "ok"))],
         )
-        for threads in ("1", "4"):
-            monkeypatch.setenv("HYPVOL_THREADS", threads)
-            code, out, _ = run(capsys, "verify", "--quick")
-            assert code == 1
-            assert "[FAIL] r.zero  raised ZeroDivisionError: division by zero" in out
-            assert "[FAIL] r.quad  raised QuadratureError: no convergence" in out
-            assert "[PASS] r.ok    ok" in out
-            assert out.endswith("1/3 checks passed\nfailing: r.zero, r.quad\n")
-
-    def test_serial_unless_threads_requested(self, capsys, monkeypatch):
-        from hypvol import verify
-
-        seen = []
-
-        def run_all(quick, threads):
-            seen.append(threads)
-            return [verify.CheckResult("c", True, "ok")]
-
-        monkeypatch.setattr(verify, "run_all", run_all)
-        monkeypatch.delenv("HYPVOL_THREADS", raising=False)
-        run(capsys, "verify", "--quick")
-        monkeypatch.setenv("HYPVOL_THREADS", "3")
-        run(capsys, "verify", "--quick")
-        assert seen == [1, 3]
-
-    def test_thread_env_does_not_change_results(self, capsys, monkeypatch):
-        from hypvol import verify
-
-        def sums(quick):
-            return True, "ok"
-
-        monkeypatch.setattr(verify, "_REGISTRY", [(f"c{i}", sums) for i in range(6)])
-        monkeypatch.setenv("HYPVOL_THREADS", "1")
-        _, out1, _ = run(capsys, "verify", "--quick")
-        monkeypatch.setenv("HYPVOL_THREADS", "4")
-        _, out2, _ = run(capsys, "verify", "--quick")
-        assert out1 == out2
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1
+        assert "[FAIL] r.zero  raised ZeroDivisionError: division by zero" in out
+        assert "[FAIL] r.quad  raised QuadratureError: no convergence" in out
+        assert "[PASS] r.ok    ok" in out
+        assert out.endswith("1/3 checks passed\nfailing: r.zero, r.quad\n")

@@ -90,10 +90,11 @@ class TestExpectedBetaIntegral:
 
     def test_near_pole_widens_error(self):
         spec = BetaSpec(3, (-1.0,) * 4)
-        res = expect.expected_beta_integral(spec, -1.0 + 1e-8, CFG)
-        assert not res.pole_path
         exact = expect.expected_beta_integral(spec, -1.0, CFG)
-        assert abs(res.value - exact.value) <= res.abs_err_est + exact.abs_err_est
+        for gap in (1e-8, 1e-9, 1e-11):
+            res = expect.expected_beta_integral(spec, -1.0 + gap, CFG)
+            assert not res.pole_path
+            assert abs(res.value - exact.value) <= res.abs_err_est + exact.abs_err_est
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -149,47 +150,49 @@ class TestExpectedHypVolume:
         with pytest.raises(ValueError):
             expect.expected_hyp_volume(BetaSpec(3, (-1.0, 0.0, 0.5, 1.0, 2.0)), CFG, representation="bogus")
 
+    @pytest.mark.parametrize("eps", [1e-13, 5e-10, 2.5e-8])
+    def test_near_ideal_d2_in_both_representations(self, eps):
+        # every class has its linear factor within 10 * eps of the b-pole,
+        # so each takes the limit with a band of 100 * |linear factor|;
+        # the volume moves from 3 pi by far less than that band
+        spec = BetaSpec(2, (-1.0 + eps,) * 5)
+        up = expect.expected_hyp_volume(spec, CFG, representation="upper")
+        lo = expect.expected_hyp_volume(spec, CFG, representation="lower")
+        assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
+        for res in (up, lo):
+            assert abs(res.value - 3.0 * math.pi) <= res.abs_err_est
+            assert res.abs_err_est <= 2e4 * eps + 1e-8
+
 
 class TestSimplexCorollaries:
-    def test_hyp_volume_ideal_cases(self):
-        assert expect.expected_hyp_volume_simplex(2, (-1.0,) * 3, CFG).value == pytest.approx(
-            math.pi, abs=1e-10
-        )
-        assert expect.expected_hyp_volume_simplex(3, (-1.0,) * 4, CFG).value == pytest.approx(
-            math.pi / 6, abs=1e-12
-        )
+    """The paper's n = d+1 corollaries: the upper sum has a single class."""
 
-    def test_hyp_volume_matches_general_engine(self):
-        for d, betas in (
-            (2, (0.0, 0.0, 0.0)),
-            (3, (-1.0, 0.0, 1.0, 2.0)),
-            (4, (-0.5,) * 5),
-            (5, (-0.5, 0.0, 0.0, 1.0, 1.0, 2.0)),
-        ):
-            one_term = expect.expected_hyp_volume_simplex(d, betas, CFG)
-            general = expect.expected_hyp_volume(BetaSpec(d, betas), CFG, method="generic")
-            assert one_term.value == pytest.approx(general.value, abs=1e-9)
+    def test_hyp_volume_ideal_cases(self):
+        for d, want in ((2, math.pi), (3, math.pi / 6)):
+            spec = BetaSpec(d, (-1.0,) * (d + 1))
+            assert expect._pick_representation(spec, "auto") == "upper"
+            assert len(expect.enumerate_classes(spec, expect._upper_cards(spec))) == 1
+            res = expect.expected_hyp_volume(spec, CFG, method="generic")
+            assert res.value == pytest.approx(want, abs=1e-10)
 
     def test_beta_integral_consistency(self):
         for d, betas in ((2, (0.0, 0.0, 0.0)), (3, (-1.0, 0.5, 0.0, 1.0))):
-            one_term = expect.expected_beta_integral_simplex(d, betas, 0.0, CFG)
-            general = expect.expected_beta_integral(BetaSpec(d, betas), 0.0, CFG)
-            assert one_term.value == pytest.approx(general.value, abs=1e-9)
+            up = expect.expected_beta_integral(BetaSpec(d, betas), 0.0, CFG, representation="upper")
+            lo = expect.expected_beta_integral(BetaSpec(d, betas), 0.0, CFG, representation="lower")
+            assert up.value == pytest.approx(lo.value, abs=1e-9)
 
     def test_beta_integral_pole_vs_richardson(self):
-        d, betas = 3, (-1.0,) * 4
-        pole = expect.expected_beta_integral_simplex(d, betas, -1.0, CFG)
+        spec = BetaSpec(3, (-1.0, -0.5, 0.0, 1.0))
+        pole = expect.expected_beta_integral(spec, -1.0, CFG)
         assert pole.pole_path
-        extrapolated = _richardson3(
-            lambda e: expect.expected_beta_integral_simplex(d, betas, -1.0 + e, CFG).value, 1e-2
-        )
+        extrapolated = _richardson3(lambda e: expect.expected_beta_integral(spec, -1.0 + e, CFG).value, 1e-2)
         assert pole.value == pytest.approx(extrapolated, abs=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expect.expected_hyp_volume_simplex(3, (-1.0,) * 3, CFG)
+            BetaSpec(3, (-1.0,) * 3)
         with pytest.raises(ValueError):
-            expect.expected_beta_integral_simplex(3, (-1.0,) * 4, -2.5, CFG)
+            expect.expected_beta_integral(BetaSpec(3, (-1.0,) * 4), -2.5, CFG)
 
 
 class TestIdealPolytope3:
@@ -237,12 +240,6 @@ class TestIdealSimplexVolume:
         assert expect.ideal_simplex_volume(2, CFG).value == pytest.approx(math.pi, abs=1e-9)
         v4 = 4.0 * math.pi**2 / 3.0 - 86528.0 / 6615.0
         assert expect.ideal_simplex_volume(4, CFG).value == pytest.approx(v4, rel=1e-7)
-
-    def test_matches_corollary(self):
-        for d in (2, 3, 4, 5):
-            v1 = expect.ideal_simplex_volume(d, CFG).value
-            v2 = expect.expected_hyp_volume_simplex(d, (-1.0,) * (d + 1), CFG).value
-            assert v1 == pytest.approx(v2, abs=1e-8)
 
     def test_domain(self):
         with pytest.raises(ValueError):

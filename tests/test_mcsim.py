@@ -329,8 +329,8 @@ class TestSimplexQuadrature:
 
 class TestSimplexBetaIntegralCrossCheck:
     def test_formula_vs_absorption_at_positive_exponent(self):
-        # one-term simplex formula at exponent 1 against the sampler
+        # the one-class simplex sum at exponent 1 against the sampler
         spec = BetaSpec(2, (0.0, 0.0, 0.0))
-        formula = expect.expected_beta_integral_simplex(2, spec.betas, 1.0).value
+        formula = expect.expected_beta_integral(spec, 1.0, representation="upper").value
         est = mcsim.mc_absorption(spec, 1.0, SampleConfig(seed=31, n_samples=150000, streams=3))
         assert abs(est.mean - formula) <= 3.0 * est.stderr
