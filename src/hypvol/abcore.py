@@ -278,7 +278,11 @@ def _a_factor(b: float, x: np.ndarray, L: np.ndarray):
     """(log-magnitude, phase) of one imaginary-axis factor, scaled by cosh(x)**-b."""
     g_scaled = cosh_pow_integral_scaled(b, x)
     h_scaled = 0.5 / c_one_dim(0.5 * (b - 1.0)) * np.exp(-b * L)
-    return np.log(np.hypot(h_scaled, g_scaled)), np.arctan2(g_scaled, h_scaled)
+    # both parts underflow to 0 at the outermost nodes for tiny b: the
+    # factor is 0 there and its log -inf, which the caller's exp undoes
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.hypot(h_scaled, g_scaled))
+    return log_mag, np.arctan2(g_scaled, h_scaled)
 
 
 def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):

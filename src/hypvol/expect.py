@@ -57,7 +57,9 @@ __all__ = [
 ]
 
 # distance to a pole below which its limit is taken (beta at a negative
-# integer), and below which the direct value needs a widened error band
+# integer), and below which the direct value needs a widened error band;
+# _POLE_NEAR is also the |t+1+s| below which _class_term takes the b-pole
+# limit (see its docstring)
 _POLE_EXACT = 1e-12
 _POLE_NEAR = 1e-6
 
