@@ -8,11 +8,16 @@ forms are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
 
-Each integrand is a product of one factor per parameter.  Inside
-``shared_factors`` (opened by ``expect.expected_beta_integral`` and
-``expect.expected_hyp_volume``) a factor is evaluated once per parameter
-and node set and reused by every integral of the query that contains
-that parameter; outside it every integral evaluates its own factors.
+Each integrand is a product of one factor per parameter, kept in a
+factor table: a factor is evaluated once per parameter and node set and
+reused by every integral in the same ``shared_factors`` scope.  Every
+quadrature opens one, so the two halves of a ``b`` integral and the
++-x sides of an ``a`` integral share their factors; a query
+(``expect.expected_beta_integral``, ``expect.expected_hyp_volume``)
+opens the outer one, shared by all of its integrals.  A ``b`` node set
+gets the factors of all its missing parameters, for both halves, from
+one incomplete-beta call; an ``a`` factor is evaluated at |x| and
+serves -x with its phase negated.
 """
 
 from __future__ import annotations
@@ -132,8 +137,9 @@ def shared_factors():
     """Share per-parameter integrand factors among the integrals run inside.
 
     A nested scope reuses the outer table; the table is dropped when the
-    outermost scope exits.  Values and error estimates are the same in
-    every bit as without the scope.
+    outermost scope exits.  Every quadrature runs in a scope of its own
+    or an enclosing one; values and error estimates are the same in
+    every bit whatever the scope.
     """
     if _factors.get() is not None:
         yield
@@ -146,14 +152,12 @@ def shared_factors():
 
 
 def _factor(key, fn, *args):
-    """fn(*args), looked up by key in the active factor table, if any.
+    """fn(*args), looked up by key in the active factor table.
 
-    A key holds the parameter and the node abscissae as bytes, so it
-    never matches two different node arrays.
+    A key holds the parameter and the node abscissae as bytes (|x| for
+    an ``a`` factor), so it never matches two different node sets.
     """
     table = _factors.get()
-    if table is None:
-        return fn(*args)
     hit = table.get(key)
     if hit is None:
         hit = table[key] = fn(*args)
@@ -290,14 +294,18 @@ def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
     tau = alpha - params.total()
 
     def f(x):
-        L = _log_cosh(x)
+        ax = np.abs(x)
+        L = _log_cosh(ax)
         logmag = -tau * L
         phase = np.zeros_like(L)
-        nodes = x.tobytes()
+        nodes = ax.tobytes()
         for b in betas:
-            log_abs, arg = _factor(("a", b, nodes), _a_factor, b, x, L)
+            log_abs, arg = _factor(("a", b, nodes), _a_factor, b, ax, L)
             logmag = logmag + log_abs
             phase = phase + arg
+        # each factor at -x is the conjugate of the one at |x|, and a sum
+        # of negated phases is the negated sum in every bit
+        phase = np.copysign(phase, x)
         mag = np.exp(logmag)
         vals = mag * np.cos(phase) + 1j * (mag * np.sin(phase))
         if log_weight:
@@ -308,8 +316,27 @@ def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
 
 
 def _a_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig, log_weight: bool):
-    value, err = quad.integrate_real_line_any(_a_integrand(alpha, params, log_weight), cfg)
-    return value, err
+    with shared_factors():
+        return quad.integrate_real_line_any(_a_integrand(alpha, params, log_weight), cfg)
+
+
+def _b_factors(betas, t: np.ndarray, upper: bool) -> list[np.ndarray]:
+    """One half's segment factors at nodes t, one row per entry of betas.
+
+    The lower half takes each factor at z = sin^2(t/2), the upper half at
+    1 - z = cos^2(t/2).  The parameters with no factor at these nodes yet
+    get both halves' rows from one call.
+    """
+    table = _factors.get()
+    nodes = t.tobytes()
+    missing = [b for b in dict.fromkeys(betas) if ("b", b, upper, nodes) not in table]
+    if missing:
+        half_t = 0.5 * t
+        lows, highs = _f_real_from_z(np.array(missing)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
+        for b, low, high in zip(missing, lows, highs):
+            table["b", b, False, nodes] = low
+            table["b", b, True, nodes] = high
+    return [table["b", b, upper, nodes] for b in betas]
 
 
 def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> ValueWithError:
@@ -317,20 +344,16 @@ def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> Value
 
     def half(upper: bool):
         def f(t):
-            half_t = 0.5 * t
-            z_low = np.sin(half_t) ** 2
-            z_high = np.cos(half_t) ** 2
-            z, zc = (z_high, z_low) if upper else (z_low, z_high)
             vals = np.sin(t) ** alpha
-            nodes = t.tobytes()
-            for b in betas:
-                vals = vals * _factor(("b", b, upper, nodes), _f_real_from_z, b, z, zc)
+            for row in _b_factors(betas, t, upper):
+                vals = vals * row
             return vals
 
         return quad.integrate_finite(f, 0.0, 0.5 * math.pi, cfg)
 
-    lo = half(False)
-    hi = half(True)
+    with shared_factors():
+        lo = half(False)
+        hi = half(True)
     return ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est, "tanh-sinh")
 
 
@@ -432,7 +455,7 @@ def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithEr
         prod_low = np.ones_like(v)
         prod_high = np.ones_like(v)
         for b, hb in zip(betas, h_consts):
-            inner = 0.5 * _inc_beta_parts(z, zc, 0.5, 0.5 * (b + 1.0))
+            inner = 0.5 * _inc_beta_parts(z, zc, 0.5, 0.5 * (b + 1.0))[0]
             prod_low = prod_low * (hb - inner)
             prod_high = prod_high * (hb + inner)
         return weight * (prod_low + prod_high)

@@ -118,15 +118,25 @@ _CF_EPS = 1e-16
 _CF_MAX_ITER = 500
 
 
-def _betacf(p: float, q: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta; x below the swap point."""
+def _betacf(p, q, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta; x below the swap point.
+
+    p and q are scalars, or (k, 1) columns against the row x (result
+    (k, len(x))).  Each row stops at the iteration where the fraction for
+    its own p and q alone would stop, so every row is the same in every
+    bit as a one-row call.
+    """
+    if np.size(p) == 1 and np.ndim(p) == 2:  # one row runs on Python floats, which are cheaper
+        return _betacf(float(p[0, 0]), float(q[0, 0]), x)[None, :]
     qab, qap, qam = p + q, p + 1.0, p - 1.0
-    c = np.ones_like(x)
     d = 1.0 - qab * x / qap
     np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
     d = 1.0 / d
+    c = np.ones_like(d)
     h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
+    out = np.empty_like(h)
+    rows = np.arange(len(h)) if h.ndim == 2 else ...  # the rows still iterating
+    done = np.zeros(h.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (q - m) * x / ((qam + m2) * (p + m2))
@@ -147,28 +157,55 @@ def _betacf(p: float, q: float, x: np.ndarray) -> np.ndarray:
         done |= np.abs(delta - 1.0) < _CF_EPS
         if done.all():
             break
-    return h
-
-
-def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Non-regularized B_z(p, q) given z and an accurately computed 1-z."""
-    out = np.zeros_like(z)
-    interior = (z > 0.0) & (zc > 0.0)
-    swap = interior & (z > p / (p + q))
-    direct = interior & ~swap
-    if direct.any():
-        zd, zcd = z[direct], zc[direct]
-        front = np.exp(p * np.log(zd) + q * np.log(zcd)) / p
-        out[direct] = front * _betacf(p, q, zd)
-    if swap.any():
-        zs, zcs = z[swap], zc[swap]
-        complete = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
-        front = np.exp(p * np.log(zs) + q * np.log(zcs)) / q
-        out[swap] = complete - front * _betacf(q, p, zcs)
-    full = zc <= 0.0
-    if full.any():
-        out[full] = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
+        if h.ndim == 2:  # drop the rows that have stopped
+            stop = done.all(axis=1)
+            if stop.any():
+                out[rows[stop]] = h[stop]
+                go = ~stop
+                state = (rows, p, q, qab, qap, qam, c, d, h, done)
+                rows, p, q, qab, qap, qam, c, d, h, done = (v[go] for v in state)
+    out[rows] = h
     return out
+
+
+def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Non-regularized B_z(p, q) and B_zc(q, p), given z and an accurately computed zc = 1-z.
+
+    p and q are scalars, or columns with the same p/(p+q) in every row
+    (as when p is q), one output row each.  Each half takes the continued
+    fraction at its own argument below the swap point and at the
+    complement above it (Numerical Recipes ``betai``).  As
+    B_zc(q, p) = B(p, q) - B_z(p, q) (DLMF 8.17.4), the two halves need the
+    same fraction wherever one swaps and the other does not, and evaluate
+    it once there.
+    """
+    pa, qa = np.broadcast_arrays(p, q)
+    pairs = zip(pa.ravel().tolist(), qa.ravel().tolist())
+    complete = np.reshape([math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b)) for a, b in pairs], pa.shape)
+    interior = (z > 0.0) & (zc > 0.0)
+    fractions = {}
+
+    def fraction(x, xc, a, b, mask):
+        # a B_x(a, b) term: x**a xc**b / a times the fraction at x
+        key = (x is z, mask.tobytes())
+        if key not in fractions:
+            xm = x[mask]
+            front = np.exp(a * np.log(xm) + b * np.log(xc[mask])) / a
+            fractions[key] = front * _betacf(a, b, xm)
+        return fractions[key]
+
+    halves = []
+    for x, xc, a, b in ((z, zc, p, q), (zc, z, q, p)):
+        out = np.zeros(np.broadcast_shapes(np.shape(a), x.shape))
+        swap = interior & (x > np.ravel(a / (a + b))[0])
+        direct = interior & ~swap
+        if direct.any():
+            out[..., direct] = fraction(x, xc, a, b, direct)
+        if swap.any():
+            out[..., swap] = complete - fraction(xc, x, b, a, swap)
+        out[..., xc <= 0.0] = complete
+        halves.append(out)
+    return tuple(halves)
 
 
 def inc_beta(z, p: float, q: float):
@@ -183,13 +220,35 @@ def inc_beta(z, p: float, q: float):
     za = np.asarray(z, dtype=float)
     if np.any((za < 0.0) | (za > 1.0)):
         raise ValueError("inc_beta requires 0 <= z <= 1")
-    out = _inc_beta_parts(np.atleast_1d(za), np.atleast_1d(1.0 - za), p, q)
+    out = _inc_beta_parts(np.atleast_1d(za), np.atleast_1d(1.0 - za), p, q)[0]
     return float(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
-def _f_real_from_z(beta: float, z: np.ndarray, zc: np.ndarray):
-    p = 0.5 * (beta + 1.0)
-    return 2.0**beta * _inc_beta_parts(z, zc, p, p)
+_ROW_BLOCK = 4096  # parameters x abscissae per incomplete-beta block
+
+
+def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 2**beta B_z(p, p) and 2**beta B_zc(p, p), p = (beta + 1)/2, for zc = 1 - z.
+
+    These are the integrals of cos**beta up to a node and up to its
+    mirror image (f_real).  beta is a scalar, or a column of parameters
+    with one row each, evaluated in blocks of about _ROW_BLOCK values;
+    both rows of a parameter come from one continued fraction.
+    """
+    betas = np.ravel(beta).tolist()
+    scale = np.array([[2.0**b] for b in betas])  # Python powers: numpy's may differ by an ulp
+    step = max(1, _ROW_BLOCK // max(z.size, 1))
+    at_z = np.empty((len(betas), z.size))
+    at_zc = np.empty_like(at_z)
+    for lo in range(0, len(betas), step):
+        rows = slice(lo, lo + step)
+        p = 0.5 * (np.array(betas[rows])[:, None] + 1.0)
+        at_z[rows], at_zc[rows] = _inc_beta_parts(z, zc, p, p)
+    at_z *= scale
+    at_zc *= scale
+    if np.ndim(beta) == 0:
+        return at_z[0], at_zc[0]
+    return at_z, at_zc
 
 
 def f_real(beta: float, x):
@@ -220,7 +279,7 @@ def f_real(beta: float, x):
     z[hi], zc[hi] = 1.0, 0.0
     lo = x1 <= -_PIO2_HI
     z[lo], zc[lo] = 0.0, 1.0
-    out = _f_real_from_z(beta, z, zc)
+    out = _f_real_from_z(beta, z, zc)[0]
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
@@ -361,9 +420,7 @@ def harmonic(n: int) -> Fraction:
 # converges geometrically with ratio (t/pi)^2 <= 1/4; 30 terms leave a
 # tail below 1e-19, well inside the 1e-12 contract.
 
-_LOB_COEFFS = np.array(
-    [float(c) / (m * (2 * m + 1)) for m, c in enumerate(zeta_even_over_pi_power(30), start=1)]
-)
+_LOB_COEFFS = [float(c) / (m * (2 * m + 1)) for m, c in enumerate(zeta_even_over_pi_power(30), start=1)]
 
 
 def lobachevsky(theta):
@@ -377,8 +434,11 @@ def lobachevsky(theta):
     nz = r > 0.0
     if nz.any():
         rr = r[nz]
-        powers = rr[:, None] ** (2 * np.arange(1, _LOB_COEFFS.size + 1) + 1)
-        series = powers @ _LOB_COEFFS
-        out[nz] = rr - rr * np.log(2.0 * rr) + series
+        r2 = rr * rr
+        poly = np.zeros_like(rr)
+        for coeff in reversed(_LOB_COEFFS):  # Horner's rule in r**2
+            poly *= r2
+            poly += coeff
+        out[nz] = rr - rr * np.log(2.0 * rr) + rr * r2 * poly
     out *= s
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hypvol import abcore, expect, specfun
+from hypvol import abcore, expect, quad, specfun
 from hypvol.abcore import ParamMultiset
 from hypvol.expect import BetaSpec, enumerate_classes
 from hypvol.quad import QuadConfig, QuadratureError
@@ -262,6 +262,19 @@ class TestCache:
         assert third == first
 
 
+class TestAFactor:
+    def test_minus_x_is_the_conjugate(self):
+        # the a integrand keys its factors on |x| and serves -x from them
+        for level in range(13):
+            x, _ = quad._line_nodes(level)
+            L = specfun._log_cosh(x)
+            for b in (1e-13, 0.3, 1.0, 2.7, 9.5):
+                log_mag, phase = abcore._a_factor(b, x, L)
+                log_mag_neg, phase_neg = abcore._a_factor(b, -x, L)
+                assert log_mag_neg.tobytes() == log_mag.tobytes()
+                assert phase_neg.tobytes() == (-phase).tobytes()
+
+
 class TestSharedFactors:
     SPEC = BetaSpec(3, (-0.6, -0.1, 0.3, 0.8, 1.4, 2.5))
     T = 2.0 * 0.3 + 3  # the beta integral at exponent 0.3
@@ -281,22 +294,24 @@ class TestSharedFactors:
         return out
 
     def test_bit_identical_inside_a_scope(self, monkeypatch):
-        calls = [0]
-        kernel = abcore.cosh_pow_integral_scaled
+        calls = {}
+        for name in ("cosh_pow_integral_scaled", "_f_real_from_z"):
+            calls[name] = 0
 
-        def counted(*args):
-            calls[0] += 1
-            return kernel(*args)
+            def counted(*args, _name=name, _kernel=getattr(abcore, name)):
+                calls[_name] += 1
+                return _kernel(*args)
 
-        monkeypatch.setattr(abcore, "cosh_pow_integral_scaled", counted)
+            monkeypatch.setattr(abcore, name, counted)
         outside = self._integrals()
-        unshared = calls[0]
+        unshared = dict(calls)
         with abcore.shared_factors():
             with abcore.shared_factors():  # a nested scope reuses the outer table
                 inside = self._integrals()
         assert len(inside) == 3 * 32
         assert inside == outside
-        assert calls[0] - unshared < unshared / 4
+        for name, count in calls.items():
+            assert 0 < count - unshared[name] < unshared[name] / 4, name
 
     def test_no_table_after_a_query(self, monkeypatch):
         seen = []

@@ -102,6 +102,90 @@ class TestIncBeta:
             specfun.inc_beta(0.5, -1.0, 1.0)
 
 
+def _segment_node_sets():
+    """Every abscissa array the segment quadrature passes to its integrand, levels 0-12."""
+    seen = []
+
+    def record(t):
+        seen.append(t.copy())
+        return np.full_like(t, float(len(seen)))  # never converges: all levels run
+
+    with pytest.raises(quad.QuadratureError):
+        quad.integrate_finite(record, 0.0, 0.5 * math.pi, quad.QuadConfig(rel_tol=1e-300, abs_tol=1e-300))
+    return seen
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _one_row(b, z, zc):
+    """2**b B_z(p, p) for one parameter, from one-row kernel calls."""
+    p = 0.5 * (b + 1.0)
+    return 2.0**b * specfun._inc_beta_parts(z, zc, p, p)[0]
+
+
+class TestIncBetaBlocks:
+    # at 1.898, 3.062 and 9.088 numpy's 2.0 ** array has been seen to differ
+    # by an ulp from 2.0 ** float (at 1.898 with numpy 2.4 on x86-64)
+    BETAS = (-0.95, -0.3, 0.0, 1.0, 1.898, 3.062, 9.088, 40.0)
+
+    def test_column_fraction_matches_one_row_calls(self, monkeypatch):
+        x = np.concatenate([np.geomspace(1e-12, 0.5, 40), [0.0, 0.5]])
+        ps = np.array([0.05, 0.5, 0.5 * (1.898 + 1.0), 3.0, 12.0, 60.0])[:, None]
+        block = specfun._betacf(ps, ps, x)
+        assert block.shape == (6, x.size)
+        for p, row in zip(ps[:, 0].tolist(), block):
+            assert _bits(row) == _bits(specfun._betacf(p, p, x))
+        # capped at 12 iterations, the small-p fractions have already
+        # stopped and the largest has not: the rows stop at different
+        # iterations, and a capped block still matches row by row
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 12)
+        capped = [specfun._betacf(p, p, x) for p in ps[:, 0].tolist()]
+        final = [_bits(c) == _bits(r) for c, r in zip(capped, block)]
+        assert final[0] and not final[-1]
+        for want, row in zip(capped, specfun._betacf(ps, ps, x)):
+            assert _bits(row) == _bits(want)
+
+    def test_block_rows_match_one_row_calls_on_quadrature_nodes(self):
+        sets = _segment_node_sets()
+        assert len(sets) == 14  # levels 0-12 and the level-0 centre
+        # just past pi/2, sin^2(t/2) rounds to 1/2 or above
+        sets.append(0.5 * math.pi + np.arange(1, 6) * 2.0**-52)
+        col = np.array(self.BETAS)[:, None]
+        underflow = beyond_half = 0
+        for t in sets:
+            z, zc = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+            underflow += int((z == 0.0).sum())
+            beyond_half += int((z >= 0.5).sum())
+            lows, highs = specfun._f_real_from_z(col, z, zc)
+            for b, low, high in zip(self.BETAS, lows, highs):
+                assert _bits(low) == _bits(_one_row(b, z, zc))
+                assert _bits(high) == _bits(_one_row(b, zc, z))
+        assert underflow > 0 and beyond_half > 0
+
+    def test_block_rows_where_both_halves_take_the_same_branch(self):
+        # z = zc = 1/2: both halves below the swap point, so they share no fraction
+        z = np.array([0.0, 1e-300, 0.25, 0.5, 0.5, 0.5 + 2.0**-53, 1.0])
+        zc = np.array([1.0, 1.0, 0.75, 0.5, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.0])
+        lows, highs = specfun._f_real_from_z(np.array(self.BETAS)[:, None], z, zc)
+        for b, low, high in zip(self.BETAS, lows, highs):
+            assert _bits(low) == _bits(_one_row(b, z, zc))
+            assert _bits(high) == _bits(_one_row(b, zc, z))
+            p = 0.5 * (b + 1.0)
+            want = 2.0**b * specfun.inc_beta(0.5, p, p)
+            assert low[3] == pytest.approx(want, rel=1e-14) and high[3] == pytest.approx(want, rel=1e-14)
+
+    def test_one_row_halves_against_inc_beta(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(0.0, 1.0, 50)
+        for b in self.BETAS:
+            p = 0.5 * (b + 1.0)
+            low, high = specfun._f_real_from_z(b, z, 1.0 - z)
+            assert np.allclose(low, 2.0**b * specfun.inc_beta(z, p, p), rtol=1e-13, atol=0.0)
+            assert np.allclose(high, 2.0**b * specfun.inc_beta(1.0 - z, p, p), rtol=1e-13, atol=0.0)
+
+
 class TestFReal:
     def test_endpoint_identity(self):
         for beta in (-0.9, -0.5, 0.0, 1.0, 2.7, 10.0):
@@ -188,6 +272,13 @@ class TestLobachevsky:
         for theta in (0.2, 0.7, math.pi / 3, 1.4):
             ref = quad.integrate_finite(lambda t: -np.log(2.0 * np.sin(t)), 0.0, theta, CFG)
             assert specfun.lobachevsky(theta) == pytest.approx(ref.value, abs=1e-12)
+
+    def test_series_against_mpmath(self):
+        # L(t) = Cl_2(2t)/2; the Horner evaluation of the series keeps to a few ulps
+        mp.mp.dps = 30
+        ts = np.linspace(-3.0, 3.0, 241)
+        want = np.array([float(mp.clsin(2, 2 * mp.mpf(float(t))) / 2) for t in ts])
+        assert np.abs(specfun.lobachevsky(ts) - want).max() <= 1e-15
 
     def test_symmetries(self):
         ts = np.linspace(-3.0, 3.0, 61)
