@@ -11,13 +11,14 @@ quadrature with stable log-magnitude/phase evaluation of the integrands.
 Each integrand is a product of one factor per parameter, kept in a
 factor table: a factor is evaluated once per parameter and node set and
 reused by every integral in the same ``shared_factors`` scope.  Every
-quadrature opens one, so the two halves of a ``b`` integral and the
-+-x sides of an ``a`` integral share their factors; a query
-(``expect.expected_beta_integral``, ``expect.expected_hyp_volume``)
-opens the outer one, shared by all of its integrals.  A ``b`` node set
-gets the factors of all its missing parameters, for both halves, from
-one incomplete-beta call; an ``a`` factor is evaluated at |x| and
-serves -x with its phase negated.
+quadrature opens one, so the two halves of a ``b`` integral share their
+factors; a query (``expect.expected_beta_integral``,
+``expect.expected_hyp_volume``) opens the outer one, shared by all of
+its integrals.  A ``b`` node set gets the factors of all its missing
+parameters, for both halves, from one incomplete-beta call.  The ``a``
+integrand is evaluated at x >= 0 only: its real part is even and its
+imaginary part odd, so the integral is twice that of the real part
+over x >= 0.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def shared_factors():
 def _factor(key, fn, *args):
     """fn(*args), looked up by key in the active factor table.
 
-    A key holds the parameter and the node abscissae as bytes (|x| for
-    an ``a`` factor), so it never matches two different node sets.
+    A key holds the parameter and the node abscissae as bytes, so it
+    never matches two different node sets.
     """
     table = _factors.get()
     hit = table.get(key)
@@ -290,24 +291,20 @@ def _a_factor(b: float, x: np.ndarray, L: np.ndarray):
 
 
 def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
+    """Real part of the a integrand, which is even; called at x >= 0 only."""
     betas = params.entries
     tau = alpha - params.total()
 
     def f(x):
-        ax = np.abs(x)
-        L = _log_cosh(ax)
+        L = _log_cosh(x)
         logmag = -tau * L
         phase = np.zeros_like(L)
-        nodes = ax.tobytes()
+        nodes = x.tobytes()
         for b in betas:
-            log_abs, arg = _factor(("a", b, nodes), _a_factor, b, ax, L)
+            log_abs, arg = _factor(("a", b, nodes), _a_factor, b, x, L)
             logmag = logmag + log_abs
             phase = phase + arg
-        # each factor at -x is the conjugate of the one at |x|, and a sum
-        # of negated phases is the negated sum in every bit
-        phase = np.copysign(phase, x)
-        mag = np.exp(logmag)
-        vals = mag * np.cos(phase) + 1j * (mag * np.sin(phase))
+        vals = np.exp(logmag) * np.cos(phase)
         if log_weight:
             vals = vals * (-L)
         return vals
@@ -315,9 +312,16 @@ def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
     return f
 
 
-def _a_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig, log_weight: bool):
-    with shared_factors():
-        return quad.integrate_real_line_any(_a_integrand(alpha, params, log_weight), cfg)
+def _a_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig, log_weight: bool) -> tuple[float, float]:
+    """(value, abs_err_est) of a_fn (or a_prime with log_weight), cached."""
+    key = ("a'" if log_weight else "a", alpha, params.entries, _cfg_key(cfg))
+    hit = _cache_get(key)
+    if hit is None:
+        with shared_factors():
+            res = quad.integrate_real_line(_a_integrand(alpha, params, log_weight), cfg)
+        hit = (res.value, res.abs_err_est)
+        _cache_put(key, hit)
+    return hit
 
 
 def _b_factors(betas, t: np.ndarray, upper: bool) -> list[np.ndarray]:
@@ -360,8 +364,8 @@ def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> Value
 def a_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
     """Real-line parameter integral; requires alpha > sum(params).
 
-    The integrand's imaginary part integrates to zero by symmetry; the
-    computed residue is checked against the error estimate.
+    The integrand's imaginary part is odd and integrates to zero, so the
+    quadrature takes the even real part on x >= 0 only.
     """
     params = _as_params(params)
     cfg = cfg or QuadConfig()
@@ -376,16 +380,8 @@ def a_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool
         if _all_ones(params):
             v = a_ones(len(params), alpha)
             return ValueWithError(v, _REL_CLOSED * abs(v) + 1e-300, "closed-form")
-    key = ("a", alpha, params.entries, _cfg_key(cfg))
-    hit = _cache_get(key)
-    if hit is None:
-        value, err = _a_quadrature(alpha, params, cfg, log_weight=False)
-        resid = abs(value.imag) if isinstance(value, complex) else 0.0
-        if resid > max(10.0 * err, 1e-9 * max(1.0, abs(value))):
-            raise ArithmeticError("imaginary residue exceeds the quadrature error estimate")
-        hit = (float(np.real(value)), err + resid)
-        _cache_put(key, hit)
-    return ValueWithError(hit[0], hit[1], "de-real-line")
+    value, err = _a_quadrature(alpha, params, cfg, log_weight=False)
+    return ValueWithError(value, err, "de-real-line")
 
 
 def a_prime(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
@@ -404,14 +400,8 @@ def a_prime(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: b
                 if abs(alpha - (2 * q * odd + 1)) < 1e-12:
                     v = a_prime_odd_repeated(m, q).evaluate()
                     return ValueWithError(v, _REL_CLOSED * abs(v), "closed-form")
-    key = ("a'", alpha, params.entries, _cfg_key(cfg))
-    hit = _cache_get(key)
-    if hit is None:
-        value, err = _a_quadrature(alpha, params, cfg, log_weight=True)
-        resid = abs(value.imag) if isinstance(value, complex) else 0.0
-        hit = (float(np.real(value)), err + resid)
-        _cache_put(key, hit)
-    return ValueWithError(hit[0], hit[1], "de-real-line")
+    value, err = _a_quadrature(alpha, params, cfg, log_weight=True)
+    return ValueWithError(value, err, "de-real-line")
 
 
 def b_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:

@@ -77,8 +77,8 @@ class BetaSpec:
             raise ValueError("BetaSpec requires d >= 2")
         if len(betas) < d + 1:
             raise ValueError("BetaSpec requires at least d+1 points")
-        if any(b < -1.0 for b in betas):
-            raise ValueError("every beta parameter must be >= -1")
+        if not all(-1.0 <= b < math.inf for b in betas):
+            raise ValueError("every beta parameter must be finite and >= -1")
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "betas", betas)
 
@@ -256,8 +256,8 @@ def expected_beta_integral(
     derivative path at the rounded exponent.
     """
     cfg = cfg or QuadConfig()
-    if not beta > -0.5 * (spec.d + 1):
-        raise ValueError("expected_beta_integral requires beta > -(d+1)/2")
+    if not -0.5 * (spec.d + 1) < beta < math.inf:
+        raise ValueError("expected_beta_integral requires a finite beta > -(d+1)/2")
     rep = _pick_representation(spec, representation)
     d = spec.d
     nearest = round(beta)

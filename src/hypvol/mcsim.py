@@ -145,8 +145,8 @@ def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarr
     density proportional to (1-|x|^2)**beta inside the ball otherwise."""
     if d < 2:
         raise ValueError("requires d >= 2")
-    if beta < -1.0:
-        raise ValueError("requires beta >= -1")
+    if not -1.0 <= beta < math.inf:
+        raise ValueError("requires a finite beta >= -1")
     return _sample_beta_batch(d, beta, rng, 1)[0]
 
 
@@ -300,8 +300,8 @@ def mc_absorption(spec: BetaSpec, beta: float, cfg: SampleConfig) -> McEstimate:
     the hit frequency divided by the beta normalizing constant is an
     unbiased estimate of the expected beta integral.
     """
-    if not beta > -1.0:
-        raise ValueError("mc_absorption requires beta > -1")
+    if not -1.0 < beta < math.inf:
+        raise ValueError("mc_absorption requires a finite beta > -1")
     d, n = spec.d, spec.n
     scale = 1.0 / c_d_beta(d, beta)
     acc = _Accumulator()

@@ -247,13 +247,9 @@ def _a_quadrature_consistency(quick: bool):
     for _ in range(count):
         params = _random_params(rng)
         alpha = params.total() + float(rng.uniform(0.5, 4.0))
-        value, err = abcore._a_quadrature(alpha, params, _CFG, log_weight=False)
-        resid = abs(value.imag)
-        if resid > 2.0 * max(err, 1e-14):
-            return False, f"imaginary residue {resid:.2e} exceeds twice the estimate {err:.2e}"
-        ref = abcore.a_fn(alpha, params, _CFG).value if len(params) <= 1 else None
-        if ref is not None:
-            worst = max(worst, abs(value.real - ref))
+        if len(params) <= 1:  # the closed forms cover at most one parameter
+            value = abcore.a_fn(alpha, params, _CFG, closed_forms=False).value
+            worst = max(worst, abs(value - abcore.a_fn(alpha, params, _CFG).value))
     for d, alpha in ((2, 3.5), (3, 5.0), (4, 6.25)):
         got = abcore.a_fn(alpha, ParamMultiset([1.0] * d), _CFG, closed_forms=False).value
         worst = max(worst, abs(got - abcore.a_ones(d, alpha)))

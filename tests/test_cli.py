@@ -43,6 +43,11 @@ class TestExpect:
         assert code == 2
         assert out == "" and "error" in err
 
+    def test_non_finite_exponent_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "expect", "--dim", "2", "--betas", "0,0,0", "--exponent", "inf")
+        assert code == 2
+        assert out == "" and "requires a finite beta" in err
+
 
 class TestHypVolume:
     def test_exact_cases(self, capsys):
@@ -89,6 +94,11 @@ class TestHypVolume:
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "hypvolume", "--case", "ideal3")
         assert code == 2 and "requires --n" in err
+
+    def test_non_finite_beta_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "hypvolume", "--dim", "2", "--betas", "nan,0,0")
+        assert code == 2
+        assert out == "" and "every beta parameter must be finite" in err
 
     def test_quadrature_failure_record(self, capsys, monkeypatch):
         from hypvol import expect

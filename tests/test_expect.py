@@ -32,6 +32,11 @@ class TestBetaSpec:
         with pytest.raises(ValueError):
             BetaSpec(2, (0.0, 0.0, -1.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_betas(self, bad):
+        with pytest.raises(ValueError, match="every beta parameter must be finite"):
+            BetaSpec(3, (bad, 0.0, 0.0, 0.0))
+
     def test_gammas(self):
         spec = BetaSpec(3, (-1.0, 0.0, 1.0, 2.0))
         assert spec.gammas() == (0.5, 1.5, 2.5, 3.5)
@@ -102,6 +107,11 @@ class TestExpectedBetaIntegral:
             expect.expected_beta_integral(BetaSpec(2, (0.0,) * 3), -1.5, CFG)
         with pytest.raises(ValueError):
             expect.expected_beta_integral(BetaSpec(3, (0.0,) * 5), -1.0, CFG, representation="bogus")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_exponent(self, bad):
+        with pytest.raises(ValueError, match="requires a finite beta"):
+            expect.expected_beta_integral(BetaSpec(2, (0.0,) * 3), bad, CFG)
 
 
 class TestExpectedHypVolume:

@@ -50,6 +50,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             mcsim.sample_beta_point(3, -1.2, rng)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, bad):
+        with pytest.raises(ValueError, match="requires a finite beta"):
+            mcsim.sample_beta_point(3, bad, np.random.default_rng(0))
+
 
 class TestContains:
     def test_simplex_cases(self):
@@ -249,6 +254,11 @@ class TestMcAbsorption:
             mcsim.mc_absorption(BetaSpec(2, (0.0,) * 3), -1.0, SampleConfig(seed=0, n_samples=10))
         with pytest.raises(ValueError):
             SampleConfig(seed=0, n_samples=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_exponent(self, bad):
+        with pytest.raises(ValueError, match="requires a finite beta"):
+            mcsim.mc_absorption(BetaSpec(3, (0.0,) * 4), bad, SampleConfig(seed=0, n_samples=10))
 
 
 class TestGaussBonnetSampling:

@@ -69,9 +69,22 @@ class TestRealLine:
         res = quad.integrate_real_line(lambda x: np.cosh(x) ** -3.0)
         assert res.value == pytest.approx(1.0 / specfun.c_one_dim(0.5), abs=1e-13)
 
-    def test_odd_integrand(self):
-        res = quad.integrate_real_line(lambda x: x * np.exp(-x * x))
-        assert res.value == pytest.approx(0.0, abs=1e-14)
+    def test_even_integrand_evaluated_on_nonnegative_nodes_only(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.exp(-x * x)
+
+        res = quad.integrate_real_line(f)
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        assert all((x >= 0.0).all() for x in calls)
+        # one call per level on that level's nodes x > 0, plus the centre at level 0
+        assert calls[1].tolist() == [0.0]
+        per_level = [calls[0]] + calls[2:]
+        assert len(per_level) > 3
+        for level, x in enumerate(per_level):
+            assert x.tobytes() == quad._line_nodes(level)[0].tobytes()
 
 
 class TestClosedFormSuite:
@@ -88,7 +101,3 @@ class TestClosedFormSuite:
     def test_true_error_monotone_in_tolerance(self, case):
         failure = verify._monotone_case(case)
         assert failure is None, failure
-
-    def test_complex_capable_core(self):
-        value, err = quad.integrate_real_line_any(lambda x: np.exp(-x * x) * (1.0 + 2.0j))
-        assert complex(value) == pytest.approx(math.sqrt(math.pi) * (1 + 2j), rel=1e-12)
