@@ -15,10 +15,11 @@ quadrature opens one, so the two halves of a ``b`` integral share their
 factors; a query (``expect.expected_beta_integral``,
 ``expect.expected_hyp_volume``) opens the outer one, shared by all of
 its integrals.  A ``b`` node set gets the factors of all its missing
-parameters, for both halves, from one incomplete-beta call.  The ``a``
-integrand is evaluated at x >= 0 only: its real part is even and its
-imaginary part odd, so the integral is twice that of the real part
-over x >= 0.
+parameters, for both halves, from one incomplete-beta call, and an ``a``
+node set gets those of all its missing parameters from one cosh-power
+kernel call.  The ``a`` integrand is evaluated at x >= 0 only: its real
+part is even and its imaginary part odd, so the integral is twice that
+of the real part over x >= 0.
 """
 
 from __future__ import annotations
@@ -152,19 +153,6 @@ def shared_factors():
         _factors.reset(token)
 
 
-def _factor(key, fn, *args):
-    """fn(*args), looked up by key in the active factor table.
-
-    A key holds the parameter and the node abscissae as bytes, so it
-    never matches two different node sets.
-    """
-    table = _factors.get()
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = fn(*args)
-    return hit
-
-
 # -- closed forms ---------------------------------------------------------
 
 def _a_empty(alpha: float) -> float:
@@ -279,15 +267,27 @@ def _all_ones(params: ParamMultiset) -> bool:
 
 # -- quadrature integrands -------------------------------------------------
 
-def _a_factor(b: float, x: np.ndarray, L: np.ndarray):
-    """(log-magnitude, phase) of one imaginary-axis factor, scaled by cosh(x)**-b."""
-    g_scaled = cosh_pow_integral_scaled(b, x)
-    h_scaled = 0.5 / c_one_dim(0.5 * (b - 1.0)) * np.exp(-b * L)
-    # both parts underflow to 0 at the outermost nodes for tiny b: the
-    # factor is 0 there and its log -inf, which the caller's exp undoes
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.hypot(h_scaled, g_scaled))
-    return log_mag, np.arctan2(g_scaled, h_scaled)
+def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(log-magnitude, phase) rows of the imaginary-axis factors at nodes x, scaled by cosh(x)**-b.
+
+    One pair per entry of betas; L is log cosh(x).  The parameters with no
+    factor at these nodes yet get their rows from one kernel call.
+    """
+    table = _factors.get()
+    nodes = x.tobytes()
+    missing = [b for b in dict.fromkeys(betas) if ("a", b, nodes) not in table]
+    if missing:
+        col = np.array(missing)[:, None]
+        g_scaled = cosh_pow_integral_scaled(col, x)
+        h_scaled = np.array([[0.5 / c_one_dim(0.5 * (b - 1.0))] for b in missing]) * np.exp(-col * L)
+        # both parts underflow to 0 at the outermost nodes for tiny b: the
+        # factor is 0 there and its log -inf, which the caller's exp undoes
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.hypot(h_scaled, g_scaled))
+        phase = np.arctan2(g_scaled, h_scaled)
+        for b, row_mag, row_phase in zip(missing, log_mag, phase):
+            table["a", b, nodes] = (row_mag, row_phase)
+    return [table["a", b, nodes] for b in betas]
 
 
 def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
@@ -299,9 +299,7 @@ def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
         L = _log_cosh(x)
         logmag = -tau * L
         phase = np.zeros_like(L)
-        nodes = x.tobytes()
-        for b in betas:
-            log_abs, arg = _factor(("a", b, nodes), _a_factor, b, x, L)
+        for log_abs, arg in _a_factors(betas, x, L):
             logmag = logmag + log_abs
             phase = phase + arg
         vals = np.exp(logmag) * np.cos(phase)

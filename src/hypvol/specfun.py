@@ -224,7 +224,7 @@ def inc_beta(z, p: float, q: float):
     return float(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
-_ROW_BLOCK = 4096  # parameters x abscissae per incomplete-beta block
+_ROW_BLOCK = 4096  # parameters x abscissae per kernel block
 
 
 def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,39 +298,59 @@ def _binom_series_coeffs(beta: float) -> np.ndarray:
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _tail_terms(beta: float) -> int:
+    """How many leading terms of the x > 1 series can change its sum at some x.
+
+    For k > beta/2, term k is at most 2**-beta |C(beta, k)| e**(beta - 2k)
+    / (2k - beta) cosh(x)**-beta, and the sum is at least g(beta, 1)
+    cosh(x)**-beta.  A term below 2**-55 of that lies under a quarter ulp
+    of the sum, so adding it rounds back to the sum; the count ends at the
+    last term that is not below, whatever x is.
+    """
+    coeffs = _binom_series_coeffs(beta)
+    k = np.arange(coeffs.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = 2.0**-beta * np.abs(coeffs) * np.exp(beta - 2.0 * k) / (2.0 * k - beta)
+    negligible = (2.0 * k > beta) & (bound < 2.0**-55 * _g_at_one(beta))
+    return int(np.flatnonzero((coeffs != 0.0) & ~negligible)[-1]) + 1
+
+
 def _log_cosh(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def _cosh_pow_integral_small(beta: float, x: np.ndarray) -> np.ndarray:
-    """g(beta, x) for 0 <= x <= 1 by Gauss-Legendre."""
+def _cosh_pow_integral_small(betas: list[float], x: np.ndarray) -> np.ndarray:
+    """g(beta, x) for 0 <= x <= 1 by Gauss-Legendre, one row per beta."""
     half = 0.5 * x
-    nodes = half[..., None] * (_GL_NODES + 1.0)
-    vals = np.cosh(nodes) ** beta
-    return half * (vals * _GL_WEIGHTS).sum(axis=-1)
+    cosh_nodes = np.cosh(half[..., None] * (_GL_NODES + 1.0))
+    # Python-float exponents: numpy's power has fast paths (2.0 squares)
+    # for a scalar exponent that an array of exponents does not take
+    return np.array([half * ((cosh_nodes**b) * _GL_WEIGHTS).sum(axis=-1) for b in betas])
 
 
 @lru_cache(maxsize=None)
 def _g_at_one(beta: float) -> float:
-    return float(_cosh_pow_integral_small(beta, np.asarray(1.0)))
+    return float(_cosh_pow_integral_small([beta], np.array([1.0]))[0, 0])
 
 
-_TAIL_BLOCK = 2048  # abscissae per (terms, abscissae) array in the tail
+def _cosh_pow_tail(betas: list[float], xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
+    """Scaled g(beta, x) for x > 1, one row per beta: g(beta, 1) plus the binomial series.
 
-
-def _cosh_pow_tail(beta: float, xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
-    """Scaled g(beta, x) for x > 1: g(beta, 1) plus the binomial series.
-
-    Term k integrates 2**-beta C(beta, k) exp((beta - 2k) y) over (1, x);
-    the terms form one row each and are added in order of k, so the sum
-    is the same in every bit as a term-by-term loop.
+    Term k integrates 2**-beta C(beta, k) exp((beta - 2k) y) over (1, x).
+    A row keeps its first _tail_terms(beta) terms; the rest of the block's
+    terms are zero in it, and adding zero leaves its non-negative sum as
+    it is.  The terms are added in order of k, so each row is the same in
+    every bit as a term-by-term loop over all the series terms.
     """
-    coeffs = _binom_series_coeffs(beta)
-    k = np.flatnonzero(coeffs)  # integer beta truncates the series exactly
-    ck = (2.0**-beta * coeffs[k])[:, None]
-    ex = (beta - 2.0 * k)[:, None]
-    bL = beta * Lb
+    counts = [_tail_terms(b) for b in betas]
+    k = np.arange(max(counts))[:, None]
+    coeffs = np.array([_binom_series_coeffs(b)[: k.size] for b in betas]).T  # (terms, rows)
+    keep = (k < counts) & (coeffs != 0.0)  # integer beta truncates the series exactly
+    ck = (np.array([2.0**-b for b in betas]) * coeffs)[..., None]
+    ex = (np.array(betas) - 2.0 * k)[..., None]
+    bL = np.array(betas)[:, None] * Lb
     e_beta = np.exp(-bL)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         # (exp(ex*x) - exp(ex)) / ex, scaled by exp(-beta*L); both
@@ -341,36 +361,47 @@ def _cosh_pow_tail(beta: float, xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
         via_expm1 = e2 * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
         plain = (np.exp(ex * xb - bL) - e2) / ex
         terms = ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
-        flat = np.abs(ex[:, 0]) < 1e-12  # exponent 0: the term is linear in x
-        terms[flat] = ck[flat] * (xb - 1.0) * e_beta
-        acc = _g_at_one(beta) * e_beta
+        flat_k, flat_row = np.nonzero(np.abs(ex[..., 0]) < 1e-12)  # exponent 0: the term is linear in x
+        terms[flat_k, flat_row] = ck[flat_k, flat_row] * (xb - 1.0) * e_beta[flat_row]
+        terms[~keep] = 0.0
+        acc = np.array([[_g_at_one(b)] for b in betas]) * e_beta
         for row in terms:
             acc += row
     return acc
 
 
-def cosh_pow_integral_scaled(beta: float, x) -> np.ndarray:
+def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
     """g(beta, x) * cosh(x)**(-beta) with g the cosh-power primitive from 0.
 
+    beta is a scalar, giving one value per abscissa of x (a scalar or a
+    1-D array), or a column of parameters, giving one row each; a scalar
+    is the one-row case.  The tail series stops at the term count
+    _tail_terms derives for each beta, past which no term can change the
+    sum; rows and abscissae are taken in blocks of about _ROW_BLOCK values.
     The scaled form stays representable for any beta >= 0 and |x| up to
     the largest finite double; used inside the real-line integrands.
     """
+    betas = np.ravel(beta).tolist()
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ax = np.abs(xa)
     L = _log_cosh(ax)
-    out = np.empty_like(ax)
+    out = np.empty((len(betas), ax.size))
     small = ax <= 1.0
     if small.any():
-        out[small] = _cosh_pow_integral_small(beta, ax[small]) * np.exp(-beta * L[small])
+        out[:, small] = _cosh_pow_integral_small(betas, ax[small]) * np.exp(-np.array(betas)[:, None] * L[small])
     big = ~small
     if big.any():
         xb, Lb = ax[big], L[big]
-        acc = np.empty_like(xb)
-        for lo in range(0, xb.size, _TAIL_BLOCK):
-            block = slice(lo, lo + _TAIL_BLOCK)
-            acc[block] = _cosh_pow_tail(beta, xb[block], Lb[block])
-        out[big] = acc
-    return np.sign(xa) * out
+        step = max(1, _ROW_BLOCK // xb.size)
+        width = min(xb.size, _ROW_BLOCK)
+        tail = np.empty((len(betas), xb.size))
+        for lo in range(0, len(betas), step):
+            for at in range(0, xb.size, width):
+                block = slice(at, at + width)
+                tail[lo : lo + step, block] = _cosh_pow_tail(betas[lo : lo + step], xb[block], Lb[block])
+        out[:, big] = tail
+    out *= np.sign(xa)
+    return out[0] if np.ndim(beta) == 0 else out
 
 
 _F_IMAG_CFG = quad.QuadConfig(rel_tol=1e-13, abs_tol=1e-15)

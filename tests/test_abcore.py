@@ -257,12 +257,15 @@ class TestAFactor:
     def test_minus_x_is_the_conjugate(self):
         # each factor at -x is the conjugate of the one at x, so the real part
         # of the a integrand is even and its integral over x >= 0 is half the whole
+        betas = (1e-13, 0.3, 1.0, 2.7, 9.5)
         for level in range(13):
             x, _ = quad._line_nodes(level)
             L = specfun._log_cosh(x)
-            for b in (1e-13, 0.3, 1.0, 2.7, 9.5):
-                log_mag, phase = abcore._a_factor(b, x, L)
-                log_mag_neg, phase_neg = abcore._a_factor(b, -x, L)
+            with abcore.shared_factors():
+                rows = abcore._a_factors(betas, x, L)
+                rows_neg = abcore._a_factors(betas, -x, L)
+            assert len(rows) == len(rows_neg) == len(betas)
+            for (log_mag, phase), (log_mag_neg, phase_neg) in zip(rows, rows_neg):
                 assert log_mag_neg.tobytes() == log_mag.tobytes()
                 assert phase_neg.tobytes() == (-phase).tobytes()
 

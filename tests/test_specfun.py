@@ -317,6 +317,16 @@ def _tail_by_term(beta, x):
     return acc
 
 
+def _small_by_row(beta, x):
+    """The |x| <= 1 Gauss-Legendre value of the scaled cosh-power primitive for one beta.
+
+    Reference for the kernel, which raises to the power of beta as a Python float.
+    """
+    half = 0.5 * x
+    vals = np.cosh(half[:, None] * (specfun._GL_NODES + 1.0)) ** beta
+    return half * (vals * specfun._GL_WEIGHTS).sum(axis=-1) * np.exp(-beta * specfun._log_cosh(x))
+
+
 # one array mixing small, tail and negative abscissae; 1 + tiny takes the
 # expm1 rows of the tail series
 _BRANCH_X = np.array(
@@ -353,9 +363,9 @@ class TestCoshPowIntegral:
 
     def test_sizes_one_and_beyond_a_block(self):
         rng = np.random.default_rng(5)
-        x = np.sinh(np.sinh(rng.uniform(-6.5, 6.5, 2 * specfun._TAIL_BLOCK)))
+        x = np.sinh(np.sinh(rng.uniform(-6.5, 6.5, 2 * specfun._ROW_BLOCK)))
         tail = np.abs(x) > 1.0
-        assert tail.sum() > specfun._TAIL_BLOCK
+        assert tail.sum() > specfun._ROW_BLOCK
         for beta in (0.0, 3.0, 2.7):
             got = specfun.cosh_pow_integral_scaled(beta, x)
             ref = np.sign(x[tail]) * _tail_by_term(beta, np.abs(x[tail]))
@@ -367,3 +377,43 @@ class TestCoshPowIntegral:
     def test_huge_argument_finite(self):
         out = specfun.cosh_pow_integral_scaled(4.0, np.array([1e3, 1e150]))
         assert np.isfinite(out).all()
+
+
+def _line_node_sets():
+    """The real-line nodes of levels 0-12, each with 0 and a few negative abscissae."""
+    return [np.concatenate([[0.0], quad._line_nodes(level)[0], -quad._line_nodes(level)[0][:7]]) for level in range(13)]
+
+
+class TestCoshPowBlocks:
+    # integers truncate the series, even ones and 2 + 1e-13 reach the
+    # exponent-0 row, and 60.5 keeps the most terms
+    BETAS = (0.0, 1.0, 2.0, 4.0, 12.0, 2.0 + 1e-13, 1e-13, 0.3, 2.5, 7.9, 12.9, 60.5)
+
+    def test_column_matches_scalar_calls(self):
+        col = np.array(self.BETAS)[:, None]
+        steps = set()
+        for x in _line_node_sets():
+            tail = np.abs(x) > 1.0
+            steps.add(max(1, specfun._ROW_BLOCK // int(tail.sum())))
+            block = specfun.cosh_pow_integral_scaled(col, x)
+            assert block.shape == (len(self.BETAS), x.size)
+            for beta, row in zip(self.BETAS, block):
+                assert row.tobytes() == specfun.cosh_pow_integral_scaled(beta, x).tobytes()
+            assert (block[:, 0] == 0.0).all()
+        # some levels split the rows into blocks, and level 12 splits the abscissae too
+        assert any(1 < step < len(self.BETAS) for step in steps)
+        assert int((np.abs(x) > 1.0).sum()) > specfun._ROW_BLOCK
+
+    def test_rows_match_references(self):
+        # the cut series against every term, and the Gauss-Legendre branch
+        counts = [specfun._tail_terms(beta) for beta in self.BETAS]
+        assert counts[:5] == [1, 2, 3, 5, 13]  # at most the terms of the truncated series
+        assert max(counts) < 41 and counts[-1] > 30
+        for x in _line_node_sets():
+            tail = np.abs(x) > 1.0
+            block = specfun.cosh_pow_integral_scaled(np.array(self.BETAS)[:, None], x)
+            for beta, row in zip(self.BETAS, block):
+                ref = np.sign(x[tail]) * _tail_by_term(beta, np.abs(x[tail]))
+                assert row[tail].tobytes() == ref.tobytes()
+                ref = np.sign(x[~tail]) * _small_by_row(beta, np.abs(x[~tail]))
+                assert row[~tail].tobytes() == ref.tobytes()
