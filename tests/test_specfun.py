@@ -312,7 +312,8 @@ def _tail_by_term(beta, x):
                 continue
             arg = ex * (x - 1.0)
             via_expm1 = np.exp(ex - beta * L) * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
-            plain = (np.exp(ex * x - beta * L) - np.exp(ex - beta * L)) / ex
+            lead = beta * (math.log(2.0) - np.log1p(np.exp(-2.0 * x)))  # ex*x - beta*L = -2k*x + lead
+            plain = (np.exp(-2.0 * k * x + lead) - np.exp(ex - beta * L)) / ex
             acc += scale * ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
     return acc
 
@@ -336,6 +337,63 @@ _BRANCH_X = np.array(
 # integers truncate the series and reach the exponent-0 row; 2 + 1e-13
 # reaches that row without truncation
 _BRANCH_BETAS = (0.0, 1.0, 2.0, 4.0, 12.0, 0.5, 3.7, 2.0 + 1e-13)
+
+
+def _mp_scaled(beta, x):
+    """g(beta, x) cosh(x)**-beta to 40 digits, as the integral over u of (cosh(x - u)/cosh x)**beta.
+
+    The integrand is written ((e**-u + e**(u - 2x))/(1 + e**-2x))**beta so
+    that x - u is never formed; past u = 100/beta it is below e**-100.
+    """
+    with mp.workdps(40):
+        x, b = mp.mpf(x), mp.mpf(beta)
+        scale = 1 + mp.exp(-2 * x)
+        top = min(x, 100 / b)
+        cuts = [mp.mpf(0)] + [mp.mpf(c) for c in (1, 4, 16, 64) if c < top] + [top]
+        return mp.quad(lambda u: ((mp.exp(-u) + mp.exp(u - 2 * x)) / scale) ** b, cuts, method="gauss-legendre")
+
+
+def _mp_scaled_integer(n, x):
+    """The scaled primitive for integer beta = n to 40 digits, from S_0 = x, S_1 = tanh x
+    and S_{m+2} = tanh x/(m+2) + (m+1)/(m+2) sech(x)**2 S_m."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        t, sech2 = mp.tanh(x), mp.sech(x) ** 2
+        s = [x, t]
+        for m in range(2, n + 1):
+            s.append(t / m + mp.mpf(m - 1) / m * sech2 * s[m - 2])
+        return s[n]
+
+
+def _max_rel_error(got, refs):
+    with mp.workdps(40):
+        return max(float(abs(mp.mpf(float(g)) - r) / r) for g, r in zip(got, refs))
+
+
+# far beyond the real-line nodes (which stop near 1.4e153), up to 1e300
+_HUGE_X = (1e5, 1e10, 1e40, 1e100, 1e153, 1e300)
+
+
+class TestCoshPowAccuracy:
+    def test_against_closed_forms(self):
+        # integer beta: every real-line node of levels 0-7 and far beyond
+        x = np.concatenate([quad._line_nodes(level)[0] for level in range(8)] + [_HUGE_X])
+        for n in range(14):
+            got = specfun.cosh_pow_integral_scaled(float(n), x)
+            assert _max_rel_error(got, [_mp_scaled_integer(n, v) for v in x]) <= 5e-15, n
+
+    def test_against_mpmath(self):
+        # 1.16137... is the level-3 node where beta = 12.6 had its largest error
+        x = np.concatenate([[0.25, 0.7, 1.0, 1.1613710483034563], quad._line_nodes(1)[0], _HUGE_X])
+        for beta in (0.3, 2.5, 3.3, 7.9, 12.6):
+            got = specfun.cosh_pow_integral_scaled(beta, x)
+            assert _max_rel_error(got, [_mp_scaled(beta, v) for v in x]) <= 5e-15, beta
+
+    def test_huge_argument(self):
+        # the plain exponent ex*x - beta*L lost beta*log 2 here: beta = 1 gave 0.5
+        for beta in (0.3, 1.0, 2.0, 12.6):
+            got = specfun.cosh_pow_integral_scaled(beta, np.array([1e40, 1e300]))
+            assert np.allclose(got, 1.0 / beta, rtol=5e-15, atol=0.0)
 
 
 class TestCoshPowIntegral:
