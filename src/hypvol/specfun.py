@@ -292,8 +292,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     The nodes are numpy's; the weights are 2/((1 - x**2) P_n'(x)**2) with
     P_n' from the three-term recurrence.  numpy's own weights for n = 48
     are off by 1.3e-12 relative at the ends and, once rescaled to sum to 2,
-    by about 4e-15 inside, which gave g(beta, x) a relative error of about
-    1e-15 * beta.
+    by about 4e-15 inside: enough for a relative error of about
+    1e-15 * beta in g(beta, x).
     """
     x = np.polynomial.legendre.leggauss(n)[0]
     p_prev, p = np.ones_like(x), x

@@ -383,7 +383,7 @@ class TestCoshPowAccuracy:
             assert _max_rel_error(got, [_mp_scaled_integer(n, v) for v in x]) <= 5e-15, n
 
     def test_against_mpmath(self):
-        # 1.16137... is the level-3 node where beta = 12.6 had its largest error
+        # both sides of the switch to the tail series at 1, and a level-3 node just past it
         x = np.concatenate([[0.25, 0.7, 1.0, 1.1613710483034563], quad._line_nodes(1)[0], _HUGE_X])
         for beta in (0.3, 2.5, 3.3, 7.9, 12.6):
             got = specfun.cosh_pow_integral_scaled(beta, x)
