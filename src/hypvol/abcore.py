@@ -8,26 +8,25 @@ forms are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
 
-Each integrand is a product of one factor per parameter, kept in a
-factor table: a factor is evaluated once per parameter and node set and
-reused by every integral in the same ``shared_factors`` scope.  Every
-quadrature opens one, so the two halves of a ``b`` integral share their
-factors; a query (``expect.expected_beta_integral``,
-``expect.expected_hyp_volume``) opens the outer one, shared by all of
-its integrals.  A ``b`` node set gets the factors of all its missing
-parameters, for both halves, from one incomplete-beta call, and an ``a``
-node set gets those of all its missing parameters from one cosh-power
-kernel call.  The ``a`` integrand is evaluated at x >= 0 only: its real
-part is even and its imaginary part odd, so the integral is twice that
-of the real part over x >= 0.
+Each integrand is a product of one factor per parameter.  The factor
+rows live in one table beside the integral values: a row is evaluated
+once per parameter and node set and reused by every later integral on
+those nodes, in the same query or a later one, until ``clear_cache``.
+The table holds at most ``_FACTOR_BUDGET`` bytes of rows and drops the
+oldest first; a dropped row is computed again when next needed, to the
+same bits.  A ``b`` node set gets the factors of all its missing
+parameters, for both halves, from one incomplete-beta call, and an
+``a`` node set gets those of all its missing parameters from one
+cosh-power kernel call.  The ``a`` integrand is evaluated at x >= 0
+only: its real part is even and its imaginary part odd, so the integral
+is twice that of the real part over x >= 0.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +55,6 @@ __all__ = [
     "a_prime_odd_repeated",
     "limit_alpha_plus_one_times_b",
     "clear_cache",
-    "shared_factors",
 ]
 
 _REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
@@ -104,15 +102,26 @@ def _as_params(params) -> ParamMultiset:
     return params if isinstance(params, ParamMultiset) else ParamMultiset(params)
 
 
-# -- cache ---------------------------------------------------------------
+# -- caches --------------------------------------------------------------
 
 _cache_lock = threading.Lock()
 _cache: dict = {}
 
+# integrand factor rows, keyed ("a", b, nodes) or ("b", b, upper, nodes)
+# with nodes the bytes of the abscissae; each entry is (row, row bytes).
+# One query's rows reach about 3 MB (d = 5, near-ideal betas, level 12).
+_FACTOR_BUDGET = 16 << 20
+_factor_rows: OrderedDict = OrderedDict()
+_factor_bytes = 0
+
 
 def clear_cache() -> None:
+    """Drop the cached integral values and integrand factor rows."""
+    global _factor_bytes
     with _cache_lock:
         _cache.clear()
+        _factor_rows.clear()
+        _factor_bytes = 0
 
 
 def _cache_get(key):
@@ -129,28 +138,33 @@ def _cfg_key(cfg: QuadConfig):
     return (cfg.rel_tol, cfg.abs_tol, cfg.max_level)
 
 
-# -- per-query factor table ------------------------------------------------
+def _held_factors(betas, key) -> tuple[dict, list]:
+    """The rows held for the distinct betas under key(b), and the betas with none."""
+    unique = dict.fromkeys(betas)
+    rows = {}
+    with _cache_lock:
+        for b in unique:
+            hit = _factor_rows.get(key(b))
+            if hit is not None:
+                rows[b] = hit[0]
+    return rows, [b for b in unique if b not in rows]
 
-_factors: contextvars.ContextVar[dict | None] = contextvars.ContextVar("hypvol_factors", default=None)
 
+def _hold_factors(rows: dict, row_bytes: int) -> None:
+    """Add rows (key -> row) of row_bytes each; drop the oldest while over the budget.
 
-@contextlib.contextmanager
-def shared_factors():
-    """Share per-parameter integrand factors among the integrals run inside.
-
-    A nested scope reuses the outer table; the table is dropped when the
-    outermost scope exits.  Every quadrature runs in a scope of its own
-    or an enclosing one; values and error estimates are the same in
-    every bit whatever the scope.
+    Callers keep the rows they pass and never read them back, so a row
+    evicted at once (or by another thread) is not missed.
     """
-    if _factors.get() is not None:
-        yield
-        return
-    token = _factors.set({})
-    try:
-        yield
-    finally:
-        _factors.reset(token)
+    global _factor_bytes
+    with _cache_lock:
+        for key, row in rows.items():
+            if key not in _factor_rows:  # another thread may have added the same row
+                _factor_rows[key] = (row, row_bytes)
+                _factor_bytes += row_bytes
+        while _factor_bytes > _FACTOR_BUDGET:
+            _, (_, nbytes) = _factor_rows.popitem(last=False)
+            _factor_bytes -= nbytes
 
 
 # -- closed forms ---------------------------------------------------------
@@ -271,11 +285,10 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
     """(log-magnitude, phase) rows of the imaginary-axis factors at nodes x, scaled by cosh(x)**-b.
 
     One pair per entry of betas; L is log cosh(x).  The parameters with no
-    factor at these nodes yet get their rows from one kernel call.
+    row held at these nodes get theirs from one kernel call.
     """
-    table = _factors.get()
     nodes = x.tobytes()
-    missing = [b for b in dict.fromkeys(betas) if ("a", b, nodes) not in table]
+    rows, missing = _held_factors(betas, lambda b: ("a", b, nodes))
     if missing:
         col = np.array(missing)[:, None]
         g_scaled = cosh_pow_integral_scaled(col, x)
@@ -285,9 +298,11 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
         with np.errstate(divide="ignore"):
             log_mag = np.log(np.hypot(h_scaled, g_scaled))
         phase = np.arctan2(g_scaled, h_scaled)
-        for b, row_mag, row_phase in zip(missing, log_mag, phase):
-            table["a", b, nodes] = (row_mag, row_phase)
-    return [table["a", b, nodes] for b in betas]
+        log_mag.flags.writeable = phase.flags.writeable = False  # rows outlive this query
+        new = dict(zip(missing, zip(log_mag, phase)))
+        rows.update(new)
+        _hold_factors({("a", b, nodes): row for b, row in new.items()}, log_mag[0].nbytes + phase[0].nbytes)
+    return [rows[b] for b in betas]
 
 
 def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
@@ -315,8 +330,7 @@ def _a_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig, log_weig
     key = ("a'" if log_weight else "a", alpha, params.entries, _cfg_key(cfg))
     hit = _cache_get(key)
     if hit is None:
-        with shared_factors():
-            res = quad.integrate_real_line(_a_integrand(alpha, params, log_weight), cfg)
+        res = quad.integrate_real_line(_a_integrand(alpha, params, log_weight), cfg)
         hit = (res.value, res.abs_err_est)
         _cache_put(key, hit)
     return hit
@@ -326,19 +340,22 @@ def _b_factors(betas, t: np.ndarray, upper: bool) -> list[np.ndarray]:
     """One half's segment factors at nodes t, one row per entry of betas.
 
     The lower half takes each factor at z = sin^2(t/2), the upper half at
-    1 - z = cos^2(t/2).  The parameters with no factor at these nodes yet
+    1 - z = cos^2(t/2).  The parameters with no row held at these nodes
     get both halves' rows from one call.
     """
-    table = _factors.get()
     nodes = t.tobytes()
-    missing = [b for b in dict.fromkeys(betas) if ("b", b, upper, nodes) not in table]
+    rows, missing = _held_factors(betas, lambda b: ("b", b, upper, nodes))
     if missing:
         half_t = 0.5 * t
         lows, highs = _f_real_from_z(np.array(missing)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
+        lows.flags.writeable = highs.flags.writeable = False  # rows outlive this query
+        new = {}
         for b, low, high in zip(missing, lows, highs):
-            table["b", b, False, nodes] = low
-            table["b", b, True, nodes] = high
-    return [table["b", b, upper, nodes] for b in betas]
+            rows[b] = high if upper else low
+            new["b", b, False, nodes] = low
+            new["b", b, True, nodes] = high
+        _hold_factors(new, lows[0].nbytes)
+    return [rows[b] for b in betas]
 
 
 def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> ValueWithError:
@@ -353,9 +370,8 @@ def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> Value
 
         return quad.integrate_finite(f, 0.0, 0.5 * math.pi, cfg)
 
-    with shared_factors():
-        lo = half(False)
-        hi = half(True)
+    lo = half(False)
+    hi = half(True)
     return ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est, "tanh-sinh")
 
 

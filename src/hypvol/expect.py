@@ -9,9 +9,11 @@ parameter total, t = 2*beta + d for beta integrals and t = -1 for
 hyperbolic volumes.  A is a_fn, or its derivative a_prime for the
 removable singularity at negative-integer exponents (the pole path) and
 for odd-d volumes.  ``theta_fn`` is the class term normalized, and a
-simplex (n = d+1) is the upper sum with its single class.  Both
-queries run inside ``abcore.shared_factors``, so the integrals of one
-query evaluate each parameter's integrand factor once per node set.  Several
+simplex (n = d+1) is the upper sum with its single class.  The
+integrals draw on abcore's factor table, so each parameter's integrand
+factor is evaluated once per node set for a query and for every later
+query until ``abcore.clear_cache`` (rows past its byte budget are
+dropped oldest first and computed again when needed).  Several
 families admit exact closed forms (rational multiples of powers of pi):
 ideal polytopes in dimension 3, ideal simplices in odd dimension, ideal
 polygons, and uniform-in-the-disk polygons.
@@ -33,7 +35,6 @@ from .abcore import (
     a_prime,
     b_fn,
     limit_alpha_plus_one_times_b,
-    shared_factors,
 )
 from .exact import PiPoly, TrigExpPoly, _cplx, poly_integral_01, poly_pow
 from .quad import QuadConfig, ValueWithError
@@ -239,7 +240,6 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     return ValueWithError(pref * value, max(abs(pref) * err, cfg.abs_tol), "theta")
 
 
-@shared_factors()
 def expected_beta_integral(
     spec: BetaSpec,
     beta: float,
@@ -292,7 +292,6 @@ def _double_factorial(m: int) -> float:
     return float(math.prod(range(m, 0, -2))) if m > 0 else 1.0
 
 
-@shared_factors()
 def expected_hyp_volume(
     spec: BetaSpec,
     cfg: QuadConfig | None = None,

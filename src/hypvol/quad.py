@@ -13,11 +13,14 @@ Two double-exponential schemes:
 Integrands are real: they are called on numpy arrays of abscissae (one
 call per refinement level) and must return a real array of the same
 shape.  Node tables are built once per level and cached; construction
-is guarded by a lock, lookups afterwards are read-only.
+is guarded by a lock, lookups afterwards are read-only.  The abscissae
+of a finite interval are cached per (a, b, level) too, as read-only
+arrays: an integrand must not write to its input.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -122,6 +125,21 @@ def _line_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
         return result
 
 
+@functools.lru_cache(maxsize=64)  # bounded: callers such as specfun.f_imag pass arbitrary intervals
+def _finite_abscissae(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only abscissae on (a, b) and their weights for one tanh-sinh level."""
+    delta, weight = _finite_nodes(level)
+    rad = 0.5 * (b - a)
+    xm = a + rad * delta
+    xp = b - rad * delta
+    keep_m = xm > a  # independent masks: one side may collide with its
+    keep_p = xp < b  # endpoint while the other still carries mass
+    xs = np.concatenate([xm[keep_m], xp[keep_p]])
+    ws = np.concatenate([weight[keep_m], weight[keep_p]])
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def _run_levels(eval_level, cfg: QuadConfig, method: str) -> ValueWithError:
     """Shared refinement loop: eval_level(L) returns sum_{new nodes} w*f."""
     total = None
@@ -162,13 +180,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig | None = None) -> Va
     mid = 0.5 * (a + b)
 
     def eval_level(level):
-        delta, weight = _finite_nodes(level)
-        xm = a + rad * delta
-        xp = b - rad * delta
-        keep_m = xm > a  # independent masks: one side may collide with its
-        keep_p = xp < b  # endpoint while the other still carries mass
-        xs = np.concatenate([xm[keep_m], xp[keep_p]])
-        ws = np.concatenate([weight[keep_m], weight[keep_p]])
+        xs, ws = _finite_abscissae(a, b, level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             vals = np.asarray(f(xs)) * ws
             if level == 0:

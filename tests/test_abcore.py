@@ -10,7 +10,7 @@ import pytest
 from hypvol import abcore, expect, quad, specfun
 from hypvol.abcore import ParamMultiset
 from hypvol.expect import BetaSpec, enumerate_classes
-from hypvol.quad import QuadConfig, QuadratureError
+from hypvol.quad import QuadConfig
 from hypvol.verify import _ABSORPTION_GRID
 
 CFG = QuadConfig()
@@ -247,8 +247,11 @@ class TestCache:
         assert first == second
         key = ("a", 3.0, params.entries, abcore._cfg_key(CFG))
         assert abcore._cache_get(key) is not None
+        assert abcore._factor_rows
+        assert abcore._factor_bytes == sum(nbytes for _, nbytes in abcore._factor_rows.values())
         abcore.clear_cache()
         assert abcore._cache_get(key) is None
+        assert not abcore._factor_rows and abcore._factor_bytes == 0
         third = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
         assert third == first
 
@@ -261,20 +264,36 @@ class TestAFactor:
         for level in range(13):
             x, _ = quad._line_nodes(level)
             L = specfun._log_cosh(x)
-            with abcore.shared_factors():
-                rows = abcore._a_factors(betas, x, L)
-                rows_neg = abcore._a_factors(betas, -x, L)
+            rows = abcore._a_factors(betas, x, L)
+            rows_neg = abcore._a_factors(betas, -x, L)
             assert len(rows) == len(rows_neg) == len(betas)
             for (log_mag, phase), (log_mag_neg, phase_neg) in zip(rows, rows_neg):
                 assert log_mag_neg.tobytes() == log_mag.tobytes()
                 assert phase_neg.tobytes() == (-phase).tobytes()
 
 
-class TestSharedFactors:
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the two factor kernels through abcore's module globals."""
+    calls = {}
+    for name in ("cosh_pow_integral_scaled", "_f_real_from_z"):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _kernel=getattr(abcore, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(abcore, name, counted)
+    return calls
+
+
+class TestFactorTable:
     SPEC = BetaSpec(3, (-0.6, -0.1, 0.3, 0.8, 1.4, 2.5))
     T = 2.0 * 0.3 + 3  # the beta integral at exponent 0.3
 
-    def _integrals(self):
+    def _integrals(self, cold: bool):
+        """a, a' and b of the lower and upper classes; cold clears the caches before each."""
+        abcore.clear_cache()
         out = []
         for cls in enumerate_classes(self.SPEC, (0, 2, 4, 6)):  # lower and upper
             s = cls.inside.total()
@@ -283,53 +302,94 @@ class TestSharedFactors:
                 (abcore.a_prime, self.T + 2.0 + s, cls.inside),
                 (abcore.b_fn, self.T + s, cls.outside),
             ):
-                abcore.clear_cache()
+                if cold:
+                    abcore.clear_cache()
                 res = fn(alpha, params, CFG, closed_forms=False)
                 out.append((res.value, res.abs_err_est))
         return out
 
-    def test_bit_identical_inside_a_scope(self, monkeypatch):
-        calls = {}
-        for name in ("cosh_pow_integral_scaled", "_f_real_from_z"):
-            calls[name] = 0
+    def test_bit_identical_warm_and_cold(self, kernel_calls):
+        cold = self._integrals(cold=True)
+        cold_calls = dict(kernel_calls)
+        warm = self._integrals(cold=False)
+        assert len(warm) == 3 * 32
+        assert warm == cold
+        for name, count in kernel_calls.items():
+            assert 0 < count - cold_calls[name] < cold_calls[name] / 4, name
 
-            def counted(*args, _name=name, _kernel=getattr(abcore, name)):
-                calls[_name] += 1
-                return _kernel(*args)
+    def test_sweep_rerun_makes_no_kernel_calls(self, kernel_calls):
+        # growing n over one pool: each query reuses the rows of the ones before
+        pool = (-0.4, 1.3)
+        specs = [BetaSpec(3, tuple(pool[i % len(pool)] for i in range(n))) for n in range(4, 10)]
 
-            monkeypatch.setattr(abcore, name, counted)
-        outside = self._integrals()
-        unshared = dict(calls)
-        with abcore.shared_factors():
-            with abcore.shared_factors():  # a nested scope reuses the outer table
-                inside = self._integrals()
-        assert len(inside) == 3 * 32
-        assert inside == outside
-        for name, count in calls.items():
-            assert 0 < count - unshared[name] < unshared[name] / 4, name
+        def sweep(clear_each: bool):
+            out = []
+            for spec in specs:
+                if clear_each:
+                    abcore.clear_cache()
+                res = expect.expected_hyp_volume(spec, CFG)
+                out.append((res.value, res.abs_err_est))
+            return out
 
-    def test_no_table_after_a_query(self, monkeypatch):
-        seen = []
-        a_fn = expect.a_fn
-
-        def watched(*args, **kwargs):
-            seen.append(abcore._factors.get() is not None)
-            return a_fn(*args, **kwargs)
-
-        monkeypatch.setattr(expect, "a_fn", watched)
-        spec = BetaSpec(2, (-0.5, 0.4, 1.1, 2.0))
-        expect.expected_hyp_volume(spec, CFG, representation="upper", closed_forms=False)
-        assert seen and all(seen)
-        assert abcore._factors.get() is None
+        per_query = sweep(clear_each=True)
+        per_query_calls = dict(kernel_calls)
         abcore.clear_cache()
-        strict = QuadConfig(rel_tol=1e-16, abs_tol=1e-300, max_level=3)
-        with pytest.raises(QuadratureError):
-            expect.expected_hyp_volume(spec, strict, representation="upper", closed_forms=False)
-        assert abcore._factors.get() is None
+        warm = sweep(clear_each=False)
+        warm_calls = dict(kernel_calls)
+        with abcore._cache_lock:
+            abcore._cache.clear()  # the integral values only: the factor rows stay
+        rerun = sweep(clear_each=False)
+        assert warm == per_query and rerun == per_query
+        assert kernel_calls == warm_calls
+        for name, count in warm_calls.items():
+            assert 0 < count - per_query_calls[name] < per_query_calls[name], name
+
+    def test_rows_are_read_only(self):
+        # held rows outlive the query that computed them
+        x, _ = quad._line_nodes(3)
+        t, _ = quad._finite_abscissae(0.0, 0.5 * math.pi, 3)
+        abcore.clear_cache()
+        ((log_mag, phase),) = abcore._a_factors((0.7,), x, specfun._log_cosh(x))
+        (low,) = abcore._b_factors((0.7,), t, False)
+        for row in (log_mag, phase, low):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+
+    def test_eviction_inside_a_query_keeps_values(self, monkeypatch, kernel_calls):
+        spec = BetaSpec(2, (-0.5, 0.4, 1.1, 2.0, 2.6))
+        abcore.clear_cache()
+        want = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
+        unevicted = dict(kernel_calls)
+        budget = 8192  # a few rows of the middle levels
+        monkeypatch.setattr(abcore, "_FACTOR_BUDGET", budget)
+        held = []
+        hold = abcore._hold_factors
+
+        def recorded(rows, row_bytes):
+            hold(rows, row_bytes)
+            held.append(abcore._factor_bytes)
+
+        monkeypatch.setattr(abcore, "_hold_factors", recorded)
+        abcore.clear_cache()
+        got = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
+        assert (got.value, got.abs_err_est) == (want.value, want.abs_err_est)
+        calls, unevicted_calls = sum(kernel_calls.values()), sum(unevicted.values())
+        assert calls - unevicted_calls > unevicted_calls  # evicted rows were computed again
+        assert held and max(held) <= budget
+        assert abcore._factor_bytes == sum(nbytes for _, nbytes in abcore._factor_rows.values())
 
 
 class TestConcurrency:
     def test_parallel_queries_match_serial(self):
+        self._parallel_queries_match_serial()
+
+    def test_parallel_queries_with_a_tiny_factor_budget(self, monkeypatch):
+        # rows are evicted while other threads still integrate with them
+        monkeypatch.setattr(abcore, "_FACTOR_BUDGET", 8192)
+        self._parallel_queries_match_serial()
+
+    @staticmethod
+    def _parallel_queries_match_serial():
         from concurrent.futures import ThreadPoolExecutor
 
         specs = (BetaSpec(3, (-0.5, 0.2, 0.7, 1.3, 2.1)), BetaSpec(2, (0.1, 0.6, 1.2, 2.5, -0.3)))

@@ -48,6 +48,16 @@ class TestFinite:
         with pytest.raises(ValueError):
             quad.integrate_finite(lambda t: t, 1.0, 0.0)
 
+    def test_abscissae_are_read_only(self):
+        # every later integral on the interval gets the same abscissae
+        def writes_to_input(x):
+            x *= 2.0
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            quad.integrate_finite(writes_to_input, 0.0, 1.0)
+        assert quad.integrate_finite(lambda x: x, 0.0, 1.0).value == pytest.approx(0.5, abs=1e-14)
+
     def test_nonconvergence_carries_estimate(self):
         rng = np.random.default_rng(0)
 
