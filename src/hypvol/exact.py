@@ -4,10 +4,20 @@ Closed-form results in this package are rational linear combinations of
 integer powers of pi (powers may be negative).  ``PiPoly`` stores such a
 value exactly; gamma-function ratios at half-integer arguments reduce to
 rationals times a possible stray sqrt(pi), which ``gamma_half`` tracks.
+
+The uniform-disk polygon family (``expect.polygon_beta0``) is a sum of
+moments of u**p * sin(u) * sin(2u)**k over (0, pi).  ``sin_sin2_power``
+writes the trigonometric factor as a short sum of exp(i j u) terms with
+Gaussian-rational coefficients (pairs of ``Fraction``), and
+``exp_moment`` gives each integral of u**p * exp(i j u) over (0, pi) in
+closed form, a polynomial in pi with Gaussian-rational coefficients:
+the only place pi enters.  Both are cached, so a table over n computes
+each moment once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -166,107 +176,56 @@ def zeta_even_over_pi_power(max_m: int) -> list[Fraction]:
     return out
 
 
-# -- exact integration of trigonometric-exponential polynomials --
+# -- exact moments for the uniform-disk polygon integral --
 #
-# Terms x**j * exp(i m x) with complex coefficients whose real/imaginary
-# parts are PiPoly values.  Sufficient for integrating products of
-# cos x, sin(2x), x and pi over (-pi/2, pi/2) exactly.
+# The segment integral of ``expect.polygon_beta0`` becomes, after
+# u = y + pi/2, a sum of integrals of u**p * sin(u) * sin(2u)**k over
+# (0, pi).  The trigonometric factor is a short sum of exp(i j u) terms
+# with Gaussian-rational coefficients, and each exp(i j u) moment is a
+# polynomial in pi with Gaussian-rational coefficients.  Both are pure
+# functions of small integers, shared by every n of a table.
 
-_I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i**k for k mod 4
-
-
-def _cplx(re=0, im=0):
-    re = re if isinstance(re, PiPoly) else PiPoly.from_rational(re)
-    im = im if isinstance(im, PiPoly) else PiPoly.from_rational(im)
-    return (re, im)
+_NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)**r for r mod 4, as (re, im)
 
 
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+@functools.lru_cache(maxsize=1024)
+def exp_moment(p: int, j: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """Integral of u**p * exp(i j u) over (0, pi), exact.
+
+    Returns terms (k, re, im), the value being sum (re + i im) * pi**k.
+    For j != 0, from the antiderivative
+    exp(i j u) * sum_r (-1)**r p!/(p-r)! u**(p-r) / (i j)**(r+1).
+    """
+    if p < 0:
+        raise ValueError("requires p >= 0")
+    if j == 0:
+        return ((p + 1, Fraction(1, p + 1), Fraction(0)),)
+    out: dict[int, list[Fraction]] = {}
+    # upper end: exp(i j pi) = (-1)**j; the lower end leaves only the
+    # constant term r = p
+    ends = {r: (-1) ** ((r + j) % 2) * math.perm(p, r) for r in range(p + 1)}
+    ends[p] -= (-1) ** p * math.factorial(p)
+    for r, c in ends.items():
+        if c:
+            re, im = _NEG_I_POW[(r + 1) % 4]
+            scale = Fraction(c, j ** (r + 1))
+            out[p - r] = [scale * re, scale * im]
+    return tuple((k, re, im) for k, (re, im) in sorted(out.items()))
 
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+@functools.lru_cache(maxsize=256)
+def sin_sin2_power(k: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """sin(u) * sin(2u)**k as terms (j, re, im): sum (re + i im) * exp(i j u).
 
-
-def _cscale(a, r: Fraction):
-    return (a[0] * r, a[1] * r)
-
-
-class TrigExpPoly:
-    """Finite sum of c_{j,m} * x**j * exp(i m x) with exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # (j, m) -> (PiPoly re, PiPoly im)
-        self.terms: dict[tuple[int, int], tuple[PiPoly, PiPoly]] = dict(terms or {})
-
-    @classmethod
-    def constant(cls, c) -> "TrigExpPoly":
-        c = c if isinstance(c, PiPoly) else PiPoly.from_rational(c)
-        return cls({(0, 0): _cplx(c)})
-
-    def __add__(self, other: "TrigExpPoly") -> "TrigExpPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = _cadd(out[key], c) if key in out else c
-        return TrigExpPoly(out)
-
-    def __mul__(self, other: "TrigExpPoly") -> "TrigExpPoly":
-        out: dict[tuple[int, int], tuple[PiPoly, PiPoly]] = {}
-        for (j1, m1), c1 in self.terms.items():
-            for (j2, m2), c2 in other.terms.items():
-                key = (j1 + j2, m1 + m2)
-                prod = _cmul(c1, c2)
-                out[key] = _cadd(out[key], prod) if key in out else prod
-        return TrigExpPoly(out)
-
-    def power(self, n: int) -> "TrigExpPoly":
-        out = TrigExpPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def integrate_sym_half_pi(self) -> PiPoly:
-        """Exact integral over (-pi/2, pi/2); the imaginary part must cancel."""
-        total = _cplx(0)
-        for (j, m), c in self.terms.items():
-            total = _cadd(total, _cmul(c, _term_integral(j, m)))
-        if total[1]:
-            raise ArithmeticError("imaginary part did not cancel in exact integration")
-        return total[0]
-
-
-def _half_pi_power(p: int, sign: int) -> PiPoly:
-    """(sign * pi/2)**p as a PiPoly."""
-    return PiPoly({p: Fraction(sign**p, 2**p)})
-
-
-def _term_integral(j: int, m: int):
-    """Exact integral of x**j exp(i m x) over (-pi/2, pi/2) as a complex PiPoly pair."""
-    if m == 0:
-        if j % 2 == 1:
-            return _cplx(0)
-        return _cplx(PiPoly({j + 1: Fraction(1, 2**j * (j + 1))}))
-    # antiderivative: exp(imx) * sum_r (-1)^r j!/(j-r)! x^(j-r) / (im)^(r+1)
-    total = _cplx(0)
-    for sign in (1, -1):
-        # exp(i m * sign * pi/2) = i**(sign*m)
-        re_i, im_i = _I_POW[(sign * m) % 4]
-        endpoint_phase = _cplx(re_i, im_i)
-        acc = _cplx(0)
-        for r in range(j + 1):
-            coeff = Fraction((-1) ** r * math.factorial(j), math.factorial(j - r))
-            # 1 / (i m)^(r+1) = i^(-(r+1)) / m^(r+1)
-            re_inv, im_inv = _I_POW[(-(r + 1)) % 4]
-            inv = _cscale(_cplx(re_inv, im_inv), Fraction(1, m ** (r + 1)))
-            term = _cscale(inv, coeff)
-            term = (term[0] * _half_pi_power(j - r, sign), term[1] * _half_pi_power(j - r, sign))
-            acc = _cadd(acc, term)
-        contrib = _cmul(endpoint_phase, acc)
-        if sign == 1:
-            total = _cadd(total, contrib)
-        else:
-            total = (total[0] - contrib[0], total[1] - contrib[1])
-    return total
+    (2i)**-(k+1) * sum_l C(k, l) (-1)**(k-l) (exp(i(4l-2k+1)u) - exp(i(4l-2k-1)u));
+    the frequencies 4l - 2k +- 1 are all distinct.
+    """
+    if k < 0:
+        raise ValueError("requires k >= 0")
+    re, im = _NEG_I_POW[(k + 1) % 4]
+    out = []
+    for l in range(k + 1):
+        c = Fraction((-1) ** (k - l) * math.comb(k, l), 2 ** (k + 1))
+        out.append((4 * l - 2 * k + 1, c * re, c * im))
+        out.append((4 * l - 2 * k - 1, -c * re, -c * im))
+    return tuple(sorted(out))

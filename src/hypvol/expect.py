@@ -36,7 +36,7 @@ from .abcore import (
     b_fn,
     limit_alpha_plus_one_times_b,
 )
-from .exact import PiPoly, TrigExpPoly, _cplx, poly_integral_01, poly_pow
+from .exact import PiPoly, exp_moment, poly_integral_01, poly_pow, sin_sin2_power
 from .quad import QuadConfig, ValueWithError
 from .specfun import c_one_dim, gamma_real, harmonic, log_gamma
 from . import quad as _quad
@@ -469,8 +469,8 @@ def polygon_beta0(n: int, cfg: QuadConfig | None = None) -> ExpectationResult:
     """Expected hyperbolic area for n uniform points in the unit disk.
 
     Exact: -2 pi + 2**(n-1) n pi**-(n-2) b_{n-1}(1; 2), where the
-    segment integral is a trigonometric-exponential polynomial
-    integrated in closed form.
+    segment integral b is a finite sum of exact moments
+    (``_b_ones_param2_exact``).
     """
     if n < 3:
         raise ValueError("requires n >= 3")
@@ -481,18 +481,26 @@ def polygon_beta0(n: int, cfg: QuadConfig | None = None) -> ExpectationResult:
 
 
 def _b_ones_param2_exact(m: int) -> PiPoly:
-    """Exact segment integral with m repeated parameters equal to 2 at alpha 1."""
-    quarter = Fraction(1, 4)
-    f2 = TrigExpPoly(
-        {
-            (0, 0): _cplx(PiPoly({1: quarter})),
-            (1, 0): _cplx(Fraction(1, 2)),
-            (0, 2): _cplx(0, Fraction(-1, 8)),
-            (0, -2): _cplx(0, Fraction(1, 8)),
-        }
-    )
-    cos_x = TrigExpPoly({(0, 1): _cplx(Fraction(1, 2)), (0, -1): _cplx(Fraction(1, 2))})
-    return (cos_x * f2.power(m)).integrate_sym_half_pi()
+    """Exact segment integral with m repeated parameters equal to 2 at alpha 1.
+
+    b = integral of cos(y) F_2(y)**m over (-pi/2, pi/2), with
+    F_2(y) = pi/4 + y/2 + sin(2y)/4.  After u = y + pi/2 it is the
+    integral of sin(u) (u/2 - sin(2u)/4)**m over (0, pi), expanded
+    binomially into sum_k C(m, k) 2**(k-m) (-1/4)**k times the integral
+    of u**(m-k) sin(u) sin(2u)**k, which is a sum of ``exp_moment`` terms
+    over the frequencies of ``sin_sin2_power(k)``.
+    """
+    re_acc: dict[int, Fraction] = {}
+    im_acc: dict[int, Fraction] = {}
+    for k in range(m + 1):
+        weight = Fraction(math.comb(m, k) * (-1) ** k, 2 ** (m + k))
+        for j, c_re, c_im in sin_sin2_power(k):
+            for power, m_re, m_im in exp_moment(m - k, j):
+                re_acc[power] = re_acc.get(power, 0) + weight * (c_re * m_re - c_im * m_im)
+                im_acc[power] = im_acc.get(power, 0) + weight * (c_re * m_im + c_im * m_re)
+    if any(im_acc.values()):
+        raise ArithmeticError("imaginary part did not cancel in exact integration")
+    return PiPoly(re_acc)
 
 
 def poly_log_cos_check(q: int, coeffs) -> tuple[float, float]:

@@ -1,22 +1,27 @@
-"""Exact arithmetic: pi-polynomials, half-integer gamma, series coefficients."""
+"""Exact arithmetic: pi-polynomials, half-integer gamma, series coefficients,
+the polygon moments and the exact uniform-disk polygon table."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hypvol import cli, expect
+
 from hypvol.exact import (
     PiPoly,
-    TrigExpPoly,
-    _cplx,
     bernoulli_numbers,
+    exp_moment,
     gamma_half,
     gamma_half_ratio,
     poly_integral_01,
     poly_mul,
     poly_pow,
+    sin_sin2_power,
     zeta_even_over_pi_power,
 )
 
@@ -95,27 +100,102 @@ class TestSeriesCoefficients:
         assert vals[2] == Fraction(1, 945)
 
 
-class TestTrigExpPoly:
-    def _numeric(self, poly: TrigExpPoly) -> complex:
-        xs = np.linspace(-math.pi / 2, math.pi / 2, 200001)
-        total = 0.0 + 0.0j
-        for (j, m), (re, im) in poly.terms.items():
-            c = complex(re.evaluate(), im.evaluate())
-            vals = xs**j * np.exp(1j * m * xs)
-            total += c * np.trapezoid(vals, xs)
-        return total
+# polygon_beta0(n).exact for n = 3..12, frozen from an independent engine
+# (products of complex trigonometric-exponential polynomials integrated
+# term by term over (-pi/2, pi/2))
+POLYGON_BETA0_EXACT = {
+    3: {
+        1: Fraction("1"),
+        -1: Fraction("-128/15"),
+    },
+    4: {
+        1: Fraction("2"),
+        -1: Fraction("-256/15"),
+    },
+    5: {
+        1: Fraction("3"),
+        -1: Fraction("-128/3"),
+        -3: Fraction("5537792/33075"),
+    },
+    6: {
+        1: Fraction("4"),
+        -1: Fraction("-256/3"),
+        -3: Fraction("5537792/11025"),
+    },
+    7: {
+        1: Fraction("5"),
+        -1: Fraction("-448/3"),
+        -3: Fraction("2768896/1575"),
+        -5: Fraction("-575174277595136/81942485625"),
+    },
+    8: {
+        1: Fraction("6"),
+        -1: Fraction("-3584/15"),
+        -3: Fraction("22151168/4725"),
+        -5: Fraction("-2300697110380544/81942485625"),
+    },
+    9: {
+        1: Fraction("7"),
+        -1: Fraction("-1792/5"),
+        -3: Fraction("5537792/525"),
+        -5: Fraction("-1150348555190272/9104720625"),
+        -7: Fraction("158689072094796726640050176/314057180960663765625"),
+    },
+    10: {
+        1: Fraction("8"),
+        -1: Fraction("-512"),
+        -3: Fraction("11075584/525"),
+        -5: Fraction("-2300697110380544/5462832375"),
+        -7: Fraction("158689072094796726640050176/62811436192132753125"),
+    },
+    11: {
+        1: Fraction("9"),
+        -1: Fraction("-704"),
+        -3: Fraction("60915712/1575"),
+        -5: Fraction("-575174277595136/496621125"),
+        -7: Fraction("79344536047398363320025088/5710130562921159375"),
+        -9: Fraction("-67184020635188142257805470007340929384448/1208771650099777555885482373359375"),
+    },
+    12: {
+        1: Fraction("10"),
+        -1: Fraction("-2816/3"),
+        -3: Fraction("243662848/3675"),
+        -5: Fraction("-2300697110380544/827701875"),
+        -7: Fraction("317378144189593453280100352/5710130562921159375"),
+        -9: Fraction("-134368041270376284515610940014681858768896/402923883366592518628494124453125"),
+    },
+}
 
-    def test_single_terms_against_trapezoid(self):
-        from hypvol.exact import _term_integral
 
-        for j, m in [(0, 0), (2, 0), (1, 1), (0, 3), (2, -2), (3, 1)]:
-            re, im = _term_integral(j, m)
-            want = self._numeric(TrigExpPoly({(j, m): _cplx(1)}))
-            assert re.evaluate() == pytest.approx(want.real, abs=5e-9)
-            assert im.evaluate() == pytest.approx(want.imag, abs=5e-9)
+GOLDEN = Path(__file__).parent / "golden"
 
-    def test_product_integration(self):
-        # cos(x)**2 = ((e^ix + e^-ix)/2)^2 integrates to pi/2
-        cos_x = TrigExpPoly({(0, 1): _cplx(Fraction(1, 2)), (0, -1): _cplx(Fraction(1, 2))})
-        got = (cos_x * cos_x).integrate_sym_half_pi()
-        assert got == PiPoly({1: Fraction(1, 2)})
+
+class TestPolygonMoments:
+    @pytest.mark.parametrize("j", [0, 1, 3, 2, 4, -1, -2, -5])
+    def test_exp_moment_against_mpmath(self, j):
+        with mp.workdps(30):
+            for p in range(9):
+                want = mp.quad(lambda u: u**p * mp.expj(j * u), [0, mp.pi])
+                terms = exp_moment(p, j)
+                got_re = mp.fsum(mp.mpf(re.numerator) / re.denominator * mp.pi**k for k, re, _ in terms)
+                got_im = mp.fsum(mp.mpf(im.numerator) / im.denominator * mp.pi**k for k, _, im in terms)
+                scale = max(1, abs(want))
+                assert abs(got_re - want.real) <= 1e-25 * scale, (p, j)
+                assert abs(got_im - want.imag) <= 1e-25 * scale, (p, j)
+
+    def test_sin_sin2_power_pointwise(self):
+        us = np.linspace(0.0, math.pi, 13)
+        for k in range(7):
+            got = sum(complex(re, im) * np.exp(1j * j * us) for j, re, im in sin_sin2_power(k))
+            want = np.sin(us) * np.sin(2 * us) ** k
+            np.testing.assert_allclose(got.real, want, atol=1e-14)
+            np.testing.assert_allclose(got.imag, 0.0, atol=1e-14)
+
+    def test_polygon_beta0_frozen_table(self):
+        for n, coeffs in POLYGON_BETA0_EXACT.items():
+            assert expect.polygon_beta0(n).exact == PiPoly(coeffs), n
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_polygon_table_golden(self, fmt):
+        want = (GOLDEN / f"polygon_beta0_3_12.{fmt}").read_text()
+        assert cli.table_text("polygon-beta0", 3, 12, fmt) == want
