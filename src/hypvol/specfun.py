@@ -47,36 +47,15 @@ def cos_near_half_pi(x):
     return np.where(x > 1.0, np.sin(s), np.cos(np.minimum(x, 1.0)))
 
 
-# -- log-gamma: Lanczos approximation (g = 7, 9 terms) --
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0; relative error below 1e-14."""
+    """Natural log of Gamma(x) for x > 0, from the C library (``math.lgamma``).
+
+    Within 1.5e-15 * max(1, |log Gamma(x)|) of 40-digit references on
+    (0, 200].
+    """
     if not x > 0:
         raise ValueError("log_gamma requires x > 0")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:

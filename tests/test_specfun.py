@@ -41,6 +41,13 @@ class TestLogGamma:
         want = math.lgamma(x)
         assert specfun.log_gamma(x) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
+    def test_against_mpmath(self):
+        with mp.workdps(40):
+            for x in np.concatenate([np.linspace(1e-3, 0.5, 40), np.linspace(0.5, 5.0, 181), np.linspace(5.0, 200.0, 80)]):
+                want = mp.loggamma(mp.mpf(float(x)))
+                err = abs(mp.mpf(specfun.log_gamma(float(x))) - want)
+                assert err <= 2e-15 * max(1, abs(want)), x
+
     def test_gamma_real_reflection(self):
         assert specfun.gamma_real(-0.5) == pytest.approx(math.gamma(-0.5), rel=1e-13)
         assert specfun.gamma_real(-2.3) == pytest.approx(math.gamma(-2.3), rel=1e-13)
