@@ -22,6 +22,7 @@ polygons, and uniform-in-the-disk polygons.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .abcore import (
 )
 from .exact import PiPoly, exp_moment, poly_integral_01, poly_pow, sin_sin2_power
 from .quad import QuadConfig, ValueWithError
-from .specfun import c_one_dim, gamma_real, harmonic, log_gamma
+from .specfun import LOG_GAMMA_ERR, c_one_dim, gamma_real, harmonic, log_gamma
 from . import quad as _quad
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
 # limit (see its docstring)
 _POLE_EXACT = 1e-12
 _POLE_NEAR = 1e-6
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -157,11 +159,21 @@ def _lower_cards(spec: BetaSpec):
     return range(spec.d - 1, -1, -2)
 
 
-def _c_product(gammas) -> float:
-    acc = 0.0
+def _c_product(gammas) -> tuple[float, float]:
+    """prod_i Gamma(g_i + 1) / (sqrt(pi) Gamma(g_i + 1/2)), as (value, relative error bound).
+
+    The bound covers the error of each log-gamma, the rounding of their
+    2n-term sum (2n * eps relative to each), and of exp, the pi power and
+    the product.
+    """
+    acc, scale = 0.0, 0.0
     for g in gammas:
-        acc += log_gamma(g + 1.0) - log_gamma(g + 0.5)
-    return math.exp(acc) * math.pi ** (-0.5 * len(gammas))
+        hi, lo = log_gamma(g + 1.0), log_gamma(g + 0.5)
+        acc += hi - lo
+        scale += max(1.0, abs(hi)) + max(1.0, abs(lo))
+    n = len(gammas)
+    rel = (LOG_GAMMA_ERR + 2 * n * _EPS) * scale + (n + 3) * _EPS
+    return math.exp(acc) * math.pi ** (-0.5 * n), rel
 
 
 def _pick_representation(spec: BetaSpec, representation: str) -> str:
@@ -205,7 +217,10 @@ def _subset_sum(
     """The subset sum behind every query, as (value, abs_err_est).
 
     Sums the multiplicity times ``_class_term`` over the subset classes
-    of the representation.
+    of the representation.  The error bar adds to the class terms' bars
+    the rounding of the sum (n_terms * eps * sum |m * term|), the error
+    of ``_c_product`` and, in the lower representation, the rounding of
+    pi - cprod * sum.
     """
     vals, errs = [], []
     for cls in enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec)):
@@ -213,13 +228,16 @@ def _subset_sum(
         m = float(cls.multiplicity)
         vals.append(m * value)
         errs.append(m * err)
-    total, err = math.fsum(vals), math.fsum(errs)
-    cprod = _c_product(spec.gammas())
+    total = math.fsum(vals)
+    cprod, cprod_rel = _c_product(spec.gammas())
+    err = math.fsum(errs) + len(vals) * _EPS * math.fsum(map(abs, vals)) + abs(total) * cprod_rel
     if rep == "upper":
         value = prefactor * cprod * total
+        err = abs(prefactor) * cprod * err
     else:
         value = prefactor * (math.pi - cprod * total)
-    return value, abs(prefactor) * cprod * err + 1e-15 * abs(value)
+        err = abs(prefactor) * (cprod * err + _EPS * (math.pi + cprod * abs(total)))
+    return value, err + 1e-15 * abs(value)
 
 
 def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:

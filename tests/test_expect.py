@@ -9,9 +9,11 @@ Both are reproduced by the subset-sum engine to machine accuracy.
 """
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from hypvol import expect
@@ -112,6 +114,25 @@ class TestExpectedBetaIntegral:
     def test_rejects_non_finite_exponent(self, bad):
         with pytest.raises(ValueError, match="requires a finite beta"):
             expect.expected_beta_integral(BetaSpec(2, (0.0,) * 3), bad, CFG)
+
+
+class TestSubsetSumBar:
+    @pytest.mark.parametrize("exponent", [0.3, 2.7])
+    def test_representations_agree_within_bars_over_ideal_points(self, exponent):
+        spec = BetaSpec(3, (-1.0,) * 11)
+        up = expect.expected_beta_integral(spec, exponent, CFG, representation="upper")
+        lo = expect.expected_beta_integral(spec, exponent, CFG, representation="lower")
+        assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
+
+    def test_c_product_within_its_bound(self):
+        rng = random.Random(20)
+        with mp.workdps(40):
+            for _ in range(300):
+                gammas = BetaSpec(5, [rng.uniform(-1.0, 4.0) for _ in range(11)]).gammas()
+                value, rel = expect._c_product(gammas)
+                want = mp.fprod(mp.gamma(mp.mpf(g) + 1) / mp.gamma(mp.mpf(g) + 0.5) for g in gammas)
+                want *= mp.pi ** (-mp.mpf(len(gammas)) / 2)
+                assert abs(value - want) <= rel * abs(want), gammas
 
 
 class TestExpectedHypVolume:

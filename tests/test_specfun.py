@@ -46,7 +46,7 @@ class TestLogGamma:
             for x in np.concatenate([np.linspace(1e-3, 0.5, 40), np.linspace(0.5, 5.0, 181), np.linspace(5.0, 200.0, 80)]):
                 want = mp.loggamma(mp.mpf(float(x)))
                 err = abs(mp.mpf(specfun.log_gamma(float(x))) - want)
-                assert err <= 2e-15 * max(1, abs(want)), x
+                assert err <= specfun.LOG_GAMMA_ERR * max(1, abs(want)), x
 
     def test_gamma_real_reflection(self):
         assert specfun.gamma_real(-0.5) == pytest.approx(math.gamma(-0.5), rel=1e-13)
