@@ -108,7 +108,8 @@ _cache_lock = threading.Lock()
 _cache: dict = {}
 
 # integrand factor rows, keyed ("a", b, nodes) or ("b", b, upper, nodes)
-# with nodes the bytes of the abscissae; each entry is (row, row bytes).
+# with nodes the bytes of the abscissae; each entry is (row, bytes charged:
+# the row's and its key's abscissae).
 # One query's rows reach about 3 MB (d = 5, near-ideal betas, level 12).
 _FACTOR_BUDGET = 16 << 20
 _factor_rows: OrderedDict = OrderedDict()
@@ -153,15 +154,19 @@ def _held_factors(betas, key) -> tuple[dict, list]:
 def _hold_factors(rows: dict, row_bytes: int) -> None:
     """Add rows (key -> row) of row_bytes each; drop the oldest while over the budget.
 
-    Callers keep the rows they pass and never read them back, so a row
-    evicted at once (or by another thread) is not missed.
+    Each row is charged row_bytes plus the length of its key's abscissae
+    bytes (key[-1]), an upper bound, since the keys of one call share
+    that bytes object.  Callers keep the rows they pass and never read
+    them back, so a row evicted at once (or by another thread) is not
+    missed.
     """
     global _factor_bytes
     with _cache_lock:
         for key, row in rows.items():
             if key not in _factor_rows:  # another thread may have added the same row
-                _factor_rows[key] = (row, row_bytes)
-                _factor_bytes += row_bytes
+                charged = row_bytes + len(key[-1])
+                _factor_rows[key] = (row, charged)
+                _factor_bytes += charged
         while _factor_bytes > _FACTOR_BUDGET:
             _, (_, nbytes) = _factor_rows.popitem(last=False)
             _factor_bytes -= nbytes

@@ -238,6 +238,14 @@ class TestAbsorptionIdentity:
         assert math.fsum(terms) == pytest.approx(0.5, abs=1e-9)
 
 
+def _held_bytes() -> int:
+    """Row bytes plus key abscissae bytes of every held factor row.
+
+    An "a" row is a (log-magnitude, phase) pair of equal-length arrays.
+    """
+    return sum(np.asarray(row).nbytes + len(key[-1]) for key, (row, _) in abcore._factor_rows.items())
+
+
 class TestCache:
     def test_cache_consistent_and_clearable(self):
         abcore.clear_cache()
@@ -248,7 +256,7 @@ class TestCache:
         key = ("a", 3.0, params.entries, abcore._cfg_key(CFG))
         assert abcore._cache_get(key) is not None
         assert abcore._factor_rows
-        assert abcore._factor_bytes == sum(nbytes for _, nbytes in abcore._factor_rows.values())
+        assert abcore._factor_bytes == _held_bytes()
         abcore.clear_cache()
         assert abcore._cache_get(key) is None
         assert not abcore._factor_rows and abcore._factor_bytes == 0
@@ -376,7 +384,7 @@ class TestFactorTable:
         calls, unevicted_calls = sum(kernel_calls.values()), sum(unevicted.values())
         assert calls - unevicted_calls > unevicted_calls  # evicted rows were computed again
         assert held and max(held) <= budget
-        assert abcore._factor_bytes == sum(nbytes for _, nbytes in abcore._factor_rows.values())
+        assert abcore._factor_bytes == _held_bytes()
 
 
 class TestConcurrency:
