@@ -177,13 +177,6 @@ def zeta_even_over_pi_power(max_m: int) -> list[Fraction]:
 
 
 # -- exact moments for the uniform-disk polygon integral --
-#
-# The segment integral of ``expect.polygon_beta0`` becomes, after
-# u = y + pi/2, a sum of integrals of u**p * sin(u) * sin(2u)**k over
-# (0, pi).  The trigonometric factor is a short sum of exp(i j u) terms
-# with Gaussian-rational coefficients, and each exp(i j u) moment is a
-# polynomial in pi with Gaussian-rational coefficients.  Both are pure
-# functions of small integers, shared by every n of a table.
 
 _NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)**r for r mod 4, as (re, im)
 
@@ -200,17 +193,18 @@ def exp_moment(p: int, j: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
         raise ValueError("requires p >= 0")
     if j == 0:
         return ((p + 1, Fraction(1, p + 1), Fraction(0)),)
-    out: dict[int, list[Fraction]] = {}
-    # upper end: exp(i j pi) = (-1)**j; the lower end leaves only the
-    # constant term r = p
-    ends = {r: (-1) ** ((r + j) % 2) * math.perm(p, r) for r in range(p + 1)}
-    ends[p] -= (-1) ** p * math.factorial(p)
-    for r, c in ends.items():
+    terms = []
+    for r in range(p, -1, -1):
+        # upper end: exp(i j pi) = (-1)**j; the lower end adds only to
+        # the constant term r = p
+        c = (-1) ** ((r + j) % 2) * math.perm(p, r)
+        if r == p:
+            c -= (-1) ** p * math.factorial(p)
         if c:
             re, im = _NEG_I_POW[(r + 1) % 4]
             scale = Fraction(c, j ** (r + 1))
-            out[p - r] = [scale * re, scale * im]
-    return tuple((k, re, im) for k, (re, im) in sorted(out.items()))
+            terms.append((p - r, scale * re, scale * im))
+    return tuple(terms)
 
 
 @functools.lru_cache(maxsize=256)
@@ -228,4 +222,4 @@ def sin_sin2_power(k: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
         c = Fraction((-1) ** (k - l) * math.comb(k, l), 2 ** (k + 1))
         out.append((4 * l - 2 * k + 1, c * re, c * im))
         out.append((4 * l - 2 * k - 1, -c * re, -c * im))
-    return tuple(sorted(out))
+    return tuple(out)
