@@ -119,6 +119,26 @@ class TestHypVolume:
             "abs_err_est": 0.5,
         }
 
+    @pytest.mark.parametrize(
+        "betas,estimate,abs_err_est",
+        [
+            ("-0.99,-0.99,-0.99,-0.99,-0.99", 4532.355755821123, 6.869284334243275e-06),
+            ("0.062,2.261,-0.9982,2.142,-0.219,3.541", 495.9081373856849, 0.013436424463634467),
+        ],
+    )
+    def test_unconverged_b_integral_record(self, capsys, betas, estimate, abs_err_est):
+        # near-ideal d = 2 points: the first b integral that does not converge
+        # names the record, with its last estimate, to the bit
+        code, out, err = run(capsys, "hypvolume", "--dim", "2", f"--betas={betas}")
+        assert code == 3 and err == ""
+        assert json.loads(out) == {
+            "command": "hypvolume",
+            "error": "quadrature-not-converged",
+            "message": "tanh-sinh: no convergence within max_level=12",
+            "estimate": estimate,
+            "abs_err_est": abs_err_est,
+        }
+
 
 class TestTable:
     def test_ideal3_range(self, capsys):
