@@ -4,22 +4,31 @@
 factors over the real line; ``b_fn`` integrates cos(x)**alpha times a
 product of segment factors over (-pi/2, pi/2); the expectation engine
 sums products a * (linear factor) * b of them over subsets.  Closed
-forms are dispatched for empty, singleton and
+forms (``_closed_form``) are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
 
-Each integrand is a product of one factor per parameter.  The factor
-rows live in one table beside the integral values: a row is evaluated
-once per parameter and node set and reused by every later integral on
-those nodes, in the same query or a later one, until ``clear_cache``.
-The table holds at most ``_FACTOR_BUDGET`` bytes of rows and drops the
-oldest first; a dropped row is computed again when next needed, to the
-same bits.  A ``b`` node set gets the factors of all its missing
-parameters, for both halves, from one incomplete-beta call, and an
-``a`` node set gets those of all its missing parameters from one
-cosh-power kernel call.  The ``a`` integrand is evaluated at x >= 0
-only: its real part is even and its imaginary part odd, so the integral
-is twice that of the real part over x >= 0.
+One level loop, ``_integrals``, refines any number of such integrals
+together, one refinement level at a time: a query hands it every
+integral of its subset classes, and ``a_fn``, ``a_prime`` and ``b_fn``
+hand it one.  At each level it makes one ``_a_factors`` call for the
+parameters of all live ``a`` integrals and one ``_b_factors`` call per
+half of the segment; each integral then evaluates its own integrand on
+its own rows and keeps its own stopping rule (``quad.Refinement``), so
+its value and error estimate do not depend on what it was batched with.
+The ``a`` integrand is evaluated at x >= 0 only: its real part is even
+and its imaginary part odd, so the integral is twice that of the real
+part over x >= 0.
+
+The factor rows live in one table beside the integral values: a row is
+evaluated once per parameter and node set and reused by every later
+integral on those nodes, in the same query or a later one, until
+``clear_cache``.  The table holds at most ``_FACTOR_BUDGET`` bytes of
+rows and drops the oldest first; a dropped row is computed again when
+next needed, to the same bits.  A ``b`` node set gets the factors of all
+its missing parameters, for both halves, from one incomplete-beta call,
+and an ``a`` node set gets those of all its missing parameters from one
+cosh-power kernel call.
 """
 
 from __future__ import annotations
@@ -310,37 +319,6 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
     return [rows[b] for b in betas]
 
 
-def _a_integrand(alpha: float, params: ParamMultiset, log_weight: bool):
-    """Real part of the a integrand, which is even; called at x >= 0 only."""
-    betas = params.entries
-    tau = alpha - params.total()
-
-    def f(x):
-        L = _log_cosh(x)
-        logmag = -tau * L
-        phase = np.zeros_like(L)
-        for log_abs, arg in _a_factors(betas, x, L):
-            logmag = logmag + log_abs
-            phase = phase + arg
-        vals = np.exp(logmag) * np.cos(phase)
-        if log_weight:
-            vals = vals * (-L)
-        return vals
-
-    return f
-
-
-def _a_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig, log_weight: bool) -> tuple[float, float]:
-    """(value, abs_err_est) of a_fn (or a_prime with log_weight), cached."""
-    key = ("a'" if log_weight else "a", alpha, params.entries, _cfg_key(cfg))
-    hit = _cache_get(key)
-    if hit is None:
-        res = quad.integrate_real_line(_a_integrand(alpha, params, log_weight), cfg)
-        hit = (res.value, res.abs_err_est)
-        _cache_put(key, hit)
-    return hit
-
-
 def _b_factors(betas, t: np.ndarray, upper: bool) -> list[np.ndarray]:
     """One half's segment factors at nodes t, one row per entry of betas.
 
@@ -363,21 +341,172 @@ def _b_factors(betas, t: np.ndarray, upper: bool) -> list[np.ndarray]:
     return [rows[b] for b in betas]
 
 
-def _b_quadrature(alpha: float, params: ParamMultiset, cfg: QuadConfig) -> ValueWithError:
-    betas = params.entries
+def _a_body(tau: float, betas, log_weight: bool, x: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Real part of the a integrand (times -L for a_prime) at nodes x >= 0; it is even."""
+    logmag = -tau * L
+    phase = np.zeros_like(L)
+    for log_abs, arg in _a_factors(betas, x, L):
+        logmag = logmag + log_abs
+        phase = phase + arg
+    vals = np.exp(logmag) * np.cos(phase)
+    return vals * (-L) if log_weight else vals
 
-    def half(upper: bool):
-        def f(t):
-            vals = np.sin(t) ** alpha
-            for row in _b_factors(betas, t, upper):
-                vals = vals * row
-            return vals
 
-        return quad.integrate_finite(f, 0.0, 0.5 * math.pi, cfg)
+def _b_body(alpha: float, betas, upper: bool, t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
+    """One half of the b integrand at nodes t in (0, pi/2), t the distance to the endpoint."""
+    vals = sin_t**alpha
+    for row in _b_factors(betas, t, upper):
+        vals = vals * row
+    return vals
 
-    lo = half(False)
-    hi = half(True)
-    return ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est, "tanh-sinh")
+
+def _union(states) -> tuple:
+    return tuple(dict.fromkeys(b for state in states for b in state[1]))
+
+
+# the nodes level 0 adds at the centre of each interval: x = 0 and t = pi/4
+_HALF_PI = 0.5 * math.pi
+_A_CENTRE = np.zeros(1)
+_L_CENTRE = _log_cosh(_A_CENTRE)
+_B_CENTRE = np.array([0.5 * _HALF_PI])
+_B_SIN_CENTRE = np.sin(_B_CENTRE)
+for _row in (_A_CENTRE, _L_CENTRE, _B_CENTRE, _B_SIN_CENTRE):
+    _row.flags.writeable = False
+del _row
+
+
+def _line_level(states: list, level: int) -> list:
+    """Add one real-line level to each a integral (tau, betas, log_weight, run); returns the live ones.
+
+    The level's factor rows of every integral come from one _a_factors
+    call, and the level-0 centre's from one more; each integral then
+    takes its rows from the table, as a one-integral call would.
+    """
+    x, weight = quad._line_nodes(level)
+    L = _log_cosh(x)
+    live = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if len(states) > 1:
+            union = _union(states)
+            _a_factors(union, x, L)
+            if level == 0:
+                _a_factors(union, _A_CENTRE, _L_CENTRE)
+        for state in states:
+            tau, betas, log_weight, run = state
+            vals = 2.0 * (_a_body(tau, betas, log_weight, x, L) * weight)
+            if level == 0:
+                vals = np.append(vals, _a_body(tau, betas, log_weight, _A_CENTRE, _L_CENTRE))
+            if not run.add(math.fsum(vals.tolist())):
+                live.append(state)
+    return live
+
+
+def _segment_level(states: list, level: int) -> list:
+    """Add one tanh-sinh level to each b half (alpha, betas, upper, run); returns the live ones.
+
+    Per half, the level's factor rows of every integral come from one
+    _b_factors call (the lower half's call also holds the upper rows),
+    and the level-0 centre's from one more.
+    """
+    t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
+    sin_t = np.sin(t)
+    live = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for upper in (False, True):
+            half = [state for state in states if state[2] is upper]
+            if len(half) > 1:
+                union = _union(half)
+                _b_factors(union, t, upper)
+                if level == 0:
+                    _b_factors(union, _B_CENTRE, upper)
+            for state in half:
+                alpha, betas, _, run = state
+                vals = _b_body(alpha, betas, upper, t, sin_t) * weight
+                if level == 0:
+                    vals = np.append(vals, _b_body(alpha, betas, upper, _B_CENTRE, _B_SIN_CENTRE) * _HALF_PI)
+                if not run.add(0.5 * _HALF_PI * math.fsum(vals.tolist())):
+                    live.append(state)
+    return live
+
+
+def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
+    """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
+
+    kind is "a", "a'" (a_prime's log-weighted integral) or "b".  Values
+    found in the cache are reused; the others are refined together, one
+    level at a time (``_line_level``, ``_segment_level``), each b as its
+    two halves.  Every integral keeps its own stopping rule
+    (``quad.Refinement``) and its own integrand, so its value and error
+    estimate are those of a one-integral call, in every bit.  Raises the
+    QuadratureError of the first request that did not converge, a b's
+    lower half before its upper half.
+    """
+    ckey = _cfg_key(cfg)
+    keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
+    found = {key: _cache_get(key) for key in keys}
+    line, segment = {}, {}
+    for key, hit in found.items():
+        if hit is None:
+            kind, alpha, betas, _ = key
+            if kind == "b":
+                segment[key] = [(alpha, betas, upper, quad.Refinement(cfg, "tanh-sinh")) for upper in (False, True)]
+            else:
+                line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
+    live_line = list(line.values())
+    live_segment = [half for halves in segment.values() for half in halves]
+    level = 0
+    while live_line or live_segment:
+        if live_line:
+            live_line = _line_level(live_line, level)
+        if live_segment:
+            live_segment = _segment_level(live_segment, level)
+        level += 1
+    for key, hit in found.items():
+        if hit is None:
+            if key in line:
+                res = line[key][-1].result()
+            else:
+                lo, hi = (run.result() for *_, run in segment[key])
+                res = ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est, "tanh-sinh")
+            found[key] = (res.value, res.abs_err_est)
+            _cache_put(key, found[key])
+    return [found[key] for key in keys]
+
+
+def _closed_form(kind: str, alpha: float, params: ParamMultiset) -> ValueWithError | None:
+    """The closed-form value of integral kind ("a", "a'" or "b") where there is one, else None.
+
+    a and b: empty, singleton and all-ones parameter lists; a': 2q equal
+    odd parameters at the vanishing point alpha = 2q*odd + 1.
+    """
+    n, entries = len(params), params.entries
+    floor = 0.0
+    if kind == "a'":
+        if not (n >= 2 and n % 2 == 0 and len(set(entries)) == 1):
+            return None
+        odd, q = round(entries[0]), n // 2
+        if not (abs(entries[0] - odd) < 1e-12 and odd % 2 == 1 and abs(alpha - (2 * q * odd + 1)) < 1e-12):
+            return None
+        v = a_prime_odd_repeated((odd + 1) // 2, q).evaluate()
+    elif n == 0:
+        v = _a_empty(alpha) if kind == "a" else _b_empty(alpha)
+    elif n == 1:
+        v = (_a_single if kind == "a" else _b_single)(alpha, entries[0])
+    elif _all_ones(params):
+        v = (a_ones if kind == "a" else b_ones)(n, alpha)
+        floor = 1e-300 if kind == "a" else 0.0  # a_ones is 0 at its vanishing points
+    else:
+        return None
+    return ValueWithError(v, _REL_CLOSED * abs(v) + floor, "closed-form")
+
+
+def _integral(kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool) -> ValueWithError:
+    """One integral: its closed form when allowed and known, else a one-request level loop."""
+    closed = _closed_form(kind, alpha, params) if closed_forms else None
+    if closed is not None:
+        return closed
+    value, err = _integrals([(kind, alpha, params)], cfg)[0]
+    return ValueWithError(value, err, "tanh-sinh" if kind == "b" else "de-real-line")
 
 
 def a_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
@@ -387,65 +516,25 @@ def a_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool
     quadrature takes the even real part on x >= 0 only.
     """
     params = _as_params(params)
-    cfg = cfg or QuadConfig()
     if not alpha > params.total():
         raise ValueError("a_fn requires alpha > sum of parameters")
-    if closed_forms:
-        if len(params) == 0:
-            return ValueWithError(_a_empty(alpha), _REL_CLOSED * abs(_a_empty(alpha)), "closed-form")
-        if len(params) == 1:
-            v = _a_single(alpha, params.entries[0])
-            return ValueWithError(v, _REL_CLOSED * abs(v), "closed-form")
-        if _all_ones(params):
-            v = a_ones(len(params), alpha)
-            return ValueWithError(v, _REL_CLOSED * abs(v) + 1e-300, "closed-form")
-    value, err = _a_quadrature(alpha, params, cfg, log_weight=False)
-    return ValueWithError(value, err, "de-real-line")
+    return _integral("a", alpha, params, cfg or QuadConfig(), closed_forms)
 
 
 def a_prime(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
     """Derivative of a_fn in its first argument, via the log-weighted integral."""
     params = _as_params(params)
-    cfg = cfg or QuadConfig()
     if not alpha > params.total():
         raise ValueError("a_prime requires alpha > sum of parameters")
-    if closed_forms and len(params) >= 2 and len(params) % 2 == 0:
-        first = params.entries[0]
-        if all(v == first for v in params.entries):
-            odd = round(first)
-            if abs(first - odd) < 1e-12 and odd >= 1 and odd % 2 == 1:
-                q = len(params) // 2
-                m = (odd + 1) // 2
-                if abs(alpha - (2 * q * odd + 1)) < 1e-12:
-                    v = a_prime_odd_repeated(m, q).evaluate()
-                    return ValueWithError(v, _REL_CLOSED * abs(v), "closed-form")
-    value, err = _a_quadrature(alpha, params, cfg, log_weight=True)
-    return ValueWithError(value, err, "de-real-line")
+    return _integral("a'", alpha, params, cfg or QuadConfig(), closed_forms)
 
 
 def b_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
     """Segment parameter integral; requires alpha > -1."""
     params = _as_params(params)
-    cfg = cfg or QuadConfig()
     if not alpha > -1.0:
         raise ValueError("b_fn requires alpha > -1")
-    if closed_forms:
-        if len(params) == 0:
-            v = _b_empty(alpha)
-            return ValueWithError(v, _REL_CLOSED * abs(v), "closed-form")
-        if len(params) == 1:
-            v = _b_single(alpha, params.entries[0])
-            return ValueWithError(v, _REL_CLOSED * abs(v), "closed-form")
-        if _all_ones(params):
-            v = b_ones(len(params), alpha)
-            return ValueWithError(v, _REL_CLOSED * abs(v), "closed-form")
-    key = ("b", alpha, params.entries, _cfg_key(cfg))
-    hit = _cache_get(key)
-    if hit is None:
-        res = _b_quadrature(alpha, params, cfg)
-        hit = (res.value, res.abs_err_est)
-        _cache_put(key, hit)
-    return ValueWithError(hit[0], hit[1], "tanh-sinh")
+    return _integral("b", alpha, params, cfg or QuadConfig(), closed_forms)
 
 
 def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithError:

@@ -4,19 +4,22 @@ Computes expected beta integrals E[int over hull of (1-|x|^2)^beta dx]
 and expected hyperbolic volumes for n independent beta-distributed
 points in dimension d.  Every such query is one subset sum,
 ``_subset_sum``: over the subset classes it adds up the class term
-``_class_term``, A(t+2+s) * (t+1+s) * b(t+s), with s the inside
-parameter total, t = 2*beta + d for beta integrals and t = -1 for
-hyperbolic volumes.  A is a_fn, or its derivative a_prime for the
-removable singularity at negative-integer exponents (the pole path) and
-for odd-d volumes.  ``theta_fn`` is the class term normalized, and a
-simplex (n = d+1) is the upper sum with its single class.  The
-integrals draw on abcore's factor table, so each parameter's integrand
-factor is evaluated once per node set for a query and for every later
-query until ``abcore.clear_cache`` (rows past its byte budget are
-dropped oldest first and computed again when needed).  Several
-families admit exact closed forms (rational multiples of powers of pi):
-ideal polytopes in dimension 3, ideal simplices in odd dimension, ideal
-polygons, and uniform-in-the-disk polygons.
+A(t+2+s) * (t+1+s) * b(t+s), with s the inside parameter total, t =
+2*beta + d for beta integrals and t = -1 for hyperbolic volumes.  A is
+a_fn, or its derivative a_prime for the removable singularity at
+negative-integer exponents (the pole path) and for odd-d volumes.
+``_class_terms`` takes the closed forms where they apply and hands all
+the other integrals of the classes to one ``abcore._integrals`` call,
+which refines them together, one level at a time, with one factor
+kernel call per level and kind; each integral keeps its own value and
+error estimate.  ``theta_fn`` is the class term normalized, and a
+simplex (n = d+1) is the upper sum with its single class.  Factor rows
+stay in abcore's table for later queries until ``abcore.clear_cache``
+(rows past its byte budget are dropped oldest first and computed again
+when needed).  Several families admit exact closed forms (rational
+multiples of powers of pi): ideal polytopes in dimension 3, ideal
+simplices in odd dimension, ideal polygons, and uniform-in-the-disk
+polygons.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abcore import (
+from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps these names here)
     _REL_CLOSED,
     ParamMultiset,
     _as_params,
+    _closed_form,
+    _integrals,
     a_fn,
     a_prime,
     b_fn,
@@ -60,7 +65,7 @@ __all__ = [
 
 # distance to a pole below which its limit is taken (beta at a negative
 # integer), and below which the direct value needs a widened error band;
-# _POLE_NEAR is also the |t+1+s| below which _class_term takes the b-pole
+# _POLE_NEAR is also the |t+1+s| below which _class_terms takes the b-pole
 # limit (see its docstring)
 _POLE_EXACT = 1e-12
 _POLE_NEAR = 1e-6
@@ -186,29 +191,50 @@ def _pick_representation(spec: BetaSpec, representation: str) -> str:
     return "lower" if lower_count < upper_count else "upper"
 
 
-def _class_term(
-    t: float, inside: ParamMultiset, outside: ParamMultiset, derivative: bool, cfg: QuadConfig, closed_forms: bool
-) -> tuple[float, float]:
-    """A(t+2+s) * (t+1+s) * b(t+s) for one subset class, as (value, abs_err_est).
+def _class_terms(
+    t: float, splits, derivative: bool, cfg: QuadConfig, closed_forms: bool
+) -> list[tuple[float, float]]:
+    """A(t+2+s) * (t+1+s) * b(t+s) per (inside, outside) split, as (value, abs_err_est).
 
     s is the inside parameter total and A = a_prime when ``derivative``
-    else a_fn.  Within _POLE_NEAR of the b-pole (linear factor near 0,
-    e.g. d = 2 volumes with near-ideal inside points) the b-integrand's
-    mass sits below the depth of double-precision nodes, so the product
-    (t+1+s) * b takes its limit at the pole, with an error band of
-    100 * |t+1+s| relative on top of the closed-form error.
+    else a_fn.  The integrals without a closed form go to one
+    ``abcore._integrals`` call, in class order, A before b.  Within
+    _POLE_NEAR of the b-pole (linear factor near 0, e.g. d = 2 volumes
+    with near-ideal inside points) the b-integrand's mass sits below the
+    depth of double-precision nodes, so the product (t+1+s) * b takes its
+    limit at the pole, with an error band of 100 * |t+1+s| relative on
+    top of the closed-form error.
     """
-    s = inside.total()
-    a = (a_prime if derivative else a_fn)(t + 2.0 + s, inside, cfg, closed_forms=closed_forms)
-    lin = t + 1.0 + s
-    if abs(lin) < _POLE_NEAR:
-        prod = limit_alpha_plus_one_times_b(outside)
-        prod_err = abs(prod) * (_REL_CLOSED + 100.0 * abs(lin))
-    else:
-        b = b_fn(t + s, outside, cfg, closed_forms=closed_forms)
-        prod = lin * b.value
-        prod_err = abs(lin) * b.abs_err_est
-    return a.value * prod, a.abs_err_est * abs(prod) + abs(a.value) * prod_err
+    requests = []
+
+    def integral(kind, alpha, params):
+        """The closed form's (value, abs_err_est), or the index of a new request."""
+        closed = _closed_form(kind, alpha, params) if closed_forms else None
+        if closed is None:
+            requests.append((kind, alpha, params))
+            return len(requests) - 1
+        return closed.value, closed.abs_err_est
+
+    pending = []
+    for inside, outside in splits:
+        s = inside.total()
+        lin = t + 1.0 + s
+        a = integral("a'" if derivative else "a", t + 2.0 + s, inside)
+        b = None if abs(lin) < _POLE_NEAR else integral("b", t + s, outside)
+        pending.append((a, lin, b, outside))
+    values = _integrals(requests, cfg)
+    terms = []
+    for a, lin, b, outside in pending:
+        a_value, a_err = values[a] if isinstance(a, int) else a
+        if b is None:
+            prod = limit_alpha_plus_one_times_b(outside)
+            prod_err = abs(prod) * (_REL_CLOSED + 100.0 * abs(lin))
+        else:
+            b_value, b_err = values[b] if isinstance(b, int) else b
+            prod = lin * b_value
+            prod_err = abs(lin) * b_err
+        terms.append((a_value * prod, a_err * abs(prod) + abs(a_value) * prod_err))
+    return terms
 
 
 def _subset_sum(
@@ -216,15 +242,16 @@ def _subset_sum(
 ) -> tuple[float, float]:
     """The subset sum behind every query, as (value, abs_err_est).
 
-    Sums the multiplicity times ``_class_term`` over the subset classes
+    Sums the multiplicity times the class term over the subset classes
     of the representation.  The error bar adds to the class terms' bars
     the rounding of the sum (n_terms * eps * sum |m * term|), the error
     of ``_c_product`` and, in the lower representation, the rounding of
     pi - cprod * sum.
     """
+    classes = enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec))
+    splits = [(cls.inside, cls.outside) for cls in classes]
     vals, errs = [], []
-    for cls in enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec)):
-        value, err = _class_term(t, cls.inside, cls.outside, derivative, cfg, closed_forms)
+    for cls, (value, err) in zip(classes, _class_terms(t, splits, derivative, cfg, closed_forms)):
         m = float(cls.multiplicity)
         vals.append(m * value)
         errs.append(m * err)
@@ -243,8 +270,9 @@ def _subset_sum(
 def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
     """Normalized class term (1/2pi) * prod(c) * a(...) * (linear) * b(...).
 
-    y and z are the inside and outside gammas; the term is ``_class_term``
-    at t = 2x with parameters 2y and 2z, so it follows the same b-pole rule.
+    y and z are the inside and outside gammas; the term is the class term
+    of ``_class_terms`` at t = 2x with parameters 2y and 2z, so it follows
+    the same b-pole rule.
     """
     y = _as_params(y)
     z = _as_params(z)
@@ -254,7 +282,7 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     pref = 1.0 / (2.0 * math.pi)
     for w in (*y, *z):
         pref *= c_one_dim(w - 0.5)
-    value, err = _class_term(2.0 * x, y.scaled(2.0), z.scaled(2.0), False, cfg, closed_forms)
+    ((value, err),) = _class_terms(2.0 * x, [(y.scaled(2.0), z.scaled(2.0))], False, cfg, closed_forms)
     return ValueWithError(pref * value, max(abs(pref) * err, cfg.abs_tol), "theta")
 
 

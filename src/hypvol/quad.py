@@ -140,30 +140,56 @@ def _finite_abscissae(a: float, b: float, level: int) -> tuple[np.ndarray, np.nd
     return xs, ws
 
 
+class Refinement:
+    """One integral's running total over the refinement levels, and the stopping rule.
+
+    ``add(part)`` takes the sum of w*f over the next level's new nodes and
+    returns True once no further level is needed: at the first level >=
+    _MIN_LEVEL whose change is within the tolerance, or after max_level.
+    ``result()`` then returns the value with its error estimate, or raises
+    QuadratureError carrying the last estimate.
+    """
+
+    __slots__ = ("cfg", "method", "level", "total", "err", "converged")
+
+    def __init__(self, cfg: QuadConfig, method: str):
+        self.cfg = cfg
+        self.method = method
+        self.level = 0
+        self.total = None
+        self.err = math.inf
+        self.converged = False
+
+    def add(self, part: float) -> bool:
+        cfg = self.cfg
+        prev = self.total
+        h = 2.0 ** (-self.level)
+        self.total = part * h if prev is None else prev * 0.5 + part * h
+        if self.level >= _MIN_LEVEL:
+            self.err = abs(self.total - prev)
+            self.converged = self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total))
+        self.level += 1
+        return self.converged or self.level > cfg.max_level
+
+    def result(self) -> ValueWithError:
+        cfg = self.cfg
+        if self.converged:
+            return ValueWithError(self.total, max(self.err, cfg.abs_tol), self.method)
+        value, err = self.total, self.err
+        if not math.isfinite(value):
+            value, err = 0.0, 1e300
+        if not math.isfinite(err):
+            err = max(abs(value), 1.0)
+        best = ValueWithError(value, max(err, cfg.abs_tol), self.method)
+        raise QuadratureError(f"{self.method}: no convergence within max_level={cfg.max_level}", estimate=best)
+
+
 def _run_levels(eval_level, cfg: QuadConfig, method: str) -> ValueWithError:
     """Shared refinement loop: eval_level(L) returns sum_{new nodes} w*f."""
-    total = None
-    prev = None
-    err = math.inf
-    for level in range(cfg.max_level + 1):
-        h = 2.0 ** (-level)
-        part = eval_level(level)
-        if total is None:
-            total = part * h
-        else:
-            total = total * 0.5 + part * h
-        if level >= _MIN_LEVEL and prev is not None:
-            err = abs(total - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                return ValueWithError(total, max(err, cfg.abs_tol), method)
-        prev = total
-    value = total
-    if not math.isfinite(value):
-        value, err = 0.0, 1e300
-    if not math.isfinite(err):
-        err = max(abs(value), 1.0)
-    best = ValueWithError(value, max(err, cfg.abs_tol), method)
-    raise QuadratureError(f"{method}: no convergence within max_level={cfg.max_level}", estimate=best)
+    run = Refinement(cfg, method)
+    while not run.add(eval_level(run.level)):
+        pass
+    return run.result()
 
 
 def integrate_finite(f, a: float, b: float, cfg: QuadConfig | None = None) -> ValueWithError:

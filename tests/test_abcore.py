@@ -387,6 +387,88 @@ class TestFactorTable:
         assert abcore._factor_bytes == _held_bytes()
 
 
+def _bits(pairs):
+    return [(value.hex(), err.hex()) for value, err in pairs]
+
+
+class TestLevelLoop:
+    """abcore._integrals: many integrals refined together, one level at a time."""
+
+    LOOSE = QuadConfig(rel_tol=1e-8, abs_tol=1e-10, max_level=14)  # b at -0.98 converges, at level 10
+    REQUESTS = (
+        ("a", 3.5, P([0.0, 0.0, 0.7])),  # zero parameters: d = 2 ideal points
+        ("a", 5.2, P([1e-13, 1.3, 2.1])),
+        ("a", 1.05, P([0.0, 0.0, 1.0])),
+        ("a'", 4.4, P([0.0, 0.9, 1.6])),
+        ("a'", 9.0, P([1e-13, 2.5, 3.3, 0.4])),
+        ("b", -0.98, P([1e-13, 0.8])),
+        ("b", -0.98, P([0.3, 1.2])),
+        ("b", 0.6, P([0.0, 0.0, 2.2])),
+        ("b", 7.5, P([1.9, 3.1])),
+    )
+
+    @staticmethod
+    def _stopping_levels(monkeypatch) -> list:
+        levels = []
+
+        class Recorded(quad.Refinement):
+            __slots__ = ()
+
+            def add(self, part):
+                done = super().add(part)
+                if done:
+                    levels.append(self.level - 1)
+                return done
+
+        monkeypatch.setattr(quad, "Refinement", Recorded)
+        return levels
+
+    def test_batch_equals_one_request_calls(self, monkeypatch):
+        levels = self._stopping_levels(monkeypatch)
+        single = []
+        for request in self.REQUESTS:
+            abcore.clear_cache()
+            single += abcore._integrals([request], self.LOOSE)
+        abcore.clear_cache()
+        batch = abcore._integrals(list(self.REQUESTS), self.LOOSE)
+        assert _bits(batch) == _bits(single)
+        assert len(set(levels)) >= 3  # the integrals stop at different levels
+        for (kind, alpha, params), (value, err) in zip(self.REQUESTS, single):
+            fn = {"a": abcore.a_fn, "a'": abcore.a_prime, "b": abcore.b_fn}[kind]
+            abcore.clear_cache()
+            res = fn(alpha, params, self.LOOSE, closed_forms=False)
+            assert _bits([(res.value, res.abs_err_est)]) == _bits([(value, err)])
+
+    def test_first_failure_in_request_order(self):
+        # at the default tolerances both b integrals at -0.98 fail in their upper half
+        failing = [r for r in self.REQUESTS if r[0] == "b" and r[1] == -0.98]
+        errors = []
+        for request in failing:
+            abcore.clear_cache()
+            with pytest.raises(quad.QuadratureError) as info:
+                abcore._integrals([request], CFG)
+            errors.append(info.value)
+        assert errors[0].estimate != errors[1].estimate
+        for order, want in ((self.REQUESTS, errors[0]), (self.REQUESTS[::-1], errors[1])):
+            abcore.clear_cache()
+            with pytest.raises(quad.QuadratureError) as info:
+                abcore._integrals(list(order), CFG)
+            assert str(info.value) == str(want)
+            assert info.value.estimate == want.estimate
+
+    def test_one_kernel_call_per_level(self, monkeypatch, kernel_calls):
+        levels = self._stopping_levels(monkeypatch)
+        spec = BetaSpec(3, (-0.6, -0.1, 0.3, 0.8, 1.4, 2.5, 3.1))
+        abcore.clear_cache()
+        res = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
+        assert math.isfinite(res.value)
+        depth = max(levels) + 1  # levels run, counting level 0
+        assert len(levels) > 2 * 20  # many classes, each with an a' and two b halves
+        # per level one call per b half and one for the a side; level 0 adds the centres
+        assert kernel_calls["_f_real_from_z"] <= 2 * depth + 2
+        assert kernel_calls["cosh_pow_integral_scaled"] <= depth + 1
+
+
 class TestConcurrency:
     def test_parallel_queries_match_serial(self):
         self._parallel_queries_match_serial()
