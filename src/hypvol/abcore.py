@@ -48,6 +48,7 @@ from .specfun import (
     _inc_beta_parts,
     _log_cosh,
     c_one_dim,
+    complete_beta_rel_err,
     cosh_pow_integral_scaled,
     log_gamma,
 )
@@ -467,7 +468,11 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                 res = line[key][-1].result()
             else:
                 lo, hi = (run.result() for *_, run in segment[key])
-                res = ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est, "tanh-sinh")
+                # each upper row is B(p, p) - B_z(p, p) >= B/2, p = (beta + 1)/2, so its
+                # relative error is at most twice that of the complete B(p, p)
+                orders = [0.5 * (b + 1.0) for b in key[2]]
+                rows_err = abs(hi.value) * math.fsum(2.0 * complete_beta_rel_err(p, p) for p in orders)
+                res = ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est + rows_err, "tanh-sinh")
             found[key] = (res.value, res.abs_err_est)
             _cache_put(key, found[key])
     return [found[key] for key in keys]

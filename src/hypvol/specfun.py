@@ -13,6 +13,7 @@ All functions are pure; array arguments are supported where noted.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -98,6 +99,7 @@ def c_d_beta(d: int, beta: float) -> float:
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-16
+_EPS = sys.float_info.epsilon
 _CF_MAX_ITER = 500
 
 
@@ -149,6 +151,18 @@ def _betacf(p, q, x: np.ndarray) -> np.ndarray:
                 rows, p, q, qab, qap, qam, c, d, h, done = (v[go] for v in state)
     out[rows] = h
     return out
+
+
+def complete_beta_rel_err(p: float, q: float) -> float:
+    """Relative error bound of the complete B(p, q) that _inc_beta_parts uses.
+
+    That value is exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q)).
+    The bound covers the error of each log-gamma (LOG_GAMMA_ERR), the
+    rounding of p + q and of the two additions (2 eps relative to each
+    term's magnitude), and the rounding of exp and of one more product.
+    """
+    scale = sum(max(1.0, abs(log_gamma(x))) for x in (p, q, p + q))
+    return (LOG_GAMMA_ERR + 2 * _EPS) * scale + 3 * _EPS
 
 
 def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:

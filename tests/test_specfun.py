@@ -96,6 +96,15 @@ class TestIncBeta:
             want = float(mp.betainc(p, q, 0, z))
             assert specfun.inc_beta(z, p, q) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+    def test_complete_beta_error_bound(self):
+        # the complete B(p, p) behind every upper-half b factor, within its bound
+        ps = np.concatenate([np.geomspace(1e-6, 0.5, 60), np.linspace(0.5, 100.0, 200)])
+        with mp.workdps(40):
+            for p in ps.tolist():
+                got = specfun._inc_beta_parts(np.array([1.0]), np.array([0.0]), p, p)[0][0]
+                want = mp.beta(p, p)
+                assert abs((mp.mpf(got) - want) / want) <= specfun.complete_beta_rel_err(p, p), p
+
     def test_vectorized(self):
         z = np.array([0.1, 0.5, 0.9])
         out = specfun.inc_beta(z, 2.0, 2.0)
