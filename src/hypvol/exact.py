@@ -7,11 +7,10 @@ rationals times a possible stray sqrt(pi), which ``gamma_half`` tracks.
 
 The uniform-disk polygon family (``expect.polygon_beta0``) is a sum of
 moments of u**p * sin(u) * sin(2u)**k over (0, pi).  ``sin_sin2_power``
-writes the trigonometric factor as a short sum of exp(i j u) terms with
-Gaussian-rational coefficients (pairs of ``Fraction``), and
+writes the trigonometric factor as a short sum of exp(i j u) terms, and
 ``exp_moment`` gives each integral of u**p * exp(i j u) over (0, pi) in
-closed form, a polynomial in pi with Gaussian-rational coefficients:
-the only place pi enters.  Both are cached, so a table over n computes
+closed form, a polynomial in pi: the only place pi enters.  Each
+coefficient of either is a rational times a power of i.  Both are cached, so a table over n computes
 each moment once.
 """
 
@@ -177,22 +176,24 @@ def zeta_even_over_pi_power(max_m: int) -> list[Fraction]:
 
 
 # -- exact moments for the uniform-disk polygon integral --
-
-_NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)**r for r mod 4, as (re, im)
+#
+# Every coefficient below is purely real or purely imaginary, so each is a
+# pair (phase, c) standing for c * i**phase, with a quarter-turn phase in
+# 0..3 and a rational c: the product of two is one Fraction product.
 
 
 @functools.lru_cache(maxsize=1024)
-def exp_moment(p: int, j: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
+def exp_moment(p: int, j: int) -> tuple[tuple[int, int, Fraction], ...]:
     """Integral of u**p * exp(i j u) over (0, pi), exact.
 
-    Returns terms (k, re, im), the value being sum (re + i im) * pi**k.
+    Returns terms (k, phase, c), the value being sum c * i**phase * pi**k.
     For j != 0, from the antiderivative
     exp(i j u) * sum_r (-1)**r p!/(p-r)! u**(p-r) / (i j)**(r+1).
     """
     if p < 0:
         raise ValueError("requires p >= 0")
     if j == 0:
-        return ((p + 1, Fraction(1, p + 1), Fraction(0)),)
+        return ((p + 1, 0, Fraction(1, p + 1)),)
     terms = []
     for r in range(p, -1, -1):
         # upper end: exp(i j pi) = (-1)**j; the lower end adds only to
@@ -201,25 +202,23 @@ def exp_moment(p: int, j: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
         if r == p:
             c -= (-1) ** p * math.factorial(p)
         if c:
-            re, im = _NEG_I_POW[(r + 1) % 4]
-            scale = Fraction(c, j ** (r + 1))
-            terms.append((p - r, scale * re, scale * im))
+            terms.append((p - r, -(r + 1) % 4, Fraction(c, j ** (r + 1))))  # 1/i**(r+1) = i**-(r+1)
     return tuple(terms)
 
 
 @functools.lru_cache(maxsize=256)
-def sin_sin2_power(k: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
-    """sin(u) * sin(2u)**k as terms (j, re, im): sum (re + i im) * exp(i j u).
+def sin_sin2_power(k: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """sin(u) * sin(2u)**k as terms (j, phase, c): sum c * i**phase * exp(i j u).
 
     (2i)**-(k+1) * sum_l C(k, l) (-1)**(k-l) (exp(i(4l-2k+1)u) - exp(i(4l-2k-1)u));
     the frequencies 4l - 2k +- 1 are all distinct.
     """
     if k < 0:
         raise ValueError("requires k >= 0")
-    re, im = _NEG_I_POW[(k + 1) % 4]
+    phase = -(k + 1) % 4
     out = []
     for l in range(k + 1):
         c = Fraction((-1) ** (k - l) * math.comb(k, l), 2 ** (k + 1))
-        out.append((4 * l - 2 * k + 1, c * re, c * im))
-        out.append((4 * l - 2 * k - 1, -c * re, -c * im))
+        out.append((4 * l - 2 * k + 1, phase, c))
+        out.append((4 * l - 2 * k - 1, phase, -c))
     return tuple(out)

@@ -536,17 +536,19 @@ def _b_ones_param2_exact(m: int) -> PiPoly:
     of u**(m-k) sin(u) sin(2u)**k, which is a sum of ``exp_moment`` terms
     over the frequencies of ``sin_sin2_power(k)``.
     """
-    re_acc: dict[int, Fraction] = {}
-    im_acc: dict[int, Fraction] = {}
+    parts = ({}, {})  # the real and imaginary coefficient of each power of pi
     for k in range(m + 1):
         weight = Fraction(math.comb(m, k) * (-1) ** k, 2 ** (m + k))
-        for j, c_re, c_im in sin_sin2_power(k):
-            for power, m_re, m_im in exp_moment(m - k, j):
-                re_acc[power] = re_acc.get(power, 0) + weight * (c_re * m_re - c_im * m_im)
-                im_acc[power] = im_acc.get(power, 0) + weight * (c_re * m_im + c_im * m_re)
-    if any(im_acc.values()):
+        for j, phase, c in sin_sin2_power(k):
+            wc = weight * c
+            for power, m_phase, m_c in exp_moment(m - k, j):
+                turn = (phase + m_phase) % 4  # the term is wc * m_c * i**turn
+                acc = parts[turn % 2]
+                term = wc * m_c
+                acc[power] = acc.get(power, 0) + (term if turn < 2 else -term)
+    if any(parts[1].values()):
         raise ArithmeticError("imaginary part did not cancel in exact integration")
-    return PiPoly(re_acc)
+    return PiPoly(parts[0])
 
 
 def poly_log_cos_check(q: int, coeffs) -> tuple[float, float]:
