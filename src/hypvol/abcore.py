@@ -361,8 +361,12 @@ def _b_body(alpha: float, betas, upper: bool, t: np.ndarray, sin_t: np.ndarray) 
     return vals
 
 
-def _union(states) -> tuple:
-    return tuple(dict.fromkeys(b for state in states for b in state[1]))
+def _prefetch_union(states) -> tuple:
+    """The parameters of all states, or () when the first state's own factor call fetches them all."""
+    if len(states) < 2:
+        return ()
+    union = set().union(*[state[1] for state in states])
+    return () if len(union) == len(set(states[0][1])) else tuple(union)
 
 
 # the nodes level 0 adds at the centre of each interval: x = 0 and t = pi/4
@@ -387,8 +391,8 @@ def _line_level(states: list, level: int) -> list:
     L = _log_cosh(x)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if len(states) > 1:
-            union = _union(states)
+        union = _prefetch_union(states)
+        if union:
             _a_factors(union, x, L)
             if level == 0:
                 _a_factors(union, _A_CENTRE, _L_CENTRE)
@@ -415,8 +419,8 @@ def _segment_level(states: list, level: int) -> list:
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for upper in (False, True):
             half = [state for state in states if state[2] is upper]
-            if len(half) > 1:
-                union = _union(half)
+            union = _prefetch_union(half)
+            if union:
                 _b_factors(union, t, upper)
                 if level == 0:
                     _b_factors(union, _B_CENTRE, upper)
