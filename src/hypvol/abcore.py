@@ -384,8 +384,10 @@ def _line_level(states: list, level: int) -> list:
     """Add one real-line level to each a integral (tau, betas, log_weight, run); returns the live ones.
 
     The level's factor rows of every integral come from one _a_factors
-    call, and the level-0 centre's from one more; each integral then
-    takes its rows from the table, as a one-integral call would.
+    call, and the level-0 centre's from one more: a call for all their
+    parameters, or the first integral's own call where that holds them
+    all.  Each integral then takes its rows from the table, as a
+    one-integral call would.
     """
     x, weight = quad._line_nodes(level)
     L = _log_cosh(x)
@@ -410,8 +412,8 @@ def _segment_level(states: list, level: int) -> list:
     """Add one tanh-sinh level to each b half (alpha, betas, upper, run); returns the live ones.
 
     Per half, the level's factor rows of every integral come from one
-    _b_factors call (the lower half's call also holds the upper rows),
-    and the level-0 centre's from one more.
+    _b_factors call, and the level-0 centre's from one more, as in
+    _line_level; the lower half's call also holds the upper rows.
     """
     t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
     sin_t = np.sin(t)
