@@ -476,8 +476,8 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                 lo, hi = (run.result() for *_, run in segment[key])
                 # each upper row is B(p, p) - B_z(p, p) >= B/2, p = (beta + 1)/2, so its
                 # relative error is at most twice that of the complete B(p, p)
-                orders = [0.5 * (b + 1.0) for b in key[2]]
-                rows_err = abs(hi.value) * math.fsum(2.0 * complete_beta_rel_err(p, p) for p in orders)
+                rel = {b: complete_beta_rel_err(0.5 * (b + 1.0), 0.5 * (b + 1.0)) for b in set(key[2])}
+                rows_err = abs(hi.value) * math.fsum(2.0 * rel[b] for b in key[2])
                 res = ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est + rows_err, "tanh-sinh")
             found[key] = (res.value, res.abs_err_est)
             _cache_put(key, found[key])

@@ -153,7 +153,6 @@ def _betacf(p, q, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1024)
 def complete_beta_rel_err(p: float, q: float) -> float:
     """Relative error bound of the complete B(p, q) that _inc_beta_parts uses.
 
