@@ -13,6 +13,14 @@ subsets.  The scalar oracles (``contains``, ``hull_d2``, ``hull_d3``,
 ``hyp_area_polygon_d2``) take the rare samples a kernel cannot decide
 and serve as the references the kernels are checked against.
 
+Where a kernel's temporaries hold more than a few values per sample it
+runs over row chunks of about _BLOCK elements (``_row_chunks``):
+containment in d >= 3 (``mc_absorption``), hull edges and angles in the
+disk (``mc_hyp_area_d2``), ideal hull facets for n > 4
+(``mc_ideal_polytope3_volume``) and the inner barycentric sample of
+``mc_simplex_hyp_volume``.  The other kernels hold O(n) values per
+sample over one block.
+
 Sampling is organized in streams: stream s of a run draws from a
 counter-based Philox generator keyed by (seed, s), so results are
 bit-identical for a fixed (seed, streams, n_samples) triple no matter
@@ -516,20 +524,12 @@ def _hyp_areas_d2(P: np.ndarray) -> np.ndarray:
 
 
 _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-_MIX = None
 
 
-def _mix_rotation() -> np.ndarray:
-    global _MIX
-    if _MIX is None:
-        # fixed rotation by 1 radian about a skew axis; any generic
-        # rotation works, it only needs to move axis-aligned points
-        axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
-        k = np.array(
-            [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
-        )
-        _MIX = np.eye(3) + math.sin(1.0) * k + (1.0 - math.cos(1.0)) * (k @ k)
-    return _MIX
+# fixed rotation by 1 radian about a skew axis (Rodrigues' formula); any
+# generic rotation works, it only needs to move axis-aligned points
+_SKEW = np.cross(np.eye(3), np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0))
+_MIX = np.eye(3) + math.sin(1.0) * _SKEW + (1.0 - math.cos(1.0)) * (_SKEW @ _SKEW)
 
 
 def _tetra_volumes_batch(p: np.ndarray) -> np.ndarray:
@@ -543,7 +543,7 @@ def _tetra_volumes_batch(p: np.ndarray) -> np.ndarray:
     else:
         near_pole = (np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1)
         if near_pole.any():
-            p[near_pole] = p[near_pole] @ _mix_rotation().T
+            p[near_pole] = p[near_pole] @ _MIX.T
     z = (p[..., 0] + 1j * p[..., 1]) / (1.0 - p[..., 2])
     z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -648,6 +648,22 @@ def mc_hyp_area_d2(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
     return acc.estimate()
 
 
+def _klein_density(xh: np.ndarray) -> np.ndarray:
+    """Hyperbolic volume density (1 - |x|^2)^(-(d+1)/2) of the Klein model
+    in dimension d = 2 or 3, at homogeneous points xh = (s x, s) of shape
+    (..., d+1).
+
+    1 / (1 - |x|^2) = s^2 / (s^2 - |s x|^2), so no point is divided out.
+    """
+    d = xh.shape[-1] - 1
+    s2 = xh[..., d] * xh[..., d]
+    q = s2.copy()
+    for k in range(d):
+        q -= xh[..., k] * xh[..., k]
+    t = s2 / q
+    return t * t if d == 3 else t * np.sqrt(t)
+
+
 def hyp_volume_simplex_quadrature(vertices, cfg: SampleConfig) -> McEstimate:
     """Monte-Carlo integral of the hyperbolic density over a fixed simplex.
 
@@ -662,14 +678,14 @@ def hyp_volume_simplex_quadrature(vertices, cfg: SampleConfig) -> McEstimate:
         raise ValueError("requires d+1 vertices in dimension 2 or 3")
     if (np.linalg.norm(v, axis=1) > 1.0 - 1e-9).any():
         raise ValueError("vertices must be strictly inside the unit ball")
-    vol_eucl = abs(np.linalg.det(v[1:] - v[0])) / math.factorial(d)
+    # rows (v_i, 1): unnormalized weights w give (sum w_i v_i, sum w_i), and
+    # the determinant is +-d! times the Euclidean volume
+    vh = np.column_stack([v, np.ones(k)])
+    vol_eucl = abs(np.linalg.det(vh)) / math.factorial(d)
     acc = _Accumulator()
     for rng, block in _iter_blocks(cfg):
         w = rng.standard_exponential((block, d + 1))
-        w /= w.sum(axis=1, keepdims=True)
-        x = w @ v
-        r2 = (x * x).sum(axis=1)
-        acc.add(vol_eucl * (1.0 - r2) ** (-0.5 * (d + 1)))
+        acc.add(vol_eucl * _klein_density(w @ vh))
     return acc.estimate()
 
 
@@ -677,8 +693,12 @@ def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
     """Expected hyperbolic simplex volume for interior beta points.
 
     Outer samples draw the d+1 vertices; each volume is estimated by a
-    fixed-size inner barycentric sample, which keeps the outer mean
-    unbiased.
+    fixed-size inner sample of _INNER = 128 uniform barycentric points,
+    which keeps the outer mean unbiased.  Each block's vertices are drawn
+    first, then the inner points in row chunks of about _BLOCK values
+    (128 samples at d = 3), so the random stream is the one a single
+    draw per block would give while temporaries stay near _BLOCK
+    elements (a few MB) at any n_samples.
     """
     d = spec.d
     if spec.n != d + 1 or d not in (2, 3):
@@ -688,14 +708,13 @@ def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
     acc = _Accumulator()
     fact = math.factorial(d)
     for rng, block in _iter_blocks(cfg):
-        verts = np.empty((block, d + 1, d))
+        verts = np.ones((block, d + 1, d + 1))  # homogeneous rows (v_i, 1)
         for i, bi in enumerate(spec.betas):
-            verts[:, i, :] = _sample_beta_batch(d, bi, rng, block)
-        vol_eucl = np.abs(np.linalg.det(verts[:, 1:, :] - verts[:, :1, :])) / fact
-        w = rng.standard_exponential((block, _INNER, d + 1))
-        w /= w.sum(axis=2, keepdims=True)
-        x = np.einsum("bik,bkd->bid", w, verts)
-        r2 = (x * x).sum(axis=2)
-        integrand = (1.0 - r2) ** (-0.5 * (d + 1))
-        acc.add(vol_eucl * integrand.mean(axis=1))
+            verts[:, i, :d] = _sample_beta_batch(d, bi, rng, block)
+        inner = np.empty(block)
+        for rows in _row_chunks(block, _INNER * (d + 1)):
+            vh = verts[rows]
+            w = rng.standard_exponential((len(vh), _INNER, d + 1))
+            inner[rows] = _klein_density(w @ vh).mean(axis=1)
+        acc.add(np.abs(np.linalg.det(verts)) / fact * inner)
     return acc.estimate()

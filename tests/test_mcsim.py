@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,87 @@ class TestSimplexQuadrature:
         est = mcsim.mc_simplex_hyp_volume(spec, SampleConfig(seed=6, n_samples=30000, streams=2))
         target = expect.expected_hyp_volume(spec, method="generic").value
         assert abs(est.mean - target) <= 3.0 * est.stderr
+
+    def test_inner_outer_estimator_d3(self):
+        spec = BetaSpec(3, (0.5, 1.0, 2.0, 0.0))
+        est = mcsim.mc_simplex_hyp_volume(spec, SampleConfig(seed=41, n_samples=20000, streams=2))
+        target = expect.expected_hyp_volume(spec, method="generic").value
+        assert target == pytest.approx(0.0586316375371, rel=1e-10)
+        assert abs(est.mean - target) <= 4.0 * est.stderr
+
+
+def _full_block_simplex_volume(spec, cfg):
+    """mc_simplex_hyp_volume in its full-block form: one einsum over every
+    inner point of a block, normalized weights and a float power.  The
+    reference for the chunked homogeneous estimator, which must draw the
+    same numbers in the same order."""
+    d = spec.d
+    acc = mcsim._Accumulator()
+    for rng, block in mcsim._iter_blocks(cfg):
+        verts = np.empty((block, d + 1, d))
+        for i, bi in enumerate(spec.betas):
+            verts[:, i, :] = mcsim._sample_beta_batch(d, bi, rng, block)
+        vol_eucl = np.abs(np.linalg.det(verts[:, 1:, :] - verts[:, :1, :])) / math.factorial(d)
+        w = rng.standard_exponential((block, mcsim._INNER, d + 1))
+        w /= w.sum(axis=2, keepdims=True)
+        x = np.einsum("bik,bkd->bid", w, verts)
+        r2 = (x * x).sum(axis=2)
+        acc.add(vol_eucl * ((1.0 - r2) ** (-0.5 * (d + 1))).mean(axis=1))
+    return acc.estimate()
+
+
+def _normalized_weights_quadrature(v, cfg):
+    """hyp_volume_simplex_quadrature with normalized weights and a float power."""
+    d = v.shape[1]
+    vol_eucl = abs(np.linalg.det(v[1:] - v[0])) / math.factorial(d)
+    acc = mcsim._Accumulator()
+    for rng, block in mcsim._iter_blocks(cfg):
+        w = rng.standard_exponential((block, d + 1))
+        w /= w.sum(axis=1, keepdims=True)
+        x = w @ v
+        acc.add(vol_eucl * (1.0 - (x * x).sum(axis=1)) ** (-0.5 * (d + 1)))
+    return acc.estimate()
+
+
+_PARITY_SPECS = [BetaSpec(2, (0.5, 1.0, 0.0)), BetaSpec(3, (0.5, 1.0, 2.0, 0.0))]
+_PARITY_CFGS = [
+    SampleConfig(seed, n, streams) for seed in range(4) for streams in (1, 2) for n in (1000, 2500, 4097)
+]
+
+
+def _assert_parity(got, ref):
+    assert got.n == ref.n
+    assert got.mean == pytest.approx(ref.mean, rel=1e-13, abs=0.0)
+    assert got.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0.0)
+
+
+class TestSimplexEstimatorParity:
+    @pytest.mark.parametrize("spec", _PARITY_SPECS, ids=lambda s: f"d{s.d}")
+    @pytest.mark.parametrize("cfg", _PARITY_CFGS, ids=lambda c: f"{c.seed}-{c.streams}-{c.n_samples}")
+    def test_matches_full_block_form(self, spec, cfg):
+        _assert_parity(mcsim.mc_simplex_hyp_volume(spec, cfg), _full_block_simplex_volume(spec, cfg))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cfg", _PARITY_CFGS, ids=lambda c: f"{c.seed}-{c.streams}-{c.n_samples}")
+    def test_quadrature_matches_normalized_weights(self, d, cfg):
+        v = np.random.default_rng(cfg.seed).uniform(-0.5, 0.5, (d + 1, d))
+        _assert_parity(mcsim.hyp_volume_simplex_quadrature(v, cfg), _normalized_weights_quadrature(v, cfg))
+
+    def test_determinism(self):
+        spec = BetaSpec(3, (0.5, 1.0, 2.0, 0.0))
+        cfg = SampleConfig(seed=9, n_samples=3000, streams=2)
+        assert mcsim.mc_simplex_hyp_volume(spec, cfg) == mcsim.mc_simplex_hyp_volume(spec, cfg)
+
+    def test_traced_memory_bounded(self):
+        # the full-block form peaks above 200 MB here
+        spec = BetaSpec(3, (0.5, 1.0, 2.0, 0.0))
+        tracemalloc.start()
+        try:
+            mcsim.mc_simplex_hyp_volume(spec, SampleConfig(seed=0, n_samples=20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestSimplexBetaIntegralCrossCheck:
