@@ -11,24 +11,25 @@ quadrature with stable log-magnitude/phase evaluation of the integrands.
 One level loop, ``_integrals``, refines any number of such integrals
 together, one refinement level at a time: a query hands it every
 integral of its subset classes, and ``a_fn``, ``a_prime`` and ``b_fn``
-hand it one.  At each level it makes one ``_a_factors`` call for the
-parameters of all live ``a`` integrals and one ``_b_factors`` call per
-half of the segment; each integral then evaluates its own integrand on
-its own rows and keeps its own stopping rule (``quad.Refinement``), so
-its value and error estimate do not depend on what it was batched with.
-The ``a`` integrand is evaluated at x >= 0 only: its real part is even
-and its imaginary part odd, so the integral is twice that of the real
-part over x >= 0.
+hand it one.  At each level it fetches the factor rows of the
+parameters of all live ``a`` integrals with one ``_a_factors`` call,
+and the (lower, upper) row pairs of all live ``b`` halves with one
+``_b_factors`` call, and hands each integral its own rows.  Its
+integrand is a pure function of those rows, and it keeps its own
+stopping rule (``quad.Refinement``), so its value and error estimate do
+not depend on what it was batched with.  The ``a`` integrand is
+evaluated at x >= 0 only: its real part is even and its imaginary part
+odd, so the integral is twice that of the real part over x >= 0.
 
 The factor rows live in one table beside the integral values: a row is
 evaluated once per parameter and node set and reused by every later
-integral on those nodes, in the same query or a later one, until
+level loop on those nodes, in the same query or a later one, until
 ``clear_cache``.  The table holds at most ``_FACTOR_BUDGET`` bytes of
-rows and drops the oldest first; a dropped row is computed again when
-next needed, to the same bits.  A ``b`` node set gets the factors of all
-its missing parameters, for both halves, from one incomplete-beta call,
-and an ``a`` node set gets those of all its missing parameters from one
-cosh-power kernel call.
+rows and drops the oldest first; a dropped row is computed again by the
+next level that needs it, to the same bits.  A ``b`` node set gets the
+factors of all its missing parameters, for both halves, from one
+incomplete-beta call, and an ``a`` node set gets those of all its
+missing parameters from one cosh-power kernel call.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ def _as_params(params) -> ParamMultiset:
 _cache_lock = threading.Lock()
 _cache: dict = {}
 
-# integrand factor rows, keyed ("a", b, nodes) or ("b", b, upper, nodes)
-# with nodes the bytes of the abscissae; each entry is (row, bytes charged:
-# the row's and its key's abscissae).
+# integrand factor rows, keyed ("a", b, nodes) or ("b", b, nodes) with
+# nodes the bytes of the abscissae: an "a" entry holds the (log-magnitude,
+# phase) pair of one parameter, a "b" entry its (lower, upper) pair.  Each
+# entry is (pair, bytes charged: the pair's and its key's abscissae).
 # One query's rows reach about 3 MB (d = 5, near-ideal betas, level 12).
 _FACTOR_BUDGET = 16 << 20
 _factor_rows: OrderedDict = OrderedDict()
@@ -162,12 +164,12 @@ def _held_factors(betas, key) -> tuple[dict, list]:
 
 
 def _hold_factors(rows: dict, row_bytes: int) -> None:
-    """Add rows (key -> row) of row_bytes each; drop the oldest while over the budget.
+    """Add row pairs (key -> pair) of row_bytes each; drop the oldest while over the budget.
 
-    Each row is charged row_bytes plus the length of its key's abscissae
+    Each pair is charged row_bytes plus the length of its key's abscissae
     bytes (key[-1]), an upper bound, since the keys of one call share
-    that bytes object.  Callers keep the rows they pass and never read
-    them back, so a row evicted at once (or by another thread) is not
+    that bytes object.  Callers keep the pairs they pass and never read
+    them back, so a pair evicted at once (or by another thread) is not
     missed.
     """
     global _factor_bytes
@@ -320,53 +322,51 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
     return [rows[b] for b in betas]
 
 
-def _b_factors(betas, t: np.ndarray, upper: bool) -> list[np.ndarray]:
-    """One half's segment factors at nodes t, one row per entry of betas.
+def _b_factors(betas, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(lower, upper) rows of the segment factors at nodes t, one pair per entry of betas.
 
     The lower half takes each factor at z = sin^2(t/2), the upper half at
-    1 - z = cos^2(t/2).  The parameters with no row held at these nodes
-    get both halves' rows from one call.
+    1 - z = cos^2(t/2).  The parameters with no pair held at these nodes
+    get theirs from one call.
     """
     nodes = t.tobytes()
-    rows, missing = _held_factors(betas, lambda b: ("b", b, upper, nodes))
+    rows, missing = _held_factors(betas, lambda b: ("b", b, nodes))
     if missing:
         half_t = 0.5 * t
         lows, highs = _f_real_from_z(np.array(missing)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
         lows.flags.writeable = highs.flags.writeable = False  # rows outlive this query
-        new = {}
-        for b, low, high in zip(missing, lows, highs):
-            rows[b] = high if upper else low
-            new["b", b, False, nodes] = low
-            new["b", b, True, nodes] = high
-        _hold_factors(new, lows[0].nbytes)
+        new = dict(zip(missing, zip(lows, highs)))
+        rows.update(new)
+        _hold_factors({("b", b, nodes): pair for b, pair in new.items()}, lows[0].nbytes + highs[0].nbytes)
     return [rows[b] for b in betas]
 
 
-def _a_body(tau: float, betas, log_weight: bool, x: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Real part of the a integrand (times -L for a_prime) at nodes x >= 0; it is even."""
+def _a_body(tau: float, rows, log_weight: bool, L: np.ndarray) -> np.ndarray:
+    """Real part of the a integrand (times -L for a_prime) from its factor rows; it is even.
+
+    rows holds the (log-magnitude, phase) pair of each parameter at nodes
+    x >= 0 with log cosh(x) = L.
+    """
     logmag = -tau * L
     phase = np.zeros_like(L)
-    for log_abs, arg in _a_factors(betas, x, L):
+    for log_abs, arg in rows:
         logmag = logmag + log_abs
         phase = phase + arg
     vals = np.exp(logmag) * np.cos(phase)
     return vals * (-L) if log_weight else vals
 
 
-def _b_body(alpha: float, betas, upper: bool, t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """One half of the b integrand at nodes t in (0, pi/2), t the distance to the endpoint."""
+def _b_body(alpha: float, rows, sin_t: np.ndarray) -> np.ndarray:
+    """One half of the b integrand from its factor rows at nodes t in (0, pi/2), t the distance to the endpoint."""
     vals = sin_t**alpha
-    for row in _b_factors(betas, t, upper):
+    for row in rows:
         vals = vals * row
     return vals
 
 
-def _prefetch_union(states) -> tuple:
-    """The parameters of all states, or () when the first state's own factor call fetches them all."""
-    if len(states) < 2:
-        return ()
-    union = set().union(*[state[1] for state in states])
-    return () if len(union) == len(set(states[0][1])) else tuple(union)
+def _level_params(states) -> tuple:
+    """The distinct parameters of all states, in first-seen order."""
+    return tuple(dict.fromkeys(b for state in states for b in state[1]))
 
 
 # the nodes level 0 adds at the centre of each interval: x = 0 and t = pi/4
@@ -384,25 +384,22 @@ def _line_level(states: list, level: int) -> list:
     """Add one real-line level to each a integral (tau, betas, log_weight, run); returns the live ones.
 
     The level's factor rows of every integral come from one _a_factors
-    call, and the level-0 centre's from one more: a call for all their
-    parameters, or the first integral's own call where that holds them
-    all.  Each integral then takes its rows from the table, as a
-    one-integral call would.
+    call for all their parameters, and the level-0 centre's from one
+    more; each integral's integrand is then a function of its own rows.
     """
     x, weight = quad._line_nodes(level)
     L = _log_cosh(x)
+    params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        union = _prefetch_union(states)
-        if union:
-            _a_factors(union, x, L)
-            if level == 0:
-                _a_factors(union, _A_CENTRE, _L_CENTRE)
+        rows = dict(zip(params, _a_factors(params, x, L)))
+        if level == 0:
+            centre = dict(zip(params, _a_factors(params, _A_CENTRE, _L_CENTRE)))
         for state in states:
             tau, betas, log_weight, run = state
-            vals = 2.0 * (_a_body(tau, betas, log_weight, x, L) * weight)
+            vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, L) * weight)
             if level == 0:
-                vals = np.append(vals, _a_body(tau, betas, log_weight, _A_CENTRE, _L_CENTRE))
+                vals = np.append(vals, _a_body(tau, [centre[b] for b in betas], log_weight, _L_CENTRE))
             if not run.add(math.fsum(vals.tolist())):
                 live.append(state)
     return live
@@ -411,28 +408,26 @@ def _line_level(states: list, level: int) -> list:
 def _segment_level(states: list, level: int) -> list:
     """Add one tanh-sinh level to each b half (alpha, betas, upper, run); returns the live ones.
 
-    Per half, the level's factor rows of every integral come from one
-    _b_factors call, and the level-0 centre's from one more, as in
-    _line_level; the lower half's call also holds the upper rows.
+    The level's (lower, upper) factor rows of every half come from one
+    _b_factors call for all their parameters, and the level-0 centre's
+    from one more, as in _line_level.
     """
     t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
     sin_t = np.sin(t)
+    params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for upper in (False, True):
-            half = [state for state in states if state[2] is upper]
-            union = _prefetch_union(half)
-            if union:
-                _b_factors(union, t, upper)
-                if level == 0:
-                    _b_factors(union, _B_CENTRE, upper)
-            for state in half:
-                alpha, betas, _, run = state
-                vals = _b_body(alpha, betas, upper, t, sin_t) * weight
-                if level == 0:
-                    vals = np.append(vals, _b_body(alpha, betas, upper, _B_CENTRE, _B_SIN_CENTRE) * _HALF_PI)
-                if not run.add(0.5 * _HALF_PI * math.fsum(vals.tolist())):
-                    live.append(state)
+        rows = dict(zip(params, _b_factors(params, t)))
+        if level == 0:
+            centre = dict(zip(params, _b_factors(params, _B_CENTRE)))
+        for state in states:
+            alpha, betas, upper, run = state
+            vals = _b_body(alpha, [rows[b][upper] for b in betas], sin_t) * weight
+            if level == 0:
+                centre_rows = [centre[b][upper] for b in betas]
+                vals = np.append(vals, _b_body(alpha, centre_rows, _B_SIN_CENTRE) * _HALF_PI)
+            if not run.add(0.5 * _HALF_PI * math.fsum(vals.tolist())):
+                live.append(state)
     return live
 
 
