@@ -369,23 +369,15 @@ def _level_params(states) -> tuple:
     return tuple(dict.fromkeys(b for state in states for b in state[1]))
 
 
-# the nodes level 0 adds at the centre of each interval: x = 0 and t = pi/4
 _HALF_PI = 0.5 * math.pi
-_A_CENTRE = np.zeros(1)
-_L_CENTRE = _log_cosh(_A_CENTRE)
-_B_CENTRE = np.array([0.5 * _HALF_PI])
-_B_SIN_CENTRE = np.sin(_B_CENTRE)
-for _row in (_A_CENTRE, _L_CENTRE, _B_CENTRE, _B_SIN_CENTRE):
-    _row.flags.writeable = False
-del _row
 
 
 def _line_level(states: list, level: int) -> list:
     """Add one real-line level to each a integral (tau, betas, log_weight, run); returns the live ones.
 
     The level's factor rows of every integral come from one _a_factors
-    call for all their parameters, and the level-0 centre's from one
-    more; each integral's integrand is then a function of its own rows.
+    call for all their parameters; each integral's integrand is then a
+    function of its own rows.
     """
     x, weight = quad._line_nodes(level)
     L = _log_cosh(x)
@@ -393,13 +385,9 @@ def _line_level(states: list, level: int) -> list:
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rows = dict(zip(params, _a_factors(params, x, L)))
-        if level == 0:
-            centre = dict(zip(params, _a_factors(params, _A_CENTRE, _L_CENTRE)))
         for state in states:
             tau, betas, log_weight, run = state
             vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, L) * weight)
-            if level == 0:
-                vals = np.append(vals, _a_body(tau, [centre[b] for b in betas], log_weight, _L_CENTRE))
             if not run.add(math.fsum(vals.tolist())):
                 live.append(state)
     return live
@@ -409,8 +397,7 @@ def _segment_level(states: list, level: int) -> list:
     """Add one tanh-sinh level to each b half (alpha, betas, upper, run); returns the live ones.
 
     The level's (lower, upper) factor rows of every half come from one
-    _b_factors call for all their parameters, and the level-0 centre's
-    from one more, as in _line_level.
+    _b_factors call for all their parameters, as in _line_level.
     """
     t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
     sin_t = np.sin(t)
@@ -418,14 +405,9 @@ def _segment_level(states: list, level: int) -> list:
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rows = dict(zip(params, _b_factors(params, t)))
-        if level == 0:
-            centre = dict(zip(params, _b_factors(params, _B_CENTRE)))
         for state in states:
             alpha, betas, upper, run = state
             vals = _b_body(alpha, [rows[b][upper] for b in betas], sin_t) * weight
-            if level == 0:
-                centre_rows = [centre[b][upper] for b in betas]
-                vals = np.append(vals, _b_body(alpha, centre_rows, _B_SIN_CENTRE) * _HALF_PI)
             if not run.add(0.5 * _HALF_PI * math.fsum(vals.tolist())):
                 live.append(state)
     return live

@@ -11,9 +11,10 @@ Two double-exponential schemes:
   integrands with exponential decay; only x >= 0 is evaluated.
 
 Integrands are real: they are called on numpy arrays of abscissae (one
-call per refinement level) and must return a real array of the same
-shape.  Node tables are built once per level and cached; construction
-is guarded by a lock, lookups afterwards are read-only.  The abscissae
+call per refinement level; level 0 holds the centre node with the
+others) and must return a real array of the same shape.  Node tables
+are built once per level and cached; construction is guarded by a
+lock, lookups afterwards are read-only.  The abscissae
 of a finite interval are cached per (a, b, level) too, as read-only
 arrays: an integrand must not write to its input.
 """
@@ -81,8 +82,9 @@ def _finite_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (delta, weight): delta is the distance of the node from the
     endpoint of the standard interval [-1, 1], computed without
     cancellation; weight is the full transformed weight at that node.
-    Level 0 holds t = h, 2h, ...; level L > 0 holds the odd multiples
-    of h = 2**-L.
+    Level 0 holds t = 0, h, 2h, ...: t = 0 is the centre, delta = 1 with
+    weight pi/2, the only node that does not stand for a pair.  Level
+    L > 0 holds the odd multiples of h = 2**-L.
     """
     with _lock:
         cached = _finite_levels.get(level)
@@ -90,7 +92,7 @@ def _finite_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
             return cached
         h = 2.0 ** (-level)
         if level == 0:
-            t = np.arange(1, int(_TMAX_FINITE / h) + 1) * h
+            t = np.arange(0, int(_TMAX_FINITE / h) + 1) * h
         else:
             t = np.arange(1, int(_TMAX_FINITE / h) + 1, 2) * h
         v = 0.5 * math.pi * np.sinh(t)
@@ -106,19 +108,26 @@ def _finite_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _line_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-t nodes (x, weight) for the sinh(sinh t) map."""
+    """Nodes (x, weight) at t >= 0 for the sinh(sinh t) map.
+
+    Level 0 holds t = 0, h, 2h, ... with h = 1, level L > 0 the odd
+    multiples of h = 2**-L.  Each node x > 0 stands for itself and -x;
+    the centre x = 0 of level 0 stands for itself only, so its weight
+    is halved to 1/2.
+    """
     with _lock:
         cached = _line_levels.get(level)
         if cached is not None:
             return cached
         h = 2.0 ** (-level)
         if level == 0:
-            t = np.arange(1, int(_TMAX_LINE / h) + 1) * h
+            t = np.arange(0, int(_TMAX_LINE / h) + 1) * h
         else:
             t = np.arange(1, int(_TMAX_LINE / h) + 1, 2) * h
         s = np.sinh(t)
         x = np.sinh(s)
         weight = np.cosh(t) * np.cosh(s)
+        weight[x == 0.0] = 0.5
         keep = np.isfinite(x) & np.isfinite(weight)
         result = (x[keep], weight[keep])
         _line_levels[level] = result
@@ -127,15 +136,21 @@ def _line_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)  # bounded: callers such as specfun.f_imag pass arbitrary intervals
 def _finite_abscissae(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only abscissae on (a, b) and their weights for one tanh-sinh level."""
+    """Read-only abscissae on (a, b) and their weights for one tanh-sinh level.
+
+    Level 0's centre (delta = 1) is placed once, at 0.5 * (a + b); every
+    other node stands for a pair, one near each endpoint.
+    """
     delta, weight = _finite_nodes(level)
+    centre = delta == 1.0
+    delta, pair_weight = delta[~centre], weight[~centre]
     rad = 0.5 * (b - a)
     xm = a + rad * delta
     xp = b - rad * delta
     keep_m = xm > a  # independent masks: one side may collide with its
     keep_p = xp < b  # endpoint while the other still carries mass
-    xs = np.concatenate([xm[keep_m], xp[keep_p]])
-    ws = np.concatenate([weight[keep_m], weight[keep_p]])
+    xs = np.concatenate([np.full(centre.sum(), 0.5 * (a + b)), xm[keep_m], xp[keep_p]])
+    ws = np.concatenate([weight[centre], pair_weight[keep_m], pair_weight[keep_p]])
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
@@ -203,14 +218,11 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig | None = None) -> Va
     if not a < b:
         raise ValueError("require a < b")
     rad = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
 
     def eval_level(level):
         xs, ws = _finite_abscissae(a, b, level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             vals = np.asarray(f(xs)) * ws
-            if level == 0:
-                vals = np.append(vals, np.asarray(f(np.array([mid]))) * (0.5 * math.pi))
         return rad * math.fsum(vals.tolist())
 
     return _run_levels(eval_level, cfg, "tanh-sinh")
@@ -219,9 +231,10 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig | None = None) -> Va
 def integrate_real_line(f, cfg: QuadConfig | None = None) -> ValueWithError:
     """Integral over the whole real line of an even f, via x = sinh(sinh t).
 
-    f is called only at x >= 0: each node x > 0 stands for itself and -x,
-    so its term is 2*(f(x)*w), which rounds the same exact sum as the two
-    terms f(x)*w and f(-x)*w.  Requires exponential decay of f
+    f is called only at x >= 0, once per level: each node x > 0 stands
+    for itself and -x, so its term is 2*(f(x)*w), which rounds the same
+    exact sum as the two terms f(x)*w and f(-x)*w; the centre x = 0 has
+    w = 1/2, so its term is f(0) exactly.  Requires exponential decay of f
     (polynomial factors are fine).  The abscissae reach about 1.4e153
     (so that x*x stays finite), and f must underflow to zero there
     rather than overflow.
@@ -232,8 +245,6 @@ def integrate_real_line(f, cfg: QuadConfig | None = None) -> ValueWithError:
         x, weight = _line_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             vals = 2.0 * (np.asarray(f(x)) * weight)
-            if level == 0:
-                vals = np.append(vals, np.asarray(f(np.array([0.0]))))
         return math.fsum(vals.tolist())
 
     return _run_levels(eval_level, cfg, "de-real-line")

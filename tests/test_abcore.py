@@ -276,9 +276,12 @@ class TestAFactor:
             rows = abcore._a_factors(betas, x, L)
             rows_neg = abcore._a_factors(betas, -x, L)
             assert len(rows) == len(rows_neg) == len(betas)
+            centre = x == 0.0  # level 0's centre is its own mirror: the factor is real there
+            assert centre.sum() == (level == 0)
             for (log_mag, phase), (log_mag_neg, phase_neg) in zip(rows, rows_neg):
                 assert log_mag_neg.tobytes() == log_mag.tobytes()
-                assert phase_neg.tobytes() == (-phase).tobytes()
+                assert phase_neg[~centre].tobytes() == (-phase[~centre]).tobytes()
+                assert phase[centre].tobytes() == np.zeros(centre.sum()).tobytes()  # +0.0
 
 
 @pytest.fixture
@@ -467,9 +470,9 @@ class TestLevelLoop:
         assert math.isfinite(res.value)
         depth = max(levels) + 1  # levels run, counting level 0
         assert len(levels) > 2 * 20  # many classes, each with an a' and two b halves
-        # per level one call per b half and one for the a side; level 0 adds the centres
-        assert kernel_calls["_f_real_from_z"] <= 2 * depth + 2
-        assert kernel_calls["cosh_pow_integral_scaled"] <= depth + 1
+        # per level one call for the b halves and one for the a side
+        assert kernel_calls["_f_real_from_z"] <= depth
+        assert kernel_calls["cosh_pow_integral_scaled"] <= depth
 
 
 class TestConcurrency:

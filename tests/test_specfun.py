@@ -165,7 +165,8 @@ class TestIncBetaBlocks:
 
     def test_block_rows_match_one_row_calls_on_quadrature_nodes(self):
         sets = _segment_node_sets()
-        assert len(sets) == 14  # levels 0-12 and the level-0 centre
+        assert len(sets) == 13  # levels 0-12, level 0 holding the centre pi/4
+        assert 0.25 * math.pi in sets[0].tolist()
         # just past pi/2, sin^2(t/2) rounds to 1/2 or above
         sets.append(0.5 * math.pi + np.arange(1, 6) * 2.0**-52)
         col = np.array(self.BETAS)[:, None]
@@ -392,11 +393,15 @@ _HUGE_X = (1e5, 1e10, 1e40, 1e100, 1e153, 1e300)
 
 class TestCoshPowAccuracy:
     def test_against_closed_forms(self):
-        # integer beta: every real-line node of levels 0-7 and far beyond
+        # integer beta: every real-line node of levels 0-7 and far beyond; at
+        # level 0's centre x = 0 the value is 0 and the relative error undefined
         x = np.concatenate([quad._line_nodes(level)[0] for level in range(8)] + [_HUGE_X])
+        centre = x == 0.0
+        assert centre.sum() == 1
         for n in range(14):
             got = specfun.cosh_pow_integral_scaled(float(n), x)
-            assert _max_rel_error(got, [_mp_scaled_integer(n, v) for v in x]) <= 5e-15, n
+            assert got[centre].tobytes() == np.zeros(1).tobytes(), n
+            assert _max_rel_error(got[~centre], [_mp_scaled_integer(n, v) for v in x[~centre]]) <= 5e-15, n
 
     def test_against_mpmath(self):
         # both sides of the switch to the tail series at 1, and a level-3 node just past it
