@@ -152,7 +152,7 @@ def _cfg_key(cfg: QuadConfig):
 
 
 def _held_factors(betas, key) -> tuple[dict, list]:
-    """The rows held for the distinct betas under key(b), and the betas with none."""
+    """The row pairs held for the distinct betas under key(b), and the betas with none."""
     unique = dict.fromkeys(betas)
     rows = {}
     with _cache_lock:

@@ -116,8 +116,9 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _stream_sizes(cfg: SampleConfig) -> list[int]:
+    """Samples per stream, for the streams that draw any: s < min(streams, n_samples)."""
     base, extra = divmod(cfg.n_samples, cfg.streams)
-    return [base + (1 if s < extra else 0) for s in range(cfg.streams)]
+    return [base + (1 if s < extra else 0) for s in range(min(cfg.streams, cfg.n_samples))]
 
 
 def _iter_blocks(cfg: SampleConfig):

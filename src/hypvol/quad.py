@@ -14,9 +14,9 @@ Integrands are real: they are called on numpy arrays of abscissae (one
 call per refinement level; level 0 holds the centre node with the
 others) and must return a real array of the same shape.  Node tables
 are built once per level and cached; construction is guarded by a
-lock, lookups afterwards are read-only.  The abscissae
-of a finite interval are cached per (a, b, level) too, as read-only
-arrays: an integrand must not write to its input.
+lock, lookups afterwards are read-only.  The abscissae of a finite
+interval are cached per (a, b, level) too, as read-only arrays: an
+integrand must not write to its input.
 """
 
 from __future__ import annotations

@@ -219,6 +219,13 @@ class TestMcIdealPolytope:
         target = expect.ideal_polytope3(12).evaluate()
         assert abs(est12.mean - target) <= 3.0 * est12.stderr
 
+    def test_more_streams_than_samples(self):
+        # only the first n_samples streams draw a sample; the empty ones cost nothing
+        one_each = mcsim.mc_ideal_polytope3_volume(4, SampleConfig(seed=2, n_samples=3, streams=3))
+        est = mcsim.mc_ideal_polytope3_volume(4, SampleConfig(seed=2, n_samples=3, streams=10**12))
+        assert est == one_each
+        assert est.n == 3 and est.mean > 0.0
+
     def test_determinism(self):
         for n, count in ((5, 5000), (12, 600)):
             cfg = SampleConfig(seed=3, n_samples=count, streams=3)
