@@ -12,24 +12,27 @@ One level loop, ``_integrals``, refines any number of such integrals
 together, one refinement level at a time: a query hands it every
 integral of its subset classes, and ``a_fn``, ``a_prime`` and ``b_fn``
 hand it one.  At each level it fetches the factor rows of the
-parameters of all live ``a`` integrals with one ``_a_factors`` call,
-and the (lower, upper) row pairs of all live ``b`` halves with one
-``_b_factors`` call, and hands each integral its own rows.  Its
-integrand is a pure function of those rows, and it keeps its own
-stopping rule (``quad.Refinement``), so its value and error estimate do
-not depend on what it was batched with.  The ``a`` integrand is
-evaluated at x >= 0 only: its real part is even and its imaginary part
-odd, so the integral is twice that of the real part over x >= 0.
+parameters of all live ``a`` integrals, and the (lower, upper) row
+pairs of all live ``b`` halves, with one ``_level_rows`` call per kind,
+and hands each integral its own rows.  Its integrand is a pure function
+of those rows, and it keeps its own stopping rule (``quad.Refinement``),
+so its value and error estimate do not depend on what it was batched
+with.  The ``a`` integrand is evaluated at x >= 0 only: its real part
+is even and its imaginary part odd, so the integral is twice that of
+the real part over x >= 0.
 
-The factor rows live in one table beside the integral values: a row is
-evaluated once per parameter and node set and reused by every later
-level loop on those nodes, in the same query or a later one, until
-``clear_cache``.  The table holds at most ``_FACTOR_BUDGET`` bytes of
-rows and drops the oldest first; a dropped row is computed again by the
-next level that needs it, to the same bits.  A ``b`` node set gets the
-factors of all its missing parameters, for both halves, from one
-incomplete-beta call, and an ``a`` node set gets those of all its
-missing parameters from one cosh-power kernel call.
+One table holds the integral values and the factor rows until
+``clear_cache``: a value under (kind, alpha, params, cfg), charged a
+fixed ``_VALUE_BYTES``, and a row pair under ("a" | "b", beta, level),
+charged its arrays' bytes.  ``quad``'s node tables are read-only, so a
+level's nodes are fixed and a row pair is evaluated once per parameter
+and level, then reused by every later level loop, in the same query or
+a later one.  The table holds at most ``_BUDGET`` bytes and drops the
+oldest entries first; a dropped value or row is computed again by the
+next call that needs it, to the same bits.  The rows of all parameters
+a level lacks come from one kernel call per kind: the cosh-power
+kernel for ``a`` (``_a_factors``), the incomplete beta for both ``b``
+halves (``_b_factors``).
 """
 
 from __future__ import annotations
@@ -113,75 +116,52 @@ def _as_params(params) -> ParamMultiset:
     return params if isinstance(params, ParamMultiset) else ParamMultiset(params)
 
 
-# -- caches --------------------------------------------------------------
+# -- the table -----------------------------------------------------------
 
-_cache_lock = threading.Lock()
-_cache: dict = {}
-
-# integrand factor rows, keyed ("a", b, nodes) or ("b", b, nodes) with
-# nodes the bytes of the abscissae: an "a" entry holds the (log-magnitude,
-# phase) pair of one parameter, a "b" entry its (lower, upper) pair.  Each
-# entry is (pair, bytes charged: the pair's and its key's abscissae).
-# One query's rows reach about 3 MB (d = 5, near-ideal betas, level 12).
-_FACTOR_BUDGET = 16 << 20
-_factor_rows: OrderedDict = OrderedDict()
-_factor_bytes = 0
+# Integral values and factor row pairs, oldest first (module docstring);
+# each entry is (payload, bytes charged).  One query's rows reach about
+# 3 MB (d = 5, near-ideal betas, level 12).
+_BUDGET = 16 << 20
+_VALUE_BYTES = 512  # a value entry takes about 470 B (tracemalloc, 3,724 entries)
+_table_lock = threading.Lock()
+_table: OrderedDict = OrderedDict()
+_table_bytes = 0
 
 
 def clear_cache() -> None:
     """Drop the cached integral values and integrand factor rows."""
-    global _factor_bytes
-    with _cache_lock:
-        _cache.clear()
-        _factor_rows.clear()
-        _factor_bytes = 0
+    global _table_bytes
+    with _table_lock:
+        _table.clear()
+        _table_bytes = 0
 
 
 def _cache_get(key):
-    with _cache_lock:
-        return _cache.get(key)
+    """The (value, abs_err_est) held for an integral key, or None."""
+    with _table_lock:
+        hit = _table.get(key)
+    return None if hit is None else hit[0]
 
 
-def _cache_put(key, value):
-    with _cache_lock:
-        _cache[key] = value
+def _hold(entries: dict) -> None:
+    """Add entries (key -> (payload, bytes charged)) not yet held; drop the oldest while over _BUDGET.
+
+    Callers keep the payloads they pass, so an entry dropped at once (or
+    by another thread) is not missed.
+    """
+    global _table_bytes
+    with _table_lock:
+        for key, entry in entries.items():
+            if key not in _table:  # another thread may have added the same entry
+                _table[key] = entry
+                _table_bytes += entry[1]
+        while _table_bytes > _BUDGET:
+            _, (_, nbytes) = _table.popitem(last=False)
+            _table_bytes -= nbytes
 
 
 def _cfg_key(cfg: QuadConfig):
     return (cfg.rel_tol, cfg.abs_tol, cfg.max_level)
-
-
-def _held_factors(betas, key) -> tuple[dict, list]:
-    """The row pairs held for the distinct betas under key(b), and the betas with none."""
-    unique = dict.fromkeys(betas)
-    rows = {}
-    with _cache_lock:
-        for b in unique:
-            hit = _factor_rows.get(key(b))
-            if hit is not None:
-                rows[b] = hit[0]
-    return rows, [b for b in unique if b not in rows]
-
-
-def _hold_factors(rows: dict, row_bytes: int) -> None:
-    """Add row pairs (key -> pair) of row_bytes each; drop the oldest while over the budget.
-
-    Each pair is charged row_bytes plus the length of its key's abscissae
-    bytes (key[-1]), an upper bound, since the keys of one call share
-    that bytes object.  Callers keep the pairs they pass and never read
-    them back, so a pair evicted at once (or by another thread) is not
-    missed.
-    """
-    global _factor_bytes
-    with _cache_lock:
-        for key, row in rows.items():
-            if key not in _factor_rows:  # another thread may have added the same row
-                charged = row_bytes + len(key[-1])
-                _factor_rows[key] = (row, charged)
-                _factor_bytes += charged
-        while _factor_bytes > _FACTOR_BUDGET:
-            _, (_, nbytes) = _factor_rows.popitem(last=False)
-            _factor_bytes -= nbytes
 
 
 # -- closed forms ---------------------------------------------------------
@@ -301,44 +281,51 @@ def _all_ones(params: ParamMultiset) -> bool:
 def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(log-magnitude, phase) rows of the imaginary-axis factors at nodes x, scaled by cosh(x)**-b.
 
-    One pair per entry of betas; L is log cosh(x).  The parameters with no
-    row held at these nodes get theirs from one kernel call.
+    One read-only pair per entry of betas, from one kernel call; L is
+    log cosh(x).
     """
-    nodes = x.tobytes()
-    rows, missing = _held_factors(betas, lambda b: ("a", b, nodes))
-    if missing:
-        col = np.array(missing)[:, None]
-        g_scaled = cosh_pow_integral_scaled(col, x)
-        h_scaled = np.array([[0.5 / c_one_dim(0.5 * (b - 1.0))] for b in missing]) * np.exp(-col * L)
-        # both parts underflow to 0 at the outermost nodes for tiny b: the
-        # factor is 0 there and its log -inf, which the caller's exp undoes
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(np.hypot(h_scaled, g_scaled))
-        phase = np.arctan2(g_scaled, h_scaled)
-        log_mag.flags.writeable = phase.flags.writeable = False  # rows outlive this query
-        new = dict(zip(missing, zip(log_mag, phase)))
-        rows.update(new)
-        _hold_factors({("a", b, nodes): row for b, row in new.items()}, log_mag[0].nbytes + phase[0].nbytes)
-    return [rows[b] for b in betas]
+    col = np.array(betas)[:, None]
+    g_scaled = cosh_pow_integral_scaled(col, x)
+    h_scaled = np.array([[0.5 / c_one_dim(0.5 * (b - 1.0))] for b in betas]) * np.exp(-col * L)
+    # both parts underflow to 0 at the outermost nodes for tiny b: the
+    # factor is 0 there and its log -inf, which the caller's exp undoes
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.hypot(h_scaled, g_scaled))
+    phase = np.arctan2(g_scaled, h_scaled)
+    log_mag.flags.writeable = phase.flags.writeable = False  # the table holds rows past this query
+    return list(zip(log_mag, phase))
 
 
 def _b_factors(betas, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(lower, upper) rows of the segment factors at nodes t, one pair per entry of betas.
+    """(lower, upper) rows of the segment factors at nodes t, one read-only pair per entry of betas.
 
     The lower half takes each factor at z = sin^2(t/2), the upper half at
-    1 - z = cos^2(t/2).  The parameters with no pair held at these nodes
-    get theirs from one call.
+    1 - z = cos^2(t/2); all pairs come from one incomplete-beta call.
     """
-    nodes = t.tobytes()
-    rows, missing = _held_factors(betas, lambda b: ("b", b, nodes))
+    half_t = 0.5 * t
+    lows, highs = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
+    lows.flags.writeable = highs.flags.writeable = False  # the table holds rows past this query
+    return list(zip(lows, highs))
+
+
+def _level_rows(kind: str, params: tuple, level: int, compute) -> dict:
+    """The row pair of each distinct parameter of kind ("a" or "b") at one level, by parameter.
+
+    Pairs held in the table are reused; compute(missing) gives those of
+    all the others from one kernel call, and they are held for later.
+    """
+    rows = {}
+    with _table_lock:
+        for b in params:
+            hit = _table.get((kind, b, level))
+            if hit is not None:
+                rows[b] = hit[0]
+    missing = [b for b in params if b not in rows]
     if missing:
-        half_t = 0.5 * t
-        lows, highs = _f_real_from_z(np.array(missing)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
-        lows.flags.writeable = highs.flags.writeable = False  # rows outlive this query
-        new = dict(zip(missing, zip(lows, highs)))
+        new = dict(zip(missing, compute(missing)))
         rows.update(new)
-        _hold_factors({("b", b, nodes): pair for b, pair in new.items()}, lows[0].nbytes + highs[0].nbytes)
-    return [rows[b] for b in betas]
+        _hold({(kind, b, level): (pair, pair[0].nbytes + pair[1].nbytes) for b, pair in new.items()})
+    return rows
 
 
 def _a_body(tau: float, rows, log_weight: bool, L: np.ndarray) -> np.ndarray:
@@ -375,7 +362,7 @@ _HALF_PI = 0.5 * math.pi
 def _line_level(states: list, level: int) -> list:
     """Add one real-line level to each a integral (tau, betas, log_weight, run); returns the live ones.
 
-    The level's factor rows of every integral come from one _a_factors
+    The level's factor rows of every integral come from one _level_rows
     call for all their parameters; each integral's integrand is then a
     function of its own rows.
     """
@@ -384,7 +371,7 @@ def _line_level(states: list, level: int) -> list:
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = dict(zip(params, _a_factors(params, x, L)))
+        rows = _level_rows("a", params, level, lambda missing: _a_factors(missing, x, L))
         for state in states:
             tau, betas, log_weight, run = state
             vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, L) * weight)
@@ -397,14 +384,14 @@ def _segment_level(states: list, level: int) -> list:
     """Add one tanh-sinh level to each b half (alpha, betas, upper, run); returns the live ones.
 
     The level's (lower, upper) factor rows of every half come from one
-    _b_factors call for all their parameters, as in _line_level.
+    _level_rows call for all their parameters, as in _line_level.
     """
     t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
     sin_t = np.sin(t)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = dict(zip(params, _b_factors(params, t)))
+        rows = _level_rows("b", params, level, lambda missing: _b_factors(missing, t))
         for state in states:
             alpha, betas, upper, run = state
             vals = _b_body(alpha, [rows[b][upper] for b in betas], sin_t) * weight
@@ -417,7 +404,7 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
 
     kind is "a", "a'" (a_prime's log-weighted integral) or "b".  Values
-    found in the cache are reused; the others are refined together, one
+    found in the table are reused; the others are refined together, one
     level at a time (``_line_level``, ``_segment_level``), each b as its
     two halves.  Every integral keeps its own stopping rule
     (``quad.Refinement``) and its own integrand, so its value and error
@@ -457,7 +444,7 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                 rows_err = abs(hi.value) * math.fsum(2.0 * rel[b] for b in key[2])
                 res = ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est + rows_err, "tanh-sinh")
             found[key] = (res.value, res.abs_err_est)
-            _cache_put(key, found[key])
+            _hold({key: (found[key], _VALUE_BYTES)})
     return [found[key] for key in keys]
 
 

@@ -13,13 +13,13 @@ the other integrals of the classes to one ``abcore._integrals`` call,
 which refines them together, one level at a time, with one factor
 kernel call per level and kind; each integral keeps its own value and
 error estimate.  ``theta_fn`` is the class term normalized, and a
-simplex (n = d+1) is the upper sum with its single class.  Factor rows
-stay in abcore's table for later queries until ``abcore.clear_cache``
-(rows past its byte budget are dropped oldest first and computed again
-when needed).  Several families admit exact closed forms (rational
-multiples of powers of pi): ideal polytopes in dimension 3, ideal
-simplices in odd dimension, ideal polygons, and uniform-in-the-disk
-polygons.
+simplex (n = d+1) is the upper sum with its single class.  The
+integral values and factor rows stay in abcore's one table for later
+queries until ``abcore.clear_cache``; past its byte budget the oldest
+are dropped first and computed again when needed.  Several families
+admit exact closed forms (rational multiples of powers of pi): ideal
+polytopes in dimension 3, ideal simplices in odd dimension, ideal
+polygons, and uniform-in-the-disk polygons.
 """
 
 from __future__ import annotations

@@ -13,17 +13,17 @@ Two double-exponential schemes:
 Integrands are real: they are called on numpy arrays of abscissae (one
 call per refinement level; level 0 holds the centre node with the
 others) and must return a real array of the same shape.  Node tables
-are built once per level and cached; construction is guarded by a
-lock, lookups afterwards are read-only.  The abscissae of a finite
-interval are cached per (a, b, level) too, as read-only arrays: an
-integrand must not write to its input.
+are built once per level and cached as read-only arrays, and so are
+the abscissae of a finite interval, per (a, b, level): an integrand
+that writes to its input raises ValueError instead of changing the
+nodes of every later integral.  So a level's nodes are fixed, and
+``abcore`` keys the factor rows it holds by level.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +71,9 @@ class ValueWithError:
             raise ValueError("abs_err_est must be finite and non-negative")
 
 
-_lock = threading.Lock()
-_finite_levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_line_levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)  # levels are bounded by max_level <= 16
 def _finite_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-t tanh-sinh nodes for one refinement level.
+    """Read-only positive-t tanh-sinh nodes for one refinement level.
 
     Returns (delta, weight): delta is the distance of the node from the
     endpoint of the standard interval [-1, 1], computed without
@@ -86,52 +82,45 @@ def _finite_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     weight pi/2, the only node that does not stand for a pair.  Level
     L > 0 holds the odd multiples of h = 2**-L.
     """
-    with _lock:
-        cached = _finite_levels.get(level)
-        if cached is not None:
-            return cached
-        h = 2.0 ** (-level)
-        if level == 0:
-            t = np.arange(0, int(_TMAX_FINITE / h) + 1) * h
-        else:
-            t = np.arange(1, int(_TMAX_FINITE / h) + 1, 2) * h
-        v = 0.5 * math.pi * np.sinh(t)
-        # 1 - tanh(v) = 2 exp(-2v) / (1 + exp(-2v))
-        e = np.exp(-2.0 * v)
-        delta = 2.0 * e / (1.0 + e)
-        sech = 2.0 * np.exp(-v) / (1.0 + e)
-        weight = 0.5 * math.pi * np.cosh(t) * sech * sech
-        keep = weight > 1e-300
-        result = (delta[keep], weight[keep])
-        _finite_levels[level] = result
-        return result
+    h = 2.0 ** (-level)
+    if level == 0:
+        t = np.arange(0, int(_TMAX_FINITE / h) + 1) * h
+    else:
+        t = np.arange(1, int(_TMAX_FINITE / h) + 1, 2) * h
+    v = 0.5 * math.pi * np.sinh(t)
+    # 1 - tanh(v) = 2 exp(-2v) / (1 + exp(-2v))
+    e = np.exp(-2.0 * v)
+    delta = 2.0 * e / (1.0 + e)
+    sech = 2.0 * np.exp(-v) / (1.0 + e)
+    weight = 0.5 * math.pi * np.cosh(t) * sech * sech
+    keep = weight > 1e-300
+    delta, weight = delta[keep], weight[keep]
+    delta.flags.writeable = weight.flags.writeable = False
+    return delta, weight
 
 
+@functools.lru_cache(maxsize=None)  # levels are bounded by max_level <= 16
 def _line_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (x, weight) at t >= 0 for the sinh(sinh t) map.
+    """Read-only nodes (x, weight) at t >= 0 for the sinh(sinh t) map.
 
     Level 0 holds t = 0, h, 2h, ... with h = 1, level L > 0 the odd
     multiples of h = 2**-L.  Each node x > 0 stands for itself and -x;
     the centre x = 0 of level 0 stands for itself only, so its weight
     is halved to 1/2.
     """
-    with _lock:
-        cached = _line_levels.get(level)
-        if cached is not None:
-            return cached
-        h = 2.0 ** (-level)
-        if level == 0:
-            t = np.arange(0, int(_TMAX_LINE / h) + 1) * h
-        else:
-            t = np.arange(1, int(_TMAX_LINE / h) + 1, 2) * h
-        s = np.sinh(t)
-        x = np.sinh(s)
-        weight = np.cosh(t) * np.cosh(s)
-        weight[x == 0.0] = 0.5
-        keep = np.isfinite(x) & np.isfinite(weight)
-        result = (x[keep], weight[keep])
-        _line_levels[level] = result
-        return result
+    h = 2.0 ** (-level)
+    if level == 0:
+        t = np.arange(0, int(_TMAX_LINE / h) + 1) * h
+    else:
+        t = np.arange(1, int(_TMAX_LINE / h) + 1, 2) * h
+    s = np.sinh(t)
+    x = np.sinh(s)
+    weight = np.cosh(t) * np.cosh(s)
+    weight[x == 0.0] = 0.5
+    keep = np.isfinite(x) & np.isfinite(weight)
+    x, weight = x[keep], weight[keep]
+    x.flags.writeable = weight.flags.writeable = False
+    return x, weight
 
 
 @functools.lru_cache(maxsize=64)  # bounded: callers such as specfun.f_imag pass arbitrary intervals

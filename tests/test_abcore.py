@@ -238,13 +238,28 @@ class TestAbsorptionIdentity:
         assert math.fsum(terms) == pytest.approx(0.5, abs=1e-9)
 
 
-def _held_bytes() -> int:
-    """Row bytes plus key abscissae bytes of every held factor row pair.
+def _is_row(key) -> bool:
+    """Whether a table key names a factor row pair ("a" | "b", beta, level) rather than a value."""
+    return isinstance(key[-1], int)
 
-    An "a" entry is a (log-magnitude, phase) pair and a "b" entry a
+
+def _held_bytes() -> int:
+    """The charge of every held entry: _VALUE_BYTES per integral value, its arrays' bytes per row pair.
+
+    An "a" row entry is a (log-magnitude, phase) pair and a "b" entry a
     (lower, upper) pair, each of two equal-length arrays.
     """
-    return sum(np.asarray(row).nbytes + len(key[-1]) for key, (row, _) in abcore._factor_rows.items())
+    return sum(
+        np.asarray(entry).nbytes if _is_row(key) else abcore._VALUE_BYTES
+        for key, (entry, _) in abcore._table.items()
+    )
+
+
+def _drop_values() -> None:
+    """Drop the held integral values only: the factor rows stay."""
+    with abcore._table_lock:
+        for key in [key for key in abcore._table if not _is_row(key)]:
+            abcore._table_bytes -= abcore._table.pop(key)[1]
 
 
 class TestCache:
@@ -256,11 +271,11 @@ class TestCache:
         assert first == second
         key = ("a", 3.0, params.entries, abcore._cfg_key(CFG))
         assert abcore._cache_get(key) is not None
-        assert abcore._factor_rows
-        assert abcore._factor_bytes == _held_bytes()
+        assert any(_is_row(key) for key in abcore._table)
+        assert abcore._table_bytes == _held_bytes()
         abcore.clear_cache()
         assert abcore._cache_get(key) is None
-        assert not abcore._factor_rows and abcore._factor_bytes == 0
+        assert not abcore._table and abcore._table_bytes == 0
         third = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
         assert third == first
 
@@ -348,8 +363,7 @@ class TestFactorTable:
         abcore.clear_cache()
         warm = sweep(clear_each=False)
         warm_calls = dict(kernel_calls)
-        with abcore._cache_lock:
-            abcore._cache.clear()  # the integral values only: the factor rows stay
+        _drop_values()
         rerun = sweep(clear_each=False)
         assert warm == per_query and rerun == per_query
         assert kernel_calls == warm_calls
@@ -371,17 +385,18 @@ class TestFactorTable:
         spec = BetaSpec(2, (-0.5, 0.4, 1.1, 2.0, 2.6))
         abcore.clear_cache()
         want = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
-        unevicted, unevicted_rows = dict(kernel_calls), len(abcore._factor_rows)
+        unevicted = dict(kernel_calls)
+        unevicted_rows = sum(map(_is_row, abcore._table))
         budget = 8192  # a few rows of the middle levels
-        monkeypatch.setattr(abcore, "_FACTOR_BUDGET", budget)
+        monkeypatch.setattr(abcore, "_BUDGET", budget)
         held = []
-        hold = abcore._hold_factors
+        hold = abcore._hold
 
-        def recorded(rows, row_bytes):
-            hold(rows, row_bytes)
-            held.append(abcore._factor_bytes)
+        def recorded(entries):
+            hold(entries)
+            held.append(abcore._table_bytes)
 
-        monkeypatch.setattr(abcore, "_hold_factors", recorded)
+        monkeypatch.setattr(abcore, "_hold", recorded)
         abcore.clear_cache()
         got = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
         assert (got.value, got.abs_err_est) == (want.value, want.abs_err_est)
@@ -389,8 +404,32 @@ class TestFactorTable:
         # so a row evicted later in the level is not computed again
         assert {name: count - unevicted[name] for name, count in kernel_calls.items()} == unevicted
         assert held and max(held) <= budget
-        assert len(abcore._factor_rows) < unevicted_rows  # rows were evicted
-        assert abcore._factor_bytes == _held_bytes()
+        assert sum(map(_is_row, abcore._table)) < unevicted_rows  # rows were evicted
+        assert abcore._table_bytes == _held_bytes()
+
+    def test_small_budget_bounds_the_table_across_queries(self, monkeypatch):
+        # values and rows share one budget; what a query evicts never changes
+        # what a later query returns
+        specs = (
+            BetaSpec(3, (-0.6, 0.2, 0.9, 1.7, 2.4)),
+            BetaSpec(2, (-0.3, 0.5, 1.2, 2.8)),
+            BetaSpec(3, (-0.6, 0.2, 0.9, 1.7, 2.4, 3.1)),
+            BetaSpec(4, (0.1, 0.7, 1.3, 2.2, 2.9, 0.45)),
+        )
+        cold = []
+        for spec in specs:
+            abcore.clear_cache()
+            res = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
+            cold.append((res.value, res.abs_err_est))
+        budget = 16384
+        monkeypatch.setattr(abcore, "_BUDGET", budget)
+        abcore.clear_cache()
+        for spec, want in zip(specs + specs, cold + cold):
+            res = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
+            assert _bits([(res.value, res.abs_err_est)]) == _bits([want])
+            assert abcore._table_bytes <= budget
+            assert abcore._table_bytes == _held_bytes()
+        assert any(_is_row(key) for key in abcore._table) and any(not _is_row(key) for key in abcore._table)
 
 
 def _bits(pairs):
@@ -481,7 +520,7 @@ class TestConcurrency:
 
     def test_parallel_queries_with_a_tiny_factor_budget(self, monkeypatch):
         # rows are evicted while other threads still integrate with them
-        monkeypatch.setattr(abcore, "_FACTOR_BUDGET", 8192)
+        monkeypatch.setattr(abcore, "_BUDGET", 8192)
         self._parallel_queries_match_serial()
 
     @staticmethod

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypvol import quad, specfun, verify
+from hypvol import abcore, quad, specfun, verify
 from hypvol.quad import QuadConfig, QuadratureError, ValueWithError
 from hypvol.verify import _closed_form_suite
 
@@ -57,6 +57,24 @@ class TestFinite:
         with pytest.raises(ValueError, match="read-only"):
             quad.integrate_finite(writes_to_input, 0.0, 1.0)
         assert quad.integrate_finite(lambda x: x, 0.0, 1.0).value == pytest.approx(0.5, abs=1e-14)
+
+    def test_node_tables_are_read_only(self):
+        # every later integral on a level, and every factor row keyed by it, gets the same nodes
+        def writes_to_input(x):
+            x *= 0.5
+            return np.exp(-x * x)
+
+        with pytest.raises(ValueError, match="read-only"):
+            quad.integrate_real_line(writes_to_input)
+        for level in range(4):
+            for table in (quad._line_nodes(level), quad._finite_nodes(level)):
+                assert not any(array.flags.writeable for array in table)
+        res = quad.integrate_real_line(lambda x: np.exp(-x * x))
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        abcore.clear_cache()
+        got = abcore.a_fn(2.5, [0.7], closed_forms=False)
+        want = abcore.a_fn(2.5, [0.7])  # closed form
+        assert abs(got.value - want.value) <= got.abs_err_est + want.abs_err_est
 
     def test_nonconvergence_carries_estimate(self):
         rng = np.random.default_rng(0)
