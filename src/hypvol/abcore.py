@@ -2,24 +2,31 @@
 
 ``a_fn`` integrates cosh(x)**(-alpha) times a product of imaginary-axis
 factors over the real line; ``b_fn`` integrates cos(x)**alpha times a
-product of segment factors over (-pi/2, pi/2); the expectation engine
-sums products a * (linear factor) * b of them over subsets.  Closed
+product of segment factors F_j over (-pi/2, pi/2); the expectation
+engine sums products a * (alpha+1) * b of them over subsets.  Closed
 forms (``_closed_form``) are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
+
+A ``"b"`` integral is (alpha+1) * b(alpha; p), finite down to the pole
+alpha = -1 that ideal points reach: the closed term (P/2) * (alpha+1) *
+b(alpha; ()), with P the product of the B_j = F_j(pi/2), plus (alpha+1)
+times two half-segment quadratures, t the distance to the endpoint.  The
+lower half is cos**alpha * prod F_j as it is; the upper half, less P, is
+P * sin(t)**alpha * expm1(sum_j log1p(-F_j(t - pi/2)/B_j)), which is O(t)
+at the endpoint, so no mass sits below the smallest tanh-sinh node.
 
 One level loop, ``_integrals``, refines any number of such integrals
 together, one refinement level at a time: a query hands it every
 integral of its subset classes, and ``a_fn``, ``a_prime`` and ``b_fn``
 hand it one.  At each level it fetches the factor rows of the
-parameters of all live ``a`` integrals, and the (lower, upper) row
-pairs of all live ``b`` halves, with one ``_level_rows`` call per kind,
-and hands each integral its own rows.  Its integrand is a pure function
-of those rows, and it keeps its own stopping rule (``quad.Refinement``),
-so its value and error estimate do not depend on what it was batched
-with.  The ``a`` integrand is evaluated at x >= 0 only: its real part
-is even and its imaginary part odd, so the integral is twice that of
-the real part over x >= 0.
+parameters of all live ``a`` integrals and ``b`` halves with one
+``_level_rows`` call per kind, and hands each integral its own rows.
+Its integrand is a pure function of those rows, and it keeps its own
+stopping rule (``quad.Refinement``), so its value and error estimate do
+not depend on what it was batched with.  The ``a`` integrand is
+evaluated at x >= 0 only: its real part is even and its imaginary part
+odd, so the integral is twice that of the real part over x >= 0.
 
 One table holds the integral values and the factor rows until
 ``clear_cache``: a value under (kind, alpha, params, cfg), charged a
@@ -31,8 +38,8 @@ a later one.  The table holds at most ``_BUDGET`` bytes and drops the
 oldest entries first; a dropped value or row is computed again by the
 next call that needs it, to the same bits.  The rows of all parameters
 a level lacks come from one kernel call per kind: the cosh-power
-kernel for ``a`` (``_a_factors``), the incomplete beta for both ``b``
-halves (``_b_factors``).
+kernel for ``a`` (``_a_factors``), the incomplete beta for ``b``, one
+row and its log1p complement (``_b_factors``).
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -261,15 +269,17 @@ def a_prime_odd_repeated(m: int, q: int) -> PiPoly:
     return PiPoly({1: coeff})
 
 
+@lru_cache(maxsize=4096)
+def _segment_total(beta: float) -> tuple[float, float]:
+    """B = F_beta(pi/2) and a bound on its relative error, that of B(p, p) (more log-gammas), p = (beta + 1)/2."""
+    p = 0.5 * (beta + 1.0)
+    return math.sqrt(math.pi) * math.exp(log_gamma(p) - log_gamma(p + 0.5)), complete_beta_rel_err(p, p)
+
+
 def limit_alpha_plus_one_times_b(params) -> float:
-    """Limit of (alpha+1) * b(alpha; params) as alpha decreases to -1."""
+    """Limit of (alpha+1) * b(alpha; params) as alpha decreases to -1: P, the product of the B_j."""
     params = _as_params(params)
-    if len(params) == 0:
-        return 2.0
-    acc = 1.0
-    for a in params:
-        acc *= math.sqrt(math.pi) * math.exp(log_gamma(0.5 * (a + 1.0)) - log_gamma(0.5 * (a + 2.0)))
-    return acc
+    return math.prod(_segment_total(b)[0] for b in params) if len(params) else 2.0
 
 
 def _all_ones(params: ParamMultiset) -> bool:
@@ -297,15 +307,12 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
 
 
 def _b_factors(betas, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(lower, upper) rows of the segment factors at nodes t, one read-only pair per entry of betas.
-
-    The lower half takes each factor at z = sin^2(t/2), the upper half at
-    1 - z = cos^2(t/2); all pairs come from one incomplete-beta call.
-    """
+    """Read-only (F(t - pi/2), log1p(-F/B)) at nodes t, B = F(pi/2), for each of betas from one incomplete-beta call."""
     half_t = 0.5 * t
-    lows, highs = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
-    lows.flags.writeable = highs.flags.writeable = False  # the table holds rows past this query
-    return list(zip(lows, highs))
+    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
+    comps = np.log1p(-rows / np.array([[_segment_total(b)[0]] for b in betas]))
+    rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
+    return list(zip(rows, comps))
 
 
 def _level_rows(kind: str, params: tuple, level: int, compute) -> dict:
@@ -343,10 +350,15 @@ def _a_body(tau: float, rows, log_weight: bool, L: np.ndarray) -> np.ndarray:
     return vals * (-L) if log_weight else vals
 
 
-def _b_body(alpha: float, rows, sin_t: np.ndarray) -> np.ndarray:
-    """One half of the b integrand from its factor rows at nodes t in (0, pi/2), t the distance to the endpoint."""
+def _b_body(alpha: float, rows, upper: bool, sin_t: np.ndarray) -> np.ndarray:
+    """Half of the b integrand from its (row, complement) pairs at nodes t in (0, pi/2); the upper less P, over P."""
     vals = sin_t**alpha
-    for row in rows:
+    if upper:
+        acc = rows[0][1]
+        for _, comp in rows[1:]:
+            acc = acc + comp
+        return vals * np.expm1(acc)
+    for row, _ in rows:
         vals = vals * row
     return vals
 
@@ -381,11 +393,7 @@ def _line_level(states: list, level: int) -> list:
 
 
 def _segment_level(states: list, level: int) -> list:
-    """Add one tanh-sinh level to each b half (alpha, betas, upper, run); returns the live ones.
-
-    The level's (lower, upper) factor rows of every half come from one
-    _level_rows call for all their parameters, as in _line_level.
-    """
+    """Add one tanh-sinh level to each b half (alpha, betas, P, run; P None below), as _line_level; returns the live."""
     t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
     sin_t = np.sin(t)
     params = _level_params(states)
@@ -393,9 +401,9 @@ def _segment_level(states: list, level: int) -> list:
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rows = _level_rows("b", params, level, lambda missing: _b_factors(missing, t))
         for state in states:
-            alpha, betas, upper, run = state
-            vals = _b_body(alpha, [rows[b][upper] for b in betas], sin_t) * weight
-            if not run.add(0.5 * _HALF_PI * math.fsum(vals.tolist())):
+            alpha, betas, P, run = state
+            vals = _b_body(alpha, [rows[b] for b in betas], P is not None, sin_t) * weight
+            if not run.add(0.5 * _HALF_PI * (1.0 if P is None else P) * math.fsum(vals.tolist())):
                 live.append(state)
     return live
 
@@ -403,14 +411,15 @@ def _segment_level(states: list, level: int) -> list:
 def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
 
-    kind is "a", "a'" (a_prime's log-weighted integral) or "b".  Values
-    found in the table are reused; the others are refined together, one
-    level at a time (``_line_level``, ``_segment_level``), each b as its
-    two halves.  Every integral keeps its own stopping rule
-    (``quad.Refinement``) and its own integrand, so its value and error
-    estimate are those of a one-integral call, in every bit.  Raises the
-    QuadratureError of the first request that did not converge, a b's
-    lower half before its upper half.
+    kind is "a", "a'" (a_prime's log-weighted integral) or "b", which is
+    (alpha+1) * b (module docstring).  Values found in the table are
+    reused; the others are refined together, one level at a time
+    (``_line_level``, ``_segment_level``), each b as its two halves.
+    Every integral keeps its own stopping rule (``quad.Refinement``) and
+    its own integrand, so its value and error estimate are those of a
+    one-integral call, in every bit.  Raises the QuadratureError of the
+    first request that did not converge, a b's lower half before its
+    upper half.
     """
     ckey = _cfg_key(cfg)
     keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
@@ -420,7 +429,8 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
         if hit is None:
             kind, alpha, betas, _ = key
             if kind == "b":
-                segment[key] = [(alpha, betas, upper, quad.Refinement(cfg, "tanh-sinh")) for upper in (False, True)]
+                P = math.prod(_segment_total(b)[0] for b in betas)
+                segment[key] = [(alpha, betas, p, quad.Refinement(cfg, "tanh-sinh")) for p in (None, P)]
             else:
                 line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
     live_line = list(line.values())
@@ -437,26 +447,34 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
             if key in line:
                 res = line[key][-1].result()
             else:
-                lo, hi = (run.result() for *_, run in segment[key])
-                # each upper row is B(p, p) - B_z(p, p) >= B/2, p = (beta + 1)/2, so its
-                # relative error is at most twice that of the complete B(p, p)
-                rel = {b: complete_beta_rel_err(0.5 * (b + 1.0), 0.5 * (b + 1.0)) for b in set(key[2])}
-                rows_err = abs(hi.value) * math.fsum(2.0 * rel[b] for b in key[2])
-                res = ValueWithError(lo.value + hi.value, lo.abs_err_est + hi.abs_err_est + rows_err, "tanh-sinh")
+                (alpha, betas, _, lo), (_, _, P, up) = segment[key]
+                lo, up = lo.result(), up.result()
+                held = 0.5 * P * _closed_form("b", alpha, ParamMultiset()).value
+                upper = held + (alpha + 1.0) * up.value
+                # each upper factor F_j(pi/2 - t) = B_j - F_j(t - pi/2) is at least B_j/2, so
+                # an error of B_j moves the upper half by at most twice its relative error
+                rows_err = abs(upper) * math.fsum(2.0 * _segment_total(b)[1] for b in betas)
+                err = (alpha + 1.0) * (lo.abs_err_est + up.abs_err_est) + rows_err + _REL_CLOSED * abs(held)
+                res = ValueWithError((alpha + 1.0) * lo.value + upper, err, "tanh-sinh")
             found[key] = (res.value, res.abs_err_est)
             _hold({key: (found[key], _VALUE_BYTES)})
     return [found[key] for key in keys]
 
 
-def _closed_form(kind: str, alpha: float, params: ParamMultiset) -> ValueWithError | None:
-    """The closed-form value of integral kind ("a", "a'" or "b") where there is one, else None.
+def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: bool = True) -> ValueWithError | None:
+    """The closed-form value of integral kind ("a", "a'" or "b", which is (alpha+1) * b) where known, else None.
 
-    a and b: empty, singleton and all-ones parameter lists; a': 2q equal
-    odd parameters at the vanishing point alpha = 2q*odd + 1.
+    a and b: empty, singleton and all-ones parameter lists, b at alpha = -1;
+    a': 2q equal odd parameters at the vanishing point alpha = 2q*odd + 1.
+    b with no parameters is closed even without closed_forms (no factor tames its lower half).
     """
     n, entries = len(params), params.entries
     floor = 0.0
-    if kind == "a'":
+    if not (closed_forms or (kind == "b" and n == 0)):
+        return None
+    if kind == "b" and alpha == -1.0:
+        v = limit_alpha_plus_one_times_b(params)
+    elif kind == "a'":
         if not (n >= 2 and n % 2 == 0 and len(set(entries)) == 1):
             return None
         odd, q = round(entries[0]), n // 2
@@ -464,11 +482,11 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset) -> ValueWithErr
             return None
         v = a_prime_odd_repeated((odd + 1) // 2, q).evaluate()
     elif n == 0:
-        v = _a_empty(alpha) if kind == "a" else _b_empty(alpha)
+        v = _a_empty(alpha) if kind == "a" else (alpha + 1.0) * _b_empty(alpha)
     elif n == 1:
-        v = (_a_single if kind == "a" else _b_single)(alpha, entries[0])
+        v = _a_single(alpha, entries[0]) if kind == "a" else (alpha + 1.0) * _b_single(alpha, entries[0])
     elif _all_ones(params):
-        v = (a_ones if kind == "a" else b_ones)(n, alpha)
+        v = a_ones(n, alpha) if kind == "a" else (alpha + 1.0) * b_ones(n, alpha)
         floor = 1e-300 if kind == "a" else 0.0  # a_ones is 0 at its vanishing points
     else:
         return None
@@ -477,11 +495,9 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset) -> ValueWithErr
 
 def _integral(kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool) -> ValueWithError:
     """One integral: its closed form when allowed and known, else a one-request level loop."""
-    closed = _closed_form(kind, alpha, params) if closed_forms else None
-    if closed is not None:
-        return closed
-    value, err = _integrals([(kind, alpha, params)], cfg)[0]
-    return ValueWithError(value, err, "tanh-sinh" if kind == "b" else "de-real-line")
+    closed = _closed_form(kind, alpha, params, closed_forms)
+    method = "tanh-sinh" if kind == "b" else "de-real-line"
+    return closed or ValueWithError(*_integrals([(kind, alpha, params)], cfg)[0], method)
 
 
 def a_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
@@ -505,11 +521,12 @@ def a_prime(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: b
 
 
 def b_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
-    """Segment parameter integral; requires alpha > -1."""
+    """Segment parameter integral; requires alpha > -1.  It is the "b" integral divided by alpha + 1."""
     params = _as_params(params)
     if not alpha > -1.0:
         raise ValueError("b_fn requires alpha > -1")
-    return _integral("b", alpha, params, cfg or QuadConfig(), closed_forms)
+    res = _integral("b", alpha, params, cfg or QuadConfig(), closed_forms)
+    return ValueWithError(res.value / (alpha + 1.0), res.abs_err_est / (alpha + 1.0), res.method)
 
 
 def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithError:
@@ -528,7 +545,7 @@ def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithEr
         prod_low = np.ones_like(v)
         prod_high = np.ones_like(v)
         for b, hb in zip(betas, h_consts):
-            inner = 0.5 * _inc_beta_parts(z, zc, 0.5, 0.5 * (b + 1.0))[0]
+            inner = 0.5 * _inc_beta_parts(z, zc, 0.5, 0.5 * (b + 1.0))
             prod_low = prod_low * (hb - inner)
             prod_high = prod_high * (hb + inner)
         return weight * (prod_low + prod_high)

@@ -32,7 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps these names here)
-    _REL_CLOSED,
     ParamMultiset,
     _as_params,
     _closed_form,
@@ -40,7 +39,6 @@ from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps th
     a_fn,
     a_prime,
     b_fn,
-    limit_alpha_plus_one_times_b,
 )
 from .exact import PiPoly, exp_moment, poly_integral_01, poly_pow, sin_sin2_power
 from .quad import QuadConfig, ValueWithError
@@ -64,9 +62,7 @@ __all__ = [
 ]
 
 # distance to a pole below which its limit is taken (beta at a negative
-# integer), and below which the direct value needs a widened error band;
-# _POLE_NEAR is also the |t+1+s| below which _class_terms takes the b-pole
-# limit (see its docstring)
+# integer), and below which the direct value needs a widened error band
 _POLE_EXACT = 1e-12
 _POLE_NEAR = 1e-6
 _EPS = sys.float_info.epsilon
@@ -197,19 +193,16 @@ def _class_terms(
     """A(t+2+s) * (t+1+s) * b(t+s) per (inside, outside) split, as (value, abs_err_est).
 
     s is the inside parameter total and A = a_prime when ``derivative``
-    else a_fn.  The integrals without a closed form go to one
-    ``abcore._integrals`` call, in class order, A before b.  Within
-    _POLE_NEAR of the b-pole (linear factor near 0, e.g. d = 2 volumes
-    with near-ideal inside points) the b-integrand's mass sits below the
-    depth of double-precision nodes, so the product (t+1+s) * b takes its
-    limit at the pole, with an error band of 100 * |t+1+s| relative on
-    top of the closed-form error.
+    else a_fn.  (t+1+s) * b(t+s) is abcore's "b" integral, finite also at
+    and near its pole t+s = -1 (ideal and near-ideal points).  The
+    integrals without a closed form go to one ``abcore._integrals`` call,
+    in class order, A before b.
     """
     requests = []
 
     def integral(kind, alpha, params):
         """The closed form's (value, abs_err_est), or the index of a new request."""
-        closed = _closed_form(kind, alpha, params) if closed_forms else None
+        closed = _closed_form(kind, alpha, params, closed_forms)
         if closed is None:
             requests.append((kind, alpha, params))
             return len(requests) - 1
@@ -218,21 +211,12 @@ def _class_terms(
     pending = []
     for inside, outside in splits:
         s = inside.total()
-        lin = t + 1.0 + s
-        a = integral("a'" if derivative else "a", t + 2.0 + s, inside)
-        b = None if abs(lin) < _POLE_NEAR else integral("b", t + s, outside)
-        pending.append((a, lin, b, outside))
+        pending.append((integral("a'" if derivative else "a", t + 2.0 + s, inside), integral("b", t + s, outside)))
     values = _integrals(requests, cfg)
     terms = []
-    for a, lin, b, outside in pending:
+    for a, b in pending:
         a_value, a_err = values[a] if isinstance(a, int) else a
-        if b is None:
-            prod = limit_alpha_plus_one_times_b(outside)
-            prod_err = abs(prod) * (_REL_CLOSED + 100.0 * abs(lin))
-        else:
-            b_value, b_err = values[b] if isinstance(b, int) else b
-            prod = lin * b_value
-            prod_err = abs(lin) * b_err
+        prod, prod_err = values[b] if isinstance(b, int) else b
         terms.append((a_value * prod, a_err * abs(prod) + abs(a_value) * prod_err))
     return terms
 
@@ -271,8 +255,8 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     """Normalized class term (1/2pi) * prod(c) * a(...) * (linear) * b(...).
 
     y and z are the inside and outside gammas; the term is the class term
-    of ``_class_terms`` at t = 2x with parameters 2y and 2z, so it follows
-    the same b-pole rule.
+    of ``_class_terms`` at t = 2x with parameters 2y and 2z, so it is
+    finite also at the b-pole x = -1/2 with no inside parameters.
     """
     y = _as_params(y)
     z = _as_params(z)

@@ -165,44 +165,27 @@ def complete_beta_rel_err(p: float, q: float) -> float:
     return (LOG_GAMMA_ERR + 2 * _EPS) * scale + 3 * _EPS
 
 
-def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Non-regularized B_z(p, q) and B_zc(q, p), given z and an accurately computed zc = 1-z.
+def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p, q) -> np.ndarray:
+    """Non-regularized B_z(p, q), given z and an accurately computed zc = 1-z.
 
     p and q are scalars, or columns with the same p/(p+q) in every row
-    (as when p is q), one output row each.  Each half takes the continued
-    fraction at its own argument below the swap point and at the
-    complement above it (Numerical Recipes ``betai``).  As
-    B_zc(q, p) = B(p, q) - B_z(p, q) (DLMF 8.17.4), the two halves need the
-    same fraction wherever one swaps and the other does not, and evaluate
-    it once there.
+    (as when p is q), one output row each.  Below the swap point it takes
+    the continued fraction at z, above it the complete B(p, q) less the
+    fraction at zc (Numerical Recipes ``betai``; DLMF 8.17.4).
     """
     pa, qa = np.broadcast_arrays(p, q)
     pairs = zip(pa.ravel().tolist(), qa.ravel().tolist())
     complete = np.reshape([math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b)) for a, b in pairs], pa.shape)
     interior = (z > 0.0) & (zc > 0.0)
-    fractions = {}
-
-    def fraction(x, xc, a, b, mask):
-        # a B_x(a, b) term: x**a xc**b / a times the fraction at x
-        key = (x is z, mask.tobytes())
-        if key not in fractions:
-            xm = x[mask]
-            front = np.exp(a * np.log(xm) + b * np.log(xc[mask])) / a
-            fractions[key] = front * _betacf(a, b, xm)
-        return fractions[key]
-
-    halves = []
-    for x, xc, a, b in ((z, zc, p, q), (zc, z, q, p)):
-        out = np.zeros(np.broadcast_shapes(np.shape(a), x.shape))
-        swap = interior & (x > np.ravel(a / (a + b))[0])
-        direct = interior & ~swap
-        if direct.any():
-            out[..., direct] = fraction(x, xc, a, b, direct)
-        if swap.any():
-            out[..., swap] = complete - fraction(xc, x, b, a, swap)
-        out[..., xc <= 0.0] = complete
-        halves.append(out)
-    return tuple(halves)
+    swap = interior & (z > np.ravel(p / (p + q))[0])
+    direct = interior & ~swap
+    out = np.zeros(np.broadcast_shapes(np.shape(p), z.shape))
+    if direct.any():
+        out[..., direct] = np.exp(p * np.log(z[direct]) + q * np.log(zc[direct])) / p * _betacf(p, q, z[direct])
+    if swap.any():
+        out[..., swap] = complete - np.exp(q * np.log(zc[swap]) + p * np.log(z[swap])) / q * _betacf(q, p, zc[swap])
+    out[..., zc <= 0.0] = complete
+    return out
 
 
 def inc_beta(z, p: float, q: float):
@@ -217,35 +200,28 @@ def inc_beta(z, p: float, q: float):
     za = np.asarray(z, dtype=float)
     if np.any((za < 0.0) | (za > 1.0)):
         raise ValueError("inc_beta requires 0 <= z <= 1")
-    out = _inc_beta_parts(np.atleast_1d(za), np.atleast_1d(1.0 - za), p, q)[0]
+    out = _inc_beta_parts(np.atleast_1d(za), np.atleast_1d(1.0 - za), p, q)
     return float(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
 _ROW_BLOCK = 4096  # parameters x abscissae per kernel block
 
 
-def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 2**beta B_z(p, p) and 2**beta B_zc(p, p), p = (beta + 1)/2, for zc = 1 - z.
+def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Row 2**beta B_z(p, p), p = (beta + 1)/2, for zc = 1 - z.
 
-    These are the integrals of cos**beta up to a node and up to its
-    mirror image (f_real).  beta is a scalar, or a column of parameters
-    with one row each, evaluated in blocks of about _ROW_BLOCK values;
-    both rows of a parameter come from one continued fraction.
+    This is the integral of cos**beta up to a node (f_real).  beta is a
+    scalar, or a column of parameters with one row each, evaluated in
+    blocks of about _ROW_BLOCK values.
     """
     betas = np.ravel(beta).tolist()
     scale = np.array([[2.0**b] for b in betas])  # Python powers: numpy's may differ by an ulp
     step = max(1, _ROW_BLOCK // max(z.size, 1))
-    at_z = np.empty((len(betas), z.size))
-    at_zc = np.empty_like(at_z)
+    out = np.empty((len(betas), z.size))
     for lo in range(0, len(betas), step):
-        rows = slice(lo, lo + step)
-        p = 0.5 * (np.array(betas[rows])[:, None] + 1.0)
-        at_z[rows], at_zc[rows] = _inc_beta_parts(z, zc, p, p)
-    at_z *= scale
-    at_zc *= scale
-    if np.ndim(beta) == 0:
-        return at_z[0], at_zc[0]
-    return at_z, at_zc
+        p = 0.5 * (np.array(betas[lo : lo + step])[:, None] + 1.0)
+        out[lo : lo + step] = _inc_beta_parts(z, zc, p, p) * scale[lo : lo + step]
+    return out[0] if np.ndim(beta) == 0 else out
 
 
 def f_real(beta: float, x):
@@ -276,7 +252,7 @@ def f_real(beta: float, x):
     z[hi], zc[hi] = 1.0, 0.0
     lo = x1 <= -_PIO2_HI
     z[lo], zc[lo] = 0.0, 1.0
-    out = _f_real_from_z(beta, z, zc)[0]
+    out = _f_real_from_z(beta, z, zc)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 

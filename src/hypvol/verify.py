@@ -16,6 +16,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -366,19 +367,40 @@ _REP_GRID = [
 ]
 
 
+def _rep_gap(spec: BetaSpec, beta: float | None) -> float:
+    """|upper - lower| over their combined bars: the beta integral at exponent beta, or the volume for None."""
+    query = expect.expected_hyp_volume if beta is None else partial(expect.expected_beta_integral, beta=beta)
+    up, lo = (query(spec, cfg=_CFG, representation=rep) for rep in ("upper", "lower"))
+    return abs(up.value - lo.value) / (up.abs_err_est + lo.abs_err_est)
+
+
 @_check("expect.representation-equality")
 def _representation_equality(quick: bool):
     start = time.perf_counter()
     grid = _REP_GRID[::3] if quick else _REP_GRID
-    worst = 0.0
-    for spec in grid:
-        for beta in (0.0, -0.4, -0.5 * (spec.d + 1) + 0.1):
-            up = expect.expected_beta_integral(spec, beta, _CFG, representation="upper").value
-            lo = expect.expected_beta_integral(spec, beta, _CFG, representation="lower").value
-            worst = max(worst, abs(up - lo))
+    worst = max(_rep_gap(spec, beta) for spec in grid for beta in (0.0, -0.4, -0.5 * (spec.d + 1) + 0.1))
     if time.perf_counter() - start >= 60.0:
         return False, "over the 60 s time budget"
-    return _bounded(worst, 1e-9)
+    return worst <= 1.0, f"worst gap {worst:.3g} of the combined bars"
+
+
+@_check("expect.representation-contract")
+def _representation_contract(quick: bool):
+    """Seeded fuzz: upper against lower within their combined bars; a QuadratureError fails.
+
+    d 2-5, n <= d+5; points ideal (15 %), at -1 + 10**u, u in [-6, -1] (15 %), or in (-1, 3);
+    volumes (even d) and beta integrals with exponent >= -(d+1)/2 + 0.05.
+    """
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for _ in range(40 if quick else 300):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(d + 1, d + 6))
+        pick, near, free = rng.uniform(size=n), -1.0 + 10.0 ** rng.uniform(-6.0, -1.0, n), rng.uniform(-1.0, 3.0, n)
+        spec = BetaSpec(d, np.where(pick < 0.15, -1.0, np.where(pick < 0.3, near, free)).tolist())
+        volume = d % 2 == 0 and rng.uniform() < 0.5
+        worst = max(worst, _rep_gap(spec, None if volume else float(rng.uniform(-0.5 * (d + 1) + 0.05, 3.0))))
+    return worst <= 1.0, f"worst gap {worst:.3g} of the combined bars"
 
 
 def _richardson3(f, eps: float) -> float:

@@ -1,9 +1,13 @@
 """The a/b/theta layer: closed forms versus quadrature, limits, identities."""
 
+import importlib.util
+import json
 import math
 import sys
 from itertools import combinations
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -181,6 +185,48 @@ class TestLimitLemma:
             vals[eps] = eps * abcore.b_fn(-1.0 + eps, params, CFG).value
         extrapolated = 2.0 * vals[0.05] - vals[0.1]
         assert extrapolated == pytest.approx(want, rel=5e-3)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_script():
+    spec = importlib.util.spec_from_file_location("make_b_near_minus_one", GOLDEN / "make_b_near_minus_one.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNearPoleReferences:
+    """b near its pole alpha = -1 against 45-digit references (tests/golden/make_b_near_minus_one.py)."""
+
+    ROWS = json.loads((GOLDEN / "b_near_minus_one.json").read_text())
+
+    @staticmethod
+    def _engine(row, closed_forms):
+        if row["kind"] == "b":
+            return [abcore.b_fn(row["alpha"], P(row["params"]), CFG, closed_forms=closed_forms)]
+        spec = BetaSpec(2, (row["beta"],) * row["n"])
+        reps = ("upper", "lower")
+        return [expect.expected_hyp_volume(spec, CFG, representation=rep, closed_forms=closed_forms) for rep in reps]
+
+    @pytest.mark.parametrize("closed_forms", [True, False])
+    def test_within_bars(self, closed_forms):
+        assert len(self.ROWS) == 27 and min(r["alpha"] for r in self.ROWS if r["kind"] == "b") == -0.9999
+        for row in self.ROWS:
+            abcore.clear_cache()
+            for res in self._engine(row, closed_forms):
+                assert abs(mp.mpf(res.value) - mp.mpf(row["value"])) <= res.abs_err_est, row
+
+    def test_two_rows_recomputed(self):
+        script = _golden_script()
+        b_row = next(r for r in self.ROWS if r["kind"] == "b" and r["alpha"] == -0.998)  # ROADMAP's 48351.277...
+        volume_row = next(r for r in self.ROWS if r["kind"] == "volume-d2" and r["beta"] == -0.99999)
+        with mp.workdps(20):
+            b = script.alpha_plus_one_times_b(b_row["alpha"], b_row["params"]) / (mp.mpf(b_row["alpha"]) + 1)
+            volume = script.volume_d2(volume_row["beta"])
+            for got, row in ((b, b_row), (volume, volume_row)):
+                assert abs(got - mp.mpf(row["value"])) <= mp.mpf("1e-18") * abs(got)
 
 
 class TestTheta:
@@ -439,7 +485,8 @@ def _bits(pairs):
 class TestLevelLoop:
     """abcore._integrals: many integrals refined together, one level at a time."""
 
-    LOOSE = QuadConfig(rel_tol=1e-8, abs_tol=1e-10, max_level=14)  # b at -0.98 converges, at level 10
+    LOOSE = QuadConfig(rel_tol=1e-8, abs_tol=1e-10, max_level=14)
+    NEVER = QuadConfig(rel_tol=1e-17, abs_tol=1e-300, max_level=3)  # no request converges
     REQUESTS = (
         ("a", 3.5, P([0.0, 0.0, 0.7])),  # zero parameters: d = 2 ideal points
         ("a", 5.2, P([1e-13, 1.3, 2.1])),
@@ -482,22 +529,25 @@ class TestLevelLoop:
             fn = {"a": abcore.a_fn, "a'": abcore.a_prime, "b": abcore.b_fn}[kind]
             abcore.clear_cache()
             res = fn(alpha, params, self.LOOSE, closed_forms=False)
+            if kind == "b":  # the level loop's b is (alpha+1) * b_fn
+                value, err = value / (alpha + 1.0), err / (alpha + 1.0)
             assert _bits([(res.value, res.abs_err_est)]) == _bits([(value, err)])
 
     def test_first_failure_in_request_order(self):
-        # at the default tolerances both b integrals at -0.98 fail in their upper half
+        # nothing converges at NEVER: each batch raises the error of its first request
+        errors = {}
+        for request in self.REQUESTS:
+            abcore.clear_cache()
+            with pytest.raises(quad.QuadratureError) as info:
+                abcore._integrals([request], self.NEVER)
+            errors[request] = info.value
         failing = [r for r in self.REQUESTS if r[0] == "b" and r[1] == -0.98]
-        errors = []
-        for request in failing:
+        assert errors[failing[0]].estimate != errors[failing[1]].estimate
+        for order in (failing, failing[::-1], self.REQUESTS, self.REQUESTS[::-1]):
+            want = errors[order[0]]
             abcore.clear_cache()
             with pytest.raises(quad.QuadratureError) as info:
-                abcore._integrals([request], CFG)
-            errors.append(info.value)
-        assert errors[0].estimate != errors[1].estimate
-        for order, want in ((self.REQUESTS, errors[0]), (self.REQUESTS[::-1], errors[1])):
-            abcore.clear_cache()
-            with pytest.raises(quad.QuadratureError) as info:
-                abcore._integrals(list(order), CFG)
+                abcore._integrals(list(order), self.NEVER)
             assert str(info.value) == str(want)
             assert info.value.estimate == want.estimate
 

@@ -97,11 +97,11 @@ class TestIncBeta:
             assert specfun.inc_beta(z, p, q) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_complete_beta_error_bound(self):
-        # the complete B(p, p) behind every upper-half b factor, within its bound
+        # the complete B(p, p) behind every b factor past the swap point, within its bound
         ps = np.concatenate([np.geomspace(1e-6, 0.5, 60), np.linspace(0.5, 100.0, 200)])
         with mp.workdps(40):
             for p in ps.tolist():
-                got = specfun._inc_beta_parts(np.array([1.0]), np.array([0.0]), p, p)[0][0]
+                got = specfun._inc_beta_parts(np.array([1.0]), np.array([0.0]), p, p)[0]
                 want = mp.beta(p, p)
                 assert abs((mp.mpf(got) - want) / want) <= specfun.complete_beta_rel_err(p, p), p
 
@@ -138,7 +138,7 @@ def _bits(a):
 def _one_row(b, z, zc):
     """2**b B_z(p, p) for one parameter, from one-row kernel calls."""
     p = 0.5 * (b + 1.0)
-    return 2.0**b * specfun._inc_beta_parts(z, zc, p, p)[0]
+    return 2.0**b * specfun._inc_beta_parts(z, zc, p, p)
 
 
 class TestIncBetaBlocks:
@@ -175,17 +175,19 @@ class TestIncBetaBlocks:
             z, zc = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
             underflow += int((z == 0.0).sum())
             beyond_half += int((z >= 0.5).sum())
-            lows, highs = specfun._f_real_from_z(col, z, zc)
+            # the row at z and, past the swap point, at its mirror 1 - z
+            lows, highs = specfun._f_real_from_z(col, z, zc), specfun._f_real_from_z(col, zc, z)
             for b, low, high in zip(self.BETAS, lows, highs):
                 assert _bits(low) == _bits(_one_row(b, z, zc))
                 assert _bits(high) == _bits(_one_row(b, zc, z))
         assert underflow > 0 and beyond_half > 0
 
     def test_block_rows_where_both_halves_take_the_same_branch(self):
-        # z = zc = 1/2: both halves below the swap point, so they share no fraction
+        # z = zc = 1/2: the row and its mirror both below the swap point
         z = np.array([0.0, 1e-300, 0.25, 0.5, 0.5, 0.5 + 2.0**-53, 1.0])
         zc = np.array([1.0, 1.0, 0.75, 0.5, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.0])
-        lows, highs = specfun._f_real_from_z(np.array(self.BETAS)[:, None], z, zc)
+        col = np.array(self.BETAS)[:, None]
+        lows, highs = specfun._f_real_from_z(col, z, zc), specfun._f_real_from_z(col, zc, z)
         for b, low, high in zip(self.BETAS, lows, highs):
             assert _bits(low) == _bits(_one_row(b, z, zc))
             assert _bits(high) == _bits(_one_row(b, zc, z))
@@ -198,7 +200,7 @@ class TestIncBetaBlocks:
         z = rng.uniform(0.0, 1.0, 50)
         for b in self.BETAS:
             p = 0.5 * (b + 1.0)
-            low, high = specfun._f_real_from_z(b, z, 1.0 - z)
+            low, high = specfun._f_real_from_z(b, z, 1.0 - z), specfun._f_real_from_z(b, 1.0 - z, z)
             assert np.allclose(low, 2.0**b * specfun.inc_beta(z, p, p), rtol=1e-13, atol=0.0)
             assert np.allclose(high, 2.0**b * specfun.inc_beta(1.0 - z, p, p), rtol=1e-13, atol=0.0)
 
