@@ -17,29 +17,37 @@ P * sin(t)**alpha * expm1(sum_j log1p(-F_j(t - pi/2)/B_j)), which is O(t)
 at the endpoint, so no mass sits below the smallest tanh-sinh node.
 
 One level loop, ``_integrals``, refines any number of such integrals
-together, one refinement level at a time: a query hands it every
-integral of its subset classes, and ``a_fn``, ``a_prime`` and ``b_fn``
-hand it one.  At each level it fetches the factor rows of the
-parameters of all live ``a`` integrals and ``b`` halves with one
-``_level_rows`` call per kind, and hands each integral its own rows.
-Its integrand is a pure function of those rows, and it keeps its own
-stopping rule (``quad.Refinement``), so its value and error estimate do
-not depend on what it was batched with.  The ``a`` integrand is
-evaluated at x >= 0 only: its real part is even and its imaginary part
-odd, so the integral is twice that of the real part over x >= 0.
+together, one step of refinement levels at a time: a query hands it
+every integral of its subset classes, and ``a_fn``, ``a_prime`` and
+``b_fn`` hand it one.  No integral stops before level 3, so the first
+step covers levels 0..3 and every later step one level
+(``quad._step_levels``).  At each step it fetches the factor rows of the
+parameters of all live ``a`` integrals and ``b`` halves at all the
+step's nodes with one ``_level_rows`` call per kind, hands each integral
+its own rows, evaluates each integrand once, and adds the step's levels
+to its refinement one by one.  Its integrand is a pure function of
+those rows, and it keeps its own stopping rule (``quad.Refinement``), so
+its value and error estimate do not depend on what it was batched with.
+The ``a`` integrand is evaluated at x >= 0 only: its real part is even
+and its imaginary part odd, so the integral is twice that of the real
+part over x >= 0.
 
 One table holds the integral values and the factor rows until
 ``clear_cache``: a value under (kind, alpha, params, cfg), charged a
 fixed ``_VALUE_BYTES``, and a row pair under ("a" | "b", beta, level),
-charged its arrays' bytes.  ``quad``'s node tables are read-only, so a
-level's nodes are fixed and a row pair is evaluated once per parameter
-and level, then reused by every later level loop, in the same query or
-a later one.  The table holds at most ``_BUDGET`` bytes and drops the
-oldest entries first; a dropped value or row is computed again by the
-next call that needs it, to the same bits.  The rows of all parameters
-a level lacks come from one kernel call per kind: the cosh-power
-kernel for ``a`` (``_a_factors``), the incomplete beta for ``b``, one
-row and its log1p complement (``_b_factors``).
+level the first level of the step, charged its arrays' bytes.
+``quad``'s node tables are read-only, so a step's nodes are fixed and a
+row pair is evaluated once per parameter and step, then reused by every
+later level loop, in the same query or a later one.  The table holds at
+most ``_BUDGET`` bytes and drops the oldest entries first; a dropped
+value or row is computed again, to the same bits, by the next call
+that needs it.  The rows of all parameters a step lacks come from one
+kernel call per kind: the cosh-power kernel for ``a`` (``_a_factors``),
+the incomplete beta for ``b``, one row and its log1p complement
+(``_b_factors``).  An ``a`` row is elementwise in its nodes, so it has
+the same bits in any step; the incomplete beta stops a row once all its
+nodes have converged, so a ``b`` row's last bits depend on the other
+nodes of its step.
 """
 
 from __future__ import annotations
@@ -316,7 +324,7 @@ def _b_factors(betas, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _level_rows(kind: str, params: tuple, level: int, compute) -> dict:
-    """The row pair of each distinct parameter of kind ("a" or "b") at one level, by parameter.
+    """The row pair of each distinct parameter of kind ("a" or "b") at the step from level, by parameter.
 
     Pairs held in the table are reused; compute(missing) gives those of
     all the others from one kernel call, and they are held for later.
@@ -371,39 +379,45 @@ def _level_params(states) -> tuple:
 _HALF_PI = 0.5 * math.pi
 
 
-def _line_level(states: list, level: int) -> list:
-    """Add one real-line level to each a integral (tau, betas, log_weight, run); returns the live ones.
+def _add_levels(run, vals: list, cuts: tuple, scale: float) -> bool:
+    """Add scale * the fsum of each level's slice of vals (``quad._joined`` cuts) to run, in order; True once it is done."""
+    return any(run.add(scale * math.fsum(vals[lo:hi])) for lo, hi in zip(cuts, cuts[1:]))
 
-    The level's factor rows of every integral come from one _level_rows
-    call for all their parameters; each integral's integrand is then a
-    function of its own rows.
+
+def _line_step(states: list, levels: range) -> list:
+    """Add one refinement step's levels to each a integral (tau, betas, log_weight, run); returns the live ones.
+
+    The step's factor rows of every integral come from one _level_rows
+    call for all their parameters, held under the step's first level;
+    each integral's integrand is then one pass over its own rows at all
+    the step's nodes, summed and added level by level.
     """
-    x, weight = quad._line_nodes(level)
+    x, weight, cuts = quad._line_step_nodes(levels)
     L = _log_cosh(x)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("a", params, level, lambda missing: _a_factors(missing, x, L))
+        rows = _level_rows("a", params, levels.start, lambda missing: _a_factors(missing, x, L))
         for state in states:
             tau, betas, log_weight, run = state
             vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, L) * weight)
-            if not run.add(math.fsum(vals.tolist())):
+            if not _add_levels(run, vals.tolist(), cuts, 1.0):
                 live.append(state)
     return live
 
 
-def _segment_level(states: list, level: int) -> list:
-    """Add one tanh-sinh level to each b half (alpha, betas, P, run; P None below), as _line_level; returns the live."""
-    t, weight = quad._finite_abscissae(0.0, _HALF_PI, level)
+def _segment_step(states: list, levels: range) -> list:
+    """Add one step's tanh-sinh levels to each b half (alpha, betas, P, run; P None below), as _line_step; returns the live."""
+    t, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
     sin_t = np.sin(t)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("b", params, level, lambda missing: _b_factors(missing, t))
+        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t))
         for state in states:
             alpha, betas, P, run = state
             vals = _b_body(alpha, [rows[b] for b in betas], P is not None, sin_t) * weight
-            if not run.add(0.5 * _HALF_PI * (1.0 if P is None else P) * math.fsum(vals.tolist())):
+            if not _add_levels(run, vals.tolist(), cuts, 0.5 * _HALF_PI * (1.0 if P is None else P)):
                 live.append(state)
     return live
 
@@ -413,8 +427,9 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
 
     kind is "a", "a'" (a_prime's log-weighted integral) or "b", which is
     (alpha+1) * b (module docstring).  Values found in the table are
-    reused; the others are refined together, one level at a time
-    (``_line_level``, ``_segment_level``), each b as its two halves.
+    reused; the others are refined together, one step of levels at a
+    time (``quad._step_levels``; ``_line_step``, ``_segment_step``), each
+    b as its two halves.
     Every integral keeps its own stopping rule (``quad.Refinement``) and
     its own integrand, so its value and error estimate are those of a
     one-integral call, in every bit.  Raises the QuadratureError of the
@@ -435,13 +450,13 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                 line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
     live_line = list(line.values())
     live_segment = [half for halves in segment.values() for half in halves]
-    level = 0
+    levels = quad._step_levels(0)
     while live_line or live_segment:
         if live_line:
-            live_line = _line_level(live_line, level)
+            live_line = _line_step(live_line, levels)
         if live_segment:
-            live_segment = _segment_level(live_segment, level)
-        level += 1
+            live_segment = _segment_step(live_segment, levels)
+        levels = quad._step_levels(levels.stop)
     for key, hit in found.items():
         if hit is None:
             if key in line:

@@ -17,12 +17,16 @@ are built once per level and cached as read-only arrays, and so are
 the abscissae of a finite interval, per (a, b, level): an integrand
 that writes to its input raises ValueError instead of changing the
 nodes of every later integral.  So a level's nodes are fixed, and
-``abcore`` keys the factor rows it holds by level.
+``abcore`` keys the factor rows it holds by level.  ``abcore`` refines
+in steps (``_step_levels``): the first covers levels 0.._MIN_LEVEL, no
+integral stopping before it, and each later step one level; a step's
+nodes are its levels' tables joined, cached read-only in the same way.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +34,7 @@ import numpy as np
 
 _TMAX_FINITE = 6.115  # tanh distance to endpoint underflows ~1e-300 beyond this
 _TMAX_LINE = 6.56     # caps |x| = sinh(sinh t) near 1.4e153, so x*x stays finite
-_MIN_LEVEL = 3
+_MIN_LEVEL = 3        # no stop before it; abcore's first step covers levels 0.._MIN_LEVEL
 
 
 class QuadratureError(RuntimeError):
@@ -142,6 +146,38 @@ def _finite_abscissae(a: float, b: float, level: int) -> tuple[np.ndarray, np.nd
     ws = np.concatenate([weight[centre], pair_weight[keep_m], pair_weight[keep_p]])
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
+
+
+def _step_levels(first: int) -> range:
+    """The levels of the refinement step that starts at level first; the next step starts at its stop.
+
+    No integral stops before _MIN_LEVEL, so the step from level 0 covers
+    levels 0.._MIN_LEVEL together, and every later step one level.
+    """
+    return range(first, max(first, _MIN_LEVEL) + 1)
+
+
+def _joined(tables) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Per-level (nodes, weights) tables as one read-only pair, and the cuts: table i is [cuts[i]:cuts[i + 1]]."""
+    cuts = tuple(itertools.accumulate((len(x) for x, _ in tables), initial=0))
+    if len(tables) == 1:
+        return (*tables[0], cuts)
+    x = np.concatenate([x for x, _ in tables])
+    weight = np.concatenate([weight for _, weight in tables])
+    x.flags.writeable = weight.flags.writeable = False
+    return x, weight, cuts
+
+
+@functools.lru_cache(maxsize=None)  # levels are bounded by max_level <= 16
+def _line_step_nodes(levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only ``_line_nodes`` of the levels of one step, joined in order, and their cuts (``_joined``)."""
+    return _joined([_line_nodes(level) for level in levels])
+
+
+@functools.lru_cache(maxsize=64)  # bounded like _finite_abscissae
+def _finite_step_abscissae(a: float, b: float, levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only ``_finite_abscissae`` of the levels of one step, joined in order, and their cuts (``_joined``)."""
+    return _joined([_finite_abscissae(a, b, level) for level in levels])
 
 
 class Refinement:

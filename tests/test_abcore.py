@@ -564,6 +564,56 @@ class TestLevelLoop:
         assert kernel_calls["cosh_pow_integral_scaled"] <= depth
 
 
+    def test_first_step_spans_levels_0_to_3(self, monkeypatch, kernel_calls):
+        # against one level per step: an a row is elementwise in its nodes, so
+        # a and a' keep every bit; a b row's last bits depend on the nodes of
+        # its kernel call (the incomplete beta stops a row as a whole)
+        rng = np.random.default_rng(27)
+        requests = list(self.REQUESTS)
+        for k in range(18):
+            kind = ("a", "a'", "b")[k % 3]
+            params = P([*rng.uniform(0.0, 3.0, 1 + k % 4), (0.0, 1e-13, 1e-7, 0.5)[k // 3 % 4]])
+            alpha = rng.uniform(-0.99, 4.0) if kind == "b" else params.total() + rng.uniform(0.05, 4.0)
+            requests.append((kind, alpha, params))
+        deepest = {}
+
+        class Recorded(quad.Refinement):
+            __slots__ = ()
+
+            def add(self, part):
+                deepest[self.method] = max(deepest.get(self.method, 0), self.level)
+                return super().add(part)
+
+        monkeypatch.setattr(quad, "Refinement", Recorded)
+
+        kinds = {"a": ("cosh_pow_integral_scaled", "de-real-line"), "b": ("_f_real_from_z", "tanh-sinh")}
+
+        def run():
+            """The values, kernel calls by kind and deepest level by kind of one cold _integrals call."""
+            abcore.clear_cache()
+            deepest.clear()
+            before = dict(kernel_calls)
+            out = abcore._integrals(requests, self.LOOSE)
+            calls = {kind: kernel_calls[name] - before[name] for kind, (name, _) in kinds.items()}
+            return out, calls, {kind: deepest[method] for kind, (_, method) in kinds.items()}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quad, "_step_levels", lambda first: range(first, first + 1))
+            try:
+                one, one_calls, one_deepest = run()
+            finally:
+                abcore.clear_cache()  # its rows are held under the keys of the real steps
+        got, calls, got_deepest = run()
+        assert one_calls == {kind: level + 1 for kind, level in one_deepest.items()}
+        assert calls == {kind: level - 2 for kind, level in got_deepest.items()}
+        assert got_deepest["a"] == one_deepest["a"] >= 5
+        for (kind, _, _), (value, err), (one_value, one_err) in zip(requests, got, one):
+            if kind == "b":
+                assert abs(value - one_value) <= one_err
+            else:
+                assert (value.hex(), err.hex()) == (one_value.hex(), one_err.hex())
+
+
 class TestConcurrency:
     def test_parallel_queries_match_serial(self):
         self._parallel_queries_match_serial()

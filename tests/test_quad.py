@@ -69,6 +69,19 @@ class TestFinite:
         for level in range(4):
             for table in (quad._line_nodes(level), quad._finite_nodes(level)):
                 assert not any(array.flags.writeable for array in table)
+        # so are abcore's steps, each its levels' tables joined
+        half_pi = 0.5 * math.pi
+        assert (quad._step_levels(0), quad._step_levels(4)) == (range(4), range(4, 5))
+        for levels in (quad._step_levels(0), quad._step_levels(4)):
+            for (*arrays, cuts), tables in (
+                (quad._line_step_nodes(levels), [quad._line_nodes(level) for level in levels]),
+                (quad._finite_step_abscissae(0.0, half_pi, levels), [quad._finite_abscissae(0.0, half_pi, level) for level in levels]),
+            ):
+                assert [hi - lo for lo, hi in zip(cuts, cuts[1:])] == [len(table[0]) for table in tables]
+                for i, array in enumerate(arrays):
+                    assert array.tobytes() == b"".join(table[i].tobytes() for table in tables)
+                    with pytest.raises(ValueError, match="read-only"):
+                        writes_to_input(array)
         res = quad.integrate_real_line(lambda x: np.exp(-x * x))
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         abcore.clear_cache()
