@@ -483,7 +483,7 @@ def _bits(pairs):
 
 
 class TestLevelLoop:
-    """abcore._integrals: many integrals refined together, one level at a time."""
+    """abcore._integrals: many integrals refined together, one step of levels at a time."""
 
     LOOSE = QuadConfig(rel_tol=1e-8, abs_tol=1e-10, max_level=14)
     NEVER = QuadConfig(rel_tol=1e-17, abs_tol=1e-300, max_level=3)  # no request converges
