@@ -19,13 +19,15 @@ at the endpoint, so no mass sits below the smallest tanh-sinh node.
 One level loop, ``_integrals``, refines any number of such integrals
 together, one step of refinement levels at a time: a query hands it
 every integral of its subset classes, and ``a_fn``, ``a_prime`` and
-``b_fn`` hand it one.  No integral stops before level 3, so the first
-step covers levels 0..3 and every later step one level
-(``quad._step_levels``).  At each step it fetches the factor rows of the
+``b_fn`` hand it one.  The first step covers levels 0..5, where nearly
+every integral stops at the default tolerance, and every later step one
+level (``quad._step_levels``), so a default query makes one kernel call
+per kind.  At each step it fetches the factor rows of the
 parameters of all live ``a`` integrals and ``b`` halves at all the
 step's nodes with one ``_level_rows`` call per kind, hands each integral
 its own rows, evaluates each integrand once, and adds the step's levels
-to its refinement one by one.  Its integrand is a pure function of
+to its refinement one by one, stopping at the same level as a
+one-level-per-step loop.  Its integrand is a pure function of
 those rows, and it keeps its own stopping rule (``quad.Refinement``), so
 its value and error estimate do not depend on what it was batched with.
 The ``a`` integrand is evaluated at x >= 0 only: its real part is even
@@ -135,8 +137,10 @@ def _as_params(params) -> ParamMultiset:
 # -- the table -----------------------------------------------------------
 
 # Integral values and factor row pairs, oldest first (module docstring);
-# each entry is (payload, bytes charged).  One query's rows reach about
-# 3 MB (d = 5, near-ideal betas, level 12).
+# each entry is (payload, bytes charged).  A row pair of the step over
+# levels 0..5 takes 3.4 KB (a) or 4.8 KB (b), and one query of the 14 s
+# distinct-betas and sweep plans holds at most 57 KB of rows (d = 4, n = 7);
+# the rows of levels 0..12 take 0.43 MB (a) or 0.61 MB (b) per parameter.
 _BUDGET = 16 << 20
 _VALUE_BYTES = 512  # a value entry takes about 470 B (tracemalloc, 3,724 entries)
 _table_lock = threading.Lock()

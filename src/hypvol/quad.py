@@ -18,9 +18,10 @@ the abscissae of a finite interval, per (a, b, level): an integrand
 that writes to its input raises ValueError instead of changing the
 nodes of every later integral.  So a level's nodes are fixed, and
 ``abcore`` keys the factor rows it holds by level.  ``abcore`` refines
-in steps (``_step_levels``): the first covers levels 0.._MIN_LEVEL, no
-integral stopping before it, and each later step one level; a step's
-nodes are its levels' tables joined, cached read-only in the same way.
+in steps (``_step_levels``): the first covers levels 0..5, where nearly
+every integral stops at the default tolerance, and each later step one
+level; a step's nodes are its levels' tables joined, cached read-only
+in the same way.  No integral stops before level _MIN_LEVEL.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ import numpy as np
 
 _TMAX_FINITE = 6.115  # tanh distance to endpoint underflows ~1e-300 beyond this
 _TMAX_LINE = 6.56     # caps |x| = sinh(sinh t) near 1.4e153, so x*x stays finite
-_MIN_LEVEL = 3        # no stop before it; abcore's first step covers levels 0.._MIN_LEVEL
+_MIN_LEVEL = 3        # the stopping rule's minimum: no integral stops before it
+# The last level of abcore's first refinement step.  At the default
+# QuadConfig, on the seed-1 distinct-betas and sweep plans of perfbench, no
+# integral stopped at level 3, 9 of 366 real-line a integrals and 77 of
+# 1,034 b halves at level 4, all others at level 5 and none deeper: the
+# estimate |T_L - T_{L-1}| is about the error of T_{L-1}, so a 1e-12
+# tolerance is first certified at level 5.
+_FIRST_STEP_LAST_LEVEL = 5
 
 
 class QuadratureError(RuntimeError):
@@ -151,10 +159,15 @@ def _finite_abscissae(a: float, b: float, level: int) -> tuple[np.ndarray, np.nd
 def _step_levels(first: int) -> range:
     """The levels of the refinement step that starts at level first; the next step starts at its stop.
 
-    No integral stops before _MIN_LEVEL, so the step from level 0 covers
-    levels 0.._MIN_LEVEL together, and every later step one level.
+    The step from level 0 covers levels 0.._FIRST_STEP_LAST_LEVEL, where
+    nearly every integral stops at the default tolerance, and every later
+    step one level.  A step depends on its first level only, not on a
+    QuadConfig: abcore holds a step's factor rows under its first level,
+    so rows held by a max_level=3 query are the rows a default query
+    reads.  A max_level below _FIRST_STEP_LAST_LEVEL therefore evaluates
+    nodes of levels its integrals never add.
     """
-    return range(first, max(first, _MIN_LEVEL) + 1)
+    return range(first, max(first, _FIRST_STEP_LAST_LEVEL) + 1)
 
 
 def _joined(tables) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:

@@ -477,6 +477,24 @@ class TestFactorTable:
             assert abcore._table_bytes == _held_bytes()
         assert any(_is_row(key) for key in abcore._table) and any(not _is_row(key) for key in abcore._table)
 
+    def test_rows_of_a_max_level_3_query_serve_a_default_query(self, kernel_calls):
+        # a step depends on its first level only, not on max_level: the rows a
+        # max_level=3 query holds under (kind, beta, 0) are the rows of levels
+        # 0..5 that a later default query reads
+        abcore.clear_cache()
+        cold = expect.expected_hyp_volume(self.SPEC, CFG, closed_forms=False)
+        cold_calls = dict(kernel_calls)
+        abcore.clear_cache()
+        with pytest.raises(quad.QuadratureError):
+            expect.expected_hyp_volume(self.SPEC, QuadConfig(max_level=3), closed_forms=False)
+        shallow_calls = dict(kernel_calls)
+        warm = expect.expected_hyp_volume(self.SPEC, CFG, closed_forms=False)
+        assert _bits([(warm.value, warm.abs_err_est)]) == _bits([(cold.value, cold.abs_err_est)])
+        for name, count in kernel_calls.items():
+            # the shallow query fetched the first step's rows, so the default one does not
+            assert shallow_calls[name] - cold_calls[name] == 1, name
+            assert count - shallow_calls[name] == cold_calls[name] - 1, name
+
 
 def _bits(pairs):
     return [(value.hex(), err.hex()) for value, err in pairs]
@@ -487,6 +505,7 @@ class TestLevelLoop:
 
     LOOSE = QuadConfig(rel_tol=1e-8, abs_tol=1e-10, max_level=14)
     NEVER = QuadConfig(rel_tol=1e-17, abs_tol=1e-300, max_level=3)  # no request converges
+    TIGHT = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_level=7)
     REQUESTS = (
         ("a", 3.5, P([0.0, 0.0, 0.7])),  # zero parameters: d = 2 ideal points
         ("a", 5.2, P([1e-13, 1.3, 2.1])),
@@ -564,7 +583,7 @@ class TestLevelLoop:
         assert kernel_calls["cosh_pow_integral_scaled"] <= depth
 
 
-    def test_first_step_spans_levels_0_to_3(self, monkeypatch, kernel_calls):
+    def test_first_step_spans_levels_0_to_5(self, monkeypatch, kernel_calls):
         # against one level per step: an a row is elementwise in its nodes, so
         # a and a' keep every bit; a b row's last bits depend on the nodes of
         # its kernel call (the incomplete beta stops a row as a whole)
@@ -588,30 +607,51 @@ class TestLevelLoop:
 
         kinds = {"a": ("cosh_pow_integral_scaled", "de-real-line"), "b": ("_f_real_from_z", "tanh-sinh")}
 
-        def run():
-            """The values, kernel calls by kind and deepest level by kind of one cold _integrals call."""
-            abcore.clear_cache()
-            deepest.clear()
-            before = dict(kernel_calls)
-            out = abcore._integrals(requests, self.LOOSE)
-            calls = {kind: kernel_calls[name] - before[name] for kind, (name, _) in kinds.items()}
-            return out, calls, {kind: deepest[method] for kind, (_, method) in kinds.items()}
+        def run(batches, cfg):
+            """Per cold _integrals call of each batch: its outcomes, kernel calls by kind and deepest level by kind.
 
-        with monkeypatch.context() as patch:
-            patch.setattr(quad, "_step_levels", lambda first: range(first, first + 1))
-            try:
-                one, one_calls, one_deepest = run()
-            finally:
-                abcore.clear_cache()  # its rows are held under the keys of the real steps
-        got, calls, got_deepest = run()
-        assert one_calls == {kind: level + 1 for kind, level in one_deepest.items()}
-        assert calls == {kind: level - 2 for kind, level in got_deepest.items()}
-        assert got_deepest["a"] == one_deepest["a"] >= 5
-        for (kind, _, _), (value, err), (one_value, one_err) in zip(requests, got, one):
-            if kind == "b":
-                assert abs(value - one_value) <= one_err
-            else:
-                assert (value.hex(), err.hex()) == (one_value.hex(), one_err.hex())
+            An outcome is (raised, value, abs_err_est), the estimate of the
+            QuadratureError the call raised if it did.
+            """
+            out = []
+            for batch in batches:
+                abcore.clear_cache()
+                deepest.clear()
+                before = dict(kernel_calls)
+                try:
+                    outcomes = [(False, *pair) for pair in abcore._integrals(batch, cfg)]
+                except quad.QuadratureError as exc:
+                    outcomes = [(True, exc.estimate.value, exc.estimate.abs_err_est)]
+                levels = {kind: deepest[method] for kind, (_, method) in kinds.items() if method in deepest}
+                out.append((outcomes, {kind: kernel_calls[kinds[kind][0]] - before[kinds[kind][0]] for kind in levels}, levels))
+            return out
+
+        # LOOSE converges in one batch, no deeper than level 5; at max_level=4
+        # most requests do not converge, and at TIGHT some go past level 5 and
+        # some do not converge, so each of those requests runs alone
+        alone = [[request] for request in requests]
+        for batches, cfg, depth in (([requests], self.LOOSE, 5), (alone, QuadConfig(max_level=4), 4), (alone, self.TIGHT, 7)):
+            with monkeypatch.context() as patch:
+                patch.setattr(quad, "_step_levels", lambda first: range(first, first + 1))
+                try:
+                    one = run(batches, cfg)
+                finally:
+                    abcore.clear_cache()  # its rows are held under the keys of the real steps
+            got = run(batches, cfg)
+            raised = 0
+            for batch, (outcomes, calls, levels), (one_outcomes, one_calls, one_levels) in zip(batches, got, one):
+                assert one_calls == {kind: level + 1 for kind, level in one_levels.items()}
+                assert calls == {kind: 1 if level <= 5 else level - 4 for kind, level in levels.items()}
+                assert levels.get("a") == one_levels.get("a")
+                for (kind, _, _), (failed, value, err), (one_failed, one_value, one_err) in zip(batch, outcomes, one_outcomes):
+                    assert failed == one_failed
+                    raised += failed
+                    if kind == "b":
+                        assert abs(value - one_value) <= one_err
+                    else:
+                        assert (value.hex(), err.hex()) == (one_value.hex(), one_err.hex())
+            assert max(max(levels.values()) for _, _, levels in got) == depth  # the deepest level added
+            assert (raised > 0) == (cfg is not self.LOOSE) and raised < len(requests)
 
 
 class TestConcurrency:

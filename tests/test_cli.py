@@ -120,16 +120,16 @@ class TestHypVolume:
         }
 
     @pytest.mark.parametrize(
-        "betas,estimate,abs_err_est",
+        "betas,estimate,abs_err_est,dim",
         [
-            ("-0.99,-0.99,-0.99,-0.99,-0.99", 1.913295442690407, 2.220446049250313e-16),
-            ("-0.99,-0.99,-0.99,-0.99,-0.99,-0.99", 2.4229179973622585, 4.440892098500626e-16),
+            ("-0.99,-0.99,-0.99,-0.99,-0.99,-0.99", 2.4229179973622585, 4.440892098500626e-16, "2"),
+            ("-0.8,-0.8,-0.8,-0.8,-0.8,-0.8,-0.8,-0.8", 0.1083217617374766, 1.3877787807814457e-17, "3"),
         ],
     )
-    def test_unconverged_b_integral_record(self, capsys, betas, estimate, abs_err_est):
+    def test_unconverged_b_integral_record(self, capsys, betas, estimate, abs_err_est, dim):
         # a tolerance below what double precision reaches: the first b integral
         # that does not converge names the record, with its last estimate, to the bit
-        code, out, err = run(capsys, "hypvolume", "--dim", "2", f"--betas={betas}", "--tol", "1e-17")
+        code, out, err = run(capsys, "hypvolume", "--dim", dim, f"--betas={betas}", "--tol", "1e-17")
         assert code == 3 and err == ""
         assert json.loads(out) == {
             "command": "hypvolume",
@@ -138,6 +138,18 @@ class TestHypVolume:
             "estimate": estimate,
             "abs_err_est": abs_err_est,
         }
+
+    def test_b_integral_converging_below_double_precision(self, capsys):
+        # the same tolerance, met here by every integral (its last two levels agree
+        # within 1e-17): the value lies within the combined bars of the default run
+        args = ("hypvolume", "--dim", "2", "--betas=-0.99,-0.99,-0.99,-0.99,-0.99")
+        code, out, err = run(capsys, *args, "--tol", "1e-17")
+        assert code == 0 and err == ""
+        tight = json.loads(out)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        default = json.loads(out)
+        assert abs(tight["value"] - default["value"]) <= tight["abs_err_est"] + default["abs_err_est"]
 
 
 class TestTable:

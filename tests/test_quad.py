@@ -66,13 +66,13 @@ class TestFinite:
 
         with pytest.raises(ValueError, match="read-only"):
             quad.integrate_real_line(writes_to_input)
-        for level in range(4):
+        for level in range(7):
             for table in (quad._line_nodes(level), quad._finite_nodes(level)):
                 assert not any(array.flags.writeable for array in table)
         # so are abcore's steps, each its levels' tables joined
         half_pi = 0.5 * math.pi
-        assert (quad._step_levels(0), quad._step_levels(4)) == (range(4), range(4, 5))
-        for levels in (quad._step_levels(0), quad._step_levels(4)):
+        assert (quad._step_levels(0), quad._step_levels(6)) == (range(6), range(6, 7))
+        for levels in (quad._step_levels(0), quad._step_levels(6)):
             for (*arrays, cuts), tables in (
                 (quad._line_step_nodes(levels), [quad._line_nodes(level) for level in levels]),
                 (quad._finite_step_abscissae(0.0, half_pi, levels), [quad._finite_abscissae(0.0, half_pi, level) for level in levels]),
