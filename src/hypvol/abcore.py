@@ -16,20 +16,21 @@ lower half is cos**alpha * prod F_j as it is; the upper half, less P, is
 P * sin(t)**alpha * expm1(sum_j log1p(-F_j(t - pi/2)/B_j)), which is O(t)
 at the endpoint, so no mass sits below the smallest tanh-sinh node.
 
-One level loop, ``_integrals``, refines any number of such integrals
-together, one step of refinement levels at a time: a query hands it
-every integral of its subset classes, and ``a_fn``, ``a_prime`` and
-``b_fn`` hand it one.  The first step covers levels 0..5, where nearly
-every integral stops at the default tolerance, and every later step one
-level (``quad._step_levels``), so a default query makes one kernel call
-per kind.  At each step it fetches the factor rows of the
-parameters of all live ``a`` integrals and ``b`` halves at all the
-step's nodes with one ``_level_rows`` call per kind, hands each integral
-its own rows, evaluates each integrand once, and adds the step's levels
-to its refinement one by one, stopping at the same level as a
-one-level-per-step loop.  Its integrand is a pure function of
-those rows, and it keeps its own stopping rule (``quad.Refinement``), so
-its value and error estimate do not depend on what it was batched with.
+``_integrals`` refines any number of such integrals together: a query
+hands it every integral of its subset classes, and ``a_fn``, ``a_prime``
+and ``b_fn`` hand it one.  It runs ``quad.refine`` twice, once over the
+``a`` integrals and once over the ``b`` halves, so they take
+``quad``'s steps of refinement levels: the first covers levels 0..5,
+where nearly every integral stops at the default tolerance, and every
+later step one level, so a default query makes one kernel call per
+kind.  At each step it fetches the factor rows of the parameters of all
+live integrals of the kind at all the step's nodes with one
+``_level_rows`` call, hands each integral its own rows, evaluates each
+integrand once, and adds the step's levels to its refinement
+(``quad.Refinement.add_levels``), stopping at the same level as a
+one-level-per-step loop.  Its integrand is a pure function of those
+rows, and it keeps its own stopping rule, so its value and error
+estimate do not depend on what it was batched with.
 The ``a`` integrand is evaluated at x >= 0 only: its real part is even
 and its imaginary part odd, so the integral is twice that of the real
 part over x >= 0.
@@ -40,7 +41,7 @@ fixed ``_VALUE_BYTES``, and a row pair under ("a" | "b", beta, level),
 level the first level of the step, charged its arrays' bytes.
 ``quad``'s node tables are read-only, so a step's nodes are fixed and a
 row pair is evaluated once per parameter and step, then reused by every
-later level loop, in the same query or a later one.  The table holds at
+later refinement, in the same query or a later one.  The table holds at
 most ``_BUDGET`` bytes and drops the oldest entries first; a dropped
 value or row is computed again, to the same bits, by the next call
 that needs it.  The rows of all parameters a step lacks come from one
@@ -383,11 +384,6 @@ def _level_params(states) -> tuple:
 _HALF_PI = 0.5 * math.pi
 
 
-def _add_levels(run, vals: list, cuts: tuple, scale: float) -> bool:
-    """Add scale * the fsum of each level's slice of vals (``quad._joined`` cuts) to run, in order; True once it is done."""
-    return any(run.add(scale * math.fsum(vals[lo:hi])) for lo, hi in zip(cuts, cuts[1:]))
-
-
 def _line_step(states: list, levels: range) -> list:
     """Add one refinement step's levels to each a integral (tau, betas, log_weight, run); returns the live ones.
 
@@ -405,7 +401,7 @@ def _line_step(states: list, levels: range) -> list:
         for state in states:
             tau, betas, log_weight, run = state
             vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, L) * weight)
-            if not _add_levels(run, vals.tolist(), cuts, 1.0):
+            if not run.add_levels(vals.tolist(), cuts, 1.0):
                 live.append(state)
     return live
 
@@ -421,7 +417,7 @@ def _segment_step(states: list, levels: range) -> list:
         for state in states:
             alpha, betas, P, run = state
             vals = _b_body(alpha, [rows[b] for b in betas], P is not None, sin_t) * weight
-            if not _add_levels(run, vals.tolist(), cuts, 0.5 * _HALF_PI * (1.0 if P is None else P)):
+            if not run.add_levels(vals.tolist(), cuts, 0.5 * _HALF_PI * (1.0 if P is None else P)):
                 live.append(state)
     return live
 
@@ -431,9 +427,9 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
 
     kind is "a", "a'" (a_prime's log-weighted integral) or "b", which is
     (alpha+1) * b (module docstring).  Values found in the table are
-    reused; the others are refined together, one step of levels at a
-    time (``quad._step_levels``; ``_line_step``, ``_segment_step``), each
-    b as its two halves.
+    reused; the others are refined together by ``quad.refine``, the a
+    integrals with ``_line_step`` and then the b integrals, each as its
+    two halves, with ``_segment_step``.
     Every integral keeps its own stopping rule (``quad.Refinement``) and
     its own integrand, so its value and error estimate are those of a
     one-integral call, in every bit.  Raises the QuadratureError of the
@@ -452,15 +448,8 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                 segment[key] = [(alpha, betas, p, quad.Refinement(cfg, "tanh-sinh")) for p in (None, P)]
             else:
                 line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
-    live_line = list(line.values())
-    live_segment = [half for halves in segment.values() for half in halves]
-    levels = quad._step_levels(0)
-    while live_line or live_segment:
-        if live_line:
-            live_line = _line_step(live_line, levels)
-        if live_segment:
-            live_segment = _segment_step(live_segment, levels)
-        levels = quad._step_levels(levels.stop)
+    quad.refine(list(line.values()), _line_step)
+    quad.refine([half for halves in segment.values() for half in halves], _segment_step)
     for key, hit in found.items():
         if hit is None:
             if key in line:
@@ -513,7 +502,7 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: b
 
 
 def _integral(kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool) -> ValueWithError:
-    """One integral: its closed form when allowed and known, else a one-request level loop."""
+    """One integral: its closed form when allowed and known, else a one-request ``_integrals`` call."""
     closed = _closed_form(kind, alpha, params, closed_forms)
     method = "tanh-sinh" if kind == "b" else "de-real-line"
     return closed or ValueWithError(*_integrals([(kind, alpha, params)], cfg)[0], method)

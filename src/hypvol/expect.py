@@ -24,6 +24,7 @@ polygons, and uniform-in-the-disk polygons.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -402,7 +403,8 @@ def _ideal_simplex_odd_exact(d: int) -> PiPoly:
     return PiPoly({m: coeff})
 
 
-def _sinh_pow_series(p: int, terms: int = 26) -> list[float]:
+@functools.lru_cache(maxsize=64)  # one entry per even dimension asked for
+def _sinh_pow_series(p: int, terms: int = 26) -> tuple[float, ...]:
     """Coefficients c_j of integral_0^t sinh(u)**p du = sum c_j t**(p+1+2j)."""
     base = [Fraction(0)] * (2 * terms)
     for i in range(terms):
@@ -413,7 +415,7 @@ def _sinh_pow_series(p: int, terms: int = 26) -> list[float]:
         idx = 2 * j
         if idx < len(powed):
             out.append(float(powed[idx] / (p + 1 + idx)))
-    return out
+    return tuple(out)
 
 
 def _ideal_simplex_even_integrand(d: int):

@@ -10,18 +10,21 @@ Two double-exponential schemes:
 * ``integrate_real_line`` -- the map x = sinh(sinh t) for even
   integrands with exponential decay; only x >= 0 is evaluated.
 
-Integrands are real: they are called on numpy arrays of abscissae (one
-call per refinement level; level 0 holds the centre node with the
-others) and must return a real array of the same shape.  Node tables
-are built once per level and cached as read-only arrays, and so are
-the abscissae of a finite interval, per (a, b, level): an integrand
-that writes to its input raises ValueError instead of changing the
-nodes of every later integral.  So a level's nodes are fixed, and
-``abcore`` keys the factor rows it holds by level.  ``abcore`` refines
-in steps (``_step_levels``): the first covers levels 0..5, where nearly
+Integrands are real: they are called on numpy arrays of abscissae and
+must return a real array of the same shape.  Every integral refines in
+steps (``_step_levels``): the first covers levels 0..5, where nearly
 every integral stops at the default tolerance, and each later step one
-level; a step's nodes are its levels' tables joined, cached read-only
-in the same way.  No integral stops before level _MIN_LEVEL.
+level; ``refine`` runs the steps and ``Refinement.add_levels`` adds a
+step's levels one by one, so an integrand is called once per step and
+stops at the same level as with one level per step.  Node tables are
+built once per level and cached as read-only arrays; a step's nodes are
+its levels' tables joined (level 0 holds the centre node with the
+others), cached read-only in the same way, and so are a finite
+interval's, per (a, b, step): an integrand that writes to its input
+raises ValueError instead of changing the nodes of every later
+integral.  So a step's nodes are fixed, and ``abcore`` keys the factor
+rows it holds by the step's first level.  No integral stops before
+level _MIN_LEVEL.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 _TMAX_FINITE = 6.115  # tanh distance to endpoint underflows ~1e-300 beyond this
 _TMAX_LINE = 6.56     # caps |x| = sinh(sinh t) near 1.4e153, so x*x stays finite
 _MIN_LEVEL = 3        # the stopping rule's minimum: no integral stops before it
-# The last level of abcore's first refinement step.  At the default
+# The last level of the first refinement step.  At the default
 # QuadConfig, on the seed-1 distinct-betas and sweep plans of perfbench, no
 # integral stopped at level 3, 9 of 366 real-line a integrals and 77 of
 # 1,034 b halves at level 4, all others at level 5 and none deeper: the
@@ -135,7 +138,6 @@ def _line_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weight
 
 
-@functools.lru_cache(maxsize=64)  # bounded: callers such as specfun.f_imag pass arbitrary intervals
 def _finite_abscissae(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only abscissae on (a, b) and their weights for one tanh-sinh level.
 
@@ -187,7 +189,7 @@ def _line_step_nodes(levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, 
     return _joined([_line_nodes(level) for level in levels])
 
 
-@functools.lru_cache(maxsize=64)  # bounded like _finite_abscissae
+@functools.lru_cache(maxsize=64)  # bounded: callers such as specfun.f_imag pass arbitrary intervals
 def _finite_step_abscissae(a: float, b: float, levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Read-only ``_finite_abscissae`` of the levels of one step, joined in order, and their cuts (``_joined``)."""
     return _joined([_finite_abscissae(a, b, level) for level in levels])
@@ -199,6 +201,7 @@ class Refinement:
     ``add(part)`` takes the sum of w*f over the next level's new nodes and
     returns True once no further level is needed: at the first level >=
     _MIN_LEVEL whose change is within the tolerance, or after max_level.
+    ``add_levels`` adds a whole step's levels the same way.
     ``result()`` then returns the value with its error estimate, or raises
     QuadratureError carrying the last estimate.
     """
@@ -224,6 +227,10 @@ class Refinement:
         self.level += 1
         return self.converged or self.level > cfg.max_level
 
+    def add_levels(self, vals: list, cuts: tuple, scale: float) -> bool:
+        """Add scale * the fsum of each level's slice of vals (``_joined`` cuts), in order; True once done."""
+        return any(self.add(scale * math.fsum(vals[lo:hi])) for lo, hi in zip(cuts, cuts[1:]))
+
     def result(self) -> ValueWithError:
         cfg = self.cfg
         if self.converged:
@@ -237,11 +244,25 @@ class Refinement:
         raise QuadratureError(f"{self.method}: no convergence within max_level={cfg.max_level}", estimate=best)
 
 
-def _run_levels(eval_level, cfg: QuadConfig, method: str) -> ValueWithError:
-    """Shared refinement loop: eval_level(L) returns sum_{new nodes} w*f."""
-    run = Refinement(cfg, method)
-    while not run.add(eval_level(run.level)):
-        pass
+def refine(live: list, step) -> None:
+    """Run the refinement steps until nothing is live: step(live, levels) adds the levels and returns what is still live."""
+    levels = _step_levels(0)
+    while live:
+        live = step(live, levels)
+        levels = _step_levels(levels.stop)
+
+
+def _refined(f, nodes, scale: float, cfg: QuadConfig | None, method: str) -> ValueWithError:
+    """One integral of f: nodes(levels) gives a step's (x, weight, cuts); each level adds scale * fsum(f * weight)."""
+    run = Refinement(cfg or QuadConfig(), method)
+
+    def step(live, levels):
+        x, weight, cuts = nodes(levels)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vals = np.asarray(f(x)) * weight
+        return [] if run.add_levels(vals.tolist(), cuts, scale) else live
+
+    refine([run], step)
     return run.result()
 
 
@@ -252,40 +273,24 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig | None = None) -> Va
     at abs_tol; it is a conservative bound in practice because each
     level roughly doubles the number of correct digits.
     """
-    cfg = cfg or QuadConfig()
     if not a < b:
         raise ValueError("require a < b")
-    rad = 0.5 * (b - a)
-
-    def eval_level(level):
-        xs, ws = _finite_abscissae(a, b, level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            vals = np.asarray(f(xs)) * ws
-        return rad * math.fsum(vals.tolist())
-
-    return _run_levels(eval_level, cfg, "tanh-sinh")
+    return _refined(f, lambda levels: _finite_step_abscissae(a, b, levels), 0.5 * (b - a), cfg, "tanh-sinh")
 
 
 def integrate_real_line(f, cfg: QuadConfig | None = None) -> ValueWithError:
     """Integral over the whole real line of an even f, via x = sinh(sinh t).
 
-    f is called only at x >= 0, once per level: each node x > 0 stands
-    for itself and -x, so its term is 2*(f(x)*w), which rounds the same
-    exact sum as the two terms f(x)*w and f(-x)*w; the centre x = 0 has
-    w = 1/2, so its term is f(0) exactly.  Requires exponential decay of f
-    (polynomial factors are fine).  The abscissae reach about 1.4e153
-    (so that x*x stays finite), and f must underflow to zero there
-    rather than overflow.
+    f is called only at x >= 0, once per step: each node x > 0 stands
+    for itself and -x, so a level adds 2 * fsum(f(x) * w), which rounds
+    the same exact sum as the terms f(x)*w and f(-x)*w (doubling is
+    exact, so it has the bits of fsum(2 * (f(x) * w))); the centre x = 0
+    has w = 1/2, so its term is f(0) exactly.  Requires exponential
+    decay of f (polynomial factors are fine).  The abscissae reach about
+    1.4e153 (so that x*x stays finite), and f must underflow to zero
+    there rather than overflow.
     """
-    cfg = cfg or QuadConfig()
-
-    def eval_level(level):
-        x, weight = _line_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            vals = 2.0 * (np.asarray(f(x)) * weight)
-        return math.fsum(vals.tolist())
-
-    return _run_levels(eval_level, cfg, "de-real-line")
+    return _refined(f, _line_step_nodes, 2.0, cfg, "de-real-line")
 
 
 # perfbench's tracer wraps this name on every run; it is the same function

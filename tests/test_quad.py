@@ -120,11 +120,62 @@ class TestRealLine:
         res = quad.integrate_real_line(f)
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         assert all((x >= 0.0).all() for x in calls)
-        # one call per level on that level's nodes, level 0's holding the centre x = 0
-        assert len(calls) > 3
-        for level, x in enumerate(calls):
-            assert x.tobytes() == quad._line_nodes(level)[0].tobytes()
-            assert (x == 0.0).sum() == (level == 0)
+        # one call, on the first step's nodes, holding the centre x = 0 once
+        assert len(calls) == 1
+        assert calls[0].tobytes() == quad._line_step_nodes(quad._step_levels(0))[0].tobytes()
+        assert (calls[0] == 0.0).sum() == 1
+
+
+class TestSteps:
+    def test_closed_form_suite_matches_one_level_per_step(self, monkeypatch):
+        # the first step adds levels 0-5 from one integrand call, each level as one level per step would
+        stops = []
+
+        class Recorded(quad.Refinement):
+            __slots__ = ()
+
+            def add(self, part):
+                done = super().add(part)
+                if done:
+                    stops.append(self.level - 1)
+                return done
+
+        monkeypatch.setattr(quad, "Refinement", Recorded)
+
+        cfgs = [QuadConfig(rel_tol=rel, abs_tol=1e-15) for rel in (1e-6, 1e-8, 1e-10, 1e-12)]
+        cfgs.append(QuadConfig(max_level=4))
+
+        def run():
+            """(outcome, stopping level, integrand calls) of each closed-form case at each config."""
+            out = []
+            for kind, f, ab, _ in _closed_form_suite():
+                for cfg in cfgs:
+                    calls = []
+
+                    def counted(x, f=f):
+                        calls.append(x.size)
+                        return f(x)
+
+                    try:
+                        if kind == "finite":
+                            res = quad.integrate_finite(counted, *ab, cfg)
+                        else:
+                            res = quad.integrate_real_line(counted, cfg)
+                        outcome = (False, res.value.hex(), res.abs_err_est.hex())
+                    except QuadratureError as exc:
+                        outcome = (True, exc.estimate.value.hex(), exc.estimate.abs_err_est.hex())
+                    out.append((outcome, stops.pop(), len(calls)))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quad, "_step_levels", lambda first: range(first, first + 1))
+            one = run()
+        got = run()
+        assert [(outcome, stop) for outcome, stop, _ in got] == [(outcome, stop) for outcome, stop, _ in one]
+        assert all(calls == stop + 1 for _, stop, calls in one)
+        assert all(calls == (1 if stop <= 5 else stop - 4) for _, stop, calls in got)
+        assert any(stop <= 5 for _, stop, _ in got) and any(stop > 5 for _, stop, _ in got)
+        assert any(outcome[0] for outcome, _, _ in got)  # max_level=4 leaves some cases unconverged
 
 
 class TestClosedFormSuite:
