@@ -9,17 +9,22 @@ all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
 
 A ``"b"`` integral is (alpha+1) * b(alpha; p), finite down to the pole
-alpha = -1 that ideal points reach: the closed term (P/2) * (alpha+1) *
-b(alpha; ()), with P the product of the B_j = F_j(pi/2), plus (alpha+1)
-times two half-segment quadratures, t the distance to the endpoint.  The
-lower half is cos**alpha * prod F_j as it is; the upper half, less P, is
+alpha = -1 that ideal points reach, where it is P, the product of the
+B_j = F_j(pi/2), and no quadrature runs.  Above the pole it is the
+closed term (P/2) * (alpha+1) * b(alpha; ()) plus (alpha+1) times one
+tanh-sinh quadrature over t in (0, pi/2), t the distance to the
+endpoint.  Its integrand is the lower half-segment, cos**alpha * prod F_j
+as it is, plus the upper half-segment less P,
 P * sin(t)**alpha * expm1(sum_j log1p(-F_j(t - pi/2)/B_j)), which is O(t)
-at the endpoint, so no mass sits below the smallest tanh-sinh node.
+at the endpoint, so no mass sits below the smallest tanh-sinh node.  Its
+stopping rule is relative to b: the closed term over alpha+1 is the
+offset of its ``quad.Refinement``.  So each b has one integral and one
+error estimate.
 
 ``_integrals`` refines any number of such integrals together: a query
 hands it every integral of its subset classes, and ``a_fn``, ``a_prime``
 and ``b_fn`` hand it one.  It runs ``quad.refine`` twice, once over the
-``a`` integrals and once over the ``b`` halves, so they take
+``a`` integrals and once over the ``b`` integrals, so they take
 ``quad``'s steps of refinement levels: the first covers levels 0..5,
 where nearly every integral stops at the default tolerance, and every
 later step one level, so a default query makes one kernel call per
@@ -363,17 +368,13 @@ def _a_body(tau: float, rows, log_weight: bool, L: np.ndarray) -> np.ndarray:
     return vals * (-L) if log_weight else vals
 
 
-def _b_body(alpha: float, rows, upper: bool, sin_t: np.ndarray) -> np.ndarray:
-    """Half of the b integrand from its (row, complement) pairs at nodes t in (0, pi/2); the upper less P, over P."""
-    vals = sin_t**alpha
-    if upper:
-        acc = rows[0][1]
-        for _, comp in rows[1:]:
-            acc = acc + comp
-        return vals * np.expm1(acc)
-    for row, _ in rows:
-        vals = vals * row
-    return vals
+def _b_body(alpha: float, rows, P: float, sin_t: np.ndarray) -> np.ndarray:
+    """The b integrand at nodes t in (0, pi/2) from its (row, complement) pairs: the lower half plus the upper less P."""
+    lower, acc = rows[0]
+    for row, comp in rows[1:]:
+        lower = lower * row
+        acc = acc + comp
+    return sin_t**alpha * (lower + P * np.expm1(acc))
 
 
 def _level_params(states) -> tuple:
@@ -407,7 +408,7 @@ def _line_step(states: list, levels: range) -> list:
 
 
 def _segment_step(states: list, levels: range) -> list:
-    """Add one step's tanh-sinh levels to each b half (alpha, betas, P, run; P None below), as _line_step; returns the live."""
+    """Add one step's tanh-sinh levels to each b integral (alpha, betas, P, run), as _line_step; returns the live ones."""
     t, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
     sin_t = np.sin(t)
     params = _level_params(states)
@@ -416,8 +417,8 @@ def _segment_step(states: list, levels: range) -> list:
         rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t))
         for state in states:
             alpha, betas, P, run = state
-            vals = _b_body(alpha, [rows[b] for b in betas], P is not None, sin_t) * weight
-            if not run.add_levels(vals.tolist(), cuts, 0.5 * _HALF_PI * (1.0 if P is None else P)):
+            vals = _b_body(alpha, [rows[b] for b in betas], P, sin_t) * weight
+            if not run.add_levels(vals.tolist(), cuts, 0.5 * _HALF_PI):
                 live.append(state)
     return live
 
@@ -426,15 +427,15 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
 
     kind is "a", "a'" (a_prime's log-weighted integral) or "b", which is
-    (alpha+1) * b (module docstring).  Values found in the table are
-    reused; the others are refined together by ``quad.refine``, the a
-    integrals with ``_line_step`` and then the b integrals, each as its
-    two halves, with ``_segment_step``.
-    Every integral keeps its own stopping rule (``quad.Refinement``) and
-    its own integrand, so its value and error estimate are those of a
-    one-integral call, in every bit.  Raises the QuadratureError of the
-    first request that did not converge, a b's lower half before its
-    upper half.
+    (alpha+1) * b, alpha > -1 (module docstring).  Values found in the
+    table are reused; the others are refined together by ``quad.refine``,
+    the a integrals with ``_line_step`` and then the b integrals with
+    ``_segment_step``.  A b integral's stopping rule is relative to b: its
+    offset is the closed term over alpha+1.  Every integral keeps its own
+    stopping rule (``quad.Refinement``) and its own integrand, so its
+    value and error estimate are those of a one-integral call, in every
+    bit.  Raises the QuadratureError of the first request that did not
+    converge.
     """
     ckey = _cfg_key(cfg)
     keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
@@ -445,25 +446,25 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
             kind, alpha, betas, _ = key
             if kind == "b":
                 P = math.prod(_segment_total(b)[0] for b in betas)
-                segment[key] = [(alpha, betas, p, quad.Refinement(cfg, "tanh-sinh")) for p in (None, P)]
+                segment[key] = (alpha, betas, P, quad.Refinement(cfg, "tanh-sinh", 0.5 * P * _b_empty(alpha)))
             else:
                 line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
     quad.refine(list(line.values()), _line_step)
-    quad.refine([half for halves in segment.values() for half in halves], _segment_step)
+    quad.refine(list(segment.values()), _segment_step)
     for key, hit in found.items():
         if hit is None:
             if key in line:
                 res = line[key][-1].result()
             else:
-                (alpha, betas, _, lo), (_, _, P, up) = segment[key]
-                lo, up = lo.result(), up.result()
-                held = 0.5 * P * _closed_form("b", alpha, ParamMultiset()).value
-                upper = held + (alpha + 1.0) * up.value
-                # each upper factor F_j(pi/2 - t) = B_j - F_j(t - pi/2) is at least B_j/2, so
-                # an error of B_j moves the upper half by at most twice its relative error
-                rows_err = abs(upper) * math.fsum(2.0 * _segment_total(b)[1] for b in betas)
-                err = (alpha + 1.0) * (lo.abs_err_est + up.abs_err_est) + rows_err + _REL_CLOSED * abs(held)
-                res = ValueWithError((alpha + 1.0) * lo.value + upper, err, "tanh-sinh")
+                alpha, betas, _, run = segment[key]
+                res = run.result()
+                held = (alpha + 1.0) * run.offset
+                value = held + (alpha + 1.0) * res.value
+                # each upper factor F_j(pi/2 - t) = B_j - F_j(t - pi/2) is at least B_j/2, so an
+                # error of B_j moves the upper half, at most |value|, by twice its relative error
+                rows_err = abs(value) * math.fsum(2.0 * _segment_total(b)[1] for b in betas)
+                err = (alpha + 1.0) * res.abs_err_est + rows_err + _REL_CLOSED * abs(held)
+                res = ValueWithError(value, err, "tanh-sinh")
             found[key] = (res.value, res.abs_err_est)
             _hold({key: (found[key], _VALUE_BYTES)})
     return [found[key] for key in keys]
@@ -474,11 +475,12 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: b
 
     a and b: empty, singleton and all-ones parameter lists, b at alpha = -1;
     a': 2q equal odd parameters at the vanishing point alpha = 2q*odd + 1.
-    b with no parameters is closed even without closed_forms (no factor tames its lower half).
+    b with no parameters (no factor tames its lower half) and b at alpha = -1 (the limit P,
+    where no quadrature runs) are closed even without closed_forms.
     """
     n, entries = len(params), params.entries
     floor = 0.0
-    if not (closed_forms or (kind == "b" and n == 0)):
+    if not (closed_forms or (kind == "b" and (n == 0 or alpha == -1.0))):
         return None
     if kind == "b" and alpha == -1.0:
         v = limit_alpha_plus_one_times_b(params)

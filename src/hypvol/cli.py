@@ -69,10 +69,17 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"could not parse --range {text!r}, expected a:b") from exc
 
 
+# Below it two refinement levels agree only by chance of the last bits, so
+# whether a command exits 0 or 3 would not be a property of its input.
+_TOL_FLOOR = 1e-15
+
+
 def _quad_config(args) -> QuadConfig:
     tol = getattr(args, "tol", None)
     if tol is None:
         return QuadConfig()
+    if not tol >= _TOL_FLOOR:
+        raise ValueError(f"--tol must be at least {_TOL_FLOOR:g}, what double precision can certify")
     return QuadConfig(rel_tol=tol, abs_tol=min(1e-14, tol))
 
 

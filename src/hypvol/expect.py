@@ -10,9 +10,9 @@ a_fn, or its derivative a_prime for the removable singularity at
 negative-integer exponents (the pole path) and for odd-d volumes.
 ``_class_terms`` takes the closed forms where they apply and hands all
 the other integrals of the classes to one ``abcore._integrals`` call,
-which refines them together, one level at a time, with one factor
-kernel call per level and kind; each integral keeps its own value and
-error estimate.  ``theta_fn`` is the class term normalized, and a
+which refines them together, one step of refinement levels at a time,
+with one factor kernel call per step and kind; each integral keeps its
+own value and error estimate.  ``theta_fn`` is the class term normalized, and a
 simplex (n = d+1) is the upper sum with its single class.  The
 integral values and factor rows stay in abcore's one table for later
 queries until ``abcore.clear_cache``; past its byte budget the oldest

@@ -41,8 +41,8 @@ _TMAX_LINE = 6.56     # caps |x| = sinh(sinh t) near 1.4e153, so x*x stays finit
 _MIN_LEVEL = 3        # the stopping rule's minimum: no integral stops before it
 # The last level of the first refinement step.  At the default
 # QuadConfig, on the seed-1 distinct-betas and sweep plans of perfbench, no
-# integral stopped at level 3, 9 of 366 real-line a integrals and 77 of
-# 1,034 b halves at level 4, all others at level 5 and none deeper: the
+# integral stopped at level 3, 9 of 366 real-line a integrals and 45 of
+# 517 b integrals at level 4, all others at level 5 and none deeper: the
 # estimate |T_L - T_{L-1}| is about the error of T_{L-1}, so a 1e-12
 # tolerance is first certified at level 5.
 _FIRST_STEP_LAST_LEVEL = 5
@@ -200,17 +200,21 @@ class Refinement:
 
     ``add(part)`` takes the sum of w*f over the next level's new nodes and
     returns True once no further level is needed: at the first level >=
-    _MIN_LEVEL whose change is within the tolerance, or after max_level.
-    ``add_levels`` adds a whole step's levels the same way.
-    ``result()`` then returns the value with its error estimate, or raises
-    QuadratureError carrying the last estimate.
+    _MIN_LEVEL whose change is within the tolerance, relative to |total +
+    offset|, or after max_level.  offset is the part of the wanted
+    quantity held outside the integral, so the rule is relative to the
+    quantity, not to the integral alone.  ``add_levels`` adds a whole
+    step's levels the same way.  ``result()`` then returns the value with
+    its error estimate, or raises QuadratureError carrying the last
+    estimate.
     """
 
-    __slots__ = ("cfg", "method", "level", "total", "err", "converged")
+    __slots__ = ("cfg", "method", "offset", "level", "total", "err", "converged")
 
-    def __init__(self, cfg: QuadConfig, method: str):
+    def __init__(self, cfg: QuadConfig, method: str, offset: float = 0.0):
         self.cfg = cfg
         self.method = method
+        self.offset = offset
         self.level = 0
         self.total = None
         self.err = math.inf
@@ -223,7 +227,7 @@ class Refinement:
         self.total = part * h if prev is None else prev * 0.5 + part * h
         if self.level >= _MIN_LEVEL:
             self.err = abs(self.total - prev)
-            self.converged = self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total))
+            self.converged = self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total + self.offset))
         self.level += 1
         return self.converged or self.level > cfg.max_level
 

@@ -104,6 +104,23 @@ class TestQuadratureAgainstClosedForms:
             assert abs(r1.value - r2.value) <= r1.abs_err_est + r2.abs_err_est + 1e-12
 
 
+class TestBarRelativeToB:
+    """The stopping rule of a b integral is relative to b, not to b less its closed term."""
+
+    def test_large_alpha_many_parameters(self):
+        res = abcore.b_fn(6.09, P([1.0036] * 10), CFG)
+        alt = abcore.b_fn_alt(6.09, P([1.0036] * 10), CFG)
+        assert res.abs_err_est <= 1e-11
+        assert abs(res.value - alt.value) <= res.abs_err_est + alt.abs_err_est
+
+    def test_near_ideal_beta_integral(self):
+        spec = BetaSpec(3, (-0.9982,) * 9)
+        lo = expect.expected_beta_integral(spec, 1.545, CFG, representation="lower")
+        up = expect.expected_beta_integral(spec, 1.545, CFG, representation="upper")
+        assert lo.abs_err_est <= 1e-12
+        assert abs(lo.value - up.value) <= lo.abs_err_est + up.abs_err_est
+
+
 class TestAPrime:
     def test_pole_lemma(self):
         assert abcore.a_prime_ones_at_pole(2) == pytest.approx(math.pi / 2)
@@ -540,10 +557,12 @@ class TestLevelLoop:
         for request in self.REQUESTS:
             abcore.clear_cache()
             single += abcore._integrals([request], self.LOOSE)
+        assert len(set(levels)) >= 3  # the integrals stop at different levels
         abcore.clear_cache()
+        levels.clear()
         batch = abcore._integrals(list(self.REQUESTS), self.LOOSE)
         assert _bits(batch) == _bits(single)
-        assert len(set(levels)) >= 3  # the integrals stop at different levels
+        assert len(levels) == len(self.REQUESTS)  # one stopping rule per request, a b too
         for (kind, alpha, params), (value, err) in zip(self.REQUESTS, single):
             fn = {"a": abcore.a_fn, "a'": abcore.a_prime, "b": abcore.b_fn}[kind]
             abcore.clear_cache()
@@ -577,8 +596,8 @@ class TestLevelLoop:
         res = expect.expected_hyp_volume(spec, CFG, closed_forms=False)
         assert math.isfinite(res.value)
         depth = max(levels) + 1  # levels run, counting level 0
-        assert len(levels) > 2 * 20  # many classes, each with an a' and two b halves
-        # per level one call for the b halves and one for the a side
+        assert len(levels) > 2 * 20  # many classes, each with an a' and a b integral
+        # per level one call for the b integrals and one for the a side
         assert kernel_calls["_f_real_from_z"] <= depth
         assert kernel_calls["cosh_pow_integral_scaled"] <= depth
 

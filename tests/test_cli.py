@@ -119,31 +119,35 @@ class TestHypVolume:
             "abs_err_est": 0.5,
         }
 
-    @pytest.mark.parametrize(
-        "betas,estimate,abs_err_est,dim",
-        [
-            ("-0.99,-0.99,-0.99,-0.99,-0.99,-0.99", 2.4229179973622585, 4.440892098500626e-16, "2"),
-            ("-0.8,-0.8,-0.8,-0.8,-0.8,-0.8,-0.8,-0.8", 0.1083217617374766, 1.3877787807814457e-17, "3"),
-        ],
-    )
-    def test_unconverged_b_integral_record(self, capsys, betas, estimate, abs_err_est, dim):
-        # a tolerance below what double precision reaches: the first b integral
-        # that does not converge names the record, with its last estimate, to the bit
-        code, out, err = run(capsys, "hypvolume", "--dim", dim, f"--betas={betas}", "--tol", "1e-17")
+    @pytest.mark.parametrize("betas,dim", [(",".join(["-0.99"] * 9), "2"), (",".join(["-0.8"] * 8), "2")])
+    def test_unconverged_b_integral_record(self, capsys, monkeypatch, betas, dim):
+        # at max_level=3 a b integral of these queries cannot converge: the record holds
+        # the message, last estimate and bar of the error the library raises for the query
+        from hypvol import expect
+        from hypvol.quad import QuadConfig, QuadratureError
+
+        cfg = QuadConfig(max_level=3)
+        with pytest.raises(QuadratureError) as info:
+            expect.expected_hyp_volume(expect.BetaSpec(int(dim), cli._parse_betas(betas)), cfg)
+        assert str(info.value).startswith("tanh-sinh:")
+        monkeypatch.setattr(cli, "_quad_config", lambda args: cfg)
+        code, out, err = run(capsys, "hypvolume", "--dim", dim, f"--betas={betas}")
         assert code == 3 and err == ""
         assert json.loads(out) == {
             "command": "hypvolume",
             "error": "quadrature-not-converged",
-            "message": "tanh-sinh: no convergence within max_level=12",
-            "estimate": estimate,
-            "abs_err_est": abs_err_est,
+            "message": str(info.value),
+            "estimate": info.value.estimate.value,
+            "abs_err_est": info.value.estimate.abs_err_est,
         }
 
     def test_b_integral_converging_below_double_precision(self, capsys):
-        # the same tolerance, met here by every integral (its last two levels agree
-        # within 1e-17): the value lies within the combined bars of the default run
+        # a tolerance below the 1e-15 floor is a usage error; at the floor the value
+        # lies within the combined bars of the default run
         args = ("hypvolume", "--dim", "2", "--betas=-0.99,-0.99,-0.99,-0.99,-0.99")
         code, out, err = run(capsys, *args, "--tol", "1e-17")
+        assert code == 2 and out == "" and err.startswith("error: --tol must be at least 1e-15")
+        code, out, err = run(capsys, *args, "--tol", "1e-15")
         assert code == 0 and err == ""
         tight = json.loads(out)
         code, out, _ = run(capsys, *args)

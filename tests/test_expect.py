@@ -182,6 +182,14 @@ class TestExpectedHypVolume:
         with pytest.raises(ValueError):
             expect.expected_hyp_volume(BetaSpec(3, (-1.0, 0.0, 0.5, 1.0, 2.0)), CFG, representation="bogus")
 
+    def test_ideal_points_without_closed_forms(self):
+        # ideal inside points put a b at its pole alpha = -1, where it is the limit
+        # P with or without closed forms: no quadrature runs there
+        spec = BetaSpec(2, (0.669, -1.0) * 4)
+        on = expect.expected_hyp_volume(spec, CFG, representation="upper")
+        off = expect.expected_hyp_volume(spec, CFG, representation="upper", closed_forms=False)
+        assert abs(on.value - off.value) <= on.abs_err_est + off.abs_err_est
+
     @pytest.mark.parametrize("eps", [1e-13, 5e-10, 2.5e-8])
     def test_near_ideal_d2_in_both_representations(self, eps):
         # every class has its linear factor within 10 * eps of the b-pole;
