@@ -70,7 +70,7 @@ import numpy as np
 
 from . import quad
 from .exact import PiPoly, poly_integral_01, poly_pow
-from .quad import QuadConfig, ValueWithError
+from .quad import QuadConfig, QuadratureError, ValueWithError
 from .specfun import (
     _f_real_from_z,
     _inc_beta_parts,
@@ -423,6 +423,17 @@ def _segment_step(states: list, levels: range) -> list:
     return live
 
 
+def _times_b(alpha: float, betas, offset: float, res: ValueWithError) -> ValueWithError:
+    """(alpha+1) * b and its bar from a b integral's quadrature result res, whose closed term is offset."""
+    held = (alpha + 1.0) * offset
+    value = held + (alpha + 1.0) * res.value
+    # each upper factor F_j(pi/2 - t) = B_j - F_j(t - pi/2) is at least B_j/2, so an
+    # error of B_j moves the upper half, at most |value|, by twice its relative error
+    rows_err = abs(value) * math.fsum(2.0 * _segment_total(b)[1] for b in betas)
+    err = (alpha + 1.0) * res.abs_err_est + rows_err + _REL_CLOSED * abs(held)
+    return ValueWithError(value, err, "tanh-sinh")
+
+
 def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
 
@@ -435,7 +446,7 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     stopping rule (``quad.Refinement``) and its own integrand, so its
     value and error estimate are those of a one-integral call, in every
     bit.  Raises the QuadratureError of the first request that did not
-    converge.
+    converge; for a b integral its estimate is that of (alpha+1) * b.
     """
     ckey = _cfg_key(cfg)
     keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
@@ -457,14 +468,11 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                 res = line[key][-1].result()
             else:
                 alpha, betas, _, run = segment[key]
-                res = run.result()
-                held = (alpha + 1.0) * run.offset
-                value = held + (alpha + 1.0) * res.value
-                # each upper factor F_j(pi/2 - t) = B_j - F_j(t - pi/2) is at least B_j/2, so an
-                # error of B_j moves the upper half, at most |value|, by twice its relative error
-                rows_err = abs(value) * math.fsum(2.0 * _segment_total(b)[1] for b in betas)
-                err = (alpha + 1.0) * res.abs_err_est + rows_err + _REL_CLOSED * abs(held)
-                res = ValueWithError(value, err, "tanh-sinh")
+                try:
+                    res = _times_b(alpha, betas, run.offset, run.result())
+                except QuadratureError as exc:
+                    exc.estimate = _times_b(alpha, betas, run.offset, exc.estimate)
+                    raise
             found[key] = (res.value, res.abs_err_est)
             _hold({key: (found[key], _VALUE_BYTES)})
     return [found[key] for key in keys]
@@ -535,8 +543,15 @@ def b_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool
     params = _as_params(params)
     if not alpha > -1.0:
         raise ValueError("b_fn requires alpha > -1")
-    res = _integral("b", alpha, params, cfg or QuadConfig(), closed_forms)
-    return ValueWithError(res.value / (alpha + 1.0), res.abs_err_est / (alpha + 1.0), res.method)
+
+    def per_b(res: ValueWithError) -> ValueWithError:
+        return ValueWithError(res.value / (alpha + 1.0), res.abs_err_est / (alpha + 1.0), res.method)
+
+    try:
+        return per_b(_integral("b", alpha, params, cfg or QuadConfig(), closed_forms))
+    except QuadratureError as exc:  # its estimate, too, is of b
+        exc.estimate = per_b(exc.estimate)
+        raise
 
 
 def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithError:

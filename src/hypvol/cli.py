@@ -10,7 +10,8 @@ Machine-readable output: one JSON record per command on stdout, schema
 {command, params{}, value, abs_err_est, exact?, method, seed?}.  When
 quadrature does not converge the record is instead {command, error:
 "quadrature-not-converged", message, estimate, abs_err_est}, holding
-the last estimate of the integral that did not converge.  Exit codes: 0 ok, 1 verification failure,
+the last estimate of the integral that did not converge: a or a' as
+it is, or (alpha+1) * b for a b integral.  Exit codes: 0 ok, 1 verification failure,
 2 usage or domain error, 3 quadrature not converged.
 """
 

@@ -120,6 +120,37 @@ class TestBarRelativeToB:
         assert lo.abs_err_est <= 1e-12
         assert abs(lo.value - up.value) <= lo.abs_err_est + up.abs_err_est
 
+    def test_unconverged_estimate_is_of_b(self):
+        # max_level=3 stops the b integral before it converges; the error carries
+        # b, not the quadrature total less the closed term (-476.5 before)
+        with pytest.raises(quad.QuadratureError) as info:
+            abcore.b_fn(6.09, P([1.0036] * 10), QuadConfig(max_level=3))
+        est, res = info.value.estimate, abcore.b_fn(6.09, P([1.0036] * 10), CFG)
+        assert abs(est.value - res.value) <= est.abs_err_est + res.abs_err_est
+
+
+def _mp_a(alpha, params):
+    """a(alpha; params) to 20 digits, with g(b, x) = sinh(x) 2F1(1/2, (1 - b)/2; 3/2; -sinh(x)**2)."""
+    with mp.workdps(20):
+        hs = [0.5 * mp.sqrt(mp.pi) * mp.gamma(mp.mpf(b) / 2 + 0.5) / mp.gamma(mp.mpf(b) / 2 + 1) for b in params]
+
+        def f(x):
+            s = mp.sinh(x)
+            prod = mp.mpc(1)
+            for b, h in zip(params, hs):
+                prod *= mp.mpc(h, s * mp.hyp2f1(0.5, (1 - mp.mpf(b)) / 2, 1.5, -s * s))
+            return mp.re(prod) / mp.cosh(x) ** alpha
+
+        return 2 * mp.quad(f, [0, 1, 4, mp.inf])
+
+
+class TestAAgainstMpmath:
+    # parameters above 13 take the cosh-power kernel's upward recurrence
+    @pytest.mark.parametrize("alpha, params", [(40.0, (25.3, 3.1)), (20.0, (5.3, 3.1)), (60.0, (31.7, 12.2, 4.4))])
+    def test_within_bar(self, alpha, params):
+        res = abcore.a_fn(alpha, P(params), CFG, closed_forms=False)
+        assert abs(res.value - float(_mp_a(alpha, params))) <= res.abs_err_est
+
 
 class TestAPrime:
     def test_pole_lemma(self):

@@ -313,27 +313,46 @@ class TestLobachevsky:
         assert abs(ts[np.argmax(vals)] - math.pi / 6) < 1e-3
 
 
-def _tail_by_term(beta, x):
-    """The x > 1 series of the scaled cosh-power primitive, one term at a time.
+def _tail_by_row(beta, x):
+    """The x > 1 value of the scaled cosh-power primitive for one beta, one series term at a time.
 
-    Reference for the kernel, which sums the same terms in the same order.
+    Reference for the kernel, which forms the same sum in the same order:
+    with q = exp(-2x), the terms c_k/(beta - 2k) with |beta - 2k| >= 1 by
+    Horner's rule in q, times (2/(1 + q))**beta; plus A cosh(x)**-beta,
+    A the exact sum of g(beta, 1) and each such term's -exp(beta - 2k)
+    c_k/(beta - 2k); plus the one term with |beta - 2k| < 1 in its
+    exponential form, linear in x where beta - 2k is 0.  A beta above 13
+    starts from beta - 2j in (11, 13] and recurs upward.
     """
+    ups = max(0, math.ceil(0.5 * (beta - 13.0)))
+    start = beta - 2.0 * ups
     L = specfun._log_cosh(x)
-    acc = specfun._g_at_one(beta) * np.exp(-beta * L)
-    scale = 2.0**-beta
+    q = np.exp(-2.0 * x)
+    lead = start * (math.log(2.0) - np.log1p(q))
+    e_beta = np.exp(-start * L)
+    coeffs = (2.0**-start * specfun._binom_series_coeffs(start)[: specfun._tail_terms(start)]).tolist()
+    held, poly, near = [specfun._g_at_one(start)], np.zeros_like(x), None
+    for k in range(len(coeffs) - 1, -1, -1):
+        ck, ex = coeffs[k], start - 2.0 * k
+        poly = poly * q
+        if ck != 0.0 and abs(ex) < 1.0:
+            near = (k, ck, ex)
+        elif ck != 0.0:
+            poly = poly + ck / ex
+            held.append(-(ck / ex) * math.exp(ex))
+    acc = poly * np.exp(lead) + math.fsum(held) * e_beta
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        for k, ck in enumerate(specfun._binom_series_coeffs(beta)):
-            if ck == 0.0:
-                continue
-            ex = beta - 2.0 * k
-            if abs(ex) < 1e-12:
-                acc += scale * ck * (x - 1.0) * np.exp(-beta * L)
-                continue
+        if near is not None and near[2] == 0.0:
+            acc += near[1] * (x - 1.0) * e_beta
+        elif near is not None:
+            k, ck, ex = near
             arg = ex * (x - 1.0)
-            via_expm1 = np.exp(ex - beta * L) * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
-            lead = beta * (math.log(2.0) - np.log1p(np.exp(-2.0 * x)))  # ex*x - beta*L = -2k*x + lead
-            plain = (np.exp(-2.0 * k * x + lead) - np.exp(ex - beta * L)) / ex
-            acc += scale * ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
+            via_expm1 = np.exp(ex - start * L) * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
+            plain = (np.exp(-2.0 * k * x + lead) - np.exp(ex - start * L)) / ex
+            acc += ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
+    tanh, sech2 = (1.0 - q) / (1.0 + q), 4.0 * q / (1.0 + q) ** 2
+    for b in (beta - 2.0 * i for i in range(ups - 1, -1, -1)):
+        acc = tanh / b + (b - 1.0) / b * sech2 * acc
     return acc
 
 
@@ -362,13 +381,15 @@ def _mp_scaled(beta, x):
     """g(beta, x) cosh(x)**-beta to 40 digits, as the integral over u of (cosh(x - u)/cosh x)**beta.
 
     The integrand is written ((e**-u + e**(u - 2x))/(1 + e**-2x))**beta so
-    that x - u is never formed; past u = 100/beta it is below e**-100.
+    that x - u is never formed; past u = 100/beta it is below e**-100.  The
+    cuts also close in on u = x, where the e**(u - 2x) part turns on.
     """
     with mp.workdps(40):
         x, b = mp.mpf(x), mp.mpf(beta)
         scale = 1 + mp.exp(-2 * x)
         top = min(x, 100 / b)
-        cuts = [mp.mpf(0)] + [mp.mpf(c) for c in (1, 4, 16, 64) if c < top] + [top]
+        inner = {mp.mpf(c) for c in (1, 4, 16, 64) if c < top} | {x - c for c in (1, 4, 16, 64) if 0 < x - c < top}
+        cuts = [mp.mpf(0)] + sorted(inner) + [top]
         return mp.quad(lambda u: ((mp.exp(-u) + mp.exp(u - 2 * x)) / scale) ** b, cuts, method="gauss-legendre")
 
 
@@ -406,9 +427,19 @@ class TestCoshPowAccuracy:
             assert _max_rel_error(got[~centre], [_mp_scaled_integer(n, v) for v in x[~centre]]) <= 5e-15, n
 
     def test_against_mpmath(self):
-        # both sides of the switch to the tail series at 1, and a level-3 node just past it
-        x = np.concatenate([[0.25, 0.7, 1.0, 1.1613710483034563], quad._line_nodes(1)[0], _HUGE_X])
-        for beta in (0.3, 2.5, 3.3, 7.9, 12.6):
+        # both sides of the switch to the tail series at 1, and two level-3 nodes past it
+        x = np.concatenate([[0.25, 0.7, 1.0, 1.1613710483034563, 1.8569793484772097], quad._line_nodes(1)[0], _HUGE_X])
+        # within 1e-12 of an even exponent 2k, the k-th series term is neither linear
+        # in x nor split into a constant and a power of exp(-2x)
+        for beta in (0.3, 2.5, 3.3, 7.9, 12.6, 1e-13, 2.0 - 1e-13, 2.0 + 1e-13, 4.0 - 1e-13):
+            got = specfun.cosh_pow_integral_scaled(beta, x)
+            assert _max_rel_error(got, [_mp_scaled(beta, v) for v in x]) <= 5e-15, beta
+
+    def test_above_the_series(self):
+        # beta > 13 recurs up from the series; Gauss-Legendre at |x| <= 1 loses about
+        # beta ulps (6.4e-15 at 60.5), so the bound covers the tail only
+        x = np.concatenate([[1.0 + 1e-6, 1.1613710483034563, 1.8569793484772097], quad._line_nodes(1)[0][1:], _HUGE_X])
+        for beta in (14.2, 20.3, 30.0, 60.5):
             got = specfun.cosh_pow_integral_scaled(beta, x)
             assert _max_rel_error(got, [_mp_scaled(beta, v) for v in x]) <= 5e-15, beta
 
@@ -439,7 +470,7 @@ class TestCoshPowIntegral:
         tail = np.abs(_BRANCH_X) > 1.0
         for beta in _BRANCH_BETAS:
             got = specfun.cosh_pow_integral_scaled(beta, _BRANCH_X)
-            ref = np.sign(_BRANCH_X[tail]) * _tail_by_term(beta, np.abs(_BRANCH_X[tail]))
+            ref = np.sign(_BRANCH_X[tail]) * _tail_by_row(beta, np.abs(_BRANCH_X[tail]))
             assert got[tail].tobytes() == ref.tobytes()
 
     def test_sizes_one_and_beyond_a_block(self):
@@ -449,7 +480,7 @@ class TestCoshPowIntegral:
         assert tail.sum() > specfun._ROW_BLOCK
         for beta in (0.0, 3.0, 2.7):
             got = specfun.cosh_pow_integral_scaled(beta, x)
-            ref = np.sign(x[tail]) * _tail_by_term(beta, np.abs(x[tail]))
+            ref = np.sign(x[tail]) * _tail_by_row(beta, np.abs(x[tail]))
             assert got[tail].tobytes() == ref.tobytes()
             one = np.array([specfun.cosh_pow_integral_scaled(beta, v)[0] for v in x])
             assert got.tobytes() == one.tobytes()
@@ -466,8 +497,8 @@ def _line_node_sets():
 
 
 class TestCoshPowBlocks:
-    # integers truncate the series, even ones and 2 + 1e-13 reach the
-    # exponent-0 row, and 60.5 keeps the most terms
+    # integers truncate the series, even ones reach the exponent-0 row,
+    # 2 + 1e-13 and 1e-13 the term next to it, and 60.5 recurs up from 12.5
     BETAS = (0.0, 1.0, 2.0, 4.0, 12.0, 2.0 + 1e-13, 1e-13, 0.3, 2.5, 7.9, 12.9, 60.5)
 
     def test_column_matches_scalar_calls(self):
@@ -487,14 +518,14 @@ class TestCoshPowBlocks:
 
     def test_rows_match_references(self):
         # the cut series against every term, and the Gauss-Legendre branch
-        counts = [specfun._tail_terms(beta) for beta in self.BETAS]
+        counts = [specfun._tail_terms(beta) for beta in self.BETAS if beta <= 13.0]
         assert counts[:5] == [1, 2, 3, 5, 13]  # at most the terms of the truncated series
-        assert max(counts) < 41 and counts[-1] > 30
+        assert max(counts) < 41
         for x in _line_node_sets():
             tail = np.abs(x) > 1.0
             block = specfun.cosh_pow_integral_scaled(np.array(self.BETAS)[:, None], x)
             for beta, row in zip(self.BETAS, block):
-                ref = np.sign(x[tail]) * _tail_by_term(beta, np.abs(x[tail]))
+                ref = np.sign(x[tail]) * _tail_by_row(beta, np.abs(x[tail]))
                 assert row[tail].tobytes() == ref.tobytes()
                 ref = np.sign(x[~tail]) * _small_by_row(beta, np.abs(x[~tail]))
                 assert row[~tail].tobytes() == ref.tobytes()
