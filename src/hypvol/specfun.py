@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,34 +282,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(48)
 
 
-@lru_cache(maxsize=None)
-def _binom_series_coeffs(beta: float) -> np.ndarray:
-    """Generalized binomial coefficients C(beta, k) for the large-x tail."""
-    coeffs = np.ones(41)
-    for k in range(1, 41):
-        # integer beta truncates the series exactly
-        coeffs[k] = coeffs[k - 1] * (beta - (k - 1)) / k
-    return coeffs
-
-
-@lru_cache(maxsize=None)
-def _tail_terms(beta: float) -> int:
-    """How many leading terms of the x > 1 series can change its sum at some x.
-
-    For k > beta/2, term k is at most 2**-beta |C(beta, k)| e**(beta - 2k)
-    / (2k - beta) cosh(x)**-beta, and the sum is at least g(beta, 1)
-    cosh(x)**-beta.  A term below 2**-55 of that lies under a quarter ulp
-    of the sum, so adding it rounds back to the sum; the count ends at the
-    last term that is not below, whatever x is.
-    """
-    coeffs = _binom_series_coeffs(beta)
-    k = np.arange(coeffs.size)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bound = 2.0**-beta * np.abs(coeffs) * np.exp(beta - 2.0 * k) / (2.0 * k - beta)
-    negligible = (2.0 * k > beta) & (bound < 2.0**-55 * _g_at_one(beta))
-    return int(np.flatnonzero((coeffs != 0.0) & ~negligible)[-1]) + 1
-
-
 def _log_cosh(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
@@ -322,82 +296,153 @@ def _cosh_pow_integral_small(betas: list[float], x: np.ndarray) -> np.ndarray:
     return np.array([half * ((cosh_nodes**b) * _GL_WEIGHTS).sum(axis=-1) for b in betas])
 
 
-@lru_cache(maxsize=None)
-def _g_at_one(beta: float) -> float:
-    return float(_cosh_pow_integral_small([beta], np.array([1.0]))[0, 0])
+# the series' error grows with beta (4.3e-15 at 60.5), so larger
+# parameters recur up from (11, 13] (_cosh_pow_tail)
+_SERIES_MAX_BETA = 13.0
+_SERIES_TERMS = 41  # the series is cut at k = 40, or sooner (_build_series)
+_TWO_K = 2.0 * np.arange(_SERIES_TERMS)
+_SERIES_STEPS = [(k, 2.0 * k, float(k), float(k + 1)) for k in range(_SERIES_TERMS)]
+
+# A parameter's series constants are one row: A, the term count, the
+# near term's k, c_k and e_k, or at e_k = 0 its c_k alone (the c_k
+# columns hold 0 where there is no such term), then poly[0..40].  The
+# memo keeps the rows of the last _SERIES_MEMO_SIZE parameters (as
+# abcore._segment_total) in one table: beta -> its row, least recently
+# used first.
+_HELD, _COUNT, _NEAR_K, _NEAR_C, _NEAR_E, _LINEAR_C, _POLY = range(7)
+_SERIES_MEMO_SIZE = 4096  # >= _ROW_BLOCK, so the parameters of one block all fit
+_series_table = np.zeros((_SERIES_MEMO_SIZE, _POLY + _SERIES_TERMS))
+_series_memo: OrderedDict = OrderedDict()
+_series_lock = threading.Lock()
 
 
-@lru_cache(maxsize=None)
-def _tail_constants(beta: float) -> tuple[float, np.ndarray, tuple | None]:
-    """(A, poly, near) of the x > 1 series for one beta, from its _tail_terms(beta) terms.
+def _build_series(betas: list[float]) -> np.ndarray:
+    """The rows of constants of the x > 1 series, one per beta in [0, 13].
 
     Term k integrates c_k exp(e_k y) over (1, x), c_k = 2**-beta C(beta, k)
     and e_k = beta - 2k.  Scaled by cosh(x)**-beta, exp(e_k x) becomes
     q**k (2/(1 + q))**beta with q = exp(-2x).  So every term with |e_k| >= 1
     splits into poly[k] = c_k/e_k, the coefficient of q**k, and a part
     -poly[k] exp(e_k) that does not depend on x, which A gathers with
-    g(beta, 1).  The one term with |e_k| < 1 would cancel in that split;
-    near is its (k, c_k, e_k), or None.
+    g(beta, 1) in one exactly rounded sum.  The one term with |e_k| < 1
+    would cancel in that split and is kept whole as the near term.
+
+    The series stops at a term count per beta.  For k > beta/2, term k is
+    at most |c_k| e**(beta - 2k)/(2k - beta) cosh(x)**-beta, and the sum
+    is at least g(beta, 1) cosh(x)**-beta.  A term below 2**-55 of that
+    lies under a quarter ulp of the sum, so adding it rounds back to the
+    sum.  Past beta/2 each bound is less than e**-2 times the one before
+    (|beta - k| < k + 1), and a zero C(beta, k) (integer beta) stays zero,
+    so the count ends at the first term past beta/2 that is zero or below:
+    no later term can change the sum, whatever x is.
+
+    The bounds' exponentials come from one np.exp call and g(beta, 1)
+    from one Gauss-Legendre call for all the betas; the rest is Python
+    floats per beta: C(beta, k) by c_k = c_(k-1) (beta - k + 1)/k, and A
+    by math.fsum of math.exp terms.
     """
-    count = _tail_terms(beta)
-    c = (2.0**-beta * _binom_series_coeffs(beta)[:count]).tolist()
-    poly = np.zeros(count)
-    held = [_g_at_one(beta)]
-    near = None
-    for k, ck in enumerate(c):
-        ex = beta - 2.0 * k
-        if ck == 0.0:  # integer beta truncates the series exactly
-            continue
-        if abs(ex) < 1.0:
-            near = (k, ck, ex)
-            continue
-        poly[k] = ck / ex
-        held.append(-poly[k] * math.exp(ex))
-    poly.flags.writeable = False  # cached
-    return math.fsum(held), poly, near
+    exps = np.exp(np.array(betas)[:, None] - _TWO_K).tolist()
+    g_at_one = _cosh_pow_integral_small(betas, np.array([1.0]))[:, 0].tolist()
+    rows = []
+    for beta, exp_e, g in zip(betas, exps, g_at_one):
+        scale, cut = 2.0**-beta, 2.0**-55 * g
+        binom, held, near, poly = 1.0, [g], [0.0, 0.0, 0.0, 0.0], [0.0] * _SERIES_TERMS
+        for k, two_k, k_float, next_k in _SERIES_STEPS:
+            ck, ek = scale * binom, beta - two_k
+            if ek < 0.0 and (ck == 0.0 or abs(ck) * exp_e[k] / -ek < cut):
+                break
+            if ek == 0.0:
+                near = [0.0, 0.0, 0.0, ck]
+            elif -1.0 < ek < 1.0:
+                near = [k, ck, ek, 0.0]
+            else:
+                poly[k] = p = ck / ek
+                held.append(-p * math.exp(ek))
+            binom = binom * (beta - k_float) / next_k  # C(beta, k + 1); integer beta truncates the series
+        else:
+            k = _SERIES_TERMS
+        rows.append([math.fsum(held), k, *near, *poly])
+    return np.array(rows)
 
 
-# the series' error grows with beta (4.3e-15 at 60.5), so larger
-# parameters recur up from (11, 13] (_cosh_pow_tail)
-_SERIES_MAX_BETA = 13.0
+def _series_rows(betas: list[float]) -> np.ndarray:
+    """The rows of series constants of betas, building the ones not in the memo in one pass."""
+    with _series_lock:
+        for b in betas:  # refresh first, so that adding the new rows cannot drop these
+            if b in _series_memo:
+                _series_memo.move_to_end(b)
+        new = [b for b in dict.fromkeys(betas) if b not in _series_memo]
+        if new:
+            slots = []
+            for b in new:
+                full = len(_series_memo) == _SERIES_MEMO_SIZE
+                _series_memo[b] = _series_memo.popitem(last=False)[1] if full else len(_series_memo)
+                slots.append(_series_memo[b])
+            _series_table[slots] = _build_series(new)
+        return _series_table.take([_series_memo[b] for b in betas], axis=0)
 
 
-def _tail_series(betas: list[float], xb: np.ndarray, q: np.ndarray, Lb: np.ndarray) -> np.ndarray:
-    """Scaled g(beta, x) for x > 1 from the binomial series, one row per beta.
+class _TailRows(NamedTuple):
+    """A block of parameters and the arrays of their series (_tail_rows)."""
+
+    betas: list[float]
+    ups: list[int]  # steps of the upward recurrence
+    beta: np.ndarray  # (rows, 1) series parameters, beta - 2 * ups
+    horner: np.ndarray  # (count, rows, 1) poly, highest power of q first
+    held: np.ndarray  # (rows, 1) A
+    linear: tuple | None  # (row indices, c_k column) of the near terms with e_k = 0
+    near: tuple | None  # (row indices, k, c_k and e_k columns) of the other near terms
+
+
+def _tail_rows(betas: list[float]) -> _TailRows:
+    """The series arrays of a block of parameters, built once for all its abscissae."""
+    ups = [max(0, math.ceil(0.5 * (b - _SERIES_MAX_BETA))) for b in betas]
+    starts = [b - 2.0 * j for b, j in zip(betas, ups)]
+    table = _series_rows(starts)
+    near, lin = table[:, _NEAR_C].nonzero()[0], table[:, _LINEAR_C].nonzero()[0]
+    return _TailRows(
+        betas,
+        ups,
+        np.array(starts)[:, None],
+        table[:, _POLY : _POLY + int(max(table[:, _COUNT].tolist()))].T[::-1, :, None],
+        table[:, _HELD, None],
+        (lin, table.take(lin, axis=0)[:, _LINEAR_C, None]) if lin.size else None,
+        (near, *table.take(near, axis=0)[:, _NEAR_K:_LINEAR_C].T[:, :, None]) if near.size else None,
+    )
+
+
+def _tail_series(s: _TailRows, xb: np.ndarray, q: np.ndarray, Lb: np.ndarray) -> np.ndarray:
+    """Scaled g(beta, x) for x > 1 from the binomial series, one row per series parameter of s.
 
     A row is A exp(-beta L) + (2/(1 + q))**beta poly(q) plus its near term
-    (_tail_constants), with L = log cosh(x).  poly is summed by Horner's
-    rule; a row's leading zeros in the block's coefficient matrix leave
-    it 0 until its own top coefficient, so each row is the same in every
-    bit as a one-row call.  The near term keeps the exponential form:
-    exp(e_k - beta L) expm1(e_k (x - 1))/e_k where |e_k (x - 1)| < 1, the
-    plain difference of the two scaled exponentials beyond, and the
-    linear c_k (x - 1) exp(-beta L) at e_k = 0 exactly.
+    (_build_series), with L = log cosh(x).  poly is summed by
+    Horner's rule; a row's leading zeros in the block's coefficient matrix
+    leave it 0 until its own top coefficient, so each row is the same in
+    every bit as a one-row call.  The near term keeps the exponential
+    form: exp(e_k - beta L) expm1(e_k (x - 1))/e_k where |e_k (x - 1)| < 1,
+    the plain difference of the two scaled exponentials beyond, and the
+    linear c_k (x - 1) exp(-beta L) at e_k = 0 exactly.  Every constant
+    comes in as an array, made once per block of parameters (_tail_rows);
+    a parameter the memo does not hold costs about 20 us to build, once
+    (_build_series; 2-core x86 VM, blocks of four new parameters).
     """
-    consts = [_tail_constants(b) for b in betas]
-    coeffs = np.zeros((max(poly.size for _, poly, _ in consts), len(betas)))
-    for row, (_, poly, _) in enumerate(consts):
-        coeffs[: poly.size, row] = poly
-    acc = np.zeros((len(betas), xb.size))
-    for ck in coeffs[::-1, :, None]:
+    acc = np.zeros((s.beta.shape[0], xb.size))
+    for ck in s.horner:
         acc *= q
         acc += ck
-    beta = np.array(betas)[:, None]
-    bL = beta * Lb
+    bL = s.beta * Lb
     # beta * log(2/(1 + q)) = beta * (x - L), keeping the beta*log 2 that
     # the difference loses to rounding at large x
-    lead = beta * (math.log(2.0) - np.log1p(q))
+    lead = s.beta * (math.log(2.0) - np.log1p(q))
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         acc *= np.exp(lead)
         e_beta = np.exp(-bL)
-        acc += np.array([[held] for held, _, _ in consts]) * e_beta
-        near = [(row, *term) for row, (_, _, term) in enumerate(consts) if term is not None]
-        for row, _, ck, _ in [t for t in near if t[3] == 0.0]:  # the term is linear in x
-            acc[row] += ck * (xb - 1.0) * e_beta[row]
-        near = [t for t in near if t[3] != 0.0]
-        if near:
-            rows = [t[0] for t in near]
-            k, ck, ex = (np.array(v)[:, None] for v in list(zip(*near))[1:])
+        acc += s.held * e_beta
+        if s.linear is not None:
+            rows, ck = s.linear
+            acc[rows] += ck * (xb - 1.0) * e_beta[rows]
+        if s.near is not None:
+            rows, k, ck, ex = s.near
             arg = ex * (xb - 1.0)
             e2 = np.exp(ex - bL[rows])
             via_expm1 = e2 * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
@@ -406,8 +451,8 @@ def _tail_series(betas: list[float], xb: np.ndarray, q: np.ndarray, Lb: np.ndarr
     return acc
 
 
-def _cosh_pow_tail(betas: list[float], xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
-    """Scaled g(beta, x) for x > 1, one row per beta.
+def _cosh_pow_tail(s: _TailRows, xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
+    """Scaled g(beta, x) for x > 1, one row per parameter of s.
 
     Parameters up to _SERIES_MAX_BETA take the series (_tail_series).  A
     larger beta starts from the series at beta - 2j in (11, 13] and
@@ -415,12 +460,11 @@ def _cosh_pow_tail(betas: list[float], xb: np.ndarray, Lb: np.ndarray) -> np.nda
     (the reduction formula for the integral of cosh**b), which scales
     the error of s_(b-2) by less than sech(1)**2 < 0.42 at each step.
     """
-    ups = [max(0, math.ceil(0.5 * (b - _SERIES_MAX_BETA))) for b in betas]
     q = np.exp(-2.0 * xb)
-    acc = _tail_series([b - 2.0 * j for b, j in zip(betas, ups)], xb, q, Lb)
-    if any(ups):
+    acc = _tail_series(s, xb, q, Lb)
+    if any(s.ups):
         tanh, sech2 = (1.0 - q) / (1.0 + q), 4.0 * q / (1.0 + q) ** 2
-        for row, (beta, j) in enumerate(zip(betas, ups)):
+        for row, (beta, j) in enumerate(zip(s.betas, s.ups)):
             for b in (beta - 2.0 * i for i in range(j - 1, -1, -1)):
                 acc[row] = tanh / b + (b - 1.0) / b * sech2 * acc[row]
     return acc
@@ -433,15 +477,18 @@ def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
     1-D array), or a column of parameters, giving one row each; a scalar
     is the one-row case.  |x| <= 1 takes Gauss-Legendre; |x| > 1 takes
     the binomial series (_tail_series), stopped at the term count
-    _tail_terms derives for each beta, past which no term can change the
-    sum, and above beta = 13 the upward recurrence (_cosh_pow_tail).
+    _build_series derives for each beta, past which no term can change
+    the sum, and above beta = 13 the upward recurrence (_cosh_pow_tail).
     Every row is elementwise in x; rows and abscissae are taken in blocks
-    of about _ROW_BLOCK values.  The scaled form stays representable for
-    any beta >= 0 and |x| up to the largest finite double.  For beta <= 13
-    its relative error is within 5e-15 over that whole range; above 13 it
-    is within 5e-15 for |x| > 1, while Gauss-Legendre loses about beta
-    ulps at |x| <= 1 (6.4e-15 at beta = 60.5).  Used inside the real-line
-    integrands.
+    of about _ROW_BLOCK values.  A row block's series constants are taken
+    from _series_memo (the last 4096 parameters), or built in one pass
+    for the parameters it does not hold (about 20 us each, once; see
+    _tail_series), before the block's abscissae.  The scaled form stays
+    representable for any beta >= 0 and |x| up to the largest finite
+    double.  For beta <= 13 its relative error is within 5e-15 over that
+    whole range; above 13 it is within 5e-15 for |x| > 1, while
+    Gauss-Legendre loses about beta ulps at |x| <= 1 (6.4e-15 at
+    beta = 60.5).  Used inside the real-line integrands.
     """
     betas = np.ravel(beta).tolist()
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -458,9 +505,10 @@ def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
         width = min(xb.size, _ROW_BLOCK)
         tail = np.empty((len(betas), xb.size))
         for lo in range(0, len(betas), step):
+            rows = _tail_rows(betas[lo : lo + step])
             for at in range(0, xb.size, width):
                 block = slice(at, at + width)
-                tail[lo : lo + step, block] = _cosh_pow_tail(betas[lo : lo + step], xb[block], Lb[block])
+                tail[lo : lo + step, block] = _cosh_pow_tail(rows, xb[block], Lb[block])
         out[:, big] = tail
     out *= np.sign(xa)
     return out[0] if np.ndim(beta) == 0 else out

@@ -7,6 +7,9 @@ defining integral and frozen high-precision digits.
 """
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -313,6 +316,25 @@ class TestLobachevsky:
         assert abs(ts[np.argmax(vals)] - math.pi / 6) < 1e-3
 
 
+def _series_terms(beta):
+    """C(beta, k) for k = 0..40, the series' term count and g(beta, 1), for one beta.
+
+    The count is one past the last nonzero term k that is not past beta/2
+    or whose bound 2**-beta |C(beta, k)| e**(beta - 2k)/(2k - beta) is not
+    below 2**-55 g(beta, 1), which the kernel's scan up from beta/2 must
+    match.
+    """
+    coeffs = np.ones(41)
+    for k in range(1, 41):
+        coeffs[k] = coeffs[k - 1] * (beta - (k - 1)) / k
+    g_at_one = float(_small_unscaled(beta, np.array([1.0]))[0])
+    k = np.arange(41)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = 2.0**-beta * np.abs(coeffs) * np.exp(beta - 2.0 * k) / (2.0 * k - beta)
+    negligible = (2.0 * k > beta) & (bound < 2.0**-55 * g_at_one)
+    return coeffs, int(np.flatnonzero((coeffs != 0.0) & ~negligible)[-1]) + 1, g_at_one
+
+
 def _tail_by_row(beta, x):
     """The x > 1 value of the scaled cosh-power primitive for one beta, one series term at a time.
 
@@ -330,8 +352,9 @@ def _tail_by_row(beta, x):
     q = np.exp(-2.0 * x)
     lead = start * (math.log(2.0) - np.log1p(q))
     e_beta = np.exp(-start * L)
-    coeffs = (2.0**-start * specfun._binom_series_coeffs(start)[: specfun._tail_terms(start)]).tolist()
-    held, poly, near = [specfun._g_at_one(start)], np.zeros_like(x), None
+    coeffs, count, g_at_one = _series_terms(start)
+    coeffs = (2.0**-start * coeffs[:count]).tolist()
+    held, poly, near = [g_at_one], np.zeros_like(x), None
     for k in range(len(coeffs) - 1, -1, -1):
         ck, ex = coeffs[k], start - 2.0 * k
         poly = poly * q
@@ -361,9 +384,14 @@ def _small_by_row(beta, x):
 
     Reference for the kernel, which raises to the power of beta as a Python float.
     """
+    return _small_unscaled(beta, x) * np.exp(-beta * specfun._log_cosh(x))
+
+
+def _small_unscaled(beta, x):
+    """g(beta, x) by 48-point Gauss-Legendre on (0, x), for 0 <= x <= 1."""
     half = 0.5 * x
     vals = np.cosh(half[:, None] * (specfun._GL_NODES + 1.0)) ** beta
-    return half * (vals * specfun._GL_WEIGHTS).sum(axis=-1) * np.exp(-beta * specfun._log_cosh(x))
+    return half * (vals * specfun._GL_WEIGHTS).sum(axis=-1)
 
 
 # one array mixing small, tail and negative abscissae; 1 + tiny takes the
@@ -518,9 +546,11 @@ class TestCoshPowBlocks:
 
     def test_rows_match_references(self):
         # the cut series against every term, and the Gauss-Legendre branch
-        counts = [specfun._tail_terms(beta) for beta in self.BETAS if beta <= 13.0]
+        series = [beta for beta in self.BETAS if beta <= 13.0]
+        counts = [_series_terms(beta)[1] for beta in series]
         assert counts[:5] == [1, 2, 3, 5, 13]  # at most the terms of the truncated series
         assert max(counts) < 41
+        assert specfun._series_rows(series)[:, specfun._COUNT].tolist() == counts
         for x in _line_node_sets():
             tail = np.abs(x) > 1.0
             block = specfun.cosh_pow_integral_scaled(np.array(self.BETAS)[:, None], x)
@@ -529,3 +559,55 @@ class TestCoshPowBlocks:
                 assert row[tail].tobytes() == ref.tobytes()
                 ref = np.sign(x[~tail]) * _small_by_row(beta, np.abs(x[~tail]))
                 assert row[~tail].tobytes() == ref.tobytes()
+
+    def test_new_parameters_match_one_row_and_repeat_calls(self):
+        # parameters the memo has never held, built in one pass per block of two
+        # rows, against one-row calls each built alone and a repeat from the memo
+        betas = (0.0, 1.0, 2.0, 4.0, 1e-13, 2.0 - 1e-13, 2.0 + 1e-13, 12.9, 14.2, 60.5)
+        x = _line_node_sets()[9]
+        assert 1 < specfun._ROW_BLOCK // int((np.abs(x) > 1.0).sum()) < len(betas)
+        specfun._series_memo.clear()
+        block = specfun.cosh_pow_integral_scaled(np.array(betas)[:, None], x)
+        assert specfun.cosh_pow_integral_scaled(np.array(betas)[:, None], x).tobytes() == block.tobytes()
+        for beta, row in zip(betas, block):
+            specfun._series_memo.clear()
+            assert specfun.cosh_pow_integral_scaled(beta, x).tobytes() == row.tobytes(), beta
+
+
+class TestCoshPowMemo:
+    def test_memory_stays_bounded(self):
+        # 8,000 new parameters fill the memo; 8,000 more must not grow it
+        x = np.array([0.5, 1.5, 4.0, 30.0])
+        batches = np.random.default_rng(11).uniform(0.0, 20.0, (2, 80, 100, 1))
+        grown = []
+        tracemalloc.start()
+        try:
+            for batch in batches:
+                before = tracemalloc.get_traced_memory()[0]
+                for col in batch:
+                    specfun.cosh_pow_integral_scaled(col, x)
+                grown.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert len(specfun._series_memo) == specfun._SERIES_MEMO_SIZE
+        assert grown[1] <= 0.5e6, grown
+
+    def test_threads_share_a_tiny_memo(self, monkeypatch):
+        # rows are dropped and their slots reused while other threads read theirs
+        monkeypatch.setattr(specfun, "_SERIES_MEMO_SIZE", 8)
+        rng = np.random.default_rng(3)
+        pool = rng.uniform(0.0, 20.0, 12)
+        cols = [rng.choice(pool, (5, 1)) for _ in range(24)]
+        x = _line_node_sets()[3]
+        specfun._series_memo.clear()
+        serial = [specfun.cosh_pow_integral_scaled(col, x).tobytes() for col in cols]
+        specfun._series_memo.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as workers:
+                got = list(workers.map(lambda col: specfun.cosh_pow_integral_scaled(col, x).tobytes(), cols * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial * 4
+        assert len(specfun._series_memo) <= 8
