@@ -13,6 +13,18 @@ subsets.  The scalar oracles (``contains``, ``hull_d2``, ``hull_d3``,
 ``hyp_area_polygon_d2``) take the rare samples a kernel cannot decide
 and serve as the references the kernels are checked against.
 
+The determinant and hull kernels work with the sample axis last:
+(coordinate, point, sample).  They take (N, n, d) points and copy each
+row chunk once to that layout, so every step is a numpy operation on
+whole contiguous rows of samples.  Sums over the small axes (the j
+cofactor terms of a minor, the d+1 terms of a barycentric coordinate,
+the d squares of a norm) are taken one term at a time in order, which is
+the order numpy's add.reduce takes over a row shorter than 8: so the
+minors, side tests and containment results have the bits the per-sample
+reductions over those axes gave, while no (N, C(n, j), j) temporary and
+no reduction over an axis 2 to 6 long is left.  The outputs keep the
+sample axis first, (N, ...), as transposed views where that is free.
+
 Where a kernel's temporaries hold more than a few values per sample it
 runs over row chunks of about _BLOCK elements (``_row_chunks``):
 containment in d >= 3 (``mc_absorption``), hull edges and angles in the
@@ -131,11 +143,25 @@ def _iter_blocks(cfg: SampleConfig):
             remaining -= block
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis.
+
+    The squares are added one coordinate column at a time, in order:
+    the sum np.linalg.norm forms over a row shorter than 8, without its
+    reduction over a tiny axis.
+    """
+    r2 = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        r2 += v[..., k] * v[..., k]
+    return np.sqrt(r2, out=r2)
+
+
 def _sample_directions(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     v = rng.standard_normal((count, d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = _norms(v)
     norms[norms == 0.0] = 1.0
-    return v / norms
+    v /= norms[:, None]
+    return v
 
 
 def _sample_beta_batch(d: int, beta: float, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -145,8 +171,22 @@ def _sample_beta_batch(d: int, beta: float, rng: np.random.Generator, count: int
     # squared radius ~ Beta(d/2, beta+1) through the two-gamma construction
     g1 = rng.standard_gamma(0.5 * d, count)
     g2 = rng.standard_gamma(beta + 1.0, count)
-    t = g1 / (g1 + g2)
-    return dirs * np.sqrt(t)[:, None]
+    g2 += g1
+    np.divide(g1, g2, out=g1)
+    dirs *= np.sqrt(g1, out=g1)[:, None]
+    return dirs
+
+
+def _sample_block(d: int, betas, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count samples of one beta point per entry of betas, shape (count, len(betas), d).
+
+    Point i is drawn whole (all count samples) before point i+1, so the
+    random stream is the one per-point draws in betas order give.
+    """
+    pts = np.empty((count, len(betas), d))
+    for i, b in enumerate(betas):
+        pts[:, i, :] = _sample_beta_batch(d, b, rng, count)
+    return pts
 
 
 def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarray:
@@ -178,28 +218,36 @@ def _subsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(subs), _frozen(drop)
 
 
-def _expand(m: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Cofactor terms (-1)**i * m[:, S without S[i]] for every k-subset S.
-
-    m holds one value per (k-1)-subset; the result has shape
-    (N, C(n, k), k).
-    """
-    return m[:, _subsets(n, k)[1]] * (-1.0) ** np.arange(k)
-
-
 def _minors(a: np.ndarray) -> np.ndarray:
-    """All k x k minors of the rows of a; a is (N, n, k), the result is
-    (N, C(n, k)) in combinations order.
+    """All k x k minors of n points, per sample; a is (k, n, N) with the
+    sample axis last (coordinate, point, sample), the result (C(n, k), N)
+    with the k-subsets in combinations order.
 
     Laplace expansion along the last column, one column at a time, so
-    each level's minors are shared by every subset above them.  Singular
-    row sets give (near) zero; nothing raises.
+    each level's minors are shared by every subset above them.  The j
+    cofactor terms of a level are added one at a time, in order, with
+    the (-1)**i signs as subtractions; the sum is then shifted by +0.0
+    and its sign set, so every minor has the bits of a sum over a
+    cofactor axis with numpy's add.reduce (which adds a row this short in
+    order, after its 0.0 identity).  Singular row sets give (near) zero;
+    nothing raises.
     """
-    n, k = a.shape[1], a.shape[2]
-    m = a[:, :, 0]
+    k, n = a.shape[0], a.shape[1]
+    m = a[0]
     for j in range(2, k + 1):
-        rows = _subsets(n, j)[0]
-        m = (-1.0) ** (j - 1) * (a[:, rows, j - 1] * _expand(m, n, j)).sum(axis=2)
+        rows, drop = _subsets(n, j)
+        col = a[j - 1]
+        s = col[rows[:, 0]]
+        s *= m[drop[:, 0]]
+        for i in range(1, j):
+            term = col[rows[:, i]]
+            term *= m[drop[:, i]]
+            if i % 2:
+                s -= term
+            else:
+                s += term
+        s += 0.0
+        m = np.negative(s, out=s) if j % 2 == 0 else s
     return m
 
 
@@ -283,19 +331,41 @@ def _inside_hull_batch(q: np.ndarray) -> np.ndarray:
     coordinate >= _BARY_EPS, or every simplex has a coordinate below
     -_BARY_EPS; the others (0 on a face within that margin, or a simplex
     of near-zero volume) go to the LP ``contains``.
+
+    Each row chunk is copied once to the sample-last layout of
+    ``_minors``.  Over the d+1 terms g_i of every simplex, the sum, the
+    sum of |g_i| and the least g_i * sign(sum) are taken one term at a
+    time, in order, on whole rows of samples.
     """
     N, n, d = q.shape
+    drop = _subsets(n, d + 1)[1]
     inside = np.empty(N, dtype=bool)
-    for rows in _row_chunks(N, _subsets(n, d + 1)[1].size):
+    for rows in _row_chunks(N, drop.size):
         qs = q[rows]
-        g = _expand(_minors(qs), n, d + 1)
-        total = g.sum(axis=2)
-        size = np.abs(g).sum(axis=2)
+        qt = np.ascontiguousarray(qs.transpose(2, 1, 0))
+        m = _minors(qt)
+        g = [m[drop[:, i]] for i in range(d + 1)]  # term i is (-1)**i * g[i]
+        total = g[0] - g[1]
+        size = np.abs(g[0])
+        size += np.abs(g[1])
+        for i in range(2, d + 1):
+            if i % 2:
+                total -= g[i]
+            else:
+                total += g[i]
+            size += np.abs(g[i])
+        sign = np.sign(total)
+        flip = -sign
+        least = g[0]
+        least *= sign
+        for i in range(1, d + 1):
+            g[i] *= flip if i % 2 else sign
+            np.minimum(least, g[i], out=least)
         with np.errstate(divide="ignore", invalid="ignore"):
-            least = (g * np.sign(total)[..., None]).min(axis=2) / size
-        solid = size > 1e-12 * np.abs(qs).max(axis=(1, 2))[:, None] ** d
-        hit = (solid & (least >= _BARY_EPS)).any(axis=1)
-        miss = (solid & (least < -_BARY_EPS)).all(axis=1)
+            least /= size
+        solid = size > 1e-12 * np.abs(qt).max(axis=(0, 1)) ** d
+        hit = (solid & (least >= _BARY_EPS)).any(axis=0)
+        miss = (solid & (least < -_BARY_EPS)).all(axis=0)
         inside[rows] = hit
         for s in np.nonzero(~hit & ~miss)[0]:
             inside[rows.start + s] = contains(qs[s], np.zeros(d))
@@ -311,15 +381,12 @@ def mc_absorption(spec: BetaSpec, beta: float, cfg: SampleConfig) -> McEstimate:
     """
     if not -1.0 < beta < math.inf:
         raise ValueError("mc_absorption requires a finite beta > -1")
-    d, n = spec.d, spec.n
+    d = spec.d
     scale = 1.0 / c_d_beta(d, beta)
     acc = _Accumulator()
     for rng, block in _iter_blocks(cfg):
-        pts = np.empty((block, n, d))
-        for i, bi in enumerate(spec.betas):
-            pts[:, i, :] = _sample_beta_batch(d, bi, rng, block)
-        x0 = _sample_beta_batch(d, beta, rng, block)
-        q = pts - x0[:, None, :]
+        q = _sample_block(d, spec.betas, rng, block)
+        q -= _sample_beta_batch(d, beta, rng, block)[:, None, :]
         hits = _inside_hull_d2_batch(q) if d == 2 else _inside_hull_batch(q)
         acc.add(hits.astype(float) * scale)
     return acc.estimate()
@@ -433,10 +500,19 @@ def hull_d3(points) -> list[tuple[int, int, int]]:
 
 @lru_cache(maxsize=None)
 def _facet_sides(n: int, d: int) -> np.ndarray:
-    """Flat indices into the (C(n, d+1), d+1) cofactor terms: row F lists,
-    for the d-subset F, the terms of F joined with each other point."""
+    """Side tests of the d-subsets, as rows of the stacked tests
+    [orient > eps; orient < -eps] over the C = C(n, d+1) subsets S.
+
+    Entry [0, F, r] names the test "the r-th other point is on the
+    positive side of F": S = F with that point, taken from the first
+    block where the point's position i in S is even and from the second
+    where i is odd, as the cofactor sign (-1)**i flips the side.  Entry
+    [1, F, r] is the same test for the negative side.
+    """
     drop = _subsets(n, d + 1)[1]
-    return _frozen(np.argsort(drop.ravel(), kind="stable").reshape(-1, n - d))
+    S, i = np.divmod(np.argsort(drop.ravel(), kind="stable").reshape(-1, n - d), d + 1)
+    odd = len(drop) * (i % 2)
+    return _frozen([S + odd, S + len(drop) - odd])
 
 
 def _hull_facets(P: np.ndarray) -> np.ndarray:
@@ -447,11 +523,25 @@ def _hull_facets(P: np.ndarray) -> np.ndarray:
     (beyond _SIDE_EPS) on one side of the subset's hyperplane.  The side
     of point r is the sign of det [P | 1] over the subset and r; each
     (d+1)-point determinant serves the d+1 subsets it contains.
+
+    The points are copied once to the sample-last layout of ``_minors``;
+    the side tests of the n-d other points are ANDed one point at a
+    time over whole rows of samples, and the result is returned as a
+    transposed view.
     """
     N, n, d = P.shape
-    orient = _minors(np.concatenate([P, np.ones((N, n, 1))], axis=2))
-    sides = (orient[:, :, None] * (-1.0) ** np.arange(d + 1)).reshape(N, -1)[:, _facet_sides(n, d)]
-    return (sides > _SIDE_EPS).all(axis=2) | (sides < -_SIDE_EPS).all(axis=2)
+    a = np.empty((d + 1, n, N))
+    a[:d] = P.transpose(2, 1, 0)
+    a[d] = 1.0
+    orient = _minors(a)
+    tests = np.concatenate([orient > _SIDE_EPS, orient < -_SIDE_EPS])
+    pos, neg = _facet_sides(n, d)
+    above, below = tests[pos[:, 0]], tests[neg[:, 0]]
+    for r in range(1, n - d):
+        above &= tests[pos[:, r]]
+        below &= tests[neg[:, r]]
+    above |= below
+    return above.T
 
 
 # -- hyperbolic measurements -------------------------------------------------
@@ -534,25 +624,30 @@ _MIX = np.eye(3) + math.sin(1.0) * _SKEW + (1.0 - math.cos(1.0)) * (_SKEW @ _SKE
 
 
 def _tetra_volumes_batch(p: np.ndarray) -> np.ndarray:
-    """Hyperbolic volumes of ideal tetrahedra; p has shape (N, 4, 3)."""
-    p = np.array(p, dtype=float)
-    for _ in range(3):
-        near_pole = (np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1)
-        if not near_pole.any():
-            break
-        p[near_pole] = p[near_pole] @ _CYCLIC.T
-    else:
-        near_pole = (np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1)
-        if near_pole.any():
-            p[near_pole] = p[near_pole] @ _MIX.T
-    z = (p[..., 0] + 1j * p[..., 1]) / (1.0 - p[..., 2])
-    z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+    """Hyperbolic volumes of ideal tetrahedra; p has shape (N, 4, 3).
+
+    Rows with a vertex within 1e-9 of the north pole, the centre of the
+    stereographic projection, are copied and turned until none is; the
+    other rows are projected as given.  The three cross-ratio angles go
+    to one ``lobachevsky`` call, and their values are added in order.
+    """
+    p = np.asarray(p, dtype=float)
+    near = np.flatnonzero((np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
+        z = (p[..., 0] + 1j * p[..., 1]) / (1.0 - p[..., 2])
+        if near.size:
+            q = p[near]
+            for turn in (_CYCLIC, _CYCLIC, _CYCLIC, _MIX):
+                pole = (np.abs(1.0 - q[..., 2]) < 1e-9).any(axis=1)
+                if not pole.any():
+                    break
+                q[pole] = q[pole] @ turn.T
+            z[near] = (q[..., 0] + 1j * q[..., 1]) / (1.0 - q[..., 2])
+        z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
         cr = ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2))
-        a1 = np.angle(cr)
-        a2 = np.angle(1.0 / (1.0 - cr))
-        a3 = np.angle(1.0 - 1.0 / cr)
-    vols = np.abs(lobachevsky(a1) + lobachevsky(a2) + lobachevsky(a3))
+        angles = np.stack([np.angle(cr), np.angle(1.0 / (1.0 - cr)), np.angle(1.0 - 1.0 / cr)])
+    lob = lobachevsky(angles)
+    vols = np.abs(lob[0] + lob[1] + lob[2])
     return np.where(np.isfinite(vols), vols, 0.0)
 
 
@@ -616,7 +711,7 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
     resampled = 0
     for rng, block in _iter_blocks(cfg):
         P = rng.standard_normal((block, n, 3))
-        P /= np.linalg.norm(P, axis=2, keepdims=True)
+        P /= _norms(P)[..., None]
         if n == 4:
             vols = _tetra_volumes_batch(P)
         else:
@@ -625,7 +720,7 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
                 bad = np.nonzero(np.isnan(vols))[0]
                 resampled += bad.size
                 Q = rng.standard_normal((bad.size, n, 3))
-                Q /= np.linalg.norm(Q, axis=2, keepdims=True)
+                Q /= _norms(Q)[..., None]
                 vols[bad] = _hull_volumes_bruteforce(Q)
         acc.add(vols)
     est = acc.estimate()
@@ -639,9 +734,7 @@ def mc_hyp_area_d2(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
         raise ValueError("requires d = 2")
     acc = _Accumulator()
     for rng, block in _iter_blocks(cfg):
-        pts = np.empty((block, spec.n, 2))
-        for i, bi in enumerate(spec.betas):
-            pts[:, i, :] = _sample_beta_batch(2, bi, rng, block)
+        pts = _sample_block(2, spec.betas, rng, block)
         areas = _hyp_areas_d2(pts)
         for s in np.nonzero(np.isnan(areas))[0]:
             areas[s] = hyp_area_polygon_d2(hull_d2(pts[s]))
@@ -710,8 +803,7 @@ def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:
     fact = math.factorial(d)
     for rng, block in _iter_blocks(cfg):
         verts = np.ones((block, d + 1, d + 1))  # homogeneous rows (v_i, 1)
-        for i, bi in enumerate(spec.betas):
-            verts[:, i, :d] = _sample_beta_batch(d, bi, rng, block)
+        verts[:, :, :d] = _sample_block(d, spec.betas, rng, block)
         inner = np.empty(block)
         for rows in _row_chunks(block, _INNER * (d + 1)):
             vh = verts[rows]

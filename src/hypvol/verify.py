@@ -549,10 +549,6 @@ def _hull_euler(quick: bool):
     return True, "triangulated hulls satisfy F = 2V - 4"
 
 
-def _beta_block(rng, d: int, betas, count: int) -> np.ndarray:
-    return np.stack([mcsim._sample_beta_batch(d, b, rng, count) for b in betas], axis=1)
-
-
 @_check("mcsim.batched-oracles")
 def _batched_oracles(quick: bool):
     """Each batched Monte-Carlo kernel against its scalar oracle."""
@@ -561,7 +557,7 @@ def _batched_oracles(quick: bool):
     samples = 0
     for d, n, count in ((3, 6, 50), (4, 6, 50), (4, 8, 25), (5, 7, 25)):
         count *= reps
-        pts = _beta_block(rng, d, rng.choice([-1.0, -0.5, 0.0, 2.0], n), count)
+        pts = mcsim._sample_block(d, rng.choice([-1.0, -0.5, 0.0, 2.0], n), rng, count)
         x0 = mcsim._sample_beta_batch(d, 0.0, rng, count)
         got = mcsim._inside_hull_batch(pts - x0[:, None, :])
         want = np.array([mcsim.contains(pts[s], x0[s]) for s in range(count)])
@@ -570,11 +566,11 @@ def _batched_oracles(quick: bool):
         samples += count
     errs = []
     for n, count in ((5, 40), (8, 20), (12, 10)):
-        P = _beta_block(rng, 3, (-1.0,) * n, count * reps)
+        P = mcsim._sample_block(3, (-1.0,) * n, rng, count * reps)
         slow = [mcsim._hull_volume_via_hull_d3(p) for p in P]
         errs.append(np.abs(mcsim._hull_volumes_bruteforce(P) - slow))
     for betas in ((-0.999,) * 6, (-1.0, -0.999, -0.5, 0.0, 2.0)):
-        pts = _beta_block(rng, 2, betas, 100 * reps)
+        pts = mcsim._sample_block(2, betas, rng, 100 * reps)
         slow = [mcsim.hyp_area_polygon_d2(mcsim.hull_d2(p)) for p in pts]
         errs.append(np.abs(mcsim._hyp_areas_d2(pts) - slow))
     worst = float(np.concatenate(errs).max())

@@ -433,3 +433,167 @@ class TestSimplexBetaIntegralCrossCheck:
         formula = expect.expected_beta_integral(spec, 1.0, representation="upper").value
         est = mcsim.mc_absorption(spec, 1.0, SampleConfig(seed=31, n_samples=150000, streams=3))
         assert abs(est.mean - formula) <= 3.0 * est.stderr
+
+
+# -- the sample-major kernels the sample-last ones replaced, kept as references --
+
+
+def _ref_sample_beta_batch(d, beta, rng, count):
+    """The beta sampler with np.linalg.norm and fresh arrays at each step."""
+    v = rng.standard_normal((count, d))
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    dirs = v / norms
+    if beta == -1.0:
+        return dirs
+    g1 = rng.standard_gamma(0.5 * d, count)
+    g2 = rng.standard_gamma(beta + 1.0, count)
+    return dirs * np.sqrt(g1 / (g1 + g2))[:, None]
+
+
+def _ref_expand(m, n, k):
+    """Cofactor terms (-1)**i * m[:, S without S[i]], shape (N, C(n, k), k)."""
+    return m[:, mcsim._subsets(n, k)[1]] * (-1.0) ** np.arange(k)
+
+
+def _ref_minors(a):
+    """All k x k minors of the rows of a, (N, n, k) -> (N, C(n, k)), each
+    level's cofactor terms summed over a small last axis."""
+    n, k = a.shape[1], a.shape[2]
+    m = a[:, :, 0]
+    for j in range(2, k + 1):
+        rows = mcsim._subsets(n, j)[0]
+        m = (-1.0) ** (j - 1) * (a[:, rows, j - 1] * _ref_expand(m, n, j)).sum(axis=2)
+    return m
+
+
+def _ref_hull_facets(P):
+    """One-side test on (N, C(n, d), n-d) gathered side values."""
+    N, n, d = P.shape
+    drop = mcsim._subsets(n, d + 1)[1]
+    where = np.argsort(drop.ravel(), kind="stable").reshape(-1, n - d)
+    orient = _ref_minors(np.concatenate([P, np.ones((N, n, 1))], axis=2))
+    sides = (orient[:, :, None] * (-1.0) ** np.arange(d + 1)).reshape(N, -1)[:, where]
+    return (sides > mcsim._SIDE_EPS).all(axis=2) | (sides < -mcsim._SIDE_EPS).all(axis=2)
+
+
+def _ref_inside_hull_batch(q):
+    """Carathéodory containment with (N, C(n, d+1), d+1) cofactor terms."""
+    N, n, d = q.shape
+    g = _ref_expand(_ref_minors(q), n, d + 1)
+    total = g.sum(axis=2)
+    size = np.abs(g).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        least = (g * np.sign(total)[..., None]).min(axis=2) / size
+    solid = size > 1e-12 * np.abs(q).max(axis=(1, 2))[:, None] ** d
+    hit = (solid & (least >= mcsim._BARY_EPS)).any(axis=1)
+    miss = (solid & (least < -mcsim._BARY_EPS)).all(axis=1)
+    inside = hit.copy()
+    for s in np.nonzero(~hit & ~miss)[0]:
+        inside[s] = mcsim.contains(q[s], np.zeros(d))
+    return inside
+
+
+def _ref_tetra_volumes_batch(p):
+    """Ideal tetrahedron volumes from a rotated copy of every row and one
+    lobachevsky call per cross-ratio angle."""
+    p = np.array(p, dtype=float)
+    for _ in range(3):
+        near_pole = (np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1)
+        if not near_pole.any():
+            break
+        p[near_pole] = p[near_pole] @ mcsim._CYCLIC.T
+    else:
+        near_pole = (np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1)
+        if near_pole.any():
+            p[near_pole] = p[near_pole] @ mcsim._MIX.T
+    z = (p[..., 0] + 1j * p[..., 1]) / (1.0 - p[..., 2])
+    z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cr = ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2))
+        a1 = np.angle(cr)
+        a2 = np.angle(1.0 / (1.0 - cr))
+        a3 = np.angle(1.0 - 1.0 / cr)
+    vols = np.abs(lobachevsky(a1) + lobachevsky(a2) + lobachevsky(a3))
+    return np.where(np.isfinite(vols), vols, 0.0)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+_KERNEL_SHAPES = [(2, n) for n in range(3, 8)] + [(3, n) for n in range(4, 13)] + [(4, 6), (4, 7), (4, 8), (5, 7)]
+
+
+def _blocks(d, n, count, seed):
+    """Random, duplicated-point and flat (last coordinate 0) blocks, (count, n, d)."""
+    rng = np.random.default_rng(seed)
+    random = rng.standard_normal((count, n, d))
+    duplicated = rng.standard_normal((count, n, d))
+    duplicated[:, -1] = duplicated[:, 0]
+    flat = rng.standard_normal((count, n, d))
+    flat[..., -1] = 0.0
+    return {"random": random, "duplicated": duplicated, "flat": flat}
+
+
+class TestSampleAxisLastKernels:
+    @pytest.mark.parametrize("d, n", _KERNEL_SHAPES, ids=lambda v: str(v))
+    def test_minors_and_facets_match_references(self, d, n):
+        for name, P in _blocks(d, n, 60, 10 * d + n).items():
+            for a in (P, np.concatenate([P, np.ones((60, n, 1))], axis=2)):
+                got = mcsim._minors(np.ascontiguousarray(a.transpose(2, 1, 0)))
+                assert _same_bits(got.T, _ref_minors(a)), name
+            assert _same_bits(mcsim._hull_facets(P), _ref_hull_facets(P)), name
+
+    @pytest.mark.parametrize("d, n", _KERNEL_SHAPES, ids=lambda v: str(v))
+    def test_containment_matches_reference(self, d, n):
+        for name, q in _blocks(d, n, 40, 100 + 10 * d + n).items():
+            if name == "flat":
+                q[:, 0, -1] = 1e-300  # one point off the hyperplane through 0: every simplex near-flat
+            assert _same_bits(mcsim._inside_hull_batch(q), _ref_inside_hull_batch(q)), name
+
+    def test_row_chunk_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        step = mcsim._BLOCK // mcsim._subsets(6, 4)[1].size
+        q = rng.standard_normal((2 * step + 3, 6, 3))
+        q -= 0.3 * rng.standard_normal((len(q), 1, 3))
+        got = mcsim._inside_hull_batch(q)
+        assert _same_bits(got, _ref_inside_hull_batch(q))
+        assert 0 < got.sum() < len(q)
+        P = rng.standard_normal((2 * (mcsim._BLOCK // mcsim._subsets(7, 4)[1].size) + 5, 7, 3))
+        P /= np.linalg.norm(P, axis=2, keepdims=True)
+        D = rng.uniform(-1.0, 1.0, (2 * (mcsim._BLOCK // mcsim._subsets(6, 3)[1].size) + 5, 6, 2))
+        volumes, areas = mcsim._hull_volumes_bruteforce(P), mcsim._hyp_areas_d2(D)
+        monkeypatch.setattr(mcsim, "_hull_facets", _ref_hull_facets)
+        assert _same_bits(volumes, mcsim._hull_volumes_bruteforce(P))
+        assert _same_bits(areas, mcsim._hyp_areas_d2(D))
+
+    def test_norms_match_linalg(self):
+        rng = np.random.default_rng(32)
+        for shape in ((500, 2), (500, 5), (300, 6, 3)):
+            v = rng.standard_normal(shape)
+            rows = v.reshape(-1, shape[-1])
+            rows[:3] = np.array([0.0, 1e-200, 1e200])[:, None]  # a zero, an underflowing and an overflowing row
+            with np.errstate(over="ignore", under="ignore"):
+                assert _same_bits(mcsim._norms(v), np.linalg.norm(v, axis=-1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sample_block_matches_per_point_draws(self, d):
+        betas = (-1.0, 0.0, 2.5, -0.999, -1.0, 40.0)
+        ours, theirs = mcsim._stream_rng(3, d), mcsim._stream_rng(3, d)
+        got = mcsim._sample_block(d, betas, ours, 1000)
+        want = np.stack([_ref_sample_beta_batch(d, b, theirs, 1000) for b in betas], axis=1)
+        assert _same_bits(got, want)
+        assert ours.random() == theirs.random()
+        assert _same_bits(mcsim._sample_beta_batch(d, 0.5, ours, 7), _ref_sample_beta_batch(d, 0.5, theirs, 7))
+
+    def test_tetra_volumes_match_reference(self):
+        rng = np.random.default_rng(33)
+        p = rng.standard_normal((400, 4, 3))
+        p /= np.linalg.norm(p, axis=2, keepdims=True)
+        p[5, 1] = [0.0, 0.0, 1.0]  # a vertex at the pole
+        p[9, 2] = [1e-10, 0.0, math.sqrt(1.0 - 1e-20)]  # within 1e-9 of it
+        p[12, :3] = np.eye(3)[[2, 1, 0]]  # a pole vertex after every cyclic turn
+        p[20, 0] = p[20, 1]  # coincident vertices: volume 0
+        assert _same_bits(mcsim._tetra_volumes_batch(p), _ref_tetra_volumes_batch(p))
+        assert _same_bits(mcsim._tetra_volumes_batch(p[:1]), _ref_tetra_volumes_batch(p[:1]))
