@@ -96,6 +96,10 @@ __all__ = [
 ]
 
 _REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
+# quadrature parameters must lie below this: the incomplete-beta rows scale
+# by 2.0**p (_f_real_from_z), which overflows from 1024 on, and the
+# cosh-power recurrence takes about p/2 steps
+_MAX_PARAM = 1024.0
 
 
 class ParamMultiset:
@@ -447,7 +451,12 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     value and error estimate are those of a one-integral call, in every
     bit.  Raises the QuadratureError of the first request that did not
     converge; for a b integral its estimate is that of (alpha+1) * b.
+    Raises ValueError, before any kernel runs, if a parameter is at or
+    above _MAX_PARAM.
     """
+    top = max((b for _, _, params in requests for b in params), default=0.0)
+    if top >= _MAX_PARAM:
+        raise ValueError(f"quadrature parameter {top:g} is beyond the kernels' range: each must be below {_MAX_PARAM:g}")
     ckey = _cfg_key(cfg)
     keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
     found = {key: _cache_get(key) for key in keys}

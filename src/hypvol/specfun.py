@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -299,87 +297,9 @@ def _cosh_pow_integral_small(betas: list[float], x: np.ndarray) -> np.ndarray:
 # the series' error grows with beta (4.3e-15 at 60.5), so larger
 # parameters recur up from (11, 13] (_cosh_pow_tail)
 _SERIES_MAX_BETA = 13.0
-_SERIES_TERMS = 41  # the series is cut at k = 40, or sooner (_build_series)
+_SERIES_TERMS = 41  # the series is cut at k = 40, or sooner (_tail_rows)
 _TWO_K = 2.0 * np.arange(_SERIES_TERMS)
 _SERIES_STEPS = [(k, 2.0 * k, float(k), float(k + 1)) for k in range(_SERIES_TERMS)]
-
-# A parameter's series constants are one row: A, the term count, the
-# near term's k, c_k and e_k, or at e_k = 0 its c_k alone (the c_k
-# columns hold 0 where there is no such term), then poly[0..40].  The
-# memo keeps the rows of the last _SERIES_MEMO_SIZE parameters (as
-# abcore._segment_total) in one table: beta -> its row, least recently
-# used first.
-_HELD, _COUNT, _NEAR_K, _NEAR_C, _NEAR_E, _LINEAR_C, _POLY = range(7)
-_SERIES_MEMO_SIZE = 4096  # >= _ROW_BLOCK, so the parameters of one block all fit
-_series_table = np.zeros((_SERIES_MEMO_SIZE, _POLY + _SERIES_TERMS))
-_series_memo: OrderedDict = OrderedDict()
-_series_lock = threading.Lock()
-
-
-def _build_series(betas: list[float]) -> np.ndarray:
-    """The rows of constants of the x > 1 series, one per beta in [0, 13].
-
-    Term k integrates c_k exp(e_k y) over (1, x), c_k = 2**-beta C(beta, k)
-    and e_k = beta - 2k.  Scaled by cosh(x)**-beta, exp(e_k x) becomes
-    q**k (2/(1 + q))**beta with q = exp(-2x).  So every term with |e_k| >= 1
-    splits into poly[k] = c_k/e_k, the coefficient of q**k, and a part
-    -poly[k] exp(e_k) that does not depend on x, which A gathers with
-    g(beta, 1) in one exactly rounded sum.  The one term with |e_k| < 1
-    would cancel in that split and is kept whole as the near term.
-
-    The series stops at a term count per beta.  For k > beta/2, term k is
-    at most |c_k| e**(beta - 2k)/(2k - beta) cosh(x)**-beta, and the sum
-    is at least g(beta, 1) cosh(x)**-beta.  A term below 2**-55 of that
-    lies under a quarter ulp of the sum, so adding it rounds back to the
-    sum.  Past beta/2 each bound is less than e**-2 times the one before
-    (|beta - k| < k + 1), and a zero C(beta, k) (integer beta) stays zero,
-    so the count ends at the first term past beta/2 that is zero or below:
-    no later term can change the sum, whatever x is.
-
-    The bounds' exponentials come from one np.exp call and g(beta, 1)
-    from one Gauss-Legendre call for all the betas; the rest is Python
-    floats per beta: C(beta, k) by c_k = c_(k-1) (beta - k + 1)/k, and A
-    by math.fsum of math.exp terms.
-    """
-    exps = np.exp(np.array(betas)[:, None] - _TWO_K).tolist()
-    g_at_one = _cosh_pow_integral_small(betas, np.array([1.0]))[:, 0].tolist()
-    rows = []
-    for beta, exp_e, g in zip(betas, exps, g_at_one):
-        scale, cut = 2.0**-beta, 2.0**-55 * g
-        binom, held, near, poly = 1.0, [g], [0.0, 0.0, 0.0, 0.0], [0.0] * _SERIES_TERMS
-        for k, two_k, k_float, next_k in _SERIES_STEPS:
-            ck, ek = scale * binom, beta - two_k
-            if ek < 0.0 and (ck == 0.0 or abs(ck) * exp_e[k] / -ek < cut):
-                break
-            if ek == 0.0:
-                near = [0.0, 0.0, 0.0, ck]
-            elif -1.0 < ek < 1.0:
-                near = [k, ck, ek, 0.0]
-            else:
-                poly[k] = p = ck / ek
-                held.append(-p * math.exp(ek))
-            binom = binom * (beta - k_float) / next_k  # C(beta, k + 1); integer beta truncates the series
-        else:
-            k = _SERIES_TERMS
-        rows.append([math.fsum(held), k, *near, *poly])
-    return np.array(rows)
-
-
-def _series_rows(betas: list[float]) -> np.ndarray:
-    """The rows of series constants of betas, building the ones not in the memo in one pass."""
-    with _series_lock:
-        for b in betas:  # refresh first, so that adding the new rows cannot drop these
-            if b in _series_memo:
-                _series_memo.move_to_end(b)
-        new = [b for b in dict.fromkeys(betas) if b not in _series_memo]
-        if new:
-            slots = []
-            for b in new:
-                full = len(_series_memo) == _SERIES_MEMO_SIZE
-                _series_memo[b] = _series_memo.popitem(last=False)[1] if full else len(_series_memo)
-                slots.append(_series_memo[b])
-            _series_table[slots] = _build_series(new)
-        return _series_table.take([_series_memo[b] for b in betas], axis=0)
 
 
 class _TailRows(NamedTuple):
@@ -394,20 +314,75 @@ class _TailRows(NamedTuple):
     near: tuple | None  # (row indices, k, c_k and e_k columns) of the other near terms
 
 
+def _columns(terms: list[tuple]) -> tuple | None:
+    """(row indices, then one column per constant) of the near terms, or None if there are none."""
+    if not terms:
+        return None
+    rows, *constants = zip(*terms)
+    return (np.array(rows), *(np.array(c)[:, None] for c in constants))
+
+
 def _tail_rows(betas: list[float]) -> _TailRows:
-    """The series arrays of a block of parameters, built once for all its abscissae."""
+    """The series arrays of a block of parameters, built in one pass for all its abscissae.
+
+    A parameter above 13 takes the series at beta - 2j in (11, 13]
+    (_cosh_pow_tail).  Term k of the series integrates c_k exp(e_k y)
+    over (1, x), c_k = 2**-beta C(beta, k) and e_k = beta - 2k.  Scaled
+    by cosh(x)**-beta, exp(e_k x) becomes q**k (2/(1 + q))**beta with
+    q = exp(-2x).  So every term with |e_k| >= 1 splits into poly[k] =
+    c_k/e_k, the coefficient of q**k, and a part -poly[k] exp(e_k) that
+    does not depend on x, which A gathers with g(beta, 1) in one exactly
+    rounded sum.  The one term with |e_k| < 1 would cancel in that split
+    and is kept whole as the near term.
+
+    The series stops at a term count per beta.  For k > beta/2, term k is
+    at most |c_k| e**(beta - 2k)/(2k - beta) cosh(x)**-beta, and the sum
+    is at least g(beta, 1) cosh(x)**-beta.  A term below 2**-55 of that
+    lies under a quarter ulp of the sum, so adding it rounds back to the
+    sum.  Past beta/2 each bound is less than e**-2 times the one before
+    (|beta - k| < k + 1), and a zero C(beta, k) (integer beta) stays zero,
+    so the count ends at the first term past beta/2 that is zero or below:
+    no later term can change the sum, whatever x is.
+
+    The bounds' exponentials come from one np.exp call and g(beta, 1)
+    from one Gauss-Legendre call for the whole block; the rest is Python
+    floats per beta: C(beta, k) by c_k = c_(k-1) (beta - k + 1)/k, and A
+    by math.fsum of math.exp terms.  Each row's constants come from the
+    same floating-point operations whatever else is in the block.
+    """
     ups = [max(0, math.ceil(0.5 * (b - _SERIES_MAX_BETA))) for b in betas]
     starts = [b - 2.0 * j for b, j in zip(betas, ups)]
-    table = _series_rows(starts)
-    near, lin = table[:, _NEAR_C].nonzero()[0], table[:, _LINEAR_C].nonzero()[0]
+    exps = np.exp(np.array(starts)[:, None] - _TWO_K).tolist()
+    g_at_one = _cosh_pow_integral_small(starts, np.array([1.0]))[:, 0].tolist()
+    held, polys, linear, near, count = [], [], [], [], 0
+    for row, (beta, exp_e, g) in enumerate(zip(starts, exps, g_at_one)):
+        scale, cut = 2.0**-beta, 2.0**-55 * g
+        binom, terms, poly = 1.0, [g], [0.0] * _SERIES_TERMS
+        for k, two_k, k_float, next_k in _SERIES_STEPS:
+            ck, ek = scale * binom, beta - two_k
+            if ek < 0.0 and (ck == 0.0 or abs(ck) * exp_e[k] / -ek < cut):
+                break
+            if ek == 0.0:
+                linear.append((row, ck))
+            elif -1.0 < ek < 1.0:
+                near.append((row, k_float, ck, ek))
+            else:
+                poly[k] = p = ck / ek
+                terms.append(-p * math.exp(ek))
+            binom = binom * (beta - k_float) / next_k  # C(beta, k + 1); integer beta truncates the series
+        else:
+            k = _SERIES_TERMS
+        count = max(count, k)
+        held.append(math.fsum(terms))
+        polys.append(poly)
     return _TailRows(
         betas,
         ups,
         np.array(starts)[:, None],
-        table[:, _POLY : _POLY + int(max(table[:, _COUNT].tolist()))].T[::-1, :, None],
-        table[:, _HELD, None],
-        (lin, table.take(lin, axis=0)[:, _LINEAR_C, None]) if lin.size else None,
-        (near, *table.take(near, axis=0)[:, _NEAR_K:_LINEAR_C].T[:, :, None]) if near.size else None,
+        np.array(polys)[:, :count].T[::-1, :, None],
+        np.array(held)[:, None],
+        _columns(linear),
+        _columns(near),
     )
 
 
@@ -415,16 +390,15 @@ def _tail_series(s: _TailRows, xb: np.ndarray, q: np.ndarray, Lb: np.ndarray) ->
     """Scaled g(beta, x) for x > 1 from the binomial series, one row per series parameter of s.
 
     A row is A exp(-beta L) + (2/(1 + q))**beta poly(q) plus its near term
-    (_build_series), with L = log cosh(x).  poly is summed by
+    (_tail_rows), with L = log cosh(x).  poly is summed by
     Horner's rule; a row's leading zeros in the block's coefficient matrix
     leave it 0 until its own top coefficient, so each row is the same in
     every bit as a one-row call.  The near term keeps the exponential
     form: exp(e_k - beta L) expm1(e_k (x - 1))/e_k where |e_k (x - 1)| < 1,
     the plain difference of the two scaled exponentials beyond, and the
     linear c_k (x - 1) exp(-beta L) at e_k = 0 exactly.  Every constant
-    comes in as an array, made once per block of parameters (_tail_rows);
-    a parameter the memo does not hold costs about 20 us to build, once
-    (_build_series; 2-core x86 VM, blocks of four new parameters).
+    comes in as an array, made once per block of parameters (_tail_rows),
+    at about 20 us per parameter (2-core x86 VM, blocks of four).
     """
     acc = np.zeros((s.beta.shape[0], xb.size))
     for ck in s.horner:
@@ -477,13 +451,12 @@ def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
     1-D array), or a column of parameters, giving one row each; a scalar
     is the one-row case.  |x| <= 1 takes Gauss-Legendre; |x| > 1 takes
     the binomial series (_tail_series), stopped at the term count
-    _build_series derives for each beta, past which no term can change
+    _tail_rows derives for each beta, past which no term can change
     the sum, and above beta = 13 the upward recurrence (_cosh_pow_tail).
     Every row is elementwise in x; rows and abscissae are taken in blocks
-    of about _ROW_BLOCK values.  A row block's series constants are taken
-    from _series_memo (the last 4096 parameters), or built in one pass
-    for the parameters it does not hold (about 20 us each, once; see
-    _tail_series), before the block's abscissae.  The scaled form stays
+    of about _ROW_BLOCK values.  A row block's series constants are built
+    in one pass in the call (_tail_rows), before the block's abscissae;
+    the kernel keeps no state between calls.  The scaled form stays
     representable for any beta >= 0 and |x| up to the largest finite
     double.  For beta <= 13 its relative error is within 5e-15 over that
     whole range; above 13 it is within 5e-15 for |x| > 1, while

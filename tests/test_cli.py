@@ -100,6 +100,11 @@ class TestHypVolume:
         assert code == 2
         assert out == "" and "every beta parameter must be finite" in err
 
+    def test_parameter_beyond_the_kernels_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "hypvolume", "--dim", "2", "--betas", "1e9,0,0")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "below 1024" in err
+
     def test_quadrature_failure_record(self, capsys, monkeypatch):
         from hypvol import expect
         from hypvol.quad import QuadratureError, ValueWithError

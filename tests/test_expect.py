@@ -10,6 +10,7 @@ Both are reproduced by the subset-sum engine to machine accuracy.
 
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -181,6 +182,19 @@ class TestExpectedHypVolume:
     def test_validation(self):
         with pytest.raises(ValueError):
             expect.expected_hyp_volume(BetaSpec(3, (-1.0, 0.0, 0.5, 1.0, 2.0)), CFG, representation="bogus")
+
+    def test_parameters_beyond_the_kernels_fail_fast(self):
+        # 2 * beta + d >= 1024 raises before any kernel runs, in either
+        # representation, where it used to overflow or recur for minutes
+        for rep in ("upper", "lower"):
+            for betas in ((1e9, 0.0, 0.0), (511.0, 0.0, 0.0)):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match="below 1024"):
+                    expect.expected_hyp_volume(BetaSpec(2, betas), CFG, representation=rep)
+                assert time.perf_counter() - start < 1.0
+        # just below the limit the lower representation still converges
+        res = expect.expected_hyp_volume(BetaSpec(2, (510.0, 0.0, 0.0)), CFG, representation="lower")
+        assert 0.0 < res.value < math.pi and res.abs_err_est < 1e-8
 
     def test_ideal_points_without_closed_forms(self):
         # ideal inside points put a b at its pole alpha = -1, where it is the limit

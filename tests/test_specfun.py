@@ -550,7 +550,7 @@ class TestCoshPowBlocks:
         counts = [_series_terms(beta)[1] for beta in series]
         assert counts[:5] == [1, 2, 3, 5, 13]  # at most the terms of the truncated series
         assert max(counts) < 41
-        assert specfun._series_rows(series)[:, specfun._COUNT].tolist() == counts
+        assert [specfun._tail_rows([beta]).horner.shape[0] for beta in series] == counts
         for x in _line_node_sets():
             tail = np.abs(x) > 1.0
             block = specfun.cosh_pow_integral_scaled(np.array(self.BETAS)[:, None], x)
@@ -561,22 +561,21 @@ class TestCoshPowBlocks:
                 assert row[~tail].tobytes() == ref.tobytes()
 
     def test_new_parameters_match_one_row_and_repeat_calls(self):
-        # parameters the memo has never held, built in one pass per block of two
-        # rows, against one-row calls each built alone and a repeat from the memo
+        # constants built in one pass per block of two rows, against one-row
+        # calls, each built alone, and a repeat of the block call
         betas = (0.0, 1.0, 2.0, 4.0, 1e-13, 2.0 - 1e-13, 2.0 + 1e-13, 12.9, 14.2, 60.5)
         x = _line_node_sets()[9]
         assert 1 < specfun._ROW_BLOCK // int((np.abs(x) > 1.0).sum()) < len(betas)
-        specfun._series_memo.clear()
         block = specfun.cosh_pow_integral_scaled(np.array(betas)[:, None], x)
         assert specfun.cosh_pow_integral_scaled(np.array(betas)[:, None], x).tobytes() == block.tobytes()
         for beta, row in zip(betas, block):
-            specfun._series_memo.clear()
             assert specfun.cosh_pow_integral_scaled(beta, x).tobytes() == row.tobytes(), beta
 
 
 class TestCoshPowMemo:
     def test_memory_stays_bounded(self):
-        # 8,000 new parameters fill the memo; 8,000 more must not grow it
+        # the kernel keeps nothing per parameter: after 8,000 new parameters,
+        # 8,000 more must not grow traced memory
         x = np.array([0.5, 1.5, 4.0, 30.0])
         batches = np.random.default_rng(11).uniform(0.0, 20.0, (2, 80, 100, 1))
         grown = []
@@ -589,19 +588,15 @@ class TestCoshPowMemo:
                 grown.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
             tracemalloc.stop()
-        assert len(specfun._series_memo) == specfun._SERIES_MEMO_SIZE
         assert grown[1] <= 0.5e6, grown
 
-    def test_threads_share_a_tiny_memo(self, monkeypatch):
-        # rows are dropped and their slots reused while other threads read theirs
-        monkeypatch.setattr(specfun, "_SERIES_MEMO_SIZE", 8)
+    def test_threads_share_a_tiny_memo(self):
+        # six threads on repeated parameters give the bytes of serial calls
         rng = np.random.default_rng(3)
         pool = rng.uniform(0.0, 20.0, 12)
         cols = [rng.choice(pool, (5, 1)) for _ in range(24)]
         x = _line_node_sets()[3]
-        specfun._series_memo.clear()
         serial = [specfun.cosh_pow_integral_scaled(col, x).tobytes() for col in cols]
-        specfun._series_memo.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -610,4 +605,3 @@ class TestCoshPowMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == serial * 4
-        assert len(specfun._series_memo) <= 8
