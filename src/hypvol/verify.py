@@ -403,6 +403,13 @@ def _representation_contract(quick: bool):
     return worst <= 1.0, f"worst gap {worst:.3g} of the combined bars"
 
 
+@_check("expect.large-parameter-representations")
+def _large_parameter_representations(quick: bool):
+    """d=2 volumes, one beta up to 510: both representations converge and agree within their bars."""
+    worst = max(_rep_gap(BetaSpec(2, (b, 0.0, 0.0)), None) for b in (13.5, 60.0, 240.0, 280.0, 350.0, 510.0))
+    return worst <= 1.0, f"worst gap {worst:.3g} of the combined bars"
+
+
 def _richardson3(f, eps: float) -> float:
     i1, i2, i4 = f(eps), f(0.5 * eps), f(0.25 * eps)
     r1a = 2.0 * i2 - i1

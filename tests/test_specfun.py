@@ -6,11 +6,14 @@ substituted quadrature, and the log-sine integral against both its
 defining integral and frozen high-precision digits.
 """
 
+import importlib.util
+import json
 import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -344,10 +347,9 @@ def _tail_by_row(beta, x):
     A the exact sum of g(beta, 1) and each such term's -exp(beta - 2k)
     c_k/(beta - 2k); plus the one term with |beta - 2k| < 1 in its
     exponential form, linear in x where beta - 2k is 0.  A beta above 13
-    starts from beta - 2j in (11, 13] and recurs upward.
+    starts from beta - 2j in (11, 13] and recurs upward (_recur_up).
     """
-    ups = max(0, math.ceil(0.5 * (beta - 13.0)))
-    start = beta - 2.0 * ups
+    start = _start(beta)
     L = specfun._log_cosh(x)
     q = np.exp(-2.0 * x)
     lead = start * (math.log(2.0) - np.log1p(q))
@@ -373,18 +375,39 @@ def _tail_by_row(beta, x):
             via_expm1 = np.exp(ex - start * L) * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
             plain = (np.exp(-2.0 * k * x + lead) - np.exp(ex - start * L)) / ex
             acc += ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
-    tanh, sech2 = (1.0 - q) / (1.0 + q), 4.0 * q / (1.0 + q) ** 2
-    for b in (beta - 2.0 * i for i in range(ups - 1, -1, -1)):
-        acc = tanh / b + (b - 1.0) / b * sech2 * acc
-    return acc
+    return _recur_up(beta, x, acc)
 
 
 def _small_by_row(beta, x):
-    """The |x| <= 1 Gauss-Legendre value of the scaled cosh-power primitive for one beta.
+    """The |x| <= 1 value of the scaled cosh-power primitive for one beta.
 
-    Reference for the kernel, which raises to the power of beta as a Python float.
+    Reference for the kernel: Gauss-Legendre at the start parameter, raised
+    to that power as a Python float, then the upward recurrence (_recur_up).
     """
-    return _small_unscaled(beta, x) * np.exp(-beta * specfun._log_cosh(x))
+    start = _start(beta)
+    return _recur_up(beta, x, _small_unscaled(start, x) * np.exp(-start * specfun._log_cosh(x)))
+
+
+def _start(beta):
+    """The parameter the kernel starts from: beta itself up to 13, beyond it beta - 2j in (11, 13]."""
+    return beta - 2.0 * _ups(beta)
+
+
+def _ups(beta):
+    return max(0, math.ceil(0.5 * (beta - 13.0)))
+
+
+def _recur_up(beta, x, acc):
+    """acc, the scaled primitive at _start(beta), recurred up to beta.
+
+    One step is s_b = tanh(x)/b + (b - 1)/b sech(x)**2 s_(b-2), with tanh
+    formed from expm1 as the kernel forms it.
+    """
+    q = np.exp(-2.0 * x)
+    tanh, sech2 = -np.expm1(-2.0 * x) / (1.0 + q), 4.0 * q / (1.0 + q) ** 2
+    for b in (beta - 2.0 * i for i in range(_ups(beta) - 1, -1, -1)):
+        acc = tanh / b + (b - 1.0) / b * sech2 * acc
+    return acc
 
 
 def _small_unscaled(beta, x):
@@ -405,12 +428,28 @@ _BRANCH_X = np.array(
 _BRANCH_BETAS = (0.0, 1.0, 2.0, 4.0, 12.0, 0.5, 3.7, 2.0 + 1e-13)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_script():
+    spec = importlib.util.spec_from_file_location("make_cosh_pow_large", GOLDEN / "make_cosh_pow_large.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_GOLDEN_SCRIPT = _golden_script()
+
+
 def _mp_scaled(beta, x):
     """g(beta, x) cosh(x)**-beta to 40 digits, as the integral over u of (cosh(x - u)/cosh x)**beta.
 
     The integrand is written ((e**-u + e**(u - 2x))/(1 + e**-2x))**beta so
-    that x - u is never formed; past u = 100/beta it is below e**-100.  The
-    cuts also close in on u = x, where the e**(u - 2x) part turns on.
+    that x - u is never formed.  It falls at the rate beta tanh(x), so past
+    u = 100/beta it is below e**(-100 tanh x): negligible for beta <= 13,
+    where that cut lies beyond x or x > 7, but not for larger beta at small
+    x, which the golden references cover (tests/golden/make_cosh_pow_large.py).
+    The cuts also close in on u = x, where the e**(u - 2x) part turns on.
     """
     with mp.workdps(40):
         x, b = mp.mpf(x), mp.mpf(beta)
@@ -431,6 +470,11 @@ def _mp_scaled_integer(n, x):
         for m in range(2, n + 1):
             s.append(t / m + mp.mpf(m - 1) / m * sech2 * s[m - 2])
         return s[n]
+
+
+def _rel_bound(beta):
+    """The kernel's stated relative error bound: 5e-15 up to beta = 50, 1e-16 * beta above."""
+    return max(5e-15, 1e-16 * beta)
 
 
 def _max_rel_error(got, refs):
@@ -464,12 +508,24 @@ class TestCoshPowAccuracy:
             assert _max_rel_error(got, [_mp_scaled(beta, v) for v in x]) <= 5e-15, beta
 
     def test_above_the_series(self):
-        # beta > 13 recurs up from the series; Gauss-Legendre at |x| <= 1 loses about
-        # beta ulps (6.4e-15 at 60.5), so the bound covers the tail only
-        x = np.concatenate([[1.0 + 1e-6, 1.1613710483034563, 1.8569793484772097], quad._line_nodes(1)[0][1:], _HUGE_X])
-        for beta in (14.2, 20.3, 30.0, 60.5):
-            got = specfun.cosh_pow_integral_scaled(beta, x)
-            assert _max_rel_error(got, [_mp_scaled(beta, v) for v in x]) <= 5e-15, beta
+        # beta > 13 starts in (11, 13] and recurs up on both sides of |x| = 1,
+        # from the smallest real-line node to 1e300; each step adds its rounding
+        rows = json.loads((GOLDEN / "cosh_pow_large.json").read_text())
+        assert len(rows) == 247 and min(r["x"] for r in rows) < 2.5e-4 and max(r["beta"] for r in rows) == 1022.0
+        for beta in sorted({r["beta"] for r in rows}):
+            mine = [r for r in rows if r["beta"] == beta]
+            got = specfun.cosh_pow_integral_scaled(beta, np.array([r["x"] for r in mine]))
+            with mp.workdps(40):
+                refs = [mp.mpf(r["value"]) for r in mine]
+            assert _max_rel_error(got, refs) <= _rel_bound(beta), beta
+
+    def test_golden_rows_recomputed(self):
+        rows = json.loads((GOLDEN / "cosh_pow_large.json").read_text())
+        for beta, x in ((1022.0, 0.03), (60.5, 1e300), (200.0, 0.0002441406298506385)):
+            row = next(r for r in rows if r["beta"] == beta and r["x"] == x)
+            with mp.workdps(20):
+                value = _GOLDEN_SCRIPT.scaled(beta, x)
+                assert abs(value - mp.mpf(row["value"])) <= mp.mpf("1e-18") * value, row
 
     def test_huge_argument(self):
         # the plain exponent ex*x - beta*L lost beta*log 2 here: beta = 1 gave 0.5
@@ -572,7 +628,7 @@ class TestCoshPowBlocks:
             assert specfun.cosh_pow_integral_scaled(beta, x).tobytes() == row.tobytes(), beta
 
 
-class TestCoshPowMemo:
+class TestCoshPowStateless:
     def test_memory_stays_bounded(self):
         # the kernel keeps nothing per parameter: after 8,000 new parameters,
         # 8,000 more must not grow traced memory
@@ -590,7 +646,7 @@ class TestCoshPowMemo:
             tracemalloc.stop()
         assert grown[1] <= 0.5e6, grown
 
-    def test_threads_share_a_tiny_memo(self):
+    def test_threads_match_serial_calls(self):
         # six threads on repeated parameters give the bytes of serial calls
         rng = np.random.default_rng(3)
         pool = rng.uniform(0.0, 20.0, 12)
