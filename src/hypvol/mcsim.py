@@ -13,17 +13,22 @@ subsets.  The scalar oracles (``contains``, ``hull_d2``, ``hull_d3``,
 ``hyp_area_polygon_d2``) take the rare samples a kernel cannot decide
 and serve as the references the kernels are checked against.
 
-The determinant and hull kernels work with the sample axis last:
-(coordinate, point, sample).  They take (N, n, d) points and copy each
-row chunk once to that layout, so every step is a numpy operation on
-whole contiguous rows of samples.  Sums over the small axes (the j
-cofactor terms of a minor, the d+1 terms of a barycentric coordinate,
-the d squares of a norm) are taken one term at a time in order, which is
-the order numpy's add.reduce takes over a row shorter than 8: so the
-minors, side tests and containment results have the bits the per-sample
-reductions over those axes gave, while no (N, C(n, j), j) temporary and
-no reduction over an axis 2 to 6 long is left.  The outputs keep the
-sample axis first, (N, ...), as transposed views where that is free.
+Samples are kept with the sample axis last, (coordinate, point,
+sample), from the draw on.  ``_sample_block`` writes each beta point's
+rows of one (d, n, N) array and ``_sphere_points`` copies its Gaussian
+draw there; both hand out the (N, n, d) transposed view, so the kernels
+that take (N, n, d) points see whole contiguous rows of samples when
+they transpose back.  Every step of the d = 2 gap test, the determinant
+and hull kernels and the ideal star is a numpy operation on such rows.
+Sums over the small axes (the j cofactor terms of a minor, the d+1 terms
+of a barycentric coordinate, the d squares of a norm) are taken one term
+at a time in order, which is the order numpy's add.reduce takes over a
+row shorter than 8; the gap test sorts with an exact compare-exchange
+network.  So the samples, minors, side tests, containment results and
+volumes have the bits the per-sample sorts and reductions over those
+axes gave, while no (N, C(n, j), j) temporary and no reduction or sort
+along an axis 2 to 6 long is left.  The outputs keep the sample axis
+first, (N, ...), as transposed views where that is free.
 
 Where a kernel's temporaries hold more than a few values per sample it
 runs over row chunks of about _BLOCK elements (``_row_chunks``):
@@ -144,49 +149,49 @@ def _iter_blocks(cfg: SampleConfig):
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis.
+    """Euclidean norms over the first axis, the coordinate axis of the
+    sample-last layout.
 
-    The squares are added one coordinate column at a time, in order:
-    the sum np.linalg.norm forms over a row shorter than 8, without its
-    reduction over a tiny axis.
+    The squares are added one coordinate row at a time, in order: the sum
+    np.linalg.norm forms over a row shorter than 8, without its reduction
+    over a tiny axis.
     """
-    r2 = v[..., 0] * v[..., 0]
-    for k in range(1, v.shape[-1]):
-        r2 += v[..., k] * v[..., k]
+    r2 = v[0] * v[0]
+    for k in range(1, len(v)):
+        r2 += v[k] * v[k]
     return np.sqrt(r2, out=r2)
-
-
-def _sample_directions(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    v = rng.standard_normal((count, d))
-    norms = _norms(v)
-    norms[norms == 0.0] = 1.0
-    v /= norms[:, None]
-    return v
-
-
-def _sample_beta_batch(d: int, beta: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    dirs = _sample_directions(rng, count, d)
-    if beta == -1.0:
-        return dirs
-    # squared radius ~ Beta(d/2, beta+1) through the two-gamma construction
-    g1 = rng.standard_gamma(0.5 * d, count)
-    g2 = rng.standard_gamma(beta + 1.0, count)
-    g2 += g1
-    np.divide(g1, g2, out=g1)
-    dirs *= np.sqrt(g1, out=g1)[:, None]
-    return dirs
 
 
 def _sample_block(d: int, betas, rng: np.random.Generator, count: int) -> np.ndarray:
     """count samples of one beta point per entry of betas, shape (count, len(betas), d).
 
-    Point i is drawn whole (all count samples) before point i+1, so the
-    random stream is the one per-point draws in betas order give.
+    The result is the transposed view of a C-contiguous sample-last
+    (d, len(betas), count) array.  Point i is drawn whole before point
+    i+1: count Gaussian vectors, ``rng.standard_normal((count, d))``, whose
+    transpose fills the rows (:, i, :), then for beta > -1 the two gammas
+    of the squared radius.  The norm, the zero guard, the divide and the
+    scale run on those rows, one coordinate row of samples at a time.
     """
-    pts = np.empty((count, len(betas), d))
-    for i, b in enumerate(betas):
-        pts[:, i, :] = _sample_beta_batch(d, b, rng, count)
-    return pts
+    out = np.empty((d, len(betas), count))
+    for i, beta in enumerate(betas):
+        rows = out[:, i]
+        rows[...] = rng.standard_normal((count, d)).T
+        norms = _norms(rows)
+        norms[norms == 0.0] = 1.0
+        rows /= norms
+        if beta != -1.0:
+            # squared radius ~ Beta(d/2, beta+1) through the two-gamma construction
+            g1 = rng.standard_gamma(0.5 * d, count)
+            g2 = rng.standard_gamma(beta + 1.0, count)
+            g2 += g1
+            np.divide(g1, g2, out=g1)
+            rows *= np.sqrt(g1, out=g1)
+    return out.transpose(2, 1, 0)
+
+
+def _sample_beta_batch(d: int, beta: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count samples of one beta point, shape (count, d): ``_sample_block`` for one point."""
+    return _sample_block(d, (beta,), rng, count)[:, 0]
 
 
 def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarray:
@@ -312,11 +317,27 @@ def contains(points, x, tol: float = 1e-10) -> bool:
 
 
 def _inside_hull_d2_batch(q: np.ndarray) -> np.ndarray:
-    """0 in conv(q) per sample; q has shape (N, n, 2), no q_i at 0."""
-    ang = np.sort(np.arctan2(q[..., 1], q[..., 0]), axis=1)
-    gaps = np.diff(ang, axis=1)
-    wrap = 2.0 * math.pi - (ang[:, -1] - ang[:, 0])
-    max_gap = np.maximum(gaps.max(axis=1), wrap)
+    """0 in conv(q) per sample; q has shape (N, n, 2), no q_i at 0.
+
+    0 is in the hull iff no gap between the angles of neighbouring points,
+    the wrap-around gap included, exceeds pi.  The angles go to a
+    sample-last (n, N) array and are sorted per sample by a compare-exchange
+    network: n(n-1)/2 ``np.minimum``/``np.maximum`` pairs on whole rows.
+    Sorting is exact, so every gap and every decision is the one a sort
+    along the point axis gives (up to the sign of a zero gap).
+    """
+    N, n, _ = q.shape
+    qt = q.transpose(2, 1, 0)
+    ang = list(np.arctan2(qt[1], qt[0], out=np.empty((n, N))))
+    spare = np.empty(N)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            np.minimum(ang[i], ang[j], out=spare)
+            np.maximum(ang[i], ang[j], out=ang[j])
+            ang[i], spare = spare, ang[i]
+    max_gap = 2.0 * math.pi - (ang[-1] - ang[0])
+    for lo, hi in zip(ang, ang[1:]):
+        np.maximum(max_gap, np.subtract(hi, lo, out=spare), out=max_gap)
     return max_gap <= math.pi
 
 
@@ -375,18 +396,20 @@ def _inside_hull_batch(q: np.ndarray) -> np.ndarray:
 def mc_absorption(spec: BetaSpec, beta: float, cfg: SampleConfig) -> McEstimate:
     """Estimate the expected beta integral from hull-containment frequency.
 
-    Draws the n polytope points plus one extra beta point per sample;
-    the hit frequency divided by the beta normalizing constant is an
+    Draws the n polytope points plus one extra beta point per sample, as
+    point n+1 of one block, and moves the origin to the extra point; the
+    hit frequency divided by the beta normalizing constant is an
     unbiased estimate of the expected beta integral.
     """
     if not -1.0 < beta < math.inf:
         raise ValueError("mc_absorption requires a finite beta > -1")
-    d = spec.d
+    d, n = spec.d, spec.n
     scale = 1.0 / c_d_beta(d, beta)
     acc = _Accumulator()
     for rng, block in _iter_blocks(cfg):
-        q = _sample_block(d, spec.betas, rng, block)
-        q -= _sample_beta_batch(d, beta, rng, block)[:, None, :]
+        q = _sample_block(d, (*spec.betas, beta), rng, block)
+        q[:, :n] -= q[:, n:]
+        q = q[:, :n]
         hits = _inside_hull_d2_batch(q) if d == 2 else _inside_hull_batch(q)
         acc.add(hits.astype(float) * scale)
     return acc.estimate()
@@ -623,32 +646,56 @@ _SKEW = np.cross(np.eye(3), np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0))
 _MIX = np.eye(3) + math.sin(1.0) * _SKEW + (1.0 - math.cos(1.0)) * (_SKEW @ _SKEW)
 
 
-def _tetra_volumes_batch(p: np.ndarray) -> np.ndarray:
-    """Hyperbolic volumes of ideal tetrahedra; p has shape (N, 4, 3).
+def _stereo(p: np.ndarray) -> np.ndarray:
+    """Stereographic projections (x + iy) / (1 - z) of sphere points (..., 3)."""
+    return (p[..., 0] + 1j * p[..., 1]) / (1.0 - p[..., 2])
 
-    Rows with a vertex within 1e-9 of the north pole, the centre of the
-    stereographic projection, are copied and turned until none is; the
-    other rows are projected as given.  The three cross-ratio angles go
-    to one ``lobachevsky`` call, and their values are added in order.
+
+def _near_pole(p: np.ndarray) -> np.ndarray:
+    """Points (..., 3) within 1e-9 of the north pole, the centre of ``_stereo``."""
+    return np.abs(1.0 - p[..., 2]) < 1e-9
+
+
+def _ideal_volumes(P: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Hyperbolic volumes of the ideal tetrahedra P[s[:, None], idx].
+
+    P is (N, n, 3) sphere points, s (K,) samples and idx (K, 4) vertex
+    indices.  Every point of P is projected once and each tetrahedron
+    gathers its four projections; only the tetrahedra with a vertex
+    within 1e-9 of the pole gather their points, which are turned by
+    cyclic coordinate shifts, then a skew rotation, until no vertex is
+    near the pole, and projected again.  The three cross-ratio angles go
+    to one ``lobachevsky`` call, and their values are added in order; a
+    degenerate tetrahedron gets 0.
     """
-    p = np.asarray(p, dtype=float)
-    near = np.flatnonzero((np.abs(1.0 - p[..., 2]) < 1e-9).any(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (p[..., 0] + 1j * p[..., 1]) / (1.0 - p[..., 2])
+        z = _stereo(P)[s[:, None], idx]
+        near = np.flatnonzero(_near_pole(P)[s[:, None], idx].any(axis=1))
         if near.size:
-            q = p[near]
+            q = P[s[near, None], idx[near]]
             for turn in (_CYCLIC, _CYCLIC, _CYCLIC, _MIX):
-                pole = (np.abs(1.0 - q[..., 2]) < 1e-9).any(axis=1)
+                pole = _near_pole(q).any(axis=1)
                 if not pole.any():
                     break
                 q[pole] = q[pole] @ turn.T
-            z[near] = (q[..., 0] + 1j * q[..., 1]) / (1.0 - q[..., 2])
-        z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+            z[near] = _stereo(q)
+        z0, z1, z2, z3 = z.T
         cr = ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2))
         angles = np.stack([np.angle(cr), np.angle(1.0 / (1.0 - cr)), np.angle(1.0 - 1.0 / cr)])
     lob = lobachevsky(angles)
     vols = np.abs(lob[0] + lob[1] + lob[2])
     return np.where(np.isfinite(vols), vols, 0.0)
+
+
+def _tetra_volumes_batch(p: np.ndarray) -> np.ndarray:
+    """Hyperbolic volumes of ideal tetrahedra; p has shape (N, 4, 3).
+
+    ``_ideal_volumes`` with row i's four vertices as the indices of
+    tetrahedron i: each vertex is projected once, and only the rows with
+    a vertex near the pole are gathered, turned and projected again.
+    """
+    p = np.asarray(p, dtype=float)
+    return _ideal_volumes(p, np.arange(len(p)), np.broadcast_to(np.arange(4), (len(p), 4)))
 
 
 def ideal_tetra_volume(v1, v2, v3, v4) -> float:
@@ -672,6 +719,10 @@ def _hull_volumes_bruteforce(P: np.ndarray) -> np.ndarray:
     one side (``_hull_facets``); valid for points in general position on
     the sphere.  Samples violating the triangulated Euler count
     F = 2n - 4 get volume nan (callers resample them).
+
+    The star tetrahedra (vertex 0 and a facet away from it) of each row
+    chunk go to ``_ideal_volumes`` as indices, so each point is projected
+    once per chunk.
     """
     N, n, _ = P.shape
     triples = _subsets(n, 3)[0]
@@ -681,8 +732,8 @@ def _hull_volumes_bruteforce(P: np.ndarray) -> np.ndarray:
         Q = P[rows]
         facets = _hull_facets(Q)
         s, f = np.nonzero(facets & star)
-        tetra = Q[s[:, None], np.column_stack([np.zeros_like(f), triples[f]])]
-        v = np.bincount(s, weights=_tetra_volumes_batch(tetra), minlength=len(Q))
+        tetra = np.column_stack([np.zeros_like(f), triples[f]])
+        v = np.bincount(s, weights=_ideal_volumes(Q, s, tetra), minlength=len(Q))
         v[facets.sum(axis=1) != 2 * n - 4] = np.nan
         vols[rows] = v
     return vols
@@ -698,6 +749,23 @@ def _hull_volume_via_hull_d3(points: np.ndarray) -> float:
     return total
 
 
+def _sphere_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count samples of n uniform points on the sphere, shape (count, n, 3).
+
+    The Gaussian vectors are drawn as (samples, n, 3) in row chunks of
+    about _BLOCK values, which continue one stream, so they are the
+    values of one ``rng.standard_normal((count, n, 3))`` draw.  Each chunk
+    is copied to a sample-last (3, n, count) array, normalized there one
+    coordinate row at a time; the result is its transposed view.
+    """
+    P = np.empty((3, n, count))
+    for rows in _row_chunks(count, 3 * n):
+        chunk = P[:, :, rows]
+        chunk[...] = rng.standard_normal(chunk.shape[::-1]).transpose(2, 1, 0)
+    P /= _norms(P)
+    return P.transpose(2, 1, 0)
+
+
 def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
     """Sample mean of hyperbolic volumes of hulls of n uniform sphere points.
 
@@ -710,8 +778,7 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
     acc = _Accumulator()
     resampled = 0
     for rng, block in _iter_blocks(cfg):
-        P = rng.standard_normal((block, n, 3))
-        P /= _norms(P)[..., None]
+        P = _sphere_points(rng, block, n)
         if n == 4:
             vols = _tetra_volumes_batch(P)
         else:
@@ -719,9 +786,7 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
             while np.isnan(vols).any():
                 bad = np.nonzero(np.isnan(vols))[0]
                 resampled += bad.size
-                Q = rng.standard_normal((bad.size, n, 3))
-                Q /= _norms(Q)[..., None]
-                vols[bad] = _hull_volumes_bruteforce(Q)
+                vols[bad] = _hull_volumes_bruteforce(_sphere_points(rng, bad.size, n))
         acc.add(vols)
     est = acc.estimate()
     est.resampled = resampled

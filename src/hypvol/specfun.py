@@ -529,15 +529,13 @@ def lobachevsky(theta):
     r = t1 - math.pi * np.round(t1 / math.pi)
     s = np.sign(r)
     r = np.abs(r)
-    out = np.zeros_like(r)
-    nz = r > 0.0
-    if nz.any():
-        rr = r[nz]
-        r2 = rr * rr
-        poly = np.zeros_like(rr)
-        for coeff in reversed(_LOB_COEFFS):  # Horner's rule in r**2
-            poly *= r2
-            poly += coeff
-        out[nz] = rr - rr * np.log(2.0 * rr) + rr * r2 * poly
+    r2 = r * r
+    poly = np.zeros_like(r)
+    for coeff in reversed(_LOB_COEFFS):  # Horner's rule in r**2
+        poly *= r2
+        poly += coeff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = r - r * np.log(2.0 * r) + r * r2 * poly
+    out[r == 0.0] = 0.0
     out *= s
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)

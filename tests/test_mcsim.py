@@ -1,8 +1,11 @@
 """Monte-Carlo module: samplers, geometry, estimators, determinism."""
 
+import importlib.util
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +429,33 @@ class TestSimplexEstimatorParity:
         assert peak <= 32 * 2**20
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_script():
+    spec = importlib.util.spec_from_file_location("make_mc_cases", GOLDEN / "make_mc_cases.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_GOLDEN_SCRIPT = _golden_script()
+_GOLDEN_ROWS = json.loads((GOLDEN / "mc_cases.json").read_text())
+
+
+class TestGoldenEstimates:
+    """Every draw and every rounding of the eight oracle cases, pinned (tests/golden/make_mc_cases.py)."""
+
+    def test_rows_cover_every_case(self):
+        assert [{k: r[k] for k in ("case", "samples", "streams", "seed")} for r in _GOLDEN_ROWS] == _GOLDEN_SCRIPT.CASES
+        assert {r["case"] for r in _GOLDEN_ROWS} == set(_GOLDEN_SCRIPT.SPECS) and len(_GOLDEN_SCRIPT.SPECS) == 8
+
+    @pytest.mark.parametrize("row", _GOLDEN_ROWS, ids=lambda r: f"{r['case']}-{r['streams']}-{r['samples']}")
+    def test_same_bits(self, row):
+        want = {k: row[k] for k in ("mean", "stderr", "n", "resampled")}
+        assert _GOLDEN_SCRIPT.estimate(row) == want
+
+
 class TestSimplexBetaIntegralCrossCheck:
     def test_formula_vs_absorption_at_positive_exponent(self):
         # the one-class simplex sum at exponent 1 against the sampler
@@ -494,6 +524,36 @@ def _ref_inside_hull_batch(q):
     return inside
 
 
+def _ref_inside_hull_d2_batch(q):
+    """The angular-gap test with the angles sorted along the point axis."""
+    ang = np.sort(np.arctan2(q[..., 1], q[..., 0]), axis=1)
+    gaps = np.diff(ang, axis=1)
+    wrap = 2.0 * math.pi - (ang[:, -1] - ang[:, 0])
+    return np.maximum(gaps.max(axis=1), wrap) <= math.pi
+
+
+def _d2_blocks(n, count, seed):
+    """Random blocks (count, n, 2) and blocks with tied, antipodal, signed-zero and single angles."""
+    rng = np.random.default_rng(seed)
+    blocks = {"random": rng.standard_normal((count, n, 2))}
+    tied = rng.standard_normal((count, n, 2))
+    tied[:, -1] = tied[:, 0]
+    tied[:, 1] = 2.0 * tied[:, 0]
+    blocks["duplicated"] = tied
+    antipodal = rng.standard_normal((count, n, 2))
+    antipodal[:, 0], antipodal[:, 1] = [1.0, 0.0], [-0.5, 0.0]  # angles 0 and pi
+    if n > 3:
+        antipodal[::2, 2], antipodal[::2, 3] = [0.0, 0.3], [0.0, -2.0]  # pi/2 and -pi/2
+    blocks["antipodal"] = antipodal
+    zeros = rng.standard_normal((count, n, 2))
+    zeros[:, : n // 2 + 1, 0] = np.abs(zeros[:, : n // 2 + 1, 0])
+    zeros[:, : n // 2 + 1, 1] = 0.0
+    zeros[:, 1::2, 1] = -0.0  # angles +0.0, -0.0 and, for x < 0, -pi
+    blocks["signed zeros"] = zeros
+    blocks["one angle"] = rng.uniform(0.1, 2.0, (count, n, 1)) * np.array([1.0, 1.0])
+    return blocks
+
+
 def _ref_tetra_volumes_batch(p):
     """Ideal tetrahedron volumes from a rotated copy of every row and one
     lobachevsky call per cross-ratio angle."""
@@ -516,6 +576,18 @@ def _ref_tetra_volumes_batch(p):
         a3 = np.angle(1.0 - 1.0 / cr)
     vols = np.abs(lobachevsky(a1) + lobachevsky(a2) + lobachevsky(a3))
     return np.where(np.isfinite(vols), vols, 0.0)
+
+
+def _ref_hull_volumes_bruteforce(P):
+    """Star volumes with the four vertices of each star tetrahedron gathered, then projected."""
+    N, n, _ = P.shape
+    triples = mcsim._subsets(n, 3)[0]
+    facets = _ref_hull_facets(P)
+    s, f = np.nonzero(facets & (triples[:, 0] > 0))
+    tetra = P[s[:, None], np.column_stack([np.zeros_like(f), triples[f]])]
+    v = np.bincount(s, weights=_ref_tetra_volumes_batch(tetra), minlength=N)
+    v[facets.sum(axis=1) != 2 * n - 4] = np.nan
+    return v
 
 
 def _same_bits(got, want):
@@ -544,6 +616,17 @@ class TestSampleAxisLastKernels:
                 got = mcsim._minors(np.ascontiguousarray(a.transpose(2, 1, 0)))
                 assert _same_bits(got.T, _ref_minors(a)), name
             assert _same_bits(mcsim._hull_facets(P), _ref_hull_facets(P)), name
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_gap_test_matches_sorting_reference(self, n):
+        blocks = _d2_blocks(n, 200, 300 + n)
+        for name, q in blocks.items():
+            want = _ref_inside_hull_d2_batch(q)
+            sample_last = np.ascontiguousarray(q.transpose(2, 1, 0)).transpose(2, 1, 0)
+            for block in (q, sample_last):
+                assert _same_bits(mcsim._inside_hull_d2_batch(block), want), name
+        assert 0 < _ref_inside_hull_d2_batch(blocks["random"]).sum() < 200
+        assert _ref_inside_hull_d2_batch(blocks["antipodal"]).all()  # 0 on the segment of a pair: a gap of pi
 
     @pytest.mark.parametrize("d, n", _KERNEL_SHAPES, ids=lambda v: str(v))
     def test_containment_matches_reference(self, d, n):
@@ -575,7 +658,7 @@ class TestSampleAxisLastKernels:
             rows = v.reshape(-1, shape[-1])
             rows[:3] = np.array([0.0, 1e-200, 1e200])[:, None]  # a zero, an underflowing and an overflowing row
             with np.errstate(over="ignore", under="ignore"):
-                assert _same_bits(mcsim._norms(v), np.linalg.norm(v, axis=-1))
+                assert _same_bits(mcsim._norms(np.moveaxis(v, -1, 0)), np.linalg.norm(v, axis=-1))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_sample_block_matches_per_point_draws(self, d):
@@ -584,8 +667,32 @@ class TestSampleAxisLastKernels:
         got = mcsim._sample_block(d, betas, ours, 1000)
         want = np.stack([_ref_sample_beta_batch(d, b, theirs, 1000) for b in betas], axis=1)
         assert _same_bits(got, want)
+        assert got.base.shape == (d, len(betas), 1000) and got.base.flags.c_contiguous
         assert ours.random() == theirs.random()
         assert _same_bits(mcsim._sample_beta_batch(d, 0.5, ours, 7), _ref_sample_beta_batch(d, 0.5, theirs, 7))
+
+    def test_sphere_points_match_one_draw(self):
+        ours, theirs = mcsim._stream_rng(4, 1), mcsim._stream_rng(4, 1)
+        got = mcsim._sphere_points(ours, 9000, 7)  # over three row chunks
+        want = theirs.standard_normal((9000, 7, 3))
+        want /= np.linalg.norm(want, axis=2, keepdims=True)
+        assert _same_bits(got, want) and got.base.flags.c_contiguous
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n", [5, 6, 10, 12])
+    def test_star_volumes_match_reference(self, n):
+        rng = np.random.default_rng(35 + n)
+        P = rng.standard_normal((300, n, 3))
+        P /= np.linalg.norm(P, axis=2, keepdims=True)
+        P[3, 2] = [0.0, 0.0, 1.0]  # a vertex at the pole
+        P[7, 0] = [0.0, 0.0, 1.0]  # vertex 0, in every star tetrahedron, at the pole
+        P[11, 4] = [1e-10, 0.0, math.sqrt(1.0 - 1e-20)]  # within 1e-9 of it
+        P[13, :3] = np.eye(3)[[2, 1, 0]]  # a pole vertex after every cyclic turn
+        want = _ref_hull_volumes_bruteforce(P)
+        sample_last = np.ascontiguousarray(P.transpose(2, 1, 0)).transpose(2, 1, 0)
+        for block in (P, sample_last):
+            assert _same_bits(mcsim._hull_volumes_bruteforce(block), want)
+        assert np.isfinite(want[[3, 7, 11]]).all()
 
     def test_tetra_volumes_match_reference(self):
         rng = np.random.default_rng(33)

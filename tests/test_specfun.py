@@ -318,6 +318,34 @@ class TestLobachevsky:
         vals = specfun.lobachevsky(ts)
         assert abs(ts[np.argmax(vals)] - math.pi / 6) < 1e-3
 
+    def test_matches_masked_reference(self):
+        # the series on every entry, zeros set after, against the series on the nonzero entries only
+        ts = np.random.default_rng(34).uniform(-3.2, 3.2, 30000)
+        ts[:8] = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, math.pi / 2, 1e-300, -5e-324]
+        got = specfun.lobachevsky(ts)
+        assert got.tobytes() == _ref_lobachevsky(ts).tobytes()
+        assert got[0] == 0.0 and got[1] == 0.0
+        for t in ts[:20]:
+            value = specfun.lobachevsky(float(t))
+            assert type(value) is float and np.float64(value).tobytes() == _ref_lobachevsky(np.array([t])).tobytes()
+
+
+def _ref_lobachevsky(ts):
+    """The series evaluated on the entries with a nonzero reduced angle only, the others left 0."""
+    r = ts - math.pi * np.round(ts / math.pi)
+    s = np.sign(r)
+    r = np.abs(r)
+    out = np.zeros_like(r)
+    nz = r > 0.0
+    rr = r[nz]
+    r2 = rr * rr
+    poly = np.zeros_like(rr)
+    for coeff in reversed(specfun._LOB_COEFFS):
+        poly *= r2
+        poly += coeff
+    out[nz] = rr - rr * np.log(2.0 * rr) + rr * r2 * poly
+    return out * s
+
 
 def _series_terms(beta):
     """C(beta, k) for k = 0..40, the series' term count and g(beta, 1), for one beta.
