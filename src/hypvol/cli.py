@@ -189,6 +189,8 @@ def _cmd_simulate(args) -> tuple[str, int]:
     spec = BetaSpec(args.dim, _parse_betas(args.betas))
     cfg = SampleConfig(seed=seed, n_samples=args.samples, streams=args.streams)
     oracle = _resolve_oracle(spec, args.exponent, args.oracle)
+    if args.exponent is not None and oracle != "absorption":
+        raise ValueError(f"--exponent applies only to --oracle absorption; --oracle {oracle} estimates a volume")
 
     if oracle == "absorption":
         if args.exponent is None:

@@ -33,8 +33,9 @@ first, (N, ...), as transposed views where that is free.
 Where a kernel's temporaries hold more than a few values per sample it
 runs over row chunks of about _BLOCK elements (``_row_chunks``):
 containment in d >= 3 (``mc_absorption``), hull edges and angles in the
-disk (``mc_hyp_area_d2``), ideal hull facets for n > 4
-(``mc_ideal_polytope3_volume``) and the inner barycentric sample of
+disk (``mc_hyp_area_d2``), ideal hull facets and star volumes
+(``mc_ideal_polytope3_volume``, one star decomposition at every n >= 4,
+the tetrahedron included) and the inner barycentric sample of
 ``mc_simplex_hyp_volume``.  The other kernels hold O(n) values per
 sample over one block.
 
@@ -687,33 +688,26 @@ def _ideal_volumes(P: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vols), vols, 0.0)
 
 
-def _tetra_volumes_batch(p: np.ndarray) -> np.ndarray:
-    """Hyperbolic volumes of ideal tetrahedra; p has shape (N, 4, 3).
-
-    ``_ideal_volumes`` with row i's four vertices as the indices of
-    tetrahedron i: each vertex is projected once, and only the rows with
-    a vertex near the pole are gathered, turned and projected again.
-    """
-    p = np.asarray(p, dtype=float)
-    return _ideal_volumes(p, np.arange(len(p)), np.broadcast_to(np.arange(4), (len(p), 4)))
-
-
 def ideal_tetra_volume(v1, v2, v3, v4) -> float:
     """Volume of the ideal tetrahedron with the four given boundary points.
 
-    The sphere points are carried to the extended complex plane by
-    stereographic projection; the volume is the sum of Lobachevsky
-    values at the cross-ratio angles.
+    The kernel of the Monte-Carlo star (``_ideal_volumes``) on one
+    tetrahedron: the sphere points are carried to the extended complex
+    plane by stereographic projection, and the volume is the sum of
+    Lobachevsky values at the cross-ratio angles.  Every point must lie
+    within 1e-9 of the unit sphere, and no two may coincide.
     """
     p = np.array([v1, v2, v3, v4], dtype=float)
+    if np.any(np.abs(np.linalg.norm(p, axis=1) - 1.0) > 1e-9):
+        raise ValueError("vertices must lie on the unit sphere")
     for i, j in combinations(range(4), 2):
         if np.linalg.norm(p[i] - p[j]) < 1e-12:
             raise ValueError("coincident vertices")
-    return float(_tetra_volumes_batch(p[None, :, :])[0])
+    return float(_ideal_volumes(p[None], np.zeros(1, dtype=int), np.arange(4)[None])[0])
 
 
 def _hull_volumes_bruteforce(P: np.ndarray) -> np.ndarray:
-    """Hull volumes via star decomposition from vertex 0; P is (N, n, 3).
+    """Hull volumes via star decomposition from vertex 0; P is (N, n, 3), n >= 4.
 
     Candidate facets are the triples with every other point strictly on
     one side (``_hull_facets``); valid for points in general position on
@@ -770,23 +764,21 @@ def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
     """Sample mean of hyperbolic volumes of hulls of n uniform sphere points.
 
     Each sample decomposes the hull into ideal tetrahedra sharing the
-    first vertex.  Degenerate hulls (probability zero) are resampled;
-    the resample count is tracked on the returned estimate.
+    first vertex (``_hull_volumes_bruteforce``), at every n >= 4: for
+    n = 4 the star is the one tetrahedron.  Degenerate hulls (probability
+    zero) are resampled; the resample count is tracked on the returned
+    estimate.
     """
     if n < 4:
         raise ValueError("requires n >= 4")
     acc = _Accumulator()
     resampled = 0
     for rng, block in _iter_blocks(cfg):
-        P = _sphere_points(rng, block, n)
-        if n == 4:
-            vols = _tetra_volumes_batch(P)
-        else:
-            vols = _hull_volumes_bruteforce(P)
-            while np.isnan(vols).any():
-                bad = np.nonzero(np.isnan(vols))[0]
-                resampled += bad.size
-                vols[bad] = _hull_volumes_bruteforce(_sphere_points(rng, bad.size, n))
+        vols = _hull_volumes_bruteforce(_sphere_points(rng, block, n))
+        while np.isnan(vols).any():
+            bad = np.nonzero(np.isnan(vols))[0]
+            resampled += bad.size
+            vols[bad] = _hull_volumes_bruteforce(_sphere_points(rng, bad.size, n))
         acc.add(vols)
     est = acc.estimate()
     est.resampled = resampled

@@ -189,7 +189,7 @@ def _line_step_nodes(levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, 
     return _joined([_line_nodes(level) for level in levels])
 
 
-@functools.lru_cache(maxsize=64)  # bounded: callers such as specfun.f_imag pass arbitrary intervals
+@functools.lru_cache(maxsize=64)  # bounded: callers such as verify._quad_f_beta pass arbitrary intervals
 def _finite_step_abscissae(a: float, b: float, levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Read-only ``_finite_abscissae`` of the levels of one step, joined in order, and their cuts (``_joined``)."""
     return _joined([_finite_abscissae(a, b, level) for level in levels])

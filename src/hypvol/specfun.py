@@ -7,6 +7,11 @@ binomial polynomials with odd-parameter structure, exact harmonic
 numbers, and the log-sine integral used as an independent oracle for
 ideal tetrahedra in dimension 3.
 
+The two factor functions ``f_real`` and ``f_imag`` run the kernels the
+quadrature integrands run (``_f_real_from_z`` and
+``cosh_pow_integral_scaled``, called from ``abcore``), so the checks of
+the factors certify the code behind every query.
+
 All functions are pure; array arguments are supported where noted.
 """
 
@@ -19,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quad
 from .exact import zeta_even_over_pi_power
 
 __all__ = [
@@ -36,16 +40,9 @@ __all__ = [
 ]
 
 # pi/2 split into high and low doubles; PIO2_HI + PIO2_LO carries ~32
-# extra bits, enough to compute cos near +-pi/2 at full relative accuracy.
+# extra bits, enough to form pi/2 - |x| at full relative accuracy near +-pi/2.
 _PIO2_HI = 1.5707963267948966
 _PIO2_LO = 6.123233995736766e-17
-
-
-def cos_near_half_pi(x):
-    """cos(x) with full relative accuracy near +-pi/2 (array-capable)."""
-    x = np.abs(np.asarray(x, dtype=float))
-    s = (_PIO2_HI - x) + _PIO2_LO
-    return np.where(x > 1.0, np.sin(s), np.cos(np.minimum(x, 1.0)))
 
 
 # |log_gamma(x) - log Gamma(x)| <= LOG_GAMMA_ERR * max(1, |log Gamma(x)|);
@@ -227,9 +224,12 @@ def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray) -> np.ndarray:
 def f_real(beta: float, x):
     """Integral of cos(y)**beta from -pi/2 to x, for x in [-pi/2, pi/2].
 
-    Evaluated through the incomplete beta at z = (1 + sin x)/2, with the
-    complement formed from cos(x)**2 to stay accurate near +-pi/2.
-    Accepts scalar or array x.
+    The b integrand's row (abcore._b_factors): F(t - pi/2) is
+    ``_f_real_from_z`` at z = sin(t/2)**2, zc = cos(t/2)**2.  F(-|x|)
+    takes t = pi/2 - |x|, formed from the split pi/2 so that it keeps
+    full relative accuracy near the ends, and F(|x|) is F(pi/2), the row
+    at z = 1, less F(-|x|).  The float +-pi/2 denotes the exact interval
+    endpoint.  Accepts scalar or array x.
     """
     if not beta > -1.0:
         raise ValueError("f_real requires beta > -1")
@@ -237,22 +237,12 @@ def f_real(beta: float, x):
     if np.any(np.abs(xa) > 0.5 * math.pi + 1e-9):
         raise ValueError("f_real requires |x| <= pi/2")
     x1 = np.atleast_1d(xa)
-    s = np.sin(x1)
-    csq = cos_near_half_pi(x1) ** 2
-    z = np.empty_like(s)
-    zc = np.empty_like(s)
-    pos = s >= 0.0
-    z[pos] = 0.5 * (1.0 + s[pos])
-    zc[pos] = csq[pos] / (2.0 * (1.0 + s[pos]))
-    neg = ~pos
-    z[neg] = csq[neg] / (2.0 * (1.0 - s[neg]))
-    zc[neg] = 0.5 * (1.0 - s[neg])
-    # the float +-pi/2 denotes the exact interval endpoint
-    hi = x1 >= _PIO2_HI
-    z[hi], zc[hi] = 1.0, 0.0
-    lo = x1 <= -_PIO2_HI
-    z[lo], zc[lo] = 0.0, 1.0
-    out = _f_real_from_z(beta, z, zc)
+    ax = np.abs(x1)
+    half_t = 0.5 * np.where(ax >= _PIO2_HI, 0.0, (_PIO2_HI - ax) + _PIO2_LO)
+    # the appended z = 1 gives F(pi/2), the complete value
+    rows = _f_real_from_z(beta, np.append(np.sin(half_t) ** 2, 1.0), np.append(np.cos(half_t) ** 2, 0.0))
+    low, total = rows[:-1], rows[-1]
+    out = np.where(x1 > 0.0, total - low, low)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
@@ -472,23 +462,20 @@ def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
     return out[0] if np.ndim(beta) == 0 else out
 
 
-_F_IMAG_CFG = quad.QuadConfig(rel_tol=1e-13, abs_tol=1e-15)
-
-
 def f_imag(beta: float, x: float) -> complex:
-    """Value on the imaginary axis: 1/(2 c_{(beta-1)/2}) + i * integral of cosh**beta.
+    """Value on the imaginary axis: 1/(2 c_{(beta-1)/2}) + i * integral of cosh**beta from 0 to x.
 
-    The real integral is evaluated with integrate_finite; beta >= 0.
+    The imaginary part is the a integrand's kernel,
+    ``cosh_pow_integral_scaled``, times cosh(x)**beta in Python floats,
+    so a value beyond the float range raises OverflowError; beta >= 0.
     The integral grows like cosh(x)**beta, so accuracy is relative.
     """
     if beta < 0:
         raise ValueError("f_imag requires beta >= 0")
     re = 0.5 / c_one_dim(0.5 * (beta - 1.0))
-    if x == 0.0:
-        return complex(re, 0.0)
-    sign = 1.0 if x > 0 else -1.0
-    res = quad.integrate_finite(lambda y: np.cosh(y) ** beta, 0.0, abs(float(x)), _F_IMAG_CFG)
-    return complex(re, sign * res.value)
+    x = float(x)
+    scaled = float(cosh_pow_integral_scaled(float(beta), x)[0])
+    return complex(re, scaled * math.cosh(x) ** beta)
 
 
 def p_m_poly(m: int, z) -> complex:

@@ -2,13 +2,15 @@
 
     python tests/golden/make_mc_cases.py
 
-Each row is one estimator call on one of the eight Monte-Carlo oracle
-cases (absorption in d = 2, 3, 4, Gauss-Bonnet areas in d = 2, ideal
-polytopes with n = 6, 10, 12 vertices, the inner/outer simplex volume in
-d = 3), with the specs of the benchmark's Monte-Carlo workload copied
-here.  Each case runs with a small sample count on 1 and on 3 streams;
-absorption in d = 2 and the n = 6 ideal polytope also run 65,537
-samples on one stream, across a sample-block boundary.  A row records
+Each row is one estimator call on one of nine Monte-Carlo oracle cases:
+the eight of the benchmark's Monte-Carlo workload, with their specs
+copied here (absorption in d = 2, 3, 4, Gauss-Bonnet areas in d = 2,
+ideal polytopes with n = 6, 10, 12 vertices, the inner/outer simplex
+volume in d = 3), and the ideal tetrahedron, n = 4, the smallest hull
+the ideal-polytope estimator takes.  Each case runs with a small sample
+count on 1 and on 3 streams; absorption in d = 2 and the n = 4 and n = 6
+ideal polytopes also run 65,537 samples on one stream, across a
+sample-block boundary.  A row records
 ``float.hex`` of the mean and the standard error, the sample count and
 the resample count: a kernel change that keeps every draw and every
 rounding keeps every row.  Regenerate only for a change meant to alter
@@ -30,6 +32,7 @@ SPECS = {
     "absorption-d3": {"d": 3, "betas": [-0.166, 2.134, -1.0, -0.582, 2.011, 0.044], "exponent": 0.926},
     "absorption-d4": {"d": 4, "betas": [2.827, 2.585, -0.505, 2.139, 2.223, -0.805], "exponent": -0.778},
     "gauss-bonnet-d2": {"d": 2, "betas": [1.408, 0.975, -0.699, -1.0, 1.215, -0.4]},
+    "lobachevsky-n4": {"d": 3, "betas": [-1.0] * 4},
     "lobachevsky-n6": {"d": 3, "betas": [-1.0] * 6},
     "lobachevsky-n10": {"d": 3, "betas": [-1.0] * 10},
     "lobachevsky-n12": {"d": 3, "betas": [-1.0] * 12},
@@ -40,12 +43,13 @@ SAMPLES = {
     "absorption-d3": 1500,
     "absorption-d4": 6000,
     "gauss-bonnet-d2": 300,
+    "lobachevsky-n4": 3000,
     "lobachevsky-n6": 1500,
     "lobachevsky-n10": 300,
     "lobachevsky-n12": 40,
     "simplex-mc-d3": 300,
 }
-BLOCK_BOUNDARY = ("absorption-d2", "lobachevsky-n6")
+BLOCK_BOUNDARY = ("absorption-d2", "lobachevsky-n4", "lobachevsky-n6")
 
 CASES = [
     *({"case": case, "samples": SAMPLES[case], "streams": streams, "seed": 20 + streams} for case in SPECS for streams in (1, 3)),

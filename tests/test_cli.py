@@ -247,6 +247,22 @@ class TestSimulate:
         )
         assert code == 2 and "gauss-bonnet" in err
 
+    @pytest.mark.parametrize("oracle", ["gauss-bonnet", "lobachevsky"])
+    def test_exponent_with_volume_oracle(self, capsys, oracle):
+        code, out, err = run(
+            capsys,
+            "simulate", "--dim", "2" if oracle == "gauss-bonnet" else "3", "--betas", "-1,-1,-1,-1", "--oracle", oracle,
+            "--exponent", "0.5", "--samples", "100", "--seed", "1",
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "--exponent" in err
+
+    def test_exponent_with_auto_picks_absorption(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--dim", "2", "--betas", "-1,-1,-1,-1", "--exponent", "0.5", "--samples", "100", "--seed", "1",
+        )
+        rec = json.loads(out)
+        assert code == 0 and rec["params"]["oracle"] == "absorption" and rec["params"]["exponent"] == 0.5
+
 
 class TestOutputRecord:
     def test_json_roundtrip(self, capsys):

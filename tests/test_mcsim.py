@@ -190,6 +190,14 @@ class TestIdealTetraVolume:
         with pytest.raises(ValueError):
             mcsim.ideal_tetra_volume(REGULAR_TETRA[0], REGULAR_TETRA[0], REGULAR_TETRA[1], REGULAR_TETRA[2])
 
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 1.0 + 1e-6])
+    def test_off_sphere_error(self, scale):
+        with pytest.raises(ValueError, match="unit sphere"):
+            mcsim.ideal_tetra_volume(*(scale * REGULAR_TETRA))
+
+    def test_within_sphere_tolerance(self):
+        assert mcsim.ideal_tetra_volume(*((1.0 + 1e-12) * REGULAR_TETRA)) == pytest.approx(1.0149416064096536, abs=1e-9)
+
 
 class TestMcIdealPolytope:
     def test_single_tetra_matches_direct(self):
@@ -444,11 +452,11 @@ _GOLDEN_ROWS = json.loads((GOLDEN / "mc_cases.json").read_text())
 
 
 class TestGoldenEstimates:
-    """Every draw and every rounding of the eight oracle cases, pinned (tests/golden/make_mc_cases.py)."""
+    """Every draw and every rounding of the nine oracle cases, pinned (tests/golden/make_mc_cases.py)."""
 
     def test_rows_cover_every_case(self):
         assert [{k: r[k] for k in ("case", "samples", "streams", "seed")} for r in _GOLDEN_ROWS] == _GOLDEN_SCRIPT.CASES
-        assert {r["case"] for r in _GOLDEN_ROWS} == set(_GOLDEN_SCRIPT.SPECS) and len(_GOLDEN_SCRIPT.SPECS) == 8
+        assert {r["case"] for r in _GOLDEN_ROWS} == set(_GOLDEN_SCRIPT.SPECS) and len(_GOLDEN_SCRIPT.SPECS) == 9
 
     @pytest.mark.parametrize("row", _GOLDEN_ROWS, ids=lambda r: f"{r['case']}-{r['streams']}-{r['samples']}")
     def test_same_bits(self, row):
@@ -695,6 +703,7 @@ class TestSampleAxisLastKernels:
         assert np.isfinite(want[[3, 7, 11]]).all()
 
     def test_tetra_volumes_match_reference(self):
+        # the ideal kernel with sample i's four points as tetrahedron i
         rng = np.random.default_rng(33)
         p = rng.standard_normal((400, 4, 3))
         p /= np.linalg.norm(p, axis=2, keepdims=True)
@@ -702,5 +711,6 @@ class TestSampleAxisLastKernels:
         p[9, 2] = [1e-10, 0.0, math.sqrt(1.0 - 1e-20)]  # within 1e-9 of it
         p[12, :3] = np.eye(3)[[2, 1, 0]]  # a pole vertex after every cyclic turn
         p[20, 0] = p[20, 1]  # coincident vertices: volume 0
-        assert _same_bits(mcsim._tetra_volumes_batch(p), _ref_tetra_volumes_batch(p))
-        assert _same_bits(mcsim._tetra_volumes_batch(p[:1]), _ref_tetra_volumes_batch(p[:1]))
+        for q in (p, p[:1]):
+            got = mcsim._ideal_volumes(q, np.arange(len(q)), np.broadcast_to(np.arange(4), (len(q), 4)))
+            assert _same_bits(got, _ref_tetra_volumes_batch(q))

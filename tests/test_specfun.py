@@ -230,6 +230,16 @@ class TestFReal:
             x = float(rng.uniform(-math.pi / 2, math.pi / 2))
             assert specfun.f_real(beta, x) == pytest.approx(_quad_f_beta(beta, x), abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 0.5, 1.7, 5.0, 13.3, 40.0])
+    def test_near_both_ends_against_mpmath(self, beta):
+        # 2**beta B_z(p, p) at z = (1 + sin x)/2, p = (beta + 1)/2, to 40 digits
+        with mp.workdps(40):
+            p = mp.mpf(beta + 1.0) / 2
+            for gap in (1e-6, 1e-3, 0.1):
+                for x in (gap - 0.5 * math.pi, 0.5 * math.pi - gap):
+                    want = mp.mpf(2) ** beta * mp.betainc(p, p, 0, (1 + mp.sin(mp.mpf(x))) / 2)
+                    assert abs(specfun.f_real(beta, x) - want) <= 5e-14 * abs(want), (beta, x)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfun.f_real(-1.0, 0.0)
@@ -248,6 +258,22 @@ class TestFImag:
         for x in (-2.0, -0.3, 0.0, 1.0, 3.0):
             got = specfun.f_imag(1.0, x)
             assert got == pytest.approx(complex(1.0, math.sinh(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 3.0, 7.0, 60.5])
+    def test_against_mpmath(self, beta):
+        # real part sqrt(pi) Gamma((beta + 1)/2) / (2 Gamma(beta/2 + 1)), imaginary part
+        # the integral of cosh**beta from 0 to x, both to 40 digits
+        with mp.workdps(40):
+            re = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(beta + 1.0) / 2) / (2 * mp.gamma(mp.mpf(beta) / 2 + 1))
+            for x in (0.05, 0.3, 1.0, 2.0, 5.0, -0.05, -0.3, -1.0, -2.0, -5.0):
+                im = mp.quad(lambda y: mp.cosh(y) ** beta, [0, x])
+                got = specfun.f_imag(beta, x)
+                assert abs(got.real - re) <= 1e-13 * abs(re), (beta, x)
+                assert abs(got.imag - im) <= 1e-13 * abs(im), (beta, x)
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            specfun.f_imag(3.0, 800.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
