@@ -51,11 +51,9 @@ most ``_BUDGET`` bytes and drops the oldest entries first; a dropped
 value or row is computed again, to the same bits, by the next call
 that needs it.  The rows of all parameters a step lacks come from one
 kernel call per kind: the cosh-power kernel for ``a`` (``_a_factors``),
-the incomplete beta for ``b``, one row and its log1p complement
-(``_b_factors``).  An ``a`` row is elementwise in its nodes, so it has
-the same bits in any step; the incomplete beta stops a row once all its
-nodes have converged, so a ``b`` row's last bits depend on the other
-nodes of its step.
+the sin-power series for ``b``, one row and its log1p complement
+(``_b_factors``).  Both kernels are elementwise in their nodes, so a row
+has the same bits in any step.
 """
 
 from __future__ import annotations
@@ -78,6 +76,7 @@ from .specfun import (
     c_one_dim,
     complete_beta_rel_err,
     cosh_pow_integral_scaled,
+    f_real_total,
     log_gamma,
 )
 
@@ -96,9 +95,9 @@ __all__ = [
 ]
 
 _REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
-# quadrature parameters must lie below this: the incomplete-beta rows scale
-# by 2.0**p (_f_real_from_z), which overflows from 1024 on, and the
-# cosh-power recurrence takes about p/2 steps
+# quadrature parameters must lie below this: the sin-power series of the
+# b rows (_f_real_from_z) has term counts for parameters below 1024 only,
+# and the cosh-power recurrence takes about p/2 steps
 _MAX_PARAM = 1024.0
 
 
@@ -295,7 +294,7 @@ def a_prime_odd_repeated(m: int, q: int) -> PiPoly:
 def _segment_total(beta: float) -> tuple[float, float]:
     """B = F_beta(pi/2) and a bound on its relative error, that of B(p, p) (more log-gammas), p = (beta + 1)/2."""
     p = 0.5 * (beta + 1.0)
-    return math.sqrt(math.pi) * math.exp(log_gamma(p) - log_gamma(p + 0.5)), complete_beta_rel_err(p, p)
+    return f_real_total(beta), complete_beta_rel_err(p, p)
 
 
 def limit_alpha_plus_one_times_b(params) -> float:
@@ -328,10 +327,10 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
     return list(zip(log_mag, phase))
 
 
-def _b_factors(betas, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read-only (F(t - pi/2), log1p(-F/B)) at nodes t, B = F(pi/2), for each of betas from one incomplete-beta call."""
+def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read-only (F(t - pi/2), log1p(-F/B)) at nodes t, B = F(pi/2), for each of betas from one sin-power call."""
     half_t = 0.5 * t
-    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2)
+    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2, sin_t)
     comps = np.log1p(-rows / np.array([[_segment_total(b)[0]] for b in betas]))
     rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
     return list(zip(rows, comps))
@@ -418,7 +417,7 @@ def _segment_step(states: list, levels: range) -> list:
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t))
+        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t, sin_t))
         for state in states:
             alpha, betas, P, run = state
             vals = _b_body(alpha, [rows[b] for b in betas], P, sin_t) * weight

@@ -18,6 +18,7 @@ it is, or (alpha+1) * b for a b integral.  Exit codes: 0 ok, 1 verification fail
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,7 +248,13 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines), (1 if failures else 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call (its set-up costs about 1 ms).
+
+    parse_args keeps no state between calls, and the subcommands look up
+    what they call at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="hypvol",
         description="Expected hyperbolic volumes and beta integrals of random beta polytopes.",

@@ -1,11 +1,13 @@
 """Scalar special functions.
 
 Gamma machinery, the one-dimensional normalizing constants, the
-cos-power primitive on the real segment and its cosh-power counterpart
-on the imaginary axis, the non-regularized incomplete beta function,
-binomial polynomials with odd-parameter structure, exact harmonic
-numbers, and the log-sine integral used as an independent oracle for
-ideal tetrahedra in dimension 3.
+cos-power primitive on the real segment (a series of positive terms)
+and its cosh-power counterpart on the imaginary axis, the
+non-regularized incomplete beta function (a continued fraction, behind
+``inc_beta`` and the independent oracle ``abcore.b_fn_alt``), binomial
+polynomials with odd-parameter structure, exact harmonic numbers, and
+the log-sine integral used as an independent oracle for ideal
+tetrahedra in dimension 3.
 
 The two factor functions ``f_real`` and ``f_imag`` run the kernels the
 quadrature integrands run (``_f_real_from_z`` and
@@ -92,7 +94,7 @@ def c_d_beta(d: int, beta: float) -> float:
     return math.exp(log_gamma(0.5 * d + beta + 1.0) - log_gamma(beta + 1.0) - 0.5 * d * math.log(math.pi))
 
 
-# -- incomplete beta: continued fraction (modified Lentz), vectorized --
+# -- incomplete beta: continued fraction (modified Lentz) --
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-16
@@ -100,24 +102,14 @@ _EPS = sys.float_info.epsilon
 _CF_MAX_ITER = 500
 
 
-def _betacf(p, q, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta; x below the swap point.
-
-    p and q are scalars, or (k, 1) columns against the row x (result
-    (k, len(x))).  Each row stops at the iteration where the fraction for
-    its own p and q alone would stop, so every row is the same in every
-    bit as a one-row call.
-    """
-    if np.size(p) == 1 and np.ndim(p) == 2:  # one row runs on Python floats, which are cheaper
-        return _betacf(float(p[0, 0]), float(q[0, 0]), x)[None, :]
+def _betacf(p: float, q: float, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta; x below the swap point."""
     qab, qap, qam = p + q, p + 1.0, p - 1.0
     d = 1.0 - qab * x / qap
     np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
     d = 1.0 / d
     c = np.ones_like(d)
     h = d.copy()
-    out = np.empty_like(h)
-    rows = np.arange(len(h)) if h.ndim == 2 else ...  # the rows still iterating
     done = np.zeros(h.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
@@ -139,15 +131,7 @@ def _betacf(p, q, x: np.ndarray) -> np.ndarray:
         done |= np.abs(delta - 1.0) < _CF_EPS
         if done.all():
             break
-        if h.ndim == 2:  # drop the rows that have stopped
-            stop = done.all(axis=1)
-            if stop.any():
-                out[rows[stop]] = h[stop]
-                go = ~stop
-                state = (rows, p, q, qab, qap, qam, c, d, h, done)
-                rows, p, q, qab, qap, qam, c, d, h, done = (v[go] for v in state)
-    out[rows] = h
-    return out
+    return h
 
 
 def complete_beta_rel_err(p: float, q: float) -> float:
@@ -162,26 +146,23 @@ def complete_beta_rel_err(p: float, q: float) -> float:
     return (LOG_GAMMA_ERR + 2 * _EPS) * scale + 3 * _EPS
 
 
-def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p, q) -> np.ndarray:
+def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p: float, q: float) -> np.ndarray:
     """Non-regularized B_z(p, q), given z and an accurately computed zc = 1-z.
 
-    p and q are scalars, or columns with the same p/(p+q) in every row
-    (as when p is q), one output row each.  Below the swap point it takes
-    the continued fraction at z, above it the complete B(p, q) less the
-    fraction at zc (Numerical Recipes ``betai``; DLMF 8.17.4).
+    Below the swap point it takes the continued fraction at z, above it
+    the complete B(p, q) less the fraction at zc (Numerical Recipes
+    ``betai``; DLMF 8.17.4).
     """
-    pa, qa = np.broadcast_arrays(p, q)
-    pairs = zip(pa.ravel().tolist(), qa.ravel().tolist())
-    complete = np.reshape([math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b)) for a, b in pairs], pa.shape)
+    complete = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
     interior = (z > 0.0) & (zc > 0.0)
-    swap = interior & (z > np.ravel(p / (p + q))[0])
+    swap = interior & (z > p / (p + q))
     direct = interior & ~swap
-    out = np.zeros(np.broadcast_shapes(np.shape(p), z.shape))
+    out = np.zeros(z.shape)
     if direct.any():
-        out[..., direct] = np.exp(p * np.log(z[direct]) + q * np.log(zc[direct])) / p * _betacf(p, q, z[direct])
+        out[direct] = np.exp(p * np.log(z[direct]) + q * np.log(zc[direct])) / p * _betacf(p, q, z[direct])
     if swap.any():
-        out[..., swap] = complete - np.exp(q * np.log(zc[swap]) + p * np.log(z[swap])) / q * _betacf(q, p, zc[swap])
-    out[..., zc <= 0.0] = complete
+        out[swap] = complete - np.exp(q * np.log(zc[swap]) + p * np.log(z[swap])) / q * _betacf(q, p, zc[swap])
+    out[zc <= 0.0] = complete
     return out
 
 
@@ -201,48 +182,127 @@ def inc_beta(z, p: float, q: float):
     return float(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
-_ROW_BLOCK = 4096  # parameters x abscissae per kernel block
+# -- the sin-power primitive: one series of positive terms per row --
+
+_SIN_BLOCK = 1 << 15  # parameters x terms x abscissae per kernel block: 256 KB, faster than 2 MB
+_SIN_MAX_BETA = 1024.0  # _SIN_MAX_TERMS covers the parameters below it
+_SIN_MAX_TERMS = 400  # beta just below 1024 takes 312 terms
+_SIN_RATIO_K = np.arange(_SIN_MAX_TERMS - 1.0)
+_SIN_HALF_POWERS = 0.5 ** np.arange(_SIN_MAX_TERMS)
 
 
-def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """Row 2**beta B_z(p, p), p = (beta + 1)/2, for zc = 1 - z.
+def f_real_total(beta: float) -> float:
+    """F(pi/2), the integral of cos**beta over (-pi/2, pi/2): sqrt(pi) Gamma(p) / Gamma(p + 1/2), p = (beta + 1)/2.
+
+    Its relative error is within complete_beta_rel_err(p, p), which
+    counts one more log-gamma, of a larger argument.
+    """
+    p = 0.5 * (beta + 1.0)
+    return math.sqrt(math.pi) * math.exp(log_gamma(p) - log_gamma(p + 0.5))
+
+
+def _sin_series_rows(col: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The series coefficients c_k of each parameter in the column col, one row each, and its term count.
+
+    c_0 = 1 and c_(k+1) = c_k (beta + 1 + k)/((beta + 3)/2 + k), by one
+    cumprod per row.  A row's terms c_k z**k fall with k at every z <= 1/2,
+    and term k over the sum of the terms before it grows with z, so
+    z = 1/2 sets the count: it ends at the first term whose tail bound,
+    the term over 1 - rho with rho = max(1/2, the ratio of the next term
+    to it), is below 2**-56 of the sum, and takes that term too.  So no
+    term past the count, nor all of them together, reaches a quarter ulp
+    of the partial sum.
+    """
+    ratio = (col + 1.0 + _SIN_RATIO_K) / (0.5 * (col + 3.0) + _SIN_RATIO_K)
+    coeffs = np.ones((col.shape[0], _SIN_MAX_TERMS))
+    np.cumprod(ratio, axis=1, out=coeffs[:, 1:])
+    at_half = coeffs * _SIN_HALF_POWERS
+    tail = at_half[:, :-1] / (1.0 - np.maximum(0.5 * ratio, 0.5))
+    counts = np.argmax(tail < 2.0**-56 * at_half.sum(axis=1, keepdims=True), axis=1) + 1
+    return coeffs, counts.tolist()
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms (rows, k, abscissae) summed over k, term after term from k = 0.
+
+    numpy reduces a middle axis one whole slice at a time while the last
+    axis has more than one entry; a lone column it would sum pairwise.
+    """
+    if terms.shape[2] > 1:
+        return terms.sum(axis=1)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
+    """Row F(t - pi/2), the integral of sin**beta over (0, t), at z = sin(t/2)**2, zc = cos(t/2)**2, sin_t = sin t.
 
     This is the integral of cos**beta up to a node (f_real).  beta is a
-    scalar, or a column of parameters with one row each, evaluated in
-    blocks of about _ROW_BLOCK values.
+    scalar in (-1, _SIN_MAX_BETA), or a column of them with one row
+    each.  For z <= 1/2 the row is sin(t)**(beta + 1)/(beta + 1) times
+    the sum of c_k z**k (DLMF 8.17.8 with a = b = (beta + 1)/2), every
+    term positive (_sin_series_rows); beyond, it is f_real_total less
+    the row at zc, where sin t is the same.  sin t comes from the node
+    itself: 2 sqrt(z zc) would lose the last bits of z and zc, and be 0
+    where z underflows.  Every row sums the same count of terms at every
+    node, in order: the powers of z by doubling (z**(n + j) = z**j z**n,
+    one array product per doubling), the products with the coefficients
+    summed over k (_sum_in_order), no matmul.  So a row is elementwise in
+    its nodes, and the padding to the largest count of its block of
+    parameters adds terms below a quarter ulp, which leave its bits as
+    they are.  Blocks hold about _SIN_BLOCK values.
+    Its relative error is within max(5e-15, 1.5e-16 * beta) at every
+    node with z <= 1/2 and a normal value (golden references in tests):
+    the power of sin t takes most of it.
     """
-    betas = np.ravel(beta).tolist()
-    scale = np.array([[2.0**b] for b in betas])  # Python powers: numpy's may differ by an ulp
-    step = max(1, _ROW_BLOCK // max(z.size, 1))
-    out = np.empty((len(betas), z.size))
-    for lo in range(0, len(betas), step):
-        p = 0.5 * (np.array(betas[lo : lo + step])[:, None] + 1.0)
-        out[lo : lo + step] = _inc_beta_parts(z, zc, p, p) * scale[lo : lo + step]
+    col = np.reshape(np.array(beta, dtype=float), (-1, 1))
+    mirror = z > 0.5
+    w = np.where(mirror, zc, z)
+    coeffs, counts = _sin_series_rows(col)
+    most = max(counts)
+    width = max(1, min(w.size, _SIN_BLOCK // most))
+    step = max(1, _SIN_BLOCK // (most * width))
+    out = np.empty((len(counts), w.size))
+    for at in range(0, w.size, width):
+        block = slice(at, at + width)
+        powers = np.empty((most, w[block].size))
+        powers[0] = 1.0
+        done, w_done = 1, w[block]  # w**done
+        while done < most:  # powers done.. from powers 0.. times w**done
+            more = min(done, most - done)
+            np.multiply(powers[:more], w_done, out=powers[done : done + more])
+            done, w_done = done + more, w_done * w_done
+        for lo in range(0, len(counts), step):
+            count = max(counts[lo : lo + step])
+            out[lo : lo + step, block] = _sum_in_order(coeffs[lo : lo + step, :count, None] * powers[:count])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out *= sin_t**col * sin_t / (col + 1.0)  # beta + 1 as an exponent would round
+    out[:, sin_t == 0.0] = 0.0  # t = 0, or pi, the mirror of 0: 0**beta is inf for beta < 0
+    if mirror.any():
+        out[:, mirror] = np.array([[f_real_total(b)] for b in col[:, 0].tolist()]) - out[:, mirror]
     return out[0] if np.ndim(beta) == 0 else out
 
 
 def f_real(beta: float, x):
-    """Integral of cos(y)**beta from -pi/2 to x, for x in [-pi/2, pi/2].
+    """Integral of cos(y)**beta from -pi/2 to x, for x in [-pi/2, pi/2] and -1 < beta < _SIN_MAX_BETA.
 
     The b integrand's row (abcore._b_factors): F(t - pi/2) is
-    ``_f_real_from_z`` at z = sin(t/2)**2, zc = cos(t/2)**2.  F(-|x|)
-    takes t = pi/2 - |x|, formed from the split pi/2 so that it keeps
-    full relative accuracy near the ends, and F(|x|) is F(pi/2), the row
-    at z = 1, less F(-|x|).  The float +-pi/2 denotes the exact interval
-    endpoint.  Accepts scalar or array x.
+    ``_f_real_from_z`` at z = sin(t/2)**2, zc = cos(t/2)**2, sin t.
+    F(-|x|) takes t = pi/2 - |x|, formed from the split pi/2 so that it
+    keeps full relative accuracy near the ends, with sin t = cos(x), and
+    F(|x|) is F(pi/2) (f_real_total) less F(-|x|).  The float +-pi/2
+    denotes the exact interval endpoint.  Accepts scalar or array x.
     """
-    if not beta > -1.0:
-        raise ValueError("f_real requires beta > -1")
+    if not -1.0 < beta < _SIN_MAX_BETA:
+        raise ValueError(f"f_real requires -1 < beta < {_SIN_MAX_BETA:g}")
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 0.5 * math.pi + 1e-9):
         raise ValueError("f_real requires |x| <= pi/2")
     x1 = np.atleast_1d(xa)
     ax = np.abs(x1)
-    half_t = 0.5 * np.where(ax >= _PIO2_HI, 0.0, (_PIO2_HI - ax) + _PIO2_LO)
-    # the appended z = 1 gives F(pi/2), the complete value
-    rows = _f_real_from_z(beta, np.append(np.sin(half_t) ** 2, 1.0), np.append(np.cos(half_t) ** 2, 0.0))
-    low, total = rows[:-1], rows[-1]
-    out = np.where(x1 > 0.0, total - low, low)
+    end = ax >= _PIO2_HI
+    half_t = 0.5 * np.where(end, 0.0, (_PIO2_HI - ax) + _PIO2_LO)
+    low = _f_real_from_z(beta, np.sin(half_t) ** 2, np.cos(half_t) ** 2, np.where(end, 0.0, np.cos(x1)))
+    out = np.where(x1 > 0.0, f_real_total(beta) - low, low)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
@@ -287,6 +347,7 @@ def _cosh_pow_integral_small(betas: list[float], x: np.ndarray) -> np.ndarray:
 # the series' and Gauss-Legendre's errors grow with beta, so larger
 # parameters start in (11, 13] and recur up at every x (cosh_pow_integral_scaled)
 _SERIES_MAX_BETA = 13.0
+_ROW_BLOCK = 4096  # parameters x abscissae per kernel block
 _SERIES_TERMS = 41  # the series is cut at k = 40, or sooner (_tail_rows)
 _TWO_K = 2.0 * np.arange(_SERIES_TERMS)
 _SERIES_STEPS = [(k, 2.0 * k, float(k), float(k + 1)) for k in range(_SERIES_TERMS)]

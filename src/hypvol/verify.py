@@ -83,7 +83,7 @@ def _quad_f_beta(beta: float, x: float) -> float:
 
 @_check("specfun.f-real-vs-quadrature")
 def _f_real_vs_quadrature(quick: bool):
-    # f_real is the b integrand's incomplete-beta row, so this certifies that kernel
+    # f_real is the b integrand's sin-power row, so this certifies that kernel
     rng = np.random.default_rng(2024)
     count = 100 if quick else 1000
     worst = 0.0
@@ -92,6 +92,20 @@ def _f_real_vs_quadrature(quick: bool):
         x = float(rng.uniform(-0.5 * math.pi, 0.5 * math.pi))
         worst = max(worst, abs(specfun.f_real(beta, x) - _quad_f_beta(beta, x)))
     return _bounded(worst, 1e-10)
+
+
+@_check("specfun.f-real-reduction")
+def _f_real_reduction(quick: bool):
+    # f(beta, x) = sin x cos(x)**(beta - 1)/beta + (beta - 1)/beta f(beta - 2, x), relative:
+    # an absolute bound (f-real-vs-quadrature) passes any row of a large beta, which is tiny
+    xs = np.linspace(-0.25 * math.pi, 0.999 * 0.5 * math.pi, 41)
+    worst = 0.0
+    for beta in (1.5, 2.7, 13.0, 60.5, 200.0, 600.0, 1020.0):
+        got, lower = specfun.f_real(beta, xs), specfun.f_real(beta - 2.0, xs)
+        for x, g, f in zip(xs.tolist(), got.tolist(), lower.tolist()):
+            want = math.sin(x) * math.cos(x) ** (beta - 1.0) / beta + (beta - 1.0) / beta * f
+            worst = max(worst, abs(g - want) / abs(g) if g else math.inf)  # a row of 0 is wrong here
+    return _bounded(worst, 1e-12)
 
 
 @_check("specfun.cos-power-identity")

@@ -313,3 +313,30 @@ class TestVerifyCommand:
         assert "[FAIL] r.quad  raised QuadratureError: no convergence" in out
         assert "[PASS] r.ok    ok" in out
         assert out.endswith("1/3 checks passed\nfailing: r.zero, r.quad\n")
+
+
+class TestParser:
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        # the parser is built once per process; what one command parsed does not
+        # reach the next (--method generic, a usage error, another subcommand)
+        import argparse
+
+        used = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recorded(self, *args, **kwargs):
+            used.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        first = run(capsys, "hypvolume", "--dim", "2", "--betas", "0,0,0")
+        table = run(capsys, "table", "--case", "polygon-beta0", "--range", "3:5")
+        generic = run(capsys, "hypvolume", "--dim", "2", "--betas", "0,0,0", "--method", "generic")
+        with pytest.raises(SystemExit):
+            cli.main(["table", "--case", "ideal9", "--range", "3:5"])
+        capsys.readouterr()
+        run(capsys, "expect", "--dim", "3", "--betas", "-1,-1,-1,-1", "--exponent", "0")
+        assert json.loads(first[1])["params"]["method"] == "auto" and json.loads(generic[1])["params"]["method"] == "generic"
+        assert run(capsys, "hypvolume", "--dim", "2", "--betas", "0,0,0") == first
+        assert run(capsys, "table", "--case", "polygon-beta0", "--range", "3:5") == table
+        assert len(used) == 7 and all(parser is cli.build_parser() for parser in used)

@@ -141,74 +141,78 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _one_row(b, z, zc):
-    """2**b B_z(p, p) for one parameter, from one-row kernel calls."""
-    p = 0.5 * (b + 1.0)
-    return 2.0**b * specfun._inc_beta_parts(z, zc, p, p)
+def _halves(t):
+    """z = sin(t/2)**2, zc = cos(t/2)**2 and sin t at nodes t, as abcore forms them."""
+    return np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2, np.sin(t)
 
 
 class TestIncBetaBlocks:
     # at 1.898, 3.062 and 9.088 numpy's 2.0 ** array has been seen to differ
     # by an ulp from 2.0 ** float (at 1.898 with numpy 2.4 on x86-64)
     BETAS = (-0.95, -0.3, 0.0, 1.0, 1.898, 3.062, 9.088, 40.0)
-
-    def test_column_fraction_matches_one_row_calls(self, monkeypatch):
-        x = np.concatenate([np.geomspace(1e-12, 0.5, 40), [0.0, 0.5]])
-        ps = np.array([0.05, 0.5, 0.5 * (1.898 + 1.0), 3.0, 12.0, 60.0])[:, None]
-        block = specfun._betacf(ps, ps, x)
-        assert block.shape == (6, x.size)
-        for p, row in zip(ps[:, 0].tolist(), block):
-            assert _bits(row) == _bits(specfun._betacf(p, p, x))
-        # capped at 12 iterations, the small-p fractions have already
-        # stopped and the largest has not: the rows stop at different
-        # iterations, and a capped block still matches row by row
-        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 12)
-        capped = [specfun._betacf(p, p, x) for p in ps[:, 0].tolist()]
-        final = [_bits(c) == _bits(r) for c, r in zip(capped, block)]
-        assert final[0] and not final[-1]
-        for want, row in zip(capped, specfun._betacf(ps, ps, x)):
-            assert _bits(row) == _bits(want)
+    # term counts from 34 to 312: a block pads its rows to its largest count
+    WIDE = BETAS + (200.0, 600.0, 1022.0)
 
     def test_block_rows_match_one_row_calls_on_quadrature_nodes(self):
         sets = _segment_node_sets()
         assert len(sets) == 8  # the steps of levels 0-5, 6, ..., 12; level 0 holding the centre pi/4
         assert 0.25 * math.pi in sets[0].tolist()
-        # just past pi/2, sin^2(t/2) rounds to 1/2 or above
-        sets.append(0.5 * math.pi + np.arange(1, 6) * 2.0**-52)
-        col = np.array(self.BETAS)[:, None]
+        # just past pi/2, sin^2(t/2) rounds above 1/2; few nodes put several rows in a block
+        sets += [0.5 * math.pi + np.arange(1, 6) * 2.0**-52, sets[0][::8]]
+        col = np.array(self.WIDE)[:, None]
         underflow = beyond_half = 0
         for t in sets:
-            z, zc = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+            z, zc, sin_t = _halves(t)
             underflow += int((z == 0.0).sum())
-            beyond_half += int((z >= 0.5).sum())
-            # the row at z and, past the swap point, at its mirror 1 - z
-            lows, highs = specfun._f_real_from_z(col, z, zc), specfun._f_real_from_z(col, zc, z)
-            for b, low, high in zip(self.BETAS, lows, highs):
-                assert _bits(low) == _bits(_one_row(b, z, zc))
-                assert _bits(high) == _bits(_one_row(b, zc, z))
+            beyond_half += int((z > 0.5).sum())
+            # the row at z and, past the mirror point, at 1 - z
+            lows = specfun._f_real_from_z(col, z, zc, sin_t)
+            highs = specfun._f_real_from_z(col, zc, z, sin_t)
+            for b, low, high in zip(self.WIDE, lows, highs):
+                assert _bits(low) == _bits(specfun._f_real_from_z(b, z, zc, sin_t))
+                assert _bits(high) == _bits(specfun._f_real_from_z(b, zc, z, sin_t))
         assert underflow > 0 and beyond_half > 0
 
     def test_block_rows_where_both_halves_take_the_same_branch(self):
-        # z = zc = 1/2: the row and its mirror both below the swap point
+        # z = zc = 1/2: the row and its mirror both by the series; both
+        # above 1/2: both by the mirror; t = 0 and t = pi
         z = np.array([0.0, 1e-300, 0.25, 0.5, 0.5, 0.5 + 2.0**-53, 1.0])
         zc = np.array([1.0, 1.0, 0.75, 0.5, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.0])
-        col = np.array(self.BETAS)[:, None]
-        lows, highs = specfun._f_real_from_z(col, z, zc), specfun._f_real_from_z(col, zc, z)
-        for b, low, high in zip(self.BETAS, lows, highs):
-            assert _bits(low) == _bits(_one_row(b, z, zc))
-            assert _bits(high) == _bits(_one_row(b, zc, z))
-            p = 0.5 * (b + 1.0)
-            want = 2.0**b * specfun.inc_beta(0.5, p, p)
-            assert low[3] == pytest.approx(want, rel=1e-14) and high[3] == pytest.approx(want, rel=1e-14)
+        sin_t = np.array([0.0, 2e-150, 0.75**0.5, 1.0, 1.0, 1.0, 0.0])
+        col = np.array(self.WIDE)[:, None]
+        lows, highs = specfun._f_real_from_z(col, z, zc, sin_t), specfun._f_real_from_z(col, zc, z, sin_t)
+        for b, low, high in zip(self.WIDE, lows, highs):
+            assert _bits(low) == _bits(specfun._f_real_from_z(b, z, zc, sin_t))
+            assert _bits(high) == _bits(specfun._f_real_from_z(b, zc, z, sin_t))
+            total = specfun.f_real_total(b)
+            assert low[0] == 0.0 and high[0] == total and low[-1] == total and high[-1] == 0.0
+            for row in (low, high):
+                assert row[3] == pytest.approx(0.5 * total, rel=1e-14) and row[5] == pytest.approx(0.5 * total, rel=1e-14)
+
+    def test_row_bits_do_not_depend_on_the_other_nodes(self):
+        # one node at a time, and the nodes in reverse, against the whole set:
+        # the level 0-5 step and a slice of level 12 across a block boundary
+        sets = _segment_node_sets()
+        col = np.array(self.WIDE)[:, None]
+        for t in (sets[0], sets[-1][1000:1900]):
+            z, zc, sin_t = _halves(t)
+            rows = specfun._f_real_from_z(col, z, zc, sin_t)
+            backwards = specfun._f_real_from_z(col, z[::-1], zc[::-1], sin_t[::-1])
+            assert _bits(backwards[:, ::-1]) == _bits(rows)
+            for i in range(0, t.size, 7):
+                one = specfun._f_real_from_z(col, z[i : i + 1], zc[i : i + 1], sin_t[i : i + 1])
+                assert _bits(one[:, 0]) == _bits(rows[:, i]), i
 
     def test_one_row_halves_against_inc_beta(self):
-        rng = np.random.default_rng(5)
-        z = rng.uniform(0.0, 1.0, 50)
+        # both sides see the same z and zc = 1 - z, so sin t is 2 sqrt(z zc) here
+        z = np.random.default_rng(5).uniform(0.0, 1.0, 50)
+        zc = 1.0 - z
+        sin_t = 2.0 * np.sqrt(z * zc)
         for b in self.BETAS:
             p = 0.5 * (b + 1.0)
-            low, high = specfun._f_real_from_z(b, z, 1.0 - z), specfun._f_real_from_z(b, 1.0 - z, z)
+            low, high = specfun._f_real_from_z(b, z, zc, sin_t), specfun._f_real_from_z(b, zc, z, sin_t)
             assert np.allclose(low, 2.0**b * specfun.inc_beta(z, p, p), rtol=1e-13, atol=0.0)
-            assert np.allclose(high, 2.0**b * specfun.inc_beta(1.0 - z, p, p), rtol=1e-13, atol=0.0)
+            assert np.allclose(high, 2.0**b * specfun.inc_beta(zc, p, p), rtol=1e-13, atol=0.0)
 
 
 class TestFReal:
@@ -240,11 +244,49 @@ class TestFReal:
                     want = mp.mpf(2) ** beta * mp.betainc(p, p, 0, (1 + mp.sin(mp.mpf(x))) / 2)
                     assert abs(specfun.f_real(beta, x) - want) <= 5e-14 * abs(want), (beta, x)
 
+    @pytest.mark.parametrize("beta,x", [(600.0, 0.5 - 0.5 * math.pi), (300.0, 0.1 - 0.5 * math.pi), (1020.0, -0.25 * math.pi)])
+    def test_large_beta_rows_do_not_underflow(self, beta, x):
+        # representable rows that a prefactor (z zc)**p scaled by 2**beta took to 0
+        with mp.workdps(40):
+            p = mp.mpf(beta + 1.0) / 2
+            want = mp.mpf(2) ** beta * mp.betainc(p, p, 0, (1 + mp.sin(mp.mpf(x))) / 2)
+        got = specfun.f_real(beta, x)
+        assert got > 0.0 and abs(got - want) <= 1.5e-16 * beta * want, (got, want)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfun.f_real(-1.0, 0.0)
         with pytest.raises(ValueError):
             specfun.f_real(0.0, 2.0)
+        with pytest.raises(ValueError):
+            specfun.f_real(1024.0, 0.0)
+
+
+class TestBRowsAccuracy:
+    def test_against_golden_rows(self):
+        # nodes of the level 0-12 sets, from where sin(t/2)**2 underflows to within 1e-15 of pi/2
+        rows = json.loads((GOLDEN / "b_rows.json").read_text())
+        t_all = np.array([r["t"] for r in rows])
+        assert len(rows) == 396 and min(r["beta"] for r in rows) < -0.99 and max(r["beta"] for r in rows) == 1022.0
+        assert (np.sin(0.5 * t_all) ** 2 == 0.0).any() and (0.5 * math.pi - t_all).min() < 1e-15
+        nodes = set(np.concatenate(_segment_node_sets()).tolist())
+        assert set(t_all.tolist()) <= nodes
+        for beta in sorted({r["beta"] for r in rows}):
+            mine = [r for r in rows if r["beta"] == beta]
+            t = np.array([r["t"] for r in mine])
+            got = specfun._f_real_from_z(beta, *_halves(t))
+            with mp.workdps(40):
+                refs = [mp.mpf(r["value"]) for r in mine]
+            assert _max_rel_error(got, refs) <= max(5e-15, 1.5e-16 * beta), beta
+
+    def test_golden_rows_recomputed(self):
+        rows = json.loads((GOLDEN / "b_rows.json").read_text())
+        script = _load_golden_script("make_b_rows")
+        for beta, index in ((1022.0, -1), (-1.0 + 1e-6, 0), (13.3, 5)):
+            row = [r for r in rows if r["beta"] == beta][index]
+            with mp.workdps(20):
+                value = script.row(beta, row["t"])
+                assert abs(value - mp.mpf(row["value"])) <= mp.mpf("1e-18") * value, row
 
 
 class TestFImag:
@@ -485,14 +527,14 @@ _BRANCH_BETAS = (0.0, 1.0, 2.0, 4.0, 12.0, 0.5, 3.7, 2.0 + 1e-13)
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _golden_script():
-    spec = importlib.util.spec_from_file_location("make_cosh_pow_large", GOLDEN / "make_cosh_pow_large.py")
+def _load_golden_script(name):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_GOLDEN_SCRIPT = _golden_script()
+_GOLDEN_SCRIPT = _load_golden_script("make_cosh_pow_large")
 
 
 def _mp_scaled(beta, x):
