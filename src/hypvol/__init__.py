@@ -28,6 +28,7 @@ from .exact import PiPoly, Rational
 from .expect import (
     BetaSpec,
     ExpectationResult,
+    NotRepresentableError,
     SubsetClass,
     alternating_harmonic_sum,
     enumerate_classes,
@@ -60,7 +61,7 @@ from .specfun import (
     c_one_dim,
     f_imag,
     f_real,
-    gamma_fn,
+    gamma_ratio_half,
     harmonic,
     inc_beta,
     lobachevsky,

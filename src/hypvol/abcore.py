@@ -62,7 +62,6 @@ import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,17 +69,19 @@ from . import quad
 from .exact import PiPoly, poly_integral_01, poly_pow
 from .quad import QuadConfig, QuadratureError, ValueWithError
 from .specfun import (
+    _SQRT_PI,
+    _U,
     _f_real_from_z,
     _inc_beta_parts,
     _log_cosh,
-    c_one_dim,
-    complete_beta_rel_err,
     cosh_pow_integral_scaled,
     f_real_total,
-    log_gamma,
+    gamma_quotient,
+    quotient_err,
 )
 
 __all__ = [
+    "NotRepresentableError",
     "ParamMultiset",
     "a_fn",
     "b_fn",
@@ -94,11 +95,17 @@ __all__ = [
     "clear_cache",
 ]
 
-_REL_CLOSED = 1e-14  # error assigned to closed-form gamma-ratio values
 # quadrature parameters must lie below this: the sin-power series of the
 # b rows (_f_real_from_z) has term counts for parameters below 1024 only,
 # and the cosh-power recurrence takes about p/2 steps
 _MAX_PARAM = 1024.0
+
+
+class NotRepresentableError(ArithmeticError):
+    """A value of the engine beyond the double range: a held product P of the F_j(pi/2),
+    or, in expect's subset sums, a product of normalizing constants that is 0 or subnormal,
+    a multiplicity or a class term that is not finite.  The CLI exits 3, "not-representable".
+    """
 
 
 class ParamMultiset:
@@ -195,78 +202,36 @@ def _cfg_key(cfg: QuadConfig):
 
 # -- closed forms ---------------------------------------------------------
 
-def _a_empty(alpha: float) -> float:
-    if not alpha > 0:
-        raise ValueError("a with no parameters requires alpha > 0")
-    return math.sqrt(math.pi) * math.exp(log_gamma(0.5 * alpha) - log_gamma(0.5 * (alpha + 1.0)))
-
-
-def _a_single(alpha: float, a1: float) -> float:
-    return (
-        0.5
-        * math.pi
-        * math.exp(
-            log_gamma(0.5 * alpha)
-            + log_gamma(0.5 * (a1 + 1.0))
-            - log_gamma(0.5 * (alpha + 1.0))
-            - log_gamma(0.5 * (a1 + 2.0))
-        )
-    )
-
-
-def _b_empty(alpha: float) -> float:
-    return math.sqrt(math.pi) * math.exp(log_gamma(0.5 * (alpha + 1.0)) - log_gamma(0.5 * (alpha + 2.0)))
-
-
-def _b_single(alpha: float, a1: float) -> float:
-    return (
-        0.5
-        * math.pi
-        * math.exp(
-            log_gamma(0.5 * (alpha + 1.0))
-            + log_gamma(0.5 * (a1 + 1.0))
-            - log_gamma(0.5 * (alpha + 2.0))
-            - log_gamma(0.5 * (a1 + 2.0))
-        )
-    )
-
-
 def a_ones(d: int, alpha: float) -> float:
     """Closed form for d repeated unit parameters, alpha > d.
 
-    Returns 0 when (alpha+1)/2 - d hits a pole of the reciprocal gamma.
+    pi Gamma(2z) 2**(1 - 2z) / (Gamma(v) Gamma(v - d)), 2z = alpha - d and v = (alpha + 1)/2, is by the
+    duplication formula sqrt(pi) times R(z) at odd d, over R(z) at even d, times the (alpha - c)/2 over
+    odd c in (d, 2d), over those over odd c <= d.  It is 0 exactly where v - d is a pole: a factor is 0.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     if not alpha > d:
         raise ValueError("a_ones requires alpha > d")
-    q = 0.5 * (alpha + 1.0) - d
-    if q <= 0 and abs(q - round(q)) < 1e-12:
-        return 0.0
-    if q <= 0:
-        # reflect the reciprocal gamma through the sine formula
-        recip = math.sin(math.pi * q) / math.pi * math.exp(log_gamma(1.0 - q))
-    else:
-        recip = math.exp(-log_gamma(q))
-    return (
-        math.pi
-        * math.exp(log_gamma(alpha - d) - (alpha - d - 1.0) * math.log(2.0) - log_gamma(0.5 * (alpha + 1.0)))
-        * recip
-    )
+    z = 0.5 * (alpha - d)
+    num = [0.5 * (alpha - c) for c in range(d + 1 + d % 2, 2 * d, 2)]
+    den = [0.5 * (alpha - c) for c in range(1, d + 1, 2)]
+    return gamma_quotient(_SQRT_PI, num, den, up=z if d % 2 else None, down=None if d % 2 else z)[0]
 
 
 def b_ones(d: int, alpha: float) -> float:
-    """Closed form for d repeated unit parameters, alpha > -1."""
+    """Closed form for d repeated unit parameters, alpha > -1.
+
+    2**(alpha + d) Gamma(v) Gamma(v + d) / Gamma(alpha + d + 1), v = (alpha + 1)/2, is by the duplication
+    formula sqrt(pi) / R(v) times the v + j over d/2 <= j < d, over the v + 1/2 + j over j < floor(d/2).
+    """
     if d < 0:
         raise ValueError("d must be >= 0")
     if not alpha > -1.0:
         raise ValueError("b_ones requires alpha > -1")
-    return math.exp(
-        (alpha + d) * math.log(2.0)
-        + log_gamma(0.5 * (alpha + 1.0))
-        + log_gamma(0.5 * (alpha + 1.0) + d)
-        - log_gamma(alpha + d + 1.0)
-    )
+    num = [0.5 * (alpha + (2 * j + 1)) for j in range((d + 1) // 2, d)]
+    den = [0.5 * (alpha + 2 * j) for j in range(1, d // 2 + 1)]
+    return gamma_quotient(_SQRT_PI, num, den, down=0.5 * (alpha + 1.0))[0]
 
 
 def a_prime_ones_at_pole(k: int) -> float:
@@ -290,21 +255,18 @@ def a_prime_odd_repeated(m: int, q: int) -> PiPoly:
     return PiPoly({1: coeff})
 
 
-@lru_cache(maxsize=4096)
-def _segment_total(beta: float) -> tuple[float, float]:
-    """B = F_beta(pi/2) and a bound on its relative error, that of B(p, p) (more log-gammas), p = (beta + 1)/2."""
-    p = 0.5 * (beta + 1.0)
-    return f_real_total(beta), complete_beta_rel_err(p, p)
-
-
 def limit_alpha_plus_one_times_b(params) -> float:
     """Limit of (alpha+1) * b(alpha; params) as alpha decreases to -1: P, the product of the B_j."""
     params = _as_params(params)
-    return math.prod(_segment_total(b)[0] for b in params) if len(params) else 2.0
+    return _held_product(params.entries) if len(params) else 2.0
 
 
-def _all_ones(params: ParamMultiset) -> bool:
-    return len(params) > 0 and all(v == 1.0 for v in params)
+def _held_product(betas) -> float:
+    """P, the product of the B_j = F_j(pi/2); raises NotRepresentableError where it is not finite."""
+    P = math.prod(f_real_total(b) for b in betas)
+    if not math.isfinite(P):
+        raise NotRepresentableError(f"the product P of {len(betas)} totals F(pi/2) exceeds the float range")
+    return P
 
 
 # -- quadrature integrands -------------------------------------------------
@@ -317,7 +279,7 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
     """
     col = np.array(betas)[:, None]
     g_scaled = cosh_pow_integral_scaled(col, x)
-    h_scaled = np.array([[0.5 / c_one_dim(0.5 * (b - 1.0))] for b in betas]) * np.exp(-col * L)
+    h_scaled = np.array([[0.5 * f_real_total(b)] for b in betas]) * np.exp(-col * L)
     # both parts underflow to 0 at the outermost nodes for tiny b: the
     # factor is 0 there and its log -inf, which the caller's exp undoes
     with np.errstate(divide="ignore"):
@@ -331,7 +293,7 @@ def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray
     """Read-only (F(t - pi/2), log1p(-F/B)) at nodes t, B = F(pi/2), for each of betas from one sin-power call."""
     half_t = 0.5 * t
     rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2, sin_t)
-    comps = np.log1p(-rows / np.array([[_segment_total(b)[0]] for b in betas]))
+    comps = np.log1p(-rows / np.array([[f_real_total(b)] for b in betas]))
     rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
     return list(zip(rows, comps))
 
@@ -430,10 +392,11 @@ def _times_b(alpha: float, betas, offset: float, res: ValueWithError) -> ValueWi
     """(alpha+1) * b and its bar from a b integral's quadrature result res, whose closed term is offset."""
     held = (alpha + 1.0) * offset
     value = held + (alpha + 1.0) * res.value
-    # each upper factor F_j(pi/2 - t) = B_j - F_j(t - pi/2) is at least B_j/2, so an
-    # error of B_j moves the upper half, at most |value|, by twice its relative error
-    rows_err = abs(value) * math.fsum(2.0 * _segment_total(b)[1] for b in betas)
-    err = (alpha + 1.0) * res.abs_err_est + rows_err + _REL_CLOSED * abs(held)
+    # both halves are >= 0, so at most |value|: a lower row F_j(t - pi/2) errs by its stated bound
+    # (_f_real_from_z), an upper factor B_j - F_j >= B_j/2 by that and twice B_j's, and two roundings
+    rows_err = abs(value) * math.fsum(2.0 * quotient_err(0) + max(5e-15, 1.5e-16 * b) + 2.0 * _U for b in betas)
+    # the closed term (alpha + 1) * 0.5 * P * b(alpha; ()): b's bound and three roundings
+    err = (alpha + 1.0) * res.abs_err_est + rows_err + (quotient_err(0) + 3.0 * _U) * abs(held)
     return ValueWithError(value, err, "tanh-sinh")
 
 
@@ -464,8 +427,8 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
         if hit is None:
             kind, alpha, betas, _ = key
             if kind == "b":
-                P = math.prod(_segment_total(b)[0] for b in betas)
-                segment[key] = (alpha, betas, P, quad.Refinement(cfg, "tanh-sinh", 0.5 * P * _b_empty(alpha)))
+                P = _held_product(betas)
+                segment[key] = (alpha, betas, P, quad.Refinement(cfg, "tanh-sinh", 0.5 * P * f_real_total(alpha)))
             else:
                 line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
     quad.refine(list(line.values()), _line_step)
@@ -492,31 +455,31 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: b
     a and b: empty, singleton and all-ones parameter lists, b at alpha = -1;
     a': 2q equal odd parameters at the vanishing point alpha = 2q*odd + 1.
     b with no parameters (no factor tames its lower half) and b at alpha = -1 (the limit P,
-    where no quadrature runs) are closed even without closed_forms.
+    where no quadrature runs) are closed even without closed_forms.  The bar is |value| times the
+    bound of the form's specfun.gamma_quotient values (quotient_err) and of the roundings joining them.
     """
     n, entries = len(params), params.entries
-    floor = 0.0
     if not (closed_forms or (kind == "b" and (n == 0 or alpha == -1.0))):
         return None
     if kind == "b" and alpha == -1.0:
-        v = limit_alpha_plus_one_times_b(params)
+        v, rel = limit_alpha_plus_one_times_b(params), n * (quotient_err(0) + _U)
     elif kind == "a'":
         if not (n >= 2 and n % 2 == 0 and len(set(entries)) == 1):
             return None
         odd, q = round(entries[0]), n // 2
         if not (abs(entries[0] - odd) < 1e-12 and odd % 2 == 1 and abs(alpha - (2 * q * odd + 1)) < 1e-12):
             return None
-        v = a_prime_odd_repeated((odd + 1) // 2, q).evaluate()
-    elif n == 0:
-        v = _a_empty(alpha) if kind == "a" else (alpha + 1.0) * _b_empty(alpha)
-    elif n == 1:
-        v = _a_single(alpha, entries[0]) if kind == "a" else (alpha + 1.0) * _b_single(alpha, entries[0])
-    elif _all_ones(params):
-        v = a_ones(n, alpha) if kind == "a" else (alpha + 1.0) * b_ones(n, alpha)
-        floor = 1e-300 if kind == "a" else 0.0  # a_ones is 0 at its vanishing points
+        v, rel = a_prime_odd_repeated((odd + 1) // 2, q).evaluate(), _U  # correctly rounded
+    elif n < 2:  # a(alpha; ()) = sqrt(pi) / R(alpha/2) or b(alpha; ()) = F_alpha(pi/2), one a1 times F_a1(pi/2)/2
+        v, rel = gamma_quotient(_SQRT_PI, down=0.5 * alpha) if kind == "a" else (f_real_total(alpha), quotient_err(0))
+        v, rel = (0.5 * v * f_real_total(entries[0]), 2.0 * rel + _U) if n else (v, rel)
+    elif all(p == 1.0 for p in entries):
+        v, rel = a_ones(n, alpha) if kind == "a" else b_ones(n, alpha), quotient_err(n)
     else:
         return None
-    return ValueWithError(v, _REL_CLOSED * abs(v) + floor, "closed-form")
+    if kind == "b" and alpha != -1.0:
+        v, rel = (alpha + 1.0) * v, rel + 2.0 * _U  # the rounding of alpha + 1 and the product
+    return ValueWithError(v, rel * abs(v), "closed-form")
 
 
 def _integral(kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool) -> ValueWithError:
@@ -569,7 +532,7 @@ def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithEr
     if not alpha > -1.0:
         raise ValueError("b_fn_alt requires alpha > -1")
     betas = params.entries
-    h_consts = [0.5 / c_one_dim(0.5 * (b - 1.0)) for b in betas]
+    h_consts = [0.5 * f_real_total(b) for b in betas]
 
     def f(v):
         zc = v * (2.0 - v)  # 1 - (1-v)^2, no cancellation

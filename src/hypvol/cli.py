@@ -11,8 +11,10 @@ Machine-readable output: one JSON record per command on stdout, schema
 quadrature does not converge the record is instead {command, error:
 "quadrature-not-converged", message, estimate, abs_err_est}, holding
 the last estimate of the integral that did not converge: a or a' as
-it is, or (alpha+1) * b for a b integral.  Exit codes: 0 ok, 1 verification failure,
-2 usage or domain error, 3 quadrature not converged.
+it is, or (alpha+1) * b for a b integral.  When a subset sum leaves the
+double range (``expect.NotRepresentableError``) it is {command, error:
+"not-representable", message}.  Exit codes: 0 ok, 1 verification failure,
+2 usage or domain error, 3 quadrature not converged or not representable.
 """
 
 from __future__ import annotations
@@ -215,8 +217,11 @@ def _cmd_simulate(args) -> tuple[str, int]:
         raise ValueError(f"unknown oracle {oracle!r}")
 
     diff = est.mean - reference
-    if est.stderr > 0.0:
-        z = diff / est.stderr
+    # with the standard error, the rounding of the mean: a sum of n samples >= 0
+    # errs by less than n eps of their total, so an estimate of zero variance is not off
+    noise = math.hypot(est.stderr, est.n * sys.float_info.epsilon * abs(est.mean))
+    if noise > 0.0:
+        z = diff / noise
     else:
         z = 0.0 if abs(diff) <= 1e-9 else math.inf
     params = {
@@ -327,6 +332,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_betas(list(sys.argv[1:] if argv is None else argv)))
     try:
         text, code = args.run(args)
+    except expect.NotRepresentableError as exc:
+        record = {"command": args.command, "error": "not-representable", "message": str(exc)}
+        sys.stdout.write(render_json(record) + "\n")
+        return 3
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -85,7 +85,32 @@ class PiPoly:
         return PiPoly({k + power: c for k, c in self.coeffs.items()})
 
     def evaluate(self) -> float:
-        return math.fsum(float(c) * math.pi ** k for k, c in sorted(self.coeffs.items()))
+        """The value, correctly rounded to the nearest float.
+
+        The value is pi**low Q(pi), Q a polynomial with integer coefficients
+        over one common denominator.  Both are bounded in integers on an
+        interval around pi (``_pi_interval``), each term of Q at the end that
+        makes it smallest or largest, and when the two bounds of the value
+        round to the same float (one correctly rounded integer division each)
+        so does the value; else pi's precision doubles: the terms may cancel
+        to far below their size, as in the polygon family.
+        """
+        if not self.coeffs:
+            return 0.0
+        low, den = min(self.coeffs), math.lcm(*(c.denominator for c in self.coeffs.values()))
+        poly = [(k - low, c.numerator * (den // c.denominator)) for k, c in self.coeffs.items()]
+        top, bits = max(self.coeffs) - low, 64
+        while True:
+            lo, hi = _pi_interval(bits)  # lo < pi * 2**bits < hi
+            ends = []
+            for lower in (True, False):
+                q = sum(a * (lo if (a > 0) == lower else hi) ** j << bits * (top - j) for j, a in poly)
+                p = lo if ((q >= 0) == lower) == (low >= 0) else hi  # the end of pi**low that bounds the value
+                pn, pd = (p**low, 1 << bits * low) if low >= 0 else (1 << -bits * low, p**-low)
+                ends.append(q * pn / ((den << bits * top) * pd))
+            if ends[0] == ends[1]:
+                return ends[0]
+            bits *= 2
 
     def render(self) -> str:
         """Canonical text form: rational coefficients times pi^k, k descending."""
@@ -108,6 +133,30 @@ class PiPoly:
 
     def __repr__(self):
         return f"PiPoly({self.render()!r})"
+
+
+@functools.lru_cache(maxsize=None)  # one entry per precision, and precisions double
+def _pi_interval(bits: int) -> tuple[int, int]:
+    """Integers lo < pi * 2**bits < hi, hi - lo = 4, from Machin's formula.
+
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers scaled by 2**(bits + 32):
+    each truncated term errs by less than 1 and the dropped tail by less
+    than 1, so the sum errs by less than 20 (terms + 2), below the 2**32
+    guard while bits < 1e8, and after the shift pi * 2**bits is within 2
+    of it.
+    """
+    one = 1 << (bits + 32)
+
+    def atan_inv(x: int) -> int:
+        total, power, k = 0, one // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    mid = (16 * atan_inv(5) - 4 * atan_inv(239)) >> 32
+    return mid - 2, mid + 2
 
 
 def gamma_half(two_x: int) -> tuple[Fraction, int]:

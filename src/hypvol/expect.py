@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps these names here)
+    NotRepresentableError,
     ParamMultiset,
     _as_params,
     _closed_form,
@@ -43,11 +44,12 @@ from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps th
 )
 from .exact import PiPoly, exp_moment, poly_integral_01, poly_pow, sin_sin2_power
 from .quad import QuadConfig, ValueWithError
-from .specfun import LOG_GAMMA_ERR, c_one_dim, gamma_real, harmonic, log_gamma
+from .specfun import _INV_SQRT_PI, _U, gamma_quotient, gamma_ratio_half, harmonic, log_gamma, quotient_err
 from . import quad as _quad
 
 __all__ = [
     "BetaSpec",
+    "NotRepresentableError",
     "SubsetClass",
     "ExpectationResult",
     "enumerate_classes",
@@ -162,20 +164,17 @@ def _lower_cards(spec: BetaSpec):
 
 
 def _c_product(gammas) -> tuple[float, float]:
-    """prod_i Gamma(g_i + 1) / (sqrt(pi) Gamma(g_i + 1/2)), as (value, relative error bound).
+    """prod_i Gamma(g_i + 1) / (sqrt(pi) Gamma(g_i + 1/2)), each R(g_i + 1/2)/sqrt(pi), as (value, relative bound).
 
-    The bound covers the error of each log-gamma, the rounding of their
-    2n-term sum (2n * eps relative to each), and of exp, the pi power and
-    the product.
+    Each constant is within quotient_err(0) (``specfun.gamma_quotient``), one
+    rounding more for g_i and one for the product.  The binary exponent is
+    kept apart, so the value is 0 or inf only if the product is (inf from 2**1023).
     """
-    acc, scale = 0.0, 0.0
+    mant, exp2 = 1.0, 0
     for g in gammas:
-        hi, lo = log_gamma(g + 1.0), log_gamma(g + 0.5)
-        acc += hi - lo
-        scale += max(1.0, abs(hi)) + max(1.0, abs(lo))
-    n = len(gammas)
-    rel = (LOG_GAMMA_ERR + 2 * n * _EPS) * scale + (n + 3) * _EPS
-    return math.exp(acc) * math.pi ** (-0.5 * n), rel
+        mant, e = math.frexp(mant * _INV_SQRT_PI * gamma_ratio_half(g + 0.5))
+        exp2 += e
+    return (math.ldexp(mant, exp2) if exp2 < 1024 else math.inf), len(gammas) * (quotient_err(0) + 2.0 * _U)
 
 
 def _pick_representation(spec: BetaSpec, representation: str) -> str:
@@ -231,17 +230,26 @@ def _subset_sum(
     of the representation.  The error bar adds to the class terms' bars
     the rounding of the sum (n_terms * eps * sum |m * term|), the error
     of ``_c_product`` and, in the lower representation, the rounding of
-    pi - cprod * sum.
+    pi - cprod * sum.  Raises NotRepresentableError, before any integral
+    runs, when the constants' product is 0 or subnormal or a multiplicity
+    is not finite, and when a held product P (abcore) or a class term is not.
     """
     classes = enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec))
+    cprod, cprod_rel = _c_product(spec.gammas())
+    if not sys.float_info.min <= cprod < math.inf:
+        raise NotRepresentableError(f"the product of the {spec.n} normalizing constants is {cprod:g}")
+    try:
+        mults = [float(cls.multiplicity) for cls in classes]
+    except OverflowError:
+        raise NotRepresentableError(f"a multiplicity of the {rep} representation exceeds the float range") from None
     splits = [(cls.inside, cls.outside) for cls in classes]
     vals, errs = [], []
-    for cls, (value, err) in zip(classes, _class_terms(t, splits, derivative, cfg, closed_forms)):
-        m = float(cls.multiplicity)
+    for m, (value, err) in zip(mults, _class_terms(t, splits, derivative, cfg, closed_forms)):
         vals.append(m * value)
         errs.append(m * err)
+    if not all(map(math.isfinite, vals)):
+        raise NotRepresentableError("a class term, or its multiple, exceeds the float range")
     total = math.fsum(vals)
-    cprod, cprod_rel = _c_product(spec.gammas())
     err = math.fsum(errs) + len(vals) * _EPS * math.fsum(map(abs, vals)) + abs(total) * cprod_rel
     if rep == "upper":
         value = prefactor * cprod * total
@@ -264,9 +272,7 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     cfg = cfg or QuadConfig()
     if x < -0.5:
         raise ValueError("theta_fn requires x >= -1/2")
-    pref = 1.0 / (2.0 * math.pi)
-    for w in (*y, *z):
-        pref *= c_one_dim(w - 0.5)
+    pref = _c_product((*y, *z))[0] / (2.0 * math.pi)
     ((value, err),) = _class_terms(2.0 * x, [(y.scaled(2.0), z.scaled(2.0))], False, cfg, closed_forms)
     return ValueWithError(pref * value, max(abs(pref) * err, cfg.abs_tol), "theta")
 
@@ -309,10 +315,13 @@ def expected_beta_integral(
     if nearest <= -1 and gap <= _POLE_EXACT:
         value, err = pole_path()
         return ExpectationResult(value, err, None, "upper", True)
-    prefactor = (
-        math.pi ** (0.5 * d - 1.0) * gamma_real(beta + 1.0) / math.exp(log_gamma(0.5 * d + beta + 1.0))
-    )
+    # pi**(d/2 - 1) Gamma(x)/Gamma(x + d/2), x = beta + 1, is over the x + i, i < k, and the x + 1/2 + i,
+    # k <= i < d//2, and at odd d over R(x + k), k the steps to a positive argument; pi's power adds |d/2 - 1|
+    k = d // 2 if d % 2 == 0 else (0 if beta + 1.0 > 0.0 else math.floor(-(beta + 1.0)) + 1)
+    den = [beta + (1.0 + i) for i in range(k)] + [beta + (1.5 + i) for i in range(k, d // 2)]
+    prefactor, rel = gamma_quotient(math.pi ** (0.5 * d - 1.0), den=den, down=beta + (1.0 + k) if d % 2 else None)
     value, err = _subset_sum(spec, 2.0 * beta + d, False, rep, prefactor, cfg, closed_forms)
+    err += abs(value) * (rel + abs(0.5 * d - 1.0) * _U)
     if nearest <= -1 and gap < _POLE_NEAR:
         ref, ref_err = pole_path()
         err = err + abs(value - ref) + ref_err
@@ -502,14 +511,15 @@ def polygon_beta0(n: int, cfg: QuadConfig | None = None) -> ExpectationResult:
 
     Exact: -2 pi + 2**(n-1) n pi**-(n-2) b_{n-1}(1; 2), where the
     segment integral b is a finite sum of exact moments
-    (``_b_ones_param2_exact``).
+    (``_b_ones_param2_exact``).  The value is that sum correctly rounded,
+    and its bar the rounding's, 2**-53 |value|.
     """
     if n < 3:
         raise ValueError("requires n >= 3")
     b_exact = _b_ones_param2_exact(n - 1)
     total = PiPoly({1: Fraction(-2)}) + b_exact.shift(-(n - 2)) * Fraction(2 ** (n - 1) * n)
-    value = total.evaluate()
-    return ExpectationResult(value, 1e-14 * abs(value), total, "lower", False)
+    value = total.evaluate()  # correctly rounded
+    return ExpectationResult(value, _U * abs(value), total, "lower", False)
 
 
 def _b_ones_param2_exact(m: int) -> PiPoly:

@@ -107,24 +107,34 @@ class McEstimate:
 
 
 class _Accumulator:
-    """Streaming mean/variance over deterministic stream order."""
+    """Streaming mean/variance over deterministic stream order.
+
+    The mean is the running total over the count.  The variance takes two
+    passes per block, its squared deviations from the block's own mean,
+    and merges the blocks' sums (Chan, Golub & LeVeque 1983): no
+    difference of two large sums cancels, so equal samples give 0.
+    """
 
     def __init__(self):
         self.n = 0
         self.total = 0.0
-        self.total_sq = 0.0
+        self.m2 = 0.0
 
     def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float((values * values).sum())
+        count = values.size
+        total = float(values.sum())
+        dev = values - total / count
+        m2 = float(np.multiply(dev, dev, out=dev).sum())  # squared in place: one temporary, not two
+        if self.n:
+            delta = total / count - self.total / self.n
+            m2 += delta * delta * (self.n * count / (self.n + count))
+        self.n += count
+        self.total += total
+        self.m2 += m2
 
     def estimate(self) -> McEstimate:
         mean = self.total / self.n
-        if self.n > 1:
-            var = max(0.0, (self.total_sq - self.n * mean * mean) / (self.n - 1))
-        else:
-            var = 0.0
+        var = self.m2 / (self.n - 1) if self.n > 1 else 0.0
         return McEstimate(mean, math.sqrt(var / self.n), self.n)
 
 

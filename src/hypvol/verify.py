@@ -419,10 +419,21 @@ def _representation_contract(quick: bool):
     return worst <= 1.0, f"worst gap {worst:.3g} of the combined bars"
 
 
+_LARGE_EXPONENT_SPECS = (
+    BetaSpec(2, (0.0, 0.5, 1.0, -0.5)),
+    BetaSpec(3, (-1.0,) * 5),
+    BetaSpec(4, (0.3, -0.2, 1.1, 0.0, 2.0, -1.0)),
+    BetaSpec(5, (0.0, 0.5, -1.0, 1.0, 0.2, 0.0, 1.5)),
+)
+
+
 @_check("expect.large-parameter-representations")
 def _large_parameter_representations(quick: bool):
-    """d=2 volumes, one beta up to 510: both representations converge and agree within their bars."""
-    worst = max(_rep_gap(BetaSpec(2, (b, 0.0, 0.0)), None) for b in (13.5, 60.0, 240.0, 280.0, 350.0, 510.0))
+    """d=2 volumes with one beta up to 510, and beta integrals at exponents 150-400 (d = 2-5):
+    both representations converge and agree within their bars."""
+    gaps = [_rep_gap(BetaSpec(2, (b, 0.0, 0.0)), None) for b in (13.5, 60.0, 240.0, 280.0, 350.0, 510.0)]
+    gaps += [_rep_gap(spec, beta) for spec in _LARGE_EXPONENT_SPECS for beta in (150.0, 200.0, 400.0)]
+    worst = max(gaps)
     return worst <= 1.0, f"worst gap {worst:.3g} of the combined bars"
 
 

@@ -70,6 +70,71 @@ class TestClosedForms:
             abcore.b_ones(1, -1.5)
 
 
+def _mp_closed(kind, alpha, params):
+    """The closed forms' Gamma formulas in 40-digit mpmath: a, or (alpha + 1) * b."""
+    with mp.workdps(40):
+        al, n = mp.mpf(alpha), len(params)
+        G = lambda x: mp.exp(mp.loggamma(x))  # noqa: E731
+        if kind == "a" and n == 0:
+            return mp.sqrt(mp.pi) * G(al / 2) / G((al + 1) / 2)
+        if kind == "a" and n == 1:
+            a1 = mp.mpf(params[0])
+            return mp.pi / 2 * G(al / 2) * G((a1 + 1) / 2) / (G((al + 1) / 2) * G((a1 + 2) / 2))
+        if kind == "a":
+            return mp.pi * G(al - n) * 2 ** (n + 1 - al) * mp.rgamma((al + 1) / 2) * mp.rgamma((al + 1) / 2 - n)
+        if n == 0:
+            b = mp.sqrt(mp.pi) * G((al + 1) / 2) / G(al / 2 + 1)
+        elif n == 1:
+            a1 = mp.mpf(params[0])
+            b = mp.pi / 2 * G((al + 1) / 2) * G((a1 + 1) / 2) / (G(al / 2 + 1) * G((a1 + 2) / 2))
+        else:
+            b = 2 ** (al + n) * G((al + 1) / 2) * G((al + 1) / 2 + n) / G(al + n + 1)
+        return (al + 1) * b
+
+
+class TestClosedFormBars:
+    """Every closed form within its derived bar of 40-digit mpmath, up to alpha and a1 = 1500."""
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_ones(self, d):
+        # the d repeated unit parameters: a_ones raised OverflowError from alpha ~ 350
+        # and b_ones(8, 250.9) erred by 3.9e-13 under a bar of 1e-14
+        params = P([1.0] * d)
+        for kind, alphas in (("a", (d + 0.05, d + 1.0, d + 2.3, 13.7, 250.9, 349.5, 700.2, 1500.0)),
+                             ("b", (-0.95, 0.0, 2.5, 250.9, 1000.7, 1500.0))):
+            for alpha in alphas:
+                if kind == "a" and not alpha > d:
+                    continue
+                got = abcore._closed_form(kind, alpha, params)
+                want = _mp_closed(kind, alpha, params.entries)
+                assert abs(got.value - want) <= got.abs_err_est, (kind, d, alpha)
+
+    def test_empty_and_single(self):
+        # b(1500.3; (1000.7,)) erred by 8.3e-13 under a bar of 1e-14
+        for alpha in (0.05, 1.0, 13.5, 250.9, 1000.7, 1500.3):
+            for params in ((), (0.0,), (0.7,), (13.5,), (1000.7,), (1500.3,)):
+                for kind in ("a", "b"):
+                    if kind == "a" and not alpha > sum(params):
+                        continue
+                    got = abcore._closed_form(kind, alpha, P(params))
+                    want = _mp_closed(kind, alpha, params)
+                    assert abs(got.value - want) <= got.abs_err_est, (kind, alpha, params)
+
+    def test_vanishing_points_are_exact_zeros(self):
+        # (alpha + 1)/2 - d at a pole of the reciprocal gamma: a factor alpha - c is exactly 0
+        for d, alpha in ((2, 3.0), (3, 5.0), (4, 5.0), (4, 7.0), (7, 9.0), (12, 23.0)):
+            got = abcore._closed_form("a", alpha, P([1.0] * d))
+            assert (got.value, got.abs_err_est) == (0.0, 0.0), (d, alpha)
+
+    def test_b_bar_covers_its_rows(self):
+        # each b row is within f_real_row_err, which no b bar may fall below
+        for alpha, params in ((0.3, (0.5, 2.0)), (2.0, (40.0, 3.0, 0.2)), (-0.9, (600.0,) * 2), (5.0, (1.3,) * 6)):
+            abcore.clear_cache()
+            got = abcore._integral("b", alpha, P(params), CFG, closed_forms=False)
+            rows = abs(got.value) * sum(max(5e-15, 1.5e-16 * b) for b in params)  # _f_real_from_z's row bound
+            assert got.abs_err_est >= rows, (alpha, params)
+
+
 class TestQuadratureAgainstClosedForms:
     def test_a_random_small_params(self):
         rng = np.random.default_rng(21)
@@ -303,14 +368,13 @@ class TestTheta:
         x = 0.5 * (gap - 1.0)
         lin = 2.0 * x + 1.0
         got = expect.theta_fn(x, P(), P(outside), CFG)
-        if outside:
-            b = abcore._b_single(lin - 1.0, 2.0 * outside[0])
-        else:
-            b = abcore._b_empty(lin - 1.0)
+        b = specfun.f_real_total(lin - 1.0)  # b(alpha; ()), and one parameter a1 times F_a1(pi/2)/2
+        for w in outside:
+            b *= 0.5 * specfun.f_real_total(2.0 * w)
         pref = 1.0 / (2.0 * math.pi)
         for w in outside:
             pref *= specfun.c_one_dim(w - 0.5)
-        want = pref * abcore._a_empty(lin + 1.0) * lin * b
+        want = pref * math.sqrt(math.pi) / specfun.gamma_ratio_half(0.5 * (lin + 1.0)) * lin * b  # a(lin + 1; ())
         assert abs(got.value - want) <= got.abs_err_est
         assert got.abs_err_est <= 101.0 * lin * abs(want)
 
@@ -553,7 +617,7 @@ class TestLevelLoop:
 
     LOOSE = QuadConfig(rel_tol=1e-8, abs_tol=1e-10, max_level=14)
     NEVER = QuadConfig(rel_tol=1e-17, abs_tol=1e-300, max_level=3)  # no request converges
-    TIGHT = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_level=7)
+    TIGHT = QuadConfig(rel_tol=2e-16, abs_tol=1e-300, max_level=7)  # some requests past level 5, some never converge
     REQUESTS = (
         ("a", 3.5, P([0.0, 0.0, 0.7])),  # zero parameters: d = 2 ideal points
         ("a", 5.2, P([1e-13, 1.3, 2.1])),

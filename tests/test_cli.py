@@ -105,6 +105,21 @@ class TestHypVolume:
         assert code == 2
         assert out == "" and err.startswith("error:") and "below 1024" in err
 
+    @pytest.mark.parametrize("n", [621, 622])
+    def test_not_representable_record(self, capsys, n):
+        # d=2 ideal points, generic path: the constants' product is subnormal at 621, P = pi**621 is inf at 622
+        code, out, err = run(capsys, "hypvolume", "--dim", "2", "--betas=" + ",".join(["-1"] * n), "--method", "generic")
+        assert code == 3 and err == "" and "Infinity" not in out
+        rec = json.loads(out)
+        assert list(rec) == ["command", "error", "message"]
+        assert rec["command"] == "hypvolume" and rec["error"] == "not-representable"
+
+    def test_large_exponent(self, capsys):
+        # Gamma(beta + 1) alone overflows from beta ~ 171; the prefactor is one quotient
+        code, out, _ = run(capsys, "expect", "--dim", "3", "--betas=-1,-1,-1,-1,-1", "--exponent", "200")
+        rec = json.loads(out)
+        assert code == 0 and math.isfinite(rec["value"]) and 0.0 < rec["abs_err_est"] <= 1e-12 * rec["value"]
+
     def test_quadrature_failure_record(self, capsys, monkeypatch):
         from hypvol import expect
         from hypvol.quad import QuadratureError, ValueWithError

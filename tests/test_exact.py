@@ -41,6 +41,20 @@ class TestPiPoly:
         val = PiPoly({1: 1, -1: Fraction(-128, 15)}).evaluate()
         assert val == pytest.approx(math.pi - 128 / (15 * math.pi), rel=1e-15)
 
+    def test_evaluate_rounds_correctly(self):
+        # fsum of float(c) pi**k read -1.736 at n = 28 and -8.6e12 at n = 40: the terms cancel
+        for n in range(3, 41):
+            exact = expect.polygon_beta0(n).exact
+            with mp.workdps(60):
+                want = mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.pi**k for k, c in exact.coeffs.items())
+            assert exact.evaluate() == float(want), n
+
+    @given(pi_polys)
+    def test_evaluate_within_half_an_ulp(self, p):
+        with mp.workdps(60):
+            want = mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.pi**k for k, c in p.coeffs.items())
+        assert abs(p.evaluate() - want) <= abs(want) * 2.0**-53
+
     @given(pi_polys, pi_polys)
     def test_ring_axioms(self, p, q):
         assert (p + q).evaluate() == pytest.approx(p.evaluate() + q.evaluate(), rel=1e-12, abs=1e-9)

@@ -136,6 +136,42 @@ class TestSubsetSumBar:
                 assert abs(value - want) <= rel * abs(want), gammas
 
 
+class TestLargeN:
+    @staticmethod
+    def _lower_sum(n):
+        """The d=2 volume of n points at beta = 1/2 in 30-digit mpmath: -2 (pi - c**n n a (alpha+1) b).
+
+        One lower class, one point inside: c = Gamma(5/2)/(sqrt(pi) Gamma(2)) = 3/4,
+        a(4; (3,)) = 8/9, alpha + 1 = 3, and b(2; (3,)*(n-1)) the integral of
+        cos(y)**2 F_3(y)**(n-1) with F_3(y) = 2/3 + sin y - sin(y)**3/3.
+        """
+        with mp.workdps(30):
+            h = mp.pi / 2
+            scaled = lambda y: mp.cos(y) ** 2 * (mp.mpf(3) / 4 * (mp.mpf(2) / 3 + mp.sin(y) - mp.sin(y) ** 3 / 3)) ** (n - 1)  # noqa: E731
+            b = mp.quad(scaled, [-h, 0, h - 1, h - 0.5, h - 0.25, h])
+            return -2 * (mp.pi - n * mp.mpf(8) / 9 * 3 * mp.mpf(3) / 4 * b)
+
+    @pytest.mark.parametrize("n", [1300, 2000])
+    def test_equal_betas_against_mpmath(self, n):
+        # the product of constants was exp(sum) * pi**(-n/2), whose power is 0 from n ~ 1302
+        res = expect.expected_hyp_volume(BetaSpec(2, (0.5,) * n), CFG)
+        assert res.representation == "lower"
+        assert abs(res.value - self._lower_sum(n)) <= res.abs_err_est
+
+    @pytest.mark.parametrize("spec", [
+        BetaSpec(2, (-1.0,) * 621),  # the constants' product (1/pi)**621 is subnormal
+        BetaSpec(2, (-1.0,) * 622),  # and P = pi**621 is not finite
+        BetaSpec(2, (0.5,) * 2500),  # (3/4)**2500 is subnormal
+    ])
+    def test_not_representable(self, spec):
+        with pytest.raises(expect.NotRepresentableError):
+            expect.expected_hyp_volume(spec, CFG, method="generic")
+
+    def test_upper_multiplicities_beyond_the_float_range(self):
+        with pytest.raises(expect.NotRepresentableError, match="multiplicity"):
+            expect.expected_beta_integral(BetaSpec(3, (2.0,) * 1100), 0.5, CFG, representation="upper")
+
+
 class TestExpectedHypVolume:
     def test_ideal_polygons_exact(self):
         for n in (3, 4, 7):
@@ -318,6 +354,12 @@ class TestPolygonBeta0:
             res = expect.polygon_beta0(n, CFG)
             assert res.value == res.exact.evaluate()
             assert abs(res.value - res.exact.evaluate()) <= res.abs_err_est
+
+    def test_against_the_generic_path(self):
+        for n in range(3, 41):
+            exact = expect.polygon_beta0(n, CFG)
+            generic = expect.expected_hyp_volume(BetaSpec(2, (0.0,) * n), CFG, method="generic")
+            assert abs(exact.value - generic.value) <= exact.abs_err_est + generic.abs_err_est, n
 
     def test_against_segment_quadrature(self):
         from hypvol import abcore

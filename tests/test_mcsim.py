@@ -291,6 +291,22 @@ class TestGaussBonnetSampling:
             area = mcsim.hyp_area_polygon_d2(mcsim.hull_d2(pts[i]))
             assert area == pytest.approx(3.0 * math.pi, abs=1e-9)
 
+    def test_zero_variance_has_no_stderr(self):
+        # equal samples across blocks and streams: the one-pass sum of squares read 1.17e-8 here
+        for n, streams in ((100, 1), (70000, 3)):
+            est = mcsim.mc_hyp_area_d2(BetaSpec(2, (-1.0,) * 4), SampleConfig(seed=1, n_samples=n, streams=streams))
+            assert est.stderr <= 1e-15, (n, streams)
+
+    def test_block_variance_merges_exactly(self):
+        # blocks of any sizes merge to the variance of the whole sample
+        rng = np.random.default_rng(3)
+        values = 1e6 + rng.standard_normal(1000)
+        acc = mcsim._Accumulator()
+        for part in np.split(values, [1, 7, 400, 999]):
+            acc.add(part)
+        est = acc.estimate()
+        assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(values.size), rel=1e-12)
+
     def test_matches_formula_nonideal(self):
         spec = BetaSpec(2, (0.0,) * 4)
         est = mcsim.mc_hyp_area_d2(spec, SampleConfig(seed=14, n_samples=20000, streams=2))

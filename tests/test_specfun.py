@@ -54,11 +54,50 @@ class TestLogGamma:
                 err = abs(mp.mpf(specfun.log_gamma(float(x))) - want)
                 assert err <= specfun.LOG_GAMMA_ERR * max(1, abs(want)), x
 
-    def test_gamma_real_reflection(self):
-        assert specfun.gamma_real(-0.5) == pytest.approx(math.gamma(-0.5), rel=1e-13)
-        assert specfun.gamma_real(-2.3) == pytest.approx(math.gamma(-2.3), rel=1e-13)
-        with pytest.raises(ValueError):
-            specfun.gamma_real(-3.0)
+
+
+class TestGammaRatioHalf:
+    def test_against_golden_rows(self):
+        # 45-digit references on [1e-8, 1e8] (tests/golden/make_gamma_ratio_half.py)
+        rows = json.loads((GOLDEN / "gamma_ratio_half.json").read_text())
+        assert len(rows) >= 400 and rows[0]["x"] == 1e-8 and rows[-1]["x"] == 1e8
+        with mp.workdps(40):
+            errors = [abs(mp.mpf(specfun.gamma_ratio_half(r["x"])) / mp.mpf(r["value"]) - 1) for r in rows]
+        assert max(errors) <= specfun.GAMMA_RATIO_ERR
+
+    def test_the_log_gamma_difference_misses_the_bound(self):
+        # the form every quotient took before: exp(lgamma(x + 1/2) - lgamma(x)) errs by about 1e-7 at 1e8
+        row = json.loads((GOLDEN / "gamma_ratio_half.json").read_text())[-1]
+        with mp.workdps(40):
+            old = mp.mpf(math.exp(math.lgamma(row["x"] + 0.5) - math.lgamma(row["x"])))
+            assert abs(old / mp.mpf(row["value"]) - 1) > 1e-9
+
+    def test_golden_rows_recomputed(self):
+        rows = json.loads((GOLDEN / "gamma_ratio_half.json").read_text())
+        script = _load_golden_script("make_gamma_ratio_half")
+        for row in (rows[0], rows[len(rows) // 2], rows[-1]):
+            with mp.workdps(25):
+                value = script.ratio(row["x"])
+                assert abs(value - mp.mpf(row["value"])) <= mp.mpf("1e-22") * value, row
+
+    def test_domain(self):
+        for bad in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                specfun.gamma_ratio_half(bad)
+
+    def test_quotient_with_a_zero_factor_is_zero(self):
+        # a factor alpha - j next to a pole is exact: at the pole it is 0, and so is the quotient
+        assert specfun.gamma_quotient(1.0, num=[0.5 * (3.0 - 3.0)], up=2.0)[0] == 0.0
+
+    def test_constants_within_their_bounds(self):
+        # c_one_dim(600) erred by 3.6e-13 and f_real_total(1020) by 2.5e-13 as exp(lgamma - lgamma)
+        with mp.workdps(40):
+            for beta in (-0.999, -0.5, 0.0, 0.3, 1.0, 13.3, 200.0, 600.0, 1020.0, 1e5):
+                b = mp.mpf(beta)
+                total = mp.sqrt(mp.pi) * mp.exp(mp.loggamma((b + 1) / 2) - mp.loggamma(b / 2 + 1))
+                assert abs(specfun.f_real_total(beta) / total - 1) <= specfun.quotient_err(0), beta
+                c = mp.exp(mp.loggamma(b + 1.5) - mp.loggamma(b + 1)) / mp.sqrt(mp.pi)
+                assert abs(specfun.c_one_dim(beta) / c - 1) <= specfun.quotient_err(0), beta
 
 
 class TestNormalizingConstants:
