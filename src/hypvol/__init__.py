@@ -22,7 +22,6 @@ from .abcore import (
     b_fn,
     b_fn_alt,
     b_ones,
-    limit_alpha_plus_one_times_b,
 )
 from .exact import PiPoly, Rational
 from .expect import (

@@ -8,15 +8,21 @@ forms (``_closed_form``) are dispatched for empty, singleton and
 all-ones parameter lists; everything else goes through double-exponential
 quadrature with stable log-magnitude/phase evaluation of the integrands.
 
-A ``"b"`` integral is (alpha+1) * b(alpha; p), finite down to the pole
-alpha = -1 that ideal points reach, where it is P, the product of the
-B_j = F_j(pi/2), and no quadrature runs.  Above the pole it is the
-closed term (P/2) * (alpha+1) * b(alpha; ()) plus (alpha+1) times one
-tanh-sinh quadrature over t in (0, pi/2), t the distance to the
-endpoint.  Its integrand is the lower half-segment, cos**alpha * prod F_j
-as it is, plus the upper half-segment less P,
-P * sin(t)**alpha * expm1(sum_j log1p(-F_j(t - pi/2)/B_j)), which is O(t)
-at the endpoint, so no mass sits below the smallest tanh-sinh node.  Its
+Every factor row is divided by its total B_j = F_j(pi/2) = 1/c_j, c_j
+the point's normalizing constant: so every integral here, closed forms
+included, is the normalized a~ = prod c_j * a or b~ = prod c_j * b,
+and only the public ``a_fn``, ``a_prime`` and ``b_fn`` multiply by P =
+prod B_j, which can leave the double range.
+
+A ``"b"`` integral is (alpha+1) * b~(alpha; p), finite down to the pole
+alpha = -1 that ideal points reach, where it is 1 (2 with no
+parameters) and no quadrature runs.  Above the pole it is the closed
+term (1/2) * (alpha+1) * b(alpha; ()) plus (alpha+1) times one tanh-sinh
+quadrature over t in (0, pi/2), t the distance to the endpoint.  Its
+integrand is the lower half-segment, cos**alpha * prod F~_j as it is,
+plus the upper half-segment less 1,
+sin(t)**alpha * expm1(sum_j log1p(-F~_j(t - pi/2))), which is O(t) at
+the endpoint, so no mass sits below the smallest tanh-sinh node.  Its
 stopping rule is relative to b: the closed term over alpha+1 is the
 offset of its ``quad.Refinement``.  So each b has one integral and one
 error estimate.
@@ -52,13 +58,14 @@ value or row is computed again, to the same bits, by the next call
 that needs it.  The rows of all parameters a step lacks come from one
 kernel call per kind: the cosh-power kernel for ``a`` (``_a_factors``),
 the sin-power series for ``b``, one row and its log1p complement
-(``_b_factors``).  Both kernels are elementwise in their nodes, so a row
-has the same bits in any step.
+(``_b_factors``), each divided by its total.  Both kernels are
+elementwise in their nodes, so a row has the same bits in any step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -91,7 +98,6 @@ __all__ = [
     "b_ones",
     "a_prime_ones_at_pole",
     "a_prime_odd_repeated",
-    "limit_alpha_plus_one_times_b",
     "clear_cache",
 ]
 
@@ -102,9 +108,9 @@ _MAX_PARAM = 1024.0
 
 
 class NotRepresentableError(ArithmeticError):
-    """A value of the engine beyond the double range: a held product P of the F_j(pi/2),
-    or, in expect's subset sums, a product of normalizing constants that is 0 or subnormal,
-    a multiplicity or a class term that is not finite.  The CLI exits 3, "not-representable".
+    """A value of the engine beyond the double range: the held product P of the F_j(pi/2) that
+    the public a_fn, a_prime and b_fn multiply by, or, in expect's subset sums, a multiplicity
+    or a class term that is not finite.  The CLI exits 3, "not-representable".
     """
 
 
@@ -255,31 +261,25 @@ def a_prime_odd_repeated(m: int, q: int) -> PiPoly:
     return PiPoly({1: coeff})
 
 
-def limit_alpha_plus_one_times_b(params) -> float:
-    """Limit of (alpha+1) * b(alpha; params) as alpha decreases to -1: P, the product of the B_j."""
-    params = _as_params(params)
-    return _held_product(params.entries) if len(params) else 2.0
-
-
 def _held_product(betas) -> float:
-    """P, the product of the B_j = F_j(pi/2); raises NotRepresentableError where it is not finite."""
+    """P, the product of the B_j = F_j(pi/2); raises NotRepresentableError where it is not a normal float."""
     P = math.prod(f_real_total(b) for b in betas)
-    if not math.isfinite(P):
-        raise NotRepresentableError(f"the product P of {len(betas)} totals F(pi/2) exceeds the float range")
+    if not sys.float_info.min <= P < math.inf:
+        raise NotRepresentableError(f"the product P of {len(betas)} totals F(pi/2) is {P:g}, beyond the float range")
     return P
 
 
 # -- quadrature integrands -------------------------------------------------
 
 def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(log-magnitude, phase) rows of the imaginary-axis factors at nodes x, scaled by cosh(x)**-b.
+    """(log-magnitude, phase) rows of the normalized imaginary-axis factors 0.5 + i g/B at nodes x, scaled by cosh(x)**-b.
 
-    One read-only pair per entry of betas, from one kernel call; L is
-    log cosh(x).
+    One read-only pair per entry of betas, from one kernel call; B is
+    its total F(pi/2) and L is log cosh(x).
     """
     col = np.array(betas)[:, None]
-    g_scaled = cosh_pow_integral_scaled(col, x)
-    h_scaled = np.array([[0.5 * f_real_total(b)] for b in betas]) * np.exp(-col * L)
+    g_scaled = cosh_pow_integral_scaled(col, x) / np.array([[f_real_total(b)] for b in betas])
+    h_scaled = 0.5 * np.exp(-col * L)
     # both parts underflow to 0 at the outermost nodes for tiny b: the
     # factor is 0 there and its log -inf, which the caller's exp undoes
     with np.errstate(divide="ignore"):
@@ -290,10 +290,11 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
 
 
 def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read-only (F(t - pi/2), log1p(-F/B)) at nodes t, B = F(pi/2), for each of betas from one sin-power call."""
+    """Read-only normalized (F~, log1p(-F~)) at nodes t, F~ = F(t - pi/2)/F(pi/2), for each of betas from one sin-power call."""
     half_t = 0.5 * t
     rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2, sin_t)
-    comps = np.log1p(-rows / np.array([[f_real_total(b)] for b in betas]))
+    rows = rows / np.array([[f_real_total(b)] for b in betas])
+    comps = np.log1p(-rows)
     rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
     return list(zip(rows, comps))
 
@@ -333,13 +334,13 @@ def _a_body(tau: float, rows, log_weight: bool, L: np.ndarray) -> np.ndarray:
     return vals * (-L) if log_weight else vals
 
 
-def _b_body(alpha: float, rows, P: float, sin_t: np.ndarray) -> np.ndarray:
-    """The b integrand at nodes t in (0, pi/2) from its (row, complement) pairs: the lower half plus the upper less P."""
+def _b_body(alpha: float, rows, sin_t: np.ndarray) -> np.ndarray:
+    """The b integrand at nodes t in (0, pi/2) from its normalized (row, complement) pairs: the lower half plus the upper less 1."""
     lower, acc = rows[0]
     for row, comp in rows[1:]:
         lower = lower * row
         acc = acc + comp
-    return sin_t**alpha * (lower + P * np.expm1(acc))
+    return sin_t**alpha * (lower + np.expm1(acc))
 
 
 def _level_params(states) -> tuple:
@@ -373,7 +374,7 @@ def _line_step(states: list, levels: range) -> list:
 
 
 def _segment_step(states: list, levels: range) -> list:
-    """Add one step's tanh-sinh levels to each b integral (alpha, betas, P, run), as _line_step; returns the live ones."""
+    """Add one step's tanh-sinh levels to each b integral (alpha, betas, run), as _line_step; returns the live ones."""
     t, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
     sin_t = np.sin(t)
     params = _level_params(states)
@@ -381,8 +382,8 @@ def _segment_step(states: list, levels: range) -> list:
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t, sin_t))
         for state in states:
-            alpha, betas, P, run = state
-            vals = _b_body(alpha, [rows[b] for b in betas], P, sin_t) * weight
+            alpha, betas, run = state
+            vals = _b_body(alpha, [rows[b] for b in betas], sin_t) * weight
             if not run.add_levels(vals.tolist(), cuts, 0.5 * _HALF_PI):
                 live.append(state)
     return live
@@ -392,10 +393,10 @@ def _times_b(alpha: float, betas, offset: float, res: ValueWithError) -> ValueWi
     """(alpha+1) * b and its bar from a b integral's quadrature result res, whose closed term is offset."""
     held = (alpha + 1.0) * offset
     value = held + (alpha + 1.0) * res.value
-    # both halves are >= 0, so at most |value|: a lower row F_j(t - pi/2) errs by its stated bound
-    # (_f_real_from_z), an upper factor B_j - F_j >= B_j/2 by that and twice B_j's, and two roundings
+    # both halves are >= 0, so at most |value|: a lower row F_j(t - pi/2)/B_j errs by the row's stated
+    # bound (_f_real_from_z), B_j's and a rounding, an upper factor 1 - F~_j >= 1/2 by no more, and two roundings
     rows_err = abs(value) * math.fsum(2.0 * quotient_err(0) + max(5e-15, 1.5e-16 * b) + 2.0 * _U for b in betas)
-    # the closed term (alpha + 1) * 0.5 * P * b(alpha; ()): b's bound and three roundings
+    # the closed term (alpha + 1) * 0.5 * b(alpha; ()): b's bound and three roundings
     err = (alpha + 1.0) * res.abs_err_est + rows_err + (quotient_err(0) + 3.0 * _U) * abs(held)
     return ValueWithError(value, err, "tanh-sinh")
 
@@ -404,7 +405,10 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
 
     kind is "a", "a'" (a_prime's log-weighted integral) or "b", which is
-    (alpha+1) * b, alpha > -1 (module docstring).  Values found in the
+    (alpha+1) * b, alpha > -1, each normalized (module docstring); an a or
+    a' bar adds |value| times its rows' totals' bounds.  Each integral's
+    floor is abs_tol / P, P the product of its totals, where that is
+    tighter than abs_tol (README).  Values found in the
     table are reused; the others are refined together by ``quad.refine``,
     the a integrals with ``_line_step`` and then the b integrals with
     ``_segment_step``.  A b integral's stopping rule is relative to b: its
@@ -426,19 +430,20 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     for key, hit in found.items():
         if hit is None:
             kind, alpha, betas, _ = key
+            floor = cfg.abs_tol / max(1.0, math.prod(f_real_total(b) for b in betas))
             if kind == "b":
-                P = _held_product(betas)
-                segment[key] = (alpha, betas, P, quad.Refinement(cfg, "tanh-sinh", 0.5 * P * f_real_total(alpha)))
+                segment[key] = (alpha, betas, quad.Refinement(cfg, "tanh-sinh", 0.5 * f_real_total(alpha), floor=floor))
             else:
-                line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line"))
+                line[key] = (alpha - math.fsum(betas), betas, kind == "a'", quad.Refinement(cfg, "de-real-line", floor=floor))
     quad.refine(list(line.values()), _line_step)
     quad.refine(list(segment.values()), _segment_step)
     for key, hit in found.items():
         if hit is None:
             if key in line:
                 res = line[key][-1].result()
+                res.abs_err_est += abs(res.value) * len(key[2]) * (quotient_err(0) + 2.0 * _U)  # the totals B_j
             else:
-                alpha, betas, _, run = segment[key]
+                alpha, betas, run = segment[key]
                 try:
                     res = _times_b(alpha, betas, run.offset, run.result())
                 except QuadratureError as exc:
@@ -450,31 +455,32 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
 
 
 def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: bool = True) -> ValueWithError | None:
-    """The closed-form value of integral kind ("a", "a'" or "b", which is (alpha+1) * b) where known, else None.
+    """The normalized closed-form value of integral kind ("a", "a'" or "b", which is (alpha+1) * b) where known, else None.
 
     a and b: empty, singleton and all-ones parameter lists, b at alpha = -1;
     a': 2q equal odd parameters at the vanishing point alpha = 2q*odd + 1.
-    b with no parameters (no factor tames its lower half) and b at alpha = -1 (the limit P,
-    where no quadrature runs) are closed even without closed_forms.  The bar is |value| times the
-    bound of the form's specfun.gamma_quotient values (quotient_err) and of the roundings joining them.
+    b with no parameters (no factor tames its lower half) and b at alpha = -1 (the limit 1, or 2
+    with none, where no quadrature runs) are closed even without closed_forms.  The bar is |value| times
+    the bound of the form's specfun.gamma_quotient values (quotient_err) and of the roundings joining them.
     """
     n, entries = len(params), params.entries
     if not (closed_forms or (kind == "b" and (n == 0 or alpha == -1.0))):
         return None
     if kind == "b" and alpha == -1.0:
-        v, rel = limit_alpha_plus_one_times_b(params), n * (quotient_err(0) + _U)
+        v, rel = (1.0 if n else 2.0), 0.0
     elif kind == "a'":
         if not (n >= 2 and n % 2 == 0 and len(set(entries)) == 1):
             return None
         odd, q = round(entries[0]), n // 2
         if not (abs(entries[0] - odd) < 1e-12 and odd % 2 == 1 and abs(alpha - (2 * q * odd + 1)) < 1e-12):
             return None
-        v, rel = a_prime_odd_repeated((odd + 1) // 2, q).evaluate(), _U  # correctly rounded
-    elif n < 2:  # a(alpha; ()) = sqrt(pi) / R(alpha/2) or b(alpha; ()) = F_alpha(pi/2), one a1 times F_a1(pi/2)/2
+        c = Fraction(math.factorial(odd), 2**odd * math.factorial(odd // 2) ** 2)  # 1/F_odd(pi/2), its B(m, m) cancels
+        v, rel = (a_prime_odd_repeated((odd + 1) // 2, q) * c ** (2 * q)).evaluate(), _U  # correctly rounded
+    elif n < 2:  # a(alpha; ()) = sqrt(pi) / R(alpha/2) or b(alpha; ()) = F_alpha(pi/2); one parameter halves it
         v, rel = gamma_quotient(_SQRT_PI, down=0.5 * alpha) if kind == "a" else (f_real_total(alpha), quotient_err(0))
-        v, rel = (0.5 * v * f_real_total(entries[0]), 2.0 * rel + _U) if n else (v, rel)
-    elif all(p == 1.0 for p in entries):
-        v, rel = a_ones(n, alpha) if kind == "a" else b_ones(n, alpha), quotient_err(n)
+        v = math.ldexp(v, -n)
+    elif all(p == 1.0 for p in entries):  # each total F_1(pi/2) is 2
+        v, rel = math.ldexp(a_ones(n, alpha) if kind == "a" else b_ones(n, alpha), -n), quotient_err(n)
     else:
         return None
     if kind == "b" and alpha != -1.0:
@@ -482,11 +488,27 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: b
     return ValueWithError(v, rel * abs(v), "closed-form")
 
 
-def _integral(kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool) -> ValueWithError:
-    """One integral: its closed form when allowed and known, else a one-request ``_integrals`` call."""
-    closed = _closed_form(kind, alpha, params, closed_forms)
+def _integral(
+    kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool, per: float = 1.0
+) -> ValueWithError:
+    """The integral of the rows as they are over per: P times the normalized closed form, if allowed and known,
+    or one-request ``_integrals`` call; the bar adds P's bound.
+    """
+    P = _held_product(params.entries)
+    scale = P / per
+    rel = len(params) * (quotient_err(0) + _U) + 2.0 * _U  # P's totals and products, the division by per and the product
+
+    def held(res: ValueWithError) -> ValueWithError:
+        value = scale * res.value
+        return ValueWithError(value, scale * res.abs_err_est + rel * abs(value), res.method)
+
     method = "tanh-sinh" if kind == "b" else "de-real-line"
-    return closed or ValueWithError(*_integrals([(kind, alpha, params)], cfg)[0], method)
+    try:
+        res = _closed_form(kind, alpha, params, closed_forms) or ValueWithError(*_integrals([(kind, alpha, params)], cfg)[0], method)
+    except QuadratureError as exc:
+        exc.estimate = held(exc.estimate)
+        raise
+    return held(res)
 
 
 def a_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
@@ -510,19 +532,11 @@ def a_prime(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: b
 
 
 def b_fn(alpha: float, params, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
-    """Segment parameter integral; requires alpha > -1.  It is the "b" integral divided by alpha + 1."""
+    """Segment parameter integral; requires alpha > -1.  It is the "b" integral divided by alpha + 1, its estimate too."""
     params = _as_params(params)
     if not alpha > -1.0:
         raise ValueError("b_fn requires alpha > -1")
-
-    def per_b(res: ValueWithError) -> ValueWithError:
-        return ValueWithError(res.value / (alpha + 1.0), res.abs_err_est / (alpha + 1.0), res.method)
-
-    try:
-        return per_b(_integral("b", alpha, params, cfg or QuadConfig(), closed_forms))
-    except QuadratureError as exc:  # its estimate, too, is of b
-        exc.estimate = per_b(exc.estimate)
-        raise
+    return _integral("b", alpha, params, cfg or QuadConfig(), closed_forms, per=alpha + 1.0)
 
 
 def b_fn_alt(alpha: float, params, cfg: QuadConfig | None = None) -> ValueWithError:

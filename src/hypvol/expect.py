@@ -4,15 +4,17 @@ Computes expected beta integrals E[int over hull of (1-|x|^2)^beta dx]
 and expected hyperbolic volumes for n independent beta-distributed
 points in dimension d.  Every such query is one subset sum,
 ``_subset_sum``: over the subset classes it adds up the class term
-A(t+2+s) * (t+1+s) * b(t+s), with s the inside parameter total, t =
+A~(t+2+s) * (t+1+s) * b~(t+s), with s the inside parameter total, t =
 2*beta + d for beta integrals and t = -1 for hyperbolic volumes.  A is
 a_fn, or its derivative a_prime for the removable singularity at
-negative-integer exponents (the pole path) and for odd-d volumes.
+negative-integer exponents (the pole path) and for odd-d volumes; ~
+marks abcore's normalized integrals, which carry their own points'
+normalizing constants, so no class term grows with n.
 ``_class_terms`` takes the closed forms where they apply and hands all
 the other integrals of the classes to one ``abcore._integrals`` call,
 which refines them together, one step of refinement levels at a time,
 with one factor kernel call per step and kind; each integral keeps its
-own value and error estimate.  ``theta_fn`` is the class term normalized, and a
+own value and error estimate.  ``theta_fn`` is the class term over 2 pi, and a
 simplex (n = d+1) is the upper sum with its single class.  The
 integral values and factor rows stay in abcore's one table for later
 queries until ``abcore.clear_cache``; past its byte budget the oldest
@@ -44,7 +46,7 @@ from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps th
 )
 from .exact import PiPoly, exp_moment, poly_integral_01, poly_pow, sin_sin2_power
 from .quad import QuadConfig, ValueWithError
-from .specfun import _INV_SQRT_PI, _U, gamma_quotient, gamma_ratio_half, harmonic, log_gamma, quotient_err
+from .specfun import _U, gamma_quotient, harmonic, log_gamma
 from . import quad as _quad
 
 __all__ = [
@@ -163,38 +165,29 @@ def _lower_cards(spec: BetaSpec):
     return range(spec.d - 1, -1, -2)
 
 
-def _c_product(gammas) -> tuple[float, float]:
-    """prod_i Gamma(g_i + 1) / (sqrt(pi) Gamma(g_i + 1/2)), each R(g_i + 1/2)/sqrt(pi), as (value, relative bound).
-
-    Each constant is within quotient_err(0) (``specfun.gamma_quotient``), one
-    rounding more for g_i and one for the product.  The binary exponent is
-    kept apart, so the value is 0 or inf only if the product is (inf from 2**1023).
-    """
-    mant, exp2 = 1.0, 0
-    for g in gammas:
-        mant, e = math.frexp(mant * _INV_SQRT_PI * gamma_ratio_half(g + 0.5))
-        exp2 += e
-    return (math.ldexp(mant, exp2) if exp2 < 1024 else math.inf), len(gammas) * (quotient_err(0) + 2.0 * _U)
-
-
 def _pick_representation(spec: BetaSpec, representation: str) -> str:
+    """The representation asked for, or under "auto" the one with fewer subsets.
+
+    Both take the cards of the parity of d - 1, which hold 2**(n-1) subsets, so the upper count is
+    that less the lower one: O(d) binomials, whatever n.
+    """
     if representation in ("upper", "lower"):
         return representation
     if representation != "auto":
         raise ValueError("representation must be 'upper', 'lower' or 'auto'")
-    upper_count = sum(math.comb(spec.n, k) for k in _upper_cards(spec))
     lower_count = sum(math.comb(spec.n, k) for k in _lower_cards(spec))
-    return "lower" if lower_count < upper_count else "upper"
+    return "lower" if 2 * lower_count < 1 << (spec.n - 1) else "upper"
 
 
 def _class_terms(
     t: float, splits, derivative: bool, cfg: QuadConfig, closed_forms: bool
 ) -> list[tuple[float, float]]:
-    """A(t+2+s) * (t+1+s) * b(t+s) per (inside, outside) split, as (value, abs_err_est).
+    """A~(t+2+s) * (t+1+s) * b~(t+s) per (inside, outside) split, as (value, abs_err_est).
 
     s is the inside parameter total and A = a_prime when ``derivative``
-    else a_fn.  (t+1+s) * b(t+s) is abcore's "b" integral, finite also at
-    and near its pole t+s = -1 (ideal and near-ideal points).  The
+    else a_fn, both normalized (~).  (t+1+s) * b~(t+s) is abcore's "b"
+    integral, finite also at and near its pole t+s = -1 (ideal and
+    near-ideal points).  The
     integrals without a closed form go to one ``abcore._integrals`` call,
     in class order, A before b.
     """
@@ -226,18 +219,15 @@ def _subset_sum(
 ) -> tuple[float, float]:
     """The subset sum behind every query, as (value, abs_err_est).
 
-    Sums the multiplicity times the class term over the subset classes
-    of the representation.  The error bar adds to the class terms' bars
-    the rounding of the sum (n_terms * eps * sum |m * term|), the error
-    of ``_c_product`` and, in the lower representation, the rounding of
-    pi - cprod * sum.  Raises NotRepresentableError, before any integral
-    runs, when the constants' product is 0 or subnormal or a multiplicity
-    is not finite, and when a held product P (abcore) or a class term is not.
+    Sums the multiplicity times the normalized class term over the subset
+    classes of the representation: the upper form is prefactor * sum, the
+    lower one prefactor * (pi - sum).  The error bar adds to the class
+    terms' bars the rounding of the sum (n_terms * eps * sum |m * term|)
+    and, in the lower representation, the rounding of pi - sum.  Raises
+    NotRepresentableError, before any integral runs, when a multiplicity
+    is not finite, and when a class term is not.
     """
     classes = enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec))
-    cprod, cprod_rel = _c_product(spec.gammas())
-    if not sys.float_info.min <= cprod < math.inf:
-        raise NotRepresentableError(f"the product of the {spec.n} normalizing constants is {cprod:g}")
     try:
         mults = [float(cls.multiplicity) for cls in classes]
     except OverflowError:
@@ -250,18 +240,16 @@ def _subset_sum(
     if not all(map(math.isfinite, vals)):
         raise NotRepresentableError("a class term, or its multiple, exceeds the float range")
     total = math.fsum(vals)
-    err = math.fsum(errs) + len(vals) * _EPS * math.fsum(map(abs, vals)) + abs(total) * cprod_rel
+    err = math.fsum(errs) + len(vals) * _EPS * math.fsum(map(abs, vals))
     if rep == "upper":
-        value = prefactor * cprod * total
-        err = abs(prefactor) * cprod * err
+        value, err = prefactor * total, abs(prefactor) * err
     else:
-        value = prefactor * (math.pi - cprod * total)
-        err = abs(prefactor) * (cprod * err + _EPS * (math.pi + cprod * abs(total)))
+        value, err = prefactor * (math.pi - total), abs(prefactor) * (err + _EPS * (math.pi + abs(total)))
     return value, err + 1e-15 * abs(value)
 
 
 def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
-    """Normalized class term (1/2pi) * prod(c) * a(...) * (linear) * b(...).
+    """Normalized class term (1/2pi) * prod(c) * a(...) * (linear) * b(...), that is (1/2pi) * a~ * (linear) * b~.
 
     y and z are the inside and outside gammas; the term is the class term
     of ``_class_terms`` at t = 2x with parameters 2y and 2z, so it is
@@ -272,9 +260,8 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     cfg = cfg or QuadConfig()
     if x < -0.5:
         raise ValueError("theta_fn requires x >= -1/2")
-    pref = _c_product((*y, *z))[0] / (2.0 * math.pi)
     ((value, err),) = _class_terms(2.0 * x, [(y.scaled(2.0), z.scaled(2.0))], False, cfg, closed_forms)
-    return ValueWithError(pref * value, max(abs(pref) * err, cfg.abs_tol), "theta")
+    return ValueWithError(value / (2.0 * math.pi), max(err / (2.0 * math.pi), cfg.abs_tol), "theta")
 
 
 def expected_beta_integral(
@@ -352,12 +339,10 @@ def expected_hyp_volume(
     rep = _pick_representation(spec, representation)
     d = spec.d
     all_ideal = all(b == -1.0 for b in spec.betas)
-    if method == "auto" and all_ideal and d == 2:
-        exact = PiPoly({1: Fraction(spec.n - 2)})
-        return ExpectationResult(exact.evaluate(), 0.0, exact, "lower", False)
-    if method == "auto" and all_ideal and d == 3:
-        exact = ideal_polytope3(spec.n)
-        return ExpectationResult(exact.evaluate(), 0.0, exact, "upper", True)
+    if method == "auto" and all_ideal and d in (2, 3):
+        exact = PiPoly({1: Fraction(spec.n - 2)}) if d == 2 else ideal_polytope3(spec.n)
+        value = exact.evaluate()  # correctly rounded: the bar is the rounding's
+        return ExpectationResult(value, _U * abs(value), exact, "lower" if d == 2 else "upper", d == 3)
     if d % 2 == 0:
         prefactor = (-2.0 * math.pi) ** (d // 2) / (math.pi * _double_factorial(d - 1))
         value, err = _subset_sum(spec, -1.0, False, rep, prefactor, cfg, closed_forms)
@@ -522,6 +507,7 @@ def polygon_beta0(n: int, cfg: QuadConfig | None = None) -> ExpectationResult:
     return ExpectationResult(value, _U * abs(value), total, "lower", False)
 
 
+@functools.lru_cache(maxsize=256)  # one entry per polygon size asked for
 def _b_ones_param2_exact(m: int) -> PiPoly:
     """Exact segment integral with m repeated parameters equal to 2 at alpha 1.
 

@@ -203,18 +203,20 @@ class Refinement:
     _MIN_LEVEL whose change is within the tolerance, relative to |total +
     offset|, or after max_level.  offset is the part of the wanted
     quantity held outside the integral, so the rule is relative to the
-    quantity, not to the integral alone.  ``add_levels`` adds a whole
+    quantity, not to the integral alone; floor, the absolute tolerance, is
+    cfg.abs_tol unless given.  ``add_levels`` adds a whole
     step's levels the same way.  ``result()`` then returns the value with
     its error estimate, or raises QuadratureError carrying the last
     estimate.
     """
 
-    __slots__ = ("cfg", "method", "offset", "level", "total", "err", "converged")
+    __slots__ = ("cfg", "method", "offset", "floor", "level", "total", "err", "converged")
 
-    def __init__(self, cfg: QuadConfig, method: str, offset: float = 0.0):
+    def __init__(self, cfg: QuadConfig, method: str, offset: float = 0.0, floor: float | None = None):
         self.cfg = cfg
         self.method = method
         self.offset = offset
+        self.floor = cfg.abs_tol if floor is None else floor
         self.level = 0
         self.total = None
         self.err = math.inf
@@ -227,7 +229,7 @@ class Refinement:
         self.total = part * h if prev is None else prev * 0.5 + part * h
         if self.level >= _MIN_LEVEL:
             self.err = abs(self.total - prev)
-            self.converged = self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total + self.offset))
+            self.converged = self.err <= max(self.floor, cfg.rel_tol * abs(self.total + self.offset))
         self.level += 1
         return self.converged or self.level > cfg.max_level
 
@@ -238,13 +240,13 @@ class Refinement:
     def result(self) -> ValueWithError:
         cfg = self.cfg
         if self.converged:
-            return ValueWithError(self.total, max(self.err, cfg.abs_tol), self.method)
+            return ValueWithError(self.total, max(self.err, self.floor), self.method)
         value, err = self.total, self.err
         if not math.isfinite(value):
             value, err = 0.0, 1e300
         if not math.isfinite(err):
             err = max(abs(value), 1.0)
-        best = ValueWithError(value, max(err, cfg.abs_tol), self.method)
+        best = ValueWithError(value, max(err, self.floor), self.method)
         raise QuadratureError(f"{self.method}: no convergence within max_level={cfg.max_level}", estimate=best)
 
 

@@ -71,17 +71,21 @@ class TestClosedForms:
 
 
 def _mp_closed(kind, alpha, params):
-    """The closed forms' Gamma formulas in 40-digit mpmath: a, or (alpha + 1) * b."""
+    """The closed forms' Gamma formulas in 40-digit mpmath: a, or (alpha + 1) * b, normalized.
+
+    Normalized: times each parameter's constant c = Gamma(p/2 + 1)/(sqrt(pi) Gamma((p + 1)/2)), 1/F_p(pi/2).
+    """
     with mp.workdps(40):
         al, n = mp.mpf(alpha), len(params)
         G = lambda x: mp.exp(mp.loggamma(x))  # noqa: E731
+        cprod = mp.fprod(G(mp.mpf(p) / 2 + 1) / (mp.sqrt(mp.pi) * G((mp.mpf(p) + 1) / 2)) for p in params)
         if kind == "a" and n == 0:
             return mp.sqrt(mp.pi) * G(al / 2) / G((al + 1) / 2)
         if kind == "a" and n == 1:
             a1 = mp.mpf(params[0])
-            return mp.pi / 2 * G(al / 2) * G((a1 + 1) / 2) / (G((al + 1) / 2) * G((a1 + 2) / 2))
+            return cprod * mp.pi / 2 * G(al / 2) * G((a1 + 1) / 2) / (G((al + 1) / 2) * G((a1 + 2) / 2))
         if kind == "a":
-            return mp.pi * G(al - n) * 2 ** (n + 1 - al) * mp.rgamma((al + 1) / 2) * mp.rgamma((al + 1) / 2 - n)
+            return cprod * mp.pi * G(al - n) * 2 ** (n + 1 - al) * mp.rgamma((al + 1) / 2) * mp.rgamma((al + 1) / 2 - n)
         if n == 0:
             b = mp.sqrt(mp.pi) * G((al + 1) / 2) / G(al / 2 + 1)
         elif n == 1:
@@ -89,11 +93,11 @@ def _mp_closed(kind, alpha, params):
             b = mp.pi / 2 * G((al + 1) / 2) * G((a1 + 1) / 2) / (G(al / 2 + 1) * G((a1 + 2) / 2))
         else:
             b = 2 ** (al + n) * G((al + 1) / 2) * G((al + 1) / 2 + n) / G(al + n + 1)
-        return (al + 1) * b
+        return cprod * (al + 1) * b
 
 
 class TestClosedFormBars:
-    """Every closed form within its derived bar of 40-digit mpmath, up to alpha and a1 = 1500."""
+    """Every normalized closed form within its derived bar of 40-digit mpmath, up to alpha and a1 = 1500."""
 
     @pytest.mark.parametrize("d", range(13))
     def test_ones(self, d):
@@ -279,12 +283,14 @@ class TestVanishing:
 
 class TestLimitLemma:
     def test_values(self):
-        assert abcore.limit_alpha_plus_one_times_b(P()) == 2.0
-        assert abcore.limit_alpha_plus_one_times_b(P([0.0])) == pytest.approx(math.pi, rel=1e-14)
-        for k in (2, 3, 5):
-            assert abcore.limit_alpha_plus_one_times_b(P([0.0] * k)) == pytest.approx(
-                math.pi**k, rel=1e-13
-            )
+        # (alpha + 1) * b~ at the pole is 1, or 2 with no parameters, with or without closed forms;
+        # times P, the product of the totals F_j(pi/2), it is the limit of (alpha + 1) * b
+        assert abcore._closed_form("b", -1.0, P(), closed_forms=False).value == 2.0
+        assert specfun.f_real_total(0.0) == pytest.approx(math.pi, rel=1e-14)
+        for k in (1, 2, 3, 5):
+            closed = abcore._closed_form("b", -1.0, P([0.0] * k), closed_forms=False)
+            assert (closed.value, closed.abs_err_est) == (1.0, 0.0)
+            assert math.prod(specfun.f_real_total(0.0) for _ in range(k)) == pytest.approx(math.pi**k, rel=1e-13)
 
     def test_against_small_alpha_limit(self):
         # (alpha+1) b(alpha) approaches the limit linearly; extrapolate
@@ -292,7 +298,7 @@ class TestLimitLemma:
         # at alpha+1 = eps extends down to scales exp(-1/eps), so tiny
         # eps is out of reach for double-precision nodes)
         params = P([0.7, 1.3])
-        want = abcore.limit_alpha_plus_one_times_b(params)
+        want = math.prod(specfun.f_real_total(b) for b in params)
         vals = {}
         for eps in (0.1, 0.05):
             vals[eps] = eps * abcore.b_fn(-1.0 + eps, params, CFG).value
@@ -659,12 +665,15 @@ class TestLevelLoop:
         assert _bits(batch) == _bits(single)
         assert len(levels) == len(self.REQUESTS)  # one stopping rule per request, a b too
         for (kind, alpha, params), (value, err) in zip(self.REQUESTS, single):
+            # the level loop's integrals are normalized: the public function is P times one, P the
+            # product of the totals F_j(pi/2), over alpha + 1 for b_fn, its bar widened by P's bound
+            held = math.prod(specfun.f_real_total(b) for b in params)
+            scale = held / (alpha + 1.0) if kind == "b" else held
+            rel = len(params) * (specfun.quotient_err(0) + specfun._U) + 2.0 * specfun._U
             fn = {"a": abcore.a_fn, "a'": abcore.a_prime, "b": abcore.b_fn}[kind]
             abcore.clear_cache()
             res = fn(alpha, params, self.LOOSE, closed_forms=False)
-            if kind == "b":  # the level loop's b is (alpha+1) * b_fn
-                value, err = value / (alpha + 1.0), err / (alpha + 1.0)
-            assert _bits([(res.value, res.abs_err_est)]) == _bits([(value, err)])
+            assert _bits([(res.value, res.abs_err_est)]) == _bits([(scale * value, scale * err + rel * abs(scale * value))])
 
     def test_first_failure_in_request_order(self):
         # nothing converges at NEVER: each batch raises the error of its first request

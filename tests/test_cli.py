@@ -43,6 +43,14 @@ class TestExpect:
         assert code == 2
         assert out == "" and "error" in err
 
+    def test_not_representable_record(self, capsys):
+        # the upper representation of 1100 points has multiplicities C(1100, k) beyond the float range
+        code, out, err = run(capsys, "expect", "--dim", "3", "--betas=" + ",".join(["2"] * 1100), "--exponent", "0.5", "--rep", "upper")
+        assert code == 3 and err == "" and "Infinity" not in out
+        rec = json.loads(out)
+        assert list(rec) == ["command", "error", "message"]
+        assert rec["command"] == "expect" and rec["error"] == "not-representable" and "multiplicity" in rec["message"]
+
     def test_non_finite_exponent_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "expect", "--dim", "2", "--betas", "0,0,0", "--exponent", "inf")
         assert code == 2
@@ -106,13 +114,13 @@ class TestHypVolume:
         assert out == "" and err.startswith("error:") and "below 1024" in err
 
     @pytest.mark.parametrize("n", [621, 622])
-    def test_not_representable_record(self, capsys, n):
-        # d=2 ideal points, generic path: the constants' product is subnormal at 621, P = pi**621 is inf at 622
+    def test_ideal_polygons_generic_exit_0(self, capsys, n):
+        # d=2 ideal points, generic path: once exit 3, as the constants' product was subnormal at 621
+        # and P = pi**621 was inf at 622; the normalized class terms are O(1) at every n
         code, out, err = run(capsys, "hypvolume", "--dim", "2", "--betas=" + ",".join(["-1"] * n), "--method", "generic")
-        assert code == 3 and err == "" and "Infinity" not in out
         rec = json.loads(out)
-        assert list(rec) == ["command", "error", "message"]
-        assert rec["command"] == "hypvolume" and rec["error"] == "not-representable"
+        assert code == 0 and err == "" and "exact" not in rec
+        assert abs(rec["value"] - (n - 2) * math.pi) <= rec["abs_err_est"] <= 1e-10
 
     def test_large_exponent(self, capsys):
         # Gamma(beta + 1) alone overflows from beta ~ 171; the prefactor is one quotient

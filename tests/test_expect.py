@@ -9,7 +9,6 @@ Both are reproduced by the subset-sum engine to machine accuracy.
 """
 
 import math
-import random
 import time
 import warnings
 from fractions import Fraction
@@ -125,18 +124,19 @@ class TestSubsetSumBar:
         lo = expect.expected_beta_integral(spec, exponent, CFG, representation="lower")
         assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
 
-    def test_c_product_within_its_bound(self):
-        rng = random.Random(20)
-        with mp.workdps(40):
-            for _ in range(300):
-                gammas = BetaSpec(5, [rng.uniform(-1.0, 4.0) for _ in range(11)]).gammas()
-                value, rel = expect._c_product(gammas)
-                want = mp.fprod(mp.gamma(mp.mpf(g) + 1) / mp.gamma(mp.mpf(g) + 0.5) for g in gammas)
-                want *= mp.pi ** (-mp.mpf(len(gammas)) / 2)
-                assert abs(value - want) <= rel * abs(want), gammas
+    def test_representations_agree_within_bars_over_40_points(self):
+        # the upper sum multiplies normalized a~ over up to 39 small parameters, far below 1, by C(40, k):
+        # at a fixed floor of 1e-14 they stopped unresolved, and the upper value missed the lower one
+        # by 27 times the bars
+        spec = BetaSpec(2, (0.5,) * 40)
+        up = expect.expected_beta_integral(spec, -0.5, CFG, representation="upper")
+        lo = expect.expected_beta_integral(spec, -0.5, CFG, representation="lower")
+        assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
 
 
 class TestLargeN:
+    """Subset sums at large n: the normalized class terms stay in the double range at every n."""
+
     @staticmethod
     def _lower_sum(n):
         """The d=2 volume of n points at beta = 1/2 in 30-digit mpmath: -2 (pi - c**n n a (alpha+1) b).
@@ -151,21 +151,22 @@ class TestLargeN:
             b = mp.quad(scaled, [-h, 0, h - 1, h - 0.5, h - 0.25, h])
             return -2 * (mp.pi - n * mp.mpf(8) / 9 * 3 * mp.mpf(3) / 4 * b)
 
-    @pytest.mark.parametrize("n", [1300, 2000])
+    @pytest.mark.parametrize("n", [1300, 2000, 2500, 10_000])
     def test_equal_betas_against_mpmath(self, n):
-        # the product of constants was exp(sum) * pi**(-n/2), whose power is 0 from n ~ 1302
+        # a product of the constants was exp(sum) * pi**(-n/2), whose power is 0 from n ~ 1302,
+        # and (3/4)**n is subnormal from n = 2463: the rows are now normalized instead
         res = expect.expected_hyp_volume(BetaSpec(2, (0.5,) * n), CFG)
         assert res.representation == "lower"
         assert abs(res.value - self._lower_sum(n)) <= res.abs_err_est
 
-    @pytest.mark.parametrize("spec", [
-        BetaSpec(2, (-1.0,) * 621),  # the constants' product (1/pi)**621 is subnormal
-        BetaSpec(2, (-1.0,) * 622),  # and P = pi**621 is not finite
-        BetaSpec(2, (0.5,) * 2500),  # (3/4)**2500 is subnormal
-    ])
-    def test_not_representable(self, spec):
-        with pytest.raises(expect.NotRepresentableError):
-            expect.expected_hyp_volume(spec, CFG, method="generic")
+    @pytest.mark.parametrize("n", [621, 622, 10_000])
+    def test_ideal_polygons_generic(self, n):
+        # the subset sum of n ideal points is (n - 2) pi; the constants' product (1/pi)**n was
+        # subnormal from n = 621 and P = pi**(n - 1) not finite from n = 622
+        res = expect.expected_hyp_volume(BetaSpec(2, (-1.0,) * n), CFG, method="generic")
+        assert res.exact is None and res.representation == "lower"
+        with mp.workdps(30):
+            assert abs(res.value - (n - 2) * mp.pi) <= res.abs_err_est
 
     def test_upper_multiplicities_beyond_the_float_range(self):
         with pytest.raises(expect.NotRepresentableError, match="multiplicity"):
@@ -182,6 +183,17 @@ class TestExpectedHypVolume:
     def test_ideal_polytopes3_exact(self):
         res = expect.expected_hyp_volume(BetaSpec(3, (-1.0,) * 6), CFG)
         assert res.exact == PiPoly({1: Fraction(43, 60)})
+
+    def test_exact_values_carry_the_bar_of_their_rounding(self):
+        # the value is the exact one correctly rounded, so its bar is 2**-53 |value|; a bar of 0
+        # missed the exact value by up to half an ulp (ideal3 n = 40 by 2.1e-15)
+        with mp.workdps(60):
+            for d, ns in ((2, range(3, 41)), (3, range(4, 41))):
+                for n in ns:
+                    res = expect.expected_hyp_volume(BetaSpec(d, (-1.0,) * n), CFG)
+                    coeff = n - 2 if d == 2 else mp.mpf(n) / 2 - mp.fsum(mp.mpf(1) / k for k in range(1, n))
+                    assert res.abs_err_est == 2.0**-53 * abs(res.value) > 0.0
+                    assert abs(res.value - coeff * mp.pi) <= res.abs_err_est, (d, n)
 
     def test_generic_matches_exact_d3(self):
         for n in (4, 5, 6):
@@ -256,6 +268,17 @@ class TestExpectedHypVolume:
         for res in (up, lo):
             assert abs(res.value - 3.0 * math.pi) <= res.abs_err_est + 60.0 * eps
             assert res.abs_err_est <= 1e-10
+
+
+class TestPickRepresentation:
+    def test_equals_the_sums_over_every_card(self):
+        # the upper count is 2**(n-1) less the lower one: the pick is that of the sums over every card
+        for d in range(2, 10):
+            for n in range(d + 1, 60):
+                spec = BetaSpec(d, (0.0,) * n)
+                upper = sum(math.comb(n, k) for k in expect._upper_cards(spec))
+                lower = sum(math.comb(n, k) for k in expect._lower_cards(spec))
+                assert expect._pick_representation(spec, "auto") == ("lower" if lower < upper else "upper"), (d, n)
 
 
 class TestSimplexCorollaries:
@@ -360,6 +383,14 @@ class TestPolygonBeta0:
             exact = expect.polygon_beta0(n, CFG)
             generic = expect.expected_hyp_volume(BetaSpec(2, (0.0,) * n), CFG, method="generic")
             assert abs(exact.value - generic.value) <= exact.abs_err_est + generic.abs_err_est, n
+
+    def test_exact_sums_are_memoized(self):
+        # a polygon-beta0 table asks for the same Fraction sums on every row of every op
+        expect._b_ones_param2_exact.cache_clear()
+        first = expect.polygon_beta0(12, CFG)
+        assert expect.polygon_beta0(12, CFG) == first
+        info = expect._b_ones_param2_exact.cache_info()
+        assert (info.hits, info.misses) == (1, 1) and info.maxsize is not None
 
     def test_against_segment_quadrature(self):
         from hypvol import abcore
