@@ -60,10 +60,20 @@ kernel call per kind: the cosh-power kernel for ``a`` (``_a_factors``),
 the sin-power series for ``b``, one row and its log1p complement
 (``_b_factors``), each divided by its total.  Both kernels are
 elementwise in their nodes, so a row has the same bits in any step.
+
+What the kernels derive from a step's nodes alone is built once per
+step and held read-only beside ``quad``'s node tables, in two caches of
+at most 13 steps: ``_line_table``, the ``specfun.CoshPowNodes`` that the
+cosh-power kernel takes in place of the nodes (log cosh x, which the
+``a`` integrands read too, the Gauss-Legendre matrix and the series'
+and recurrence's arrays of x), and ``_segment_table``, z = sin(t/2)**2,
+1 - z and sin t for the sin-power series and the ``b`` integrands.  So
+a kernel call does only the work of its parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -78,9 +88,9 @@ from .quad import QuadConfig, QuadratureError, ValueWithError
 from .specfun import (
     _SQRT_PI,
     _U,
+    CoshPowNodes,
     _f_real_from_z,
     _inc_beta_parts,
-    _log_cosh,
     cosh_pow_integral_scaled,
     f_real_total,
     gamma_quotient,
@@ -271,11 +281,11 @@ def _held_product(betas) -> float:
 
 # -- quadrature integrands -------------------------------------------------
 
-def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _a_factors(betas, x, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(log-magnitude, phase) rows of the normalized imaginary-axis factors 0.5 + i g/B at nodes x, scaled by cosh(x)**-b.
 
-    One read-only pair per entry of betas, from one kernel call; B is
-    its total F(pi/2) and L is log cosh(x).
+    One read-only pair per entry of betas, from one kernel call; x is the
+    nodes or their CoshPowNodes, B is its total F(pi/2) and L is log cosh(x).
     """
     col = np.array(betas)[:, None]
     g_scaled = cosh_pow_integral_scaled(col, x) / np.array([[f_real_total(b)] for b in betas])
@@ -289,10 +299,12 @@ def _a_factors(betas, x: np.ndarray, L: np.ndarray) -> list[tuple[np.ndarray, np
     return list(zip(log_mag, phase))
 
 
-def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read-only normalized (F~, log1p(-F~)) at nodes t, F~ = F(t - pi/2)/F(pi/2), for each of betas from one sin-power call."""
-    half_t = 0.5 * t
-    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2, sin_t)
+def _b_factors(betas, z: np.ndarray, zc: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read-only normalized (F~, log1p(-F~)) at nodes t, F~ = F(t - pi/2)/F(pi/2), for each of betas from one sin-power call.
+
+    z = sin(t/2)**2, zc = cos(t/2)**2 and sin_t = sin t (_segment_table).
+    """
+    rows = _f_real_from_z(np.array(betas)[:, None], z, zc, sin_t)
     rows = rows / np.array([[f_real_total(b)] for b in betas])
     comps = np.log1p(-rows)
     rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
@@ -351,6 +363,24 @@ def _level_params(states) -> tuple:
 _HALF_PI = 0.5 * math.pi
 
 
+# one table per refinement step, like quad's node tables: max_level <= 16 makes 12 steps
+@functools.lru_cache(maxsize=13)
+def _line_table(levels: range) -> CoshPowNodes:
+    """The read-only CoshPowNodes of one step's real-line nodes (quad._line_step_nodes)."""
+    return CoshPowNodes(quad._line_step_nodes(levels)[0])
+
+
+@functools.lru_cache(maxsize=13)
+def _segment_table(levels: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only z = sin(t/2)**2, zc = cos(t/2)**2 and sin t at one step's nodes t in (0, pi/2)."""
+    t = quad._finite_step_abscissae(0.0, _HALF_PI, levels)[0]
+    half_t = 0.5 * t
+    arrays = np.sin(half_t) ** 2, np.cos(half_t) ** 2, np.sin(t)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _line_step(states: list, levels: range) -> list:
     """Add one refinement step's levels to each a integral (tau, betas, log_weight, run); returns the live ones.
 
@@ -359,15 +389,15 @@ def _line_step(states: list, levels: range) -> list:
     each integral's integrand is then one pass over its own rows at all
     the step's nodes, summed and added level by level.
     """
-    x, weight, cuts = quad._line_step_nodes(levels)
-    L = _log_cosh(x)
+    _, weight, cuts = quad._line_step_nodes(levels)
+    nodes = _line_table(levels)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("a", params, levels.start, lambda missing: _a_factors(missing, x, L))
+        rows = _level_rows("a", params, levels.start, lambda missing: _a_factors(missing, nodes, nodes.L))
         for state in states:
             tau, betas, log_weight, run = state
-            vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, L) * weight)
+            vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, nodes.L) * weight)
             if not run.add_levels(vals.tolist(), cuts, 1.0):
                 live.append(state)
     return live
@@ -375,12 +405,12 @@ def _line_step(states: list, levels: range) -> list:
 
 def _segment_step(states: list, levels: range) -> list:
     """Add one step's tanh-sinh levels to each b integral (alpha, betas, run), as _line_step; returns the live ones."""
-    t, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
-    sin_t = np.sin(t)
+    _, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
+    z, zc, sin_t = _segment_table(levels)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t, sin_t))
+        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, z, zc, sin_t))
         for state in states:
             alpha, betas, run = state
             vals = _b_body(alpha, [rows[b] for b in betas], sin_t) * weight

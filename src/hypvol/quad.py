@@ -41,7 +41,7 @@ _TMAX_LINE = 6.56     # caps |x| = sinh(sinh t) near 1.4e153, so x*x stays finit
 _MIN_LEVEL = 3        # the stopping rule's minimum: no integral stops before it
 # The last level of the first refinement step.  At the default
 # QuadConfig, on the seed-1 distinct-betas and sweep plans of perfbench, no
-# integral stopped at level 3, 9 of 366 real-line a integrals and 45 of
+# integral stopped at level 3, 8 of 366 real-line a integrals and 45 of
 # 517 b integrals at level 4, all others at level 5 and none deeper: the
 # estimate |T_L - T_{L-1}| is about the error of T_{L-1}, so a 1e-12
 # tolerance is first certified at level 5.

@@ -13,7 +13,9 @@ tetrahedra in dimension 3.
 The two factor functions ``f_real`` and ``f_imag`` run the kernels the
 quadrature integrands run (``_f_real_from_z`` and
 ``cosh_pow_integral_scaled``, called from ``abcore``), so the checks of
-the factors certify the code behind every query.
+the factors certify the code behind every query.  The cosh-power kernel
+takes its abscissae plain or as a read-only ``CoshPowNodes`` table of
+the arrays it derives from them alone, one code path either way.
 
 All functions are pure; array arguments are supported where noted.
 """
@@ -379,13 +381,54 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def _cosh_pow_integral_small(betas: list[float], x: np.ndarray) -> np.ndarray:
-    """g(beta, x) for 0 <= x <= 1 by Gauss-Legendre, one row per beta (each at most 13)."""
-    half = 0.5 * x
-    cosh_nodes = np.cosh(half[..., None] * (_GL_NODES + 1.0))
+class CoshPowNodes:
+    """Abscissae x with every array cosh_pow_integral_scaled derives from them alone, read-only.
+
+    A caller that evaluates many parameters at the same abscissae builds
+    it once and passes it in place of x: abcore holds one per refinement
+    step (abcore._line_table).  A plain x gets one built inside the call.
+    The kernel runs the same operations either way, so a row has the same
+    bits.  size is the count of abscissae, which np.size reads.
+
+    The arrays: the sign of x and L = log cosh|x|; the |x| <= 1 nodes
+    (small), their L and the Gauss-Legendre matrix cosh(half (1 + u)) at
+    half = |x|/2, with the row of x = 1 last, whose g(beta, 1) the series
+    needs; for the |x| > 1 nodes (big), q = exp(-2|x|), log 2 - log1p q,
+    |x| - 1, -2|x| and L; and tanh|x| and sech(x)**2 of the recurrence.
+    """
+
+    __slots__ = ("size", "sign", "L", "small", "small_L", "half", "cosh_nodes", "big",
+                 "q", "log_lead", "x_less_1", "minus_2x", "big_L", "tanh", "sech2")
+
+    def __init__(self, x):
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        ax = np.abs(xa)
+        self.size = xa.size
+        self.sign = np.sign(xa)
+        self.L = _log_cosh(ax)
+        small = ax <= 1.0
+        self.small, self.big = np.flatnonzero(small), np.flatnonzero(~small)
+        self.small_L = self.L[self.small]
+        self.half = np.append(0.5 * ax[self.small], 0.5)
+        self.cosh_nodes = np.cosh(self.half[:, None] * (_GL_NODES + 1.0))
+        minus_2x = -2.0 * ax
+        q = np.exp(minus_2x)
+        # tanh from expm1, accurate near x = 0
+        self.tanh, self.sech2 = -np.expm1(minus_2x) / (1.0 + q), 4.0 * q / (1.0 + q) ** 2
+        self.q, self.minus_2x, self.big_L = q[self.big], minus_2x[self.big], self.L[self.big]
+        # beta * log(2/(1 + q)) = beta * (x - L), keeping the beta*log 2 that
+        # the difference loses to rounding at large x
+        self.log_lead = math.log(2.0) - np.log1p(self.q)
+        self.x_less_1 = ax[self.big] - 1.0
+        for name in self.__slots__[1:]:
+            getattr(self, name).flags.writeable = False
+
+
+def _cosh_pow_integral_small(betas: list[float], nodes: CoshPowNodes) -> np.ndarray:
+    """g(beta, x) at the |x| <= 1 nodes, then at x = 1, by Gauss-Legendre, one row per beta (each at most 13)."""
     # Python-float exponents: numpy's power has fast paths (2.0 squares)
     # for a scalar exponent that an array of exponents does not take
-    return np.array([half * ((cosh_nodes**b) * _GL_WEIGHTS).sum(axis=-1) for b in betas])
+    return np.array([nodes.half * ((nodes.cosh_nodes**b) * _GL_WEIGHTS).sum(axis=-1) for b in betas])
 
 
 # the series' and Gauss-Legendre's errors grow with beta, so larger
@@ -403,23 +446,28 @@ class _TailRows(NamedTuple):
     beta: np.ndarray  # (rows, 1) series parameters
     horner: np.ndarray  # (count, rows, 1) poly, highest power of q first
     held: np.ndarray  # (rows, 1) A
-    linear: tuple | None  # (row indices, c_k column) of the near terms with e_k = 0
-    near: tuple | None  # (row indices, k, c_k and e_k columns) of the other near terms
+    linear: tuple | None  # (rows, c_k column) of the near terms with e_k = 0
+    near: tuple | None  # (rows, k, c_k and e_k columns) of the other near terms
 
 
-def _columns(terms: list[tuple]) -> tuple | None:
-    """(row indices, then one column per constant) of the near terms, or None if there are none."""
+def _columns(terms: list[tuple], count: int) -> tuple | None:
+    """(rows, then one column per constant) of the near terms, or None if there are none.
+
+    rows indexes the block's rows that have one: a slice where all count do.
+    """
     if not terms:
         return None
     rows, *constants = zip(*terms)
-    return (np.array(rows), *(np.array(c)[:, None] for c in constants))
+    return (slice(None) if len(rows) == count else np.array(rows), *(np.array(c)[:, None] for c in constants))
 
 
-def _tail_rows(starts: list[float]) -> _TailRows:
+def _tail_rows(starts: list[float], g_at_one: list[float] | None = None) -> _TailRows:
     """The series arrays of a block of parameters, built in one pass for all its abscissae.
 
-    Each parameter is a start, at most 13 (cosh_pow_integral_scaled).
-    Term k of the series integrates c_k exp(e_k y)
+    Each parameter is a start, at most 13 (cosh_pow_integral_scaled), and
+    g_at_one holds its g(beta, 1): the kernel's Gauss-Legendre pass gives
+    it with the |x| <= 1 nodes, and without it that pass runs on x = 1
+    alone.  Term k of the series integrates c_k exp(e_k y)
     over (1, x), c_k = 2**-beta C(beta, k) and e_k = beta - 2k.  Scaled
     by cosh(x)**-beta, exp(e_k x) becomes q**k (2/(1 + q))**beta with
     q = exp(-2x).  So every term with |e_k| >= 1 splits into poly[k] =
@@ -437,14 +485,15 @@ def _tail_rows(starts: list[float]) -> _TailRows:
     so the count ends at the first term past beta/2 that is zero or below:
     no later term can change the sum, whatever x is.
 
-    The bounds' exponentials come from one np.exp call and g(beta, 1)
-    from one Gauss-Legendre call for the whole block; the rest is Python
-    floats per beta: C(beta, k) by c_k = c_(k-1) (beta - k + 1)/k, and A
-    by math.fsum of math.exp terms.  Each row's constants come from the
-    same floating-point operations whatever else is in the block.
+    The bounds' exponentials come from one np.exp call for the whole
+    block; the rest is Python floats per beta: C(beta, k) by c_k =
+    c_(k-1) (beta - k + 1)/k, and A by math.fsum of math.exp terms.  Each
+    row's constants come from the same floating-point operations whatever
+    else is in the block.
     """
+    if g_at_one is None:
+        g_at_one = _cosh_pow_integral_small(starts, CoshPowNodes(()))[:, -1].tolist()
     exps = np.exp(np.array(starts)[:, None] - _TWO_K).tolist()
-    g_at_one = _cosh_pow_integral_small(starts, np.array([1.0]))[:, 0].tolist()
     held, polys, linear, near, count = [], [], [], [], 0
     for row, (beta, exp_e, g) in enumerate(zip(starts, exps, g_at_one)):
         scale, cut = 2.0**-beta, 2.0**-55 * g
@@ -470,47 +519,48 @@ def _tail_rows(starts: list[float]) -> _TailRows:
         np.array(starts)[:, None],
         np.array(polys)[:, :count].T[::-1, :, None],
         np.array(held)[:, None],
-        _columns(linear),
-        _columns(near),
+        _columns(linear, len(starts)),
+        _columns(near, len(starts)),
     )
 
 
-def _tail_series(s: _TailRows, xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
-    """Scaled g(beta, x) for x > 1 from the binomial series, one row per series parameter of s.
+def _tail_series(s: _TailRows, nodes: CoshPowNodes, block: slice) -> np.ndarray:
+    """Scaled g(beta, x) at the block of the |x| > 1 nodes, one row per series parameter of s.
 
     A row is A exp(-beta L) + (2/(1 + q))**beta poly(q) plus its near term
     (_tail_rows), with q = exp(-2x) and L = log cosh(x).  poly is summed by
-    Horner's rule; a row's leading zeros in the block's coefficient matrix
-    leave it 0 until its own top coefficient, so each row is the same in
-    every bit as a one-row call.  The near term keeps the exponential
-    form: exp(e_k - beta L) expm1(e_k (x - 1))/e_k where |e_k (x - 1)| < 1,
-    the plain difference of the two scaled exponentials beyond, and the
-    linear c_k (x - 1) exp(-beta L) at e_k = 0 exactly.  Every constant
-    comes in as an array, made once per block of parameters (_tail_rows),
-    at about 20 us per parameter (2-core x86 VM, blocks of four).
+    Horner's rule from the block's top coefficient; a row's leading zeros
+    in that coefficient matrix leave it 0 until its own top coefficient,
+    so each row is the same in every bit as a one-row call.  The near term
+    keeps the exponential form: exp(e_k - beta L) expm1(e_k (x - 1))/e_k
+    where |e_k (x - 1)| < 1, the plain difference of the two scaled
+    exponentials beyond, and the linear c_k (x - 1) exp(-beta L) at e_k = 0
+    exactly.  Every constant comes in as an array, made once per block of
+    parameters (_tail_rows), at about 14 us per parameter (2-core x86 VM,
+    blocks of four), and every array of x alone from nodes.
     """
-    q = np.exp(-2.0 * xb)
-    acc = np.zeros((s.beta.shape[0], xb.size))
-    for ck in s.horner:
+    q = nodes.q[block]
+    acc = np.empty((s.beta.shape[0], q.size))
+    acc[:] = s.horner[0]  # 0 q + c is c
+    for ck in s.horner[1:]:
         acc *= q
         acc += ck
-    bL = s.beta * Lb
-    # beta * log(2/(1 + q)) = beta * (x - L), keeping the beta*log 2 that
-    # the difference loses to rounding at large x
-    lead = s.beta * (math.log(2.0) - np.log1p(q))
+    bL = s.beta * nodes.big_L[block]
+    lead = s.beta * nodes.log_lead[block]
+    x_less_1 = nodes.x_less_1[block]
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         acc *= np.exp(lead)
         e_beta = np.exp(-bL)
         acc += s.held * e_beta
         if s.linear is not None:
             rows, ck = s.linear
-            acc[rows] += ck * (xb - 1.0) * e_beta[rows]
+            acc[rows] += ck * x_less_1 * e_beta[rows]
         if s.near is not None:
             rows, k, ck, ex = s.near
-            arg = ex * (xb - 1.0)
+            arg = ex * x_less_1
             e2 = np.exp(ex - bL[rows])
             via_expm1 = e2 * np.expm1(np.clip(arg, -1.0, 1.0)) / ex
-            plain = (np.exp(-2.0 * k * xb + lead[rows]) - e2) / ex
+            plain = (np.exp(k * nodes.minus_2x[block] + lead[rows]) - e2) / ex  # k (-2x) rounds as (-2k) x
             acc[rows] += ck * np.where(np.abs(arg) < 1.0, via_expm1, plain)
     return acc
 
@@ -518,52 +568,49 @@ def _tail_series(s: _TailRows, xb: np.ndarray, Lb: np.ndarray) -> np.ndarray:
 def cosh_pow_integral_scaled(beta, x) -> np.ndarray:
     """g(beta, x) * cosh(x)**(-beta) with g the cosh-power primitive from 0.
 
-    beta is a scalar, giving one value per abscissa of x (a scalar or a
-    1-D array), or a column of parameters, giving one row each; a scalar
-    is the one-row case.  One rule at every x: a beta up to 13 is its
-    own start, a larger one starts at beta - 2j in (11, 13].  The start
-    takes Gauss-Legendre at |x| <= 1 and the binomial series at |x| > 1
-    (_tail_series), cut where no term can change the sum (_tail_rows).
+    beta is a scalar, giving one value per abscissa of x (a scalar, a 1-D
+    array or their CoshPowNodes), or a column of parameters, giving one
+    row each; a scalar is the one-row case.  One rule at every x: a beta
+    up to 13 is its own start, a larger one starts at beta - 2j in
+    (11, 13].  The start takes Gauss-Legendre at |x| <= 1 and the
+    binomial series at |x| > 1 (_tail_series), cut where no term can
+    change the sum (_tail_rows); one Gauss-Legendre pass gives both the
+    |x| <= 1 values and the series' g(beta, 1).
     The row then recurs up with s_b = tanh(x)/b + (b - 1)/b sech(x)**2
     s_(b-2) (Gradshteyn-Ryzhik 2.411), which shrinks the error carried
     and adds about an ulp per step.  Rows are elementwise in x, taken in
-    blocks of about _ROW_BLOCK values; a row block's series constants are
-    built in the call, and no state is kept between calls.  The scaled
-    form stays representable for beta >= 0 and any finite |x|.  Its
+    blocks of about _ROW_BLOCK values.  The call keeps nothing per
+    parameter: a row block's series constants are built in the call, and
+    the arrays of x alone come from the CoshPowNodes passed in, or from
+    one built in the call.  The scaled form stays representable for
+    beta >= 0 and any finite |x|.  Its
     relative error is within max(5e-15, 1e-16 * beta): against 45-digit
     references (tests/golden) at most 1.8e-15 up to beta = 30, 4.4e-15 at
     60.5 and 5.8e-14 at 1022 (near x = 0.03), and 7e-16 at |x| > 1.
     Used inside the real-line integrands.
     """
+    nodes = x if isinstance(x, CoshPowNodes) else CoshPowNodes(x)
     betas = np.ravel(beta).tolist()
     ups = [max(0, math.ceil(0.5 * (b - _SERIES_MAX_BETA))) for b in betas]
     starts = [b - 2.0 * j for b, j in zip(betas, ups)]
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ax = np.abs(xa)
-    L = _log_cosh(ax)
-    out = np.empty((len(betas), ax.size))
-    small = ax <= 1.0
-    if small.any():
-        out[:, small] = _cosh_pow_integral_small(starts, ax[small]) * np.exp(-np.array(starts)[:, None] * L[small])
-    big = ~small
-    if big.any():
-        xb, Lb = ax[big], L[big]
-        step = max(1, _ROW_BLOCK // xb.size)
-        width = min(xb.size, _ROW_BLOCK)
-        tail = np.empty((len(betas), xb.size))
+    out = np.empty((len(betas), nodes.size))
+    gauss = _cosh_pow_integral_small(starts, nodes)
+    out[:, nodes.small] = gauss[:, :-1] * np.exp(-np.array(starts)[:, None] * nodes.small_L)
+    n_big = nodes.big.size
+    if n_big:
+        g_at_one = gauss[:, -1].tolist()
+        step = max(1, _ROW_BLOCK // n_big)
+        width = min(n_big, _ROW_BLOCK)
+        tail = np.empty((len(betas), n_big))
         for lo in range(0, len(betas), step):
-            rows = _tail_rows(starts[lo : lo + step])
-            for at in range(0, xb.size, width):
-                block = slice(at, at + width)
-                tail[lo : lo + step, block] = _tail_series(rows, xb[block], Lb[block])
-        out[:, big] = tail
-    if any(ups):
-        q = np.exp(-2.0 * ax)  # tanh from expm1, accurate near x = 0
-        tanh, sech2 = -np.expm1(-2.0 * ax) / (1.0 + q), 4.0 * q / (1.0 + q) ** 2
-        for row, (top, j) in enumerate(zip(betas, ups)):
-            for b in (top - 2.0 * i for i in range(j - 1, -1, -1)):
-                out[row] = tanh / b + (b - 1.0) / b * sech2 * out[row]
-    out *= np.sign(xa)
+            rows = _tail_rows(starts[lo : lo + step], g_at_one[lo : lo + step])
+            for at in range(0, n_big, width):
+                tail[lo : lo + step, at : at + width] = _tail_series(rows, nodes, slice(at, at + width))
+        out[:, nodes.big] = tail
+    for row, (top, j) in enumerate(zip(betas, ups)):
+        for b in (top - 2.0 * i for i in range(j - 1, -1, -1)):
+            out[row] = nodes.tanh / b + (b - 1.0) / b * nodes.sech2 * out[row]
+    out *= nodes.sign
     return out[0] if np.ndim(beta) == 0 else out
 
 

@@ -478,6 +478,34 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+class TestTracedKernelShape:
+    def test_node_counts_per_call(self, monkeypatch):
+        # perfbench/tracing.py wraps the two kernel names in abcore and counts
+        # np.size(args[1]) per call as its nodes: the step table passed in
+        # place of the real-line nodes must count as they do
+        counts = {}
+        for name in ("cosh_pow_integral_scaled", "_f_real_from_z"):
+            counts[name] = [0, 0]
+
+            def wrapped(*args, _name=name, _kernel=getattr(abcore, name), **kwargs):
+                counts[_name][0] += 1
+                counts[_name][1] += np.size(args[1])
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(abcore, name, wrapped)
+        abcore.clear_cache()
+        res = expect.expected_beta_integral(BetaSpec(3, (-0.5, 0.2, 0.7, 1.3, 2.1, 2.9)), 0.7)
+        assert math.isfinite(res.value)
+        first = quad._step_levels(0)
+        per_call = {
+            "cosh_pow_integral_scaled": quad._line_step_nodes(first)[0].size,
+            "_f_real_from_z": quad._finite_step_abscissae(0.0, 0.5 * math.pi, first)[0].size,
+        }
+        assert per_call == {"cosh_pow_integral_scaled": 210, "_f_real_from_z": 297}
+        for name, (calls, nodes) in counts.items():
+            assert calls >= 1 and nodes == calls * per_call[name], (name, calls, nodes)
+
+
 class TestFactorTable:
     SPEC = BetaSpec(3, (-0.6, -0.1, 0.3, 0.8, 1.4, 2.5))
     T = 2.0 * 0.3 + 3  # the beta integral at exponent 0.3
@@ -537,10 +565,9 @@ class TestFactorTable:
     def test_rows_are_read_only(self):
         # held rows outlive the query that computed them
         x, _ = quad._line_nodes(3)
-        t, _ = quad._finite_abscissae(0.0, 0.5 * math.pi, 3)
         abcore.clear_cache()
         ((log_mag, phase),) = abcore._a_factors((0.7,), x, specfun._log_cosh(x))
-        ((low, high),) = abcore._b_factors((0.7,), t, np.sin(t))
+        ((low, high),) = abcore._b_factors((0.7,), *abcore._segment_table(range(3, 4)))
         for row in (log_mag, phase, low, high):
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0.0

@@ -19,7 +19,7 @@ import pytest
 from hypvol import expect
 from hypvol.exact import PiPoly
 from hypvol.expect import BetaSpec
-from hypvol.quad import QuadConfig
+from hypvol.quad import QuadConfig, QuadratureError
 from hypvol.verify import _richardson3
 
 CFG = QuadConfig()
@@ -131,6 +131,19 @@ class TestSubsetSumBar:
         spec = BetaSpec(2, (0.5,) * 40)
         up = expect.expected_beta_integral(spec, -0.5, CFG, representation="upper")
         lo = expect.expected_beta_integral(spec, -0.5, CFG, representation="lower")
+        assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
+
+    def test_upper_sum_over_80_unit_betas_fails_or_holds_its_bar(self):
+        # a b integral far below its closed term: with a floor of 4 ulps of that term it stopped early
+        # and the upper sum read 8.509 +- 2.74, off the lower 2.6088 by more than both bars; it must
+        # raise or agree
+        spec = BetaSpec(2, (1.0,) * 80)
+        lo = expect.expected_beta_integral(spec, -0.5, representation="lower")
+        assert lo.value == pytest.approx(2.608846664873623, abs=4e-12)
+        try:
+            up = expect.expected_beta_integral(spec, -0.5, representation="upper")
+        except QuadratureError:
+            return
         assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypvol import quad, specfun
+from hypvol import abcore, quad, specfun
 from hypvol.verify import _quad_f_beta
 
 CFG = quad.QuadConfig()
@@ -796,3 +796,60 @@ class TestCoshPowStateless:
         finally:
             sys.setswitchinterval(interval)
         assert got == serial * 4
+
+
+def _step_node_sets():
+    """The real-line nodes of each refinement step up to level 12 (quad._step_levels)."""
+    firsts = [0, *range(quad._FIRST_STEP_LAST_LEVEL + 1, 13)]
+    return [quad._line_step_nodes(quad._step_levels(first))[0] for first in firsts]
+
+
+class TestCoshPowNodes:
+    BETAS = TestCoshPowBlocks.BETAS
+
+    def test_table_rows_match_plain_abscissae(self):
+        # one table reused for the column and every one-row call, against the
+        # plain abscissae, for which the call builds its own
+        col = np.array(self.BETAS)[:, None]
+        for x in [*_step_node_sets(), _BRANCH_X]:
+            nodes = specfun.CoshPowNodes(x)
+            assert np.size(nodes) == x.size
+            block = specfun.cosh_pow_integral_scaled(col, nodes)
+            assert block.tobytes() == specfun.cosh_pow_integral_scaled(col, x).tobytes()
+            for beta, row in zip(self.BETAS, block):
+                assert specfun.cosh_pow_integral_scaled(beta, nodes).tobytes() == row.tobytes(), beta
+                assert specfun.cosh_pow_integral_scaled(beta, x).tobytes() == row.tobytes(), beta
+
+    def test_arrays_are_read_only(self):
+        nodes = specfun.CoshPowNodes(_BRANCH_X)
+        for name in specfun.CoshPowNodes.__slots__[1:]:
+            array = getattr(nodes, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1.0
+
+    def test_one_table_per_step(self):
+        for first in (0, 6, 9):
+            levels = quad._step_levels(first)
+            nodes = abcore._line_table(levels)
+            assert abcore._line_table(levels) is nodes
+            assert nodes.size == quad._line_step_nodes(levels)[0].size
+            segment = abcore._segment_table(levels)
+            assert all(a is b for a, b in zip(abcore._segment_table(levels), segment))
+        assert abcore._line_table.cache_info().maxsize == abcore._segment_table.cache_info().maxsize == 13
+
+    def test_memory_stays_bounded(self):
+        # a held table keeps nothing per parameter: after 8,000 new parameters,
+        # 8,000 more must not grow traced memory
+        nodes = specfun.CoshPowNodes(np.array([0.5, 1.5, 4.0, 30.0]))
+        batches = np.random.default_rng(12).uniform(0.0, 20.0, (2, 80, 100, 1))
+        grown = []
+        tracemalloc.start()
+        try:
+            for batch in batches:
+                before = tracemalloc.get_traced_memory()[0]
+                for col in batch:
+                    specfun.cosh_pow_integral_scaled(col, nodes)
+                grown.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert grown[1] <= 0.5e6, grown
