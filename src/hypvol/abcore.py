@@ -61,14 +61,13 @@ the sin-power series for ``b``, one row and its log1p complement
 (``_b_factors``), each divided by its total.  Both kernels are
 elementwise in their nodes, so a row has the same bits in any step.
 
-What the kernels derive from a step's nodes alone is built once per
-step and held read-only beside ``quad``'s node tables, in two caches of
-at most 13 steps: ``_line_table``, the ``specfun.CoshPowNodes`` that the
-cosh-power kernel takes in place of the nodes (log cosh x, which the
-``a`` integrands read too, the Gauss-Legendre matrix and the series'
-and recurrence's arrays of x), and ``_segment_table``, z = sin(t/2)**2,
-1 - z and sin t for the sin-power series and the ``b`` integrands.  So
-a kernel call does only the work of its parameters.
+What the cosh-power kernel derives from a step's real-line nodes alone
+is built once per step and held read-only beside ``quad``'s node tables,
+in a cache of at most 13 steps: ``_line_table``, the
+``specfun.CoshPowNodes`` that the kernel takes in place of the nodes
+(log cosh x, which the ``a`` integrands read too, the Gauss-Legendre
+matrix and the series' and recurrence's arrays of x).  So an ``a``
+kernel call does only the work of its parameters.
 """
 
 from __future__ import annotations
@@ -281,15 +280,15 @@ def _held_product(betas) -> float:
 
 # -- quadrature integrands -------------------------------------------------
 
-def _a_factors(betas, x, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _a_factors(betas, nodes: CoshPowNodes) -> list[tuple[np.ndarray, np.ndarray]]:
     """(log-magnitude, phase) rows of the normalized imaginary-axis factors 0.5 + i g/B at nodes x, scaled by cosh(x)**-b.
 
-    One read-only pair per entry of betas, from one kernel call; x is the
-    nodes or their CoshPowNodes, B is its total F(pi/2) and L is log cosh(x).
+    One read-only pair per entry of betas, from one kernel call on the
+    nodes' table; B is its total F(pi/2) and nodes.L is log cosh(x).
     """
     col = np.array(betas)[:, None]
-    g_scaled = cosh_pow_integral_scaled(col, x) / np.array([[f_real_total(b)] for b in betas])
-    h_scaled = 0.5 * np.exp(-col * L)
+    g_scaled = cosh_pow_integral_scaled(col, nodes) / np.array([[f_real_total(b)] for b in betas])
+    h_scaled = 0.5 * np.exp(-col * nodes.L)
     # both parts underflow to 0 at the outermost nodes for tiny b: the
     # factor is 0 there and its log -inf, which the caller's exp undoes
     with np.errstate(divide="ignore"):
@@ -299,12 +298,10 @@ def _a_factors(betas, x, L: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(log_mag, phase))
 
 
-def _b_factors(betas, z: np.ndarray, zc: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read-only normalized (F~, log1p(-F~)) at nodes t, F~ = F(t - pi/2)/F(pi/2), for each of betas from one sin-power call.
-
-    z = sin(t/2)**2, zc = cos(t/2)**2 and sin_t = sin t (_segment_table).
-    """
-    rows = _f_real_from_z(np.array(betas)[:, None], z, zc, sin_t)
+def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read-only normalized (F~, log1p(-F~)) at nodes t, F~ = F(t - pi/2)/F(pi/2), for each of betas from one sin-power call."""
+    half_t = 0.5 * t
+    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2, sin_t)
     rows = rows / np.array([[f_real_total(b)] for b in betas])
     comps = np.log1p(-rows)
     rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
@@ -370,17 +367,6 @@ def _line_table(levels: range) -> CoshPowNodes:
     return CoshPowNodes(quad._line_step_nodes(levels)[0])
 
 
-@functools.lru_cache(maxsize=13)
-def _segment_table(levels: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only z = sin(t/2)**2, zc = cos(t/2)**2 and sin t at one step's nodes t in (0, pi/2)."""
-    t = quad._finite_step_abscissae(0.0, _HALF_PI, levels)[0]
-    half_t = 0.5 * t
-    arrays = np.sin(half_t) ** 2, np.cos(half_t) ** 2, np.sin(t)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _line_step(states: list, levels: range) -> list:
     """Add one refinement step's levels to each a integral (tau, betas, log_weight, run); returns the live ones.
 
@@ -394,7 +380,7 @@ def _line_step(states: list, levels: range) -> list:
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("a", params, levels.start, lambda missing: _a_factors(missing, nodes, nodes.L))
+        rows = _level_rows("a", params, levels.start, lambda missing: _a_factors(missing, nodes))
         for state in states:
             tau, betas, log_weight, run = state
             vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, nodes.L) * weight)
@@ -405,12 +391,12 @@ def _line_step(states: list, levels: range) -> list:
 
 def _segment_step(states: list, levels: range) -> list:
     """Add one step's tanh-sinh levels to each b integral (alpha, betas, run), as _line_step; returns the live ones."""
-    _, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
-    z, zc, sin_t = _segment_table(levels)
+    t, weight, cuts = quad._finite_step_abscissae(0.0, _HALF_PI, levels)
+    sin_t = np.sin(t)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, z, zc, sin_t))
+        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t, sin_t))
         for state in states:
             alpha, betas, run = state
             vals = _b_body(alpha, [rows[b] for b in betas], sin_t) * weight

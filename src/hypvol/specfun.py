@@ -461,14 +461,13 @@ def _columns(terms: list[tuple], count: int) -> tuple | None:
     return (slice(None) if len(rows) == count else np.array(rows), *(np.array(c)[:, None] for c in constants))
 
 
-def _tail_rows(starts: list[float], g_at_one: list[float] | None = None) -> _TailRows:
+def _tail_rows(starts: list[float], g_at_one: list[float]) -> _TailRows:
     """The series arrays of a block of parameters, built in one pass for all its abscissae.
 
     Each parameter is a start, at most 13 (cosh_pow_integral_scaled), and
-    g_at_one holds its g(beta, 1): the kernel's Gauss-Legendre pass gives
-    it with the |x| <= 1 nodes, and without it that pass runs on x = 1
-    alone.  Term k of the series integrates c_k exp(e_k y)
-    over (1, x), c_k = 2**-beta C(beta, k) and e_k = beta - 2k.  Scaled
+    g_at_one holds its g(beta, 1), which the kernel's Gauss-Legendre pass
+    gives with the |x| <= 1 nodes.  Term k of the series integrates
+    c_k exp(e_k y) over (1, x), c_k = 2**-beta C(beta, k) and e_k = beta - 2k.  Scaled
     by cosh(x)**-beta, exp(e_k x) becomes q**k (2/(1 + q))**beta with
     q = exp(-2x).  So every term with |e_k| >= 1 splits into poly[k] =
     c_k/e_k, the coefficient of q**k, and a part -poly[k] exp(e_k) that
@@ -491,8 +490,6 @@ def _tail_rows(starts: list[float], g_at_one: list[float] | None = None) -> _Tai
     row's constants come from the same floating-point operations whatever
     else is in the block.
     """
-    if g_at_one is None:
-        g_at_one = _cosh_pow_integral_small(starts, CoshPowNodes(()))[:, -1].tolist()
     exps = np.exp(np.array(starts)[:, None] - _TWO_K).tolist()
     held, polys, linear, near, count = [], [], [], [], 0
     for row, (beta, exp_e, g) in enumerate(zip(starts, exps, g_at_one)):

@@ -451,9 +451,8 @@ class TestAFactor:
         betas = (1e-13, 0.3, 1.0, 2.7, 9.5)
         for level in range(13):
             x, _ = quad._line_nodes(level)
-            L = specfun._log_cosh(x)
-            rows = abcore._a_factors(betas, x, L)
-            rows_neg = abcore._a_factors(betas, -x, L)
+            rows = abcore._a_factors(betas, specfun.CoshPowNodes(x))
+            rows_neg = abcore._a_factors(betas, specfun.CoshPowNodes(-x))
             assert len(rows) == len(rows_neg) == len(betas)
             centre = x == 0.0  # level 0's centre is its own mirror: the factor is real there
             assert centre.sum() == (level == 0)
@@ -565,9 +564,10 @@ class TestFactorTable:
     def test_rows_are_read_only(self):
         # held rows outlive the query that computed them
         x, _ = quad._line_nodes(3)
+        t, _ = quad._finite_abscissae(0.0, 0.5 * math.pi, 3)
         abcore.clear_cache()
-        ((log_mag, phase),) = abcore._a_factors((0.7,), x, specfun._log_cosh(x))
-        ((low, high),) = abcore._b_factors((0.7,), *abcore._segment_table(range(3, 4)))
+        ((log_mag, phase),) = abcore._a_factors((0.7,), specfun.CoshPowNodes(x))
+        ((low, high),) = abcore._b_factors((0.7,), t, np.sin(t))
         for row in (log_mag, phase, low, high):
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0.0
