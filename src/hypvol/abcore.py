@@ -44,15 +44,23 @@ rows, and it keeps its own stopping rule, so its value and error
 estimate do not depend on what it was batched with.
 The ``a`` integrand is evaluated at x >= 0 only: its real part is even
 and its imaginary part odd, so the integral is twice that of the real
-part over x >= 0.
+part over x >= 0.  A step's real-line nodes reach x = 1.4e153, but every
+``a`` integrand is exp(-tau log cosh x + sum_j log|factor_j|) cos(phase)
+with |factor_j| <= 1/2 + x/B_j, which is 0.0 in double precision far
+below that: a step evaluates its rows and integrands only at its nodes
+x <= 2**j, j from the least tau, the largest parameter count and the
+least total B of its live integrals (``_cut_exponent``), past which
+every one of them is exactly 0.0.  So each level's fsum, and every
+value and bar, has the bits of the whole step's.
 
 One table holds the integral values and the factor rows until
 ``clear_cache``: a value under (kind, alpha, params, cfg), charged a
-fixed ``_VALUE_BYTES``, and a row pair under ("a" | "b", beta, level),
-level the first level of the step, charged its arrays' bytes.
-``quad``'s node tables are read-only, so a step's nodes are fixed and a
-row pair is evaluated once per parameter and step, then reused by every
-later refinement, in the same query or a later one.  The table holds at
+fixed ``_VALUE_BYTES``, and a row pair under ("a", beta, level, j) or
+("b", beta, level), level the first level of the step and j the cut of
+its ``a`` nodes, charged its arrays' bytes.  ``quad``'s node tables are
+read-only, so a step's nodes are fixed and a row pair is evaluated once
+per parameter, step and cut, then reused by every later refinement, in
+the same query or a later one.  The table holds at
 most ``_BUDGET`` bytes and drops the oldest entries first; a dropped
 value or row is computed again, to the same bits, by the next call
 that needs it.  The rows of all parameters a step lacks come from one
@@ -61,13 +69,14 @@ the sin-power series for ``b``, one row and its log1p complement
 (``_b_factors``), each divided by its total.  Both kernels are
 elementwise in their nodes, so a row has the same bits in any step.
 
-What the cosh-power kernel derives from a step's real-line nodes alone
-is built once per step and held read-only beside ``quad``'s node tables,
-in a cache of at most 13 steps: ``_line_table``, the
-``specfun.CoshPowNodes`` that the kernel takes in place of the nodes
-(log cosh x, which the ``a`` integrands read too, the Gauss-Legendre
-matrix and the series' and recurrence's arrays of x).  So an ``a``
-kernel call does only the work of its parameters.
+A step's kept real-line nodes, with their weights and level cuts, and
+what the cosh-power kernel derives from them alone are built once per
+step and cut and held read-only beside ``quad``'s node tables, in a
+cache of at most 32 tables: ``_line_table``, whose
+``specfun.CoshPowNodes`` the kernel takes in place of the nodes (log
+cosh x, which the ``a`` integrands read too, the Gauss-Legendre matrix
+and the series' and recurrence's arrays of x).  So an ``a`` kernel call
+does only the work of its parameters, at the kept nodes only.
 """
 
 from __future__ import annotations
@@ -169,9 +178,10 @@ def _as_params(params) -> ParamMultiset:
 
 # Integral values and factor row pairs, oldest first (module docstring);
 # each entry is (payload, bytes charged).  A row pair of the step over
-# levels 0..5 takes 3.4 KB (a) or 4.8 KB (b), and one query of the 14 s
-# distinct-betas and sweep plans holds at most 57 KB of rows (d = 4, n = 7);
-# the rows of levels 0..12 take 0.43 MB (a) or 0.61 MB (b) per parameter.
+# levels 0..5 takes 1.4 KB (a, cut at j = 10; 3.4 KB uncut) or 4.8 KB (b),
+# and one query of the 14 s distinct-betas and sweep plans holds at most
+# 43 KB of rows (d = 4, n = 7); the rows of levels 0..12 take 0.18 MB (a at
+# j = 10; 0.43 MB uncut) or 0.61 MB (b) per parameter.
 _BUDGET = 16 << 20
 _VALUE_BYTES = 512  # a value entry takes about 470 B (tracemalloc, 3,724 entries)
 _table_lock = threading.Lock()
@@ -308,8 +318,12 @@ def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray
     return list(zip(rows, comps))
 
 
-def _level_rows(kind: str, params: tuple, level: int, compute) -> dict:
-    """The row pair of each distinct parameter of kind ("a" or "b") at the step from level, by parameter.
+def _level_rows(kind: str, params: tuple, step: tuple, compute) -> dict:
+    """The row pair of each distinct parameter of kind ("a" or "b") at the step's nodes, by parameter.
+
+    step names the nodes: (first level,) for b, (first level, j) for a,
+    whose nodes are those x <= 2**j (_line_table).  Row pairs are held
+    under (kind, beta, *step).
 
     Pairs held in the table are reused; compute(missing) gives those of
     all the others from one kernel call, and they are held for later.
@@ -317,14 +331,14 @@ def _level_rows(kind: str, params: tuple, level: int, compute) -> dict:
     rows = {}
     with _table_lock:
         for b in params:
-            hit = _table.get((kind, b, level))
+            hit = _table.get((kind, b, *step))
             if hit is not None:
                 rows[b] = hit[0]
     missing = [b for b in params if b not in rows]
     if missing:
         new = dict(zip(missing, compute(missing)))
         rows.update(new)
-        _hold({(kind, b, level): (pair, pair[0].nbytes + pair[1].nbytes) for b, pair in new.items()})
+        _hold({(kind, b, *step): (pair, pair[0].nbytes + pair[1].nbytes) for b, pair in new.items()})
     return rows
 
 
@@ -358,29 +372,84 @@ def _level_params(states) -> tuple:
 
 
 _HALF_PI = 0.5 * math.pi
+_LOG_2 = math.log(2.0)
 
 
-# one table per refinement step, like quad's node tables: max_level <= 16 makes 12 steps
-@functools.lru_cache(maxsize=13)
-def _line_table(levels: range) -> CoshPowNodes:
-    """The read-only CoshPowNodes of one step's real-line nodes (quad._line_step_nodes)."""
-    return CoshPowNodes(quad._line_step_nodes(levels)[0])
+# exp rounds every log-magnitude below -745.14 to 0.0; the cut (_cut_exponent)
+# asks for 760, a margin over the roundings of a log-magnitude near 1e3
+_UNDERFLOW_LOG = 760.0
+# 2**_FULL_J is above every real-line node (quad._TMAX_LINE caps them near
+# 1.4e153 < 2**508), so the table of j = _FULL_J holds the whole step
+_FULL_J = 510
+
+
+def _cut_exponent(states) -> int:
+    """A j such that every a integrand of states (tau, betas, log_weight, run) is 0.0 at every node x > 2**j.
+
+    A factor row is |1/2 e^(-b L) + i s_b/B_b| <= 1/2 + x/B_b, as s_b(x),
+    the kernel's g(b, x) cosh(x)**-b, is at most x for b >= 0, and
+    L = log cosh x >= x - log 2.  So an integrand's log-magnitude is at
+    most -phi(x) = -(tau (x - log 2) - k log(1/2 + x/B)), tau the least
+    tau of states, k their largest parameter count and B the least total;
+    at x >= 2 > B/2 each log is >= 0.  j rises from log2 of the x where
+    tau (x - log 2) alone reaches _UNDERFLOW_LOG until phi(2**j) >=
+    _UNDERFLOW_LOG and phi'(2**j) >= 0: phi is convex, so it stays above
+    past 2**j, and exp gives 0.0 at every node there.  tau <= 0 gives
+    _FULL_J.
+    """
+    tau = min(state[0] for state in states)
+    k = max(len(state[1]) for state in states)
+    B = min((f_real_total(b) for state in states for b in state[1]), default=math.inf)
+    start = _LOG_2 + _UNDERFLOW_LOG / tau if tau > 0.0 else math.inf
+    if not start < 2.0**_FULL_J:
+        return _FULL_J
+    j = max(1, math.ceil(math.log2(start)))
+    while j < _FULL_J:
+        x = 2.0**j
+        if tau * (x - _LOG_2) - k * math.log(0.5 + x / B) >= _UNDERFLOW_LOG and tau * (0.5 * B + x) >= k:
+            break
+        j += 1
+    return j
+
+
+@functools.lru_cache(maxsize=32)
+def _line_table(levels: range, j: int) -> tuple[np.ndarray, tuple[int, ...], CoshPowNodes]:
+    """The step's real-line nodes x <= 2**j, read-only: their weights, cuts and CoshPowNodes.
+
+    Each level's nodes ascend, so its kept nodes are a prefix of its
+    ``quad._line_nodes`` table; the prefixes are joined in order as
+    ``quad._line_step_nodes`` joins the whole tables (``quad._joined``),
+    and j = _FULL_J keeps every node.  The CoshPowNodes holds what the
+    cosh-power kernel derives from the nodes alone.  At most 32 tables
+    are held, each no larger than its whole step's (README).
+    """
+    prefixes = []
+    for level in levels:
+        x, weight = quad._line_nodes(level)
+        n = np.searchsorted(x, 2.0**j, side="right")
+        prefixes.append((x[:n], weight[:n]))
+    x, weight, cuts = quad._joined(prefixes)
+    return weight, cuts, CoshPowNodes(x)
 
 
 def _line_step(states: list, levels: range) -> list:
     """Add one refinement step's levels to each a integral (tau, betas, log_weight, run); returns the live ones.
 
-    The step's factor rows of every integral come from one _level_rows
-    call for all their parameters, held under the step's first level;
-    each integral's integrand is then one pass over its own rows at all
-    the step's nodes, summed and added level by level.
+    The a rows and integrands are evaluated only at the step's nodes
+    x <= 2**j, j = _cut_exponent(states): every integrand of the step is
+    0.0 at the others, so each level's fsum, and every value and bar, has
+    the bits of the whole step's.  The step's factor rows of every
+    integral come from one _level_rows call for all their parameters,
+    held under the step's first level and j; each integral's integrand
+    is then one pass over its own rows at the kept nodes, summed and
+    added level by level.
     """
-    _, weight, cuts = quad._line_step_nodes(levels)
-    nodes = _line_table(levels)
+    j = _cut_exponent(states)
+    weight, cuts, nodes = _line_table(levels, j)
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("a", params, levels.start, lambda missing: _a_factors(missing, nodes))
+        rows = _level_rows("a", params, (levels.start, j), lambda missing: _a_factors(missing, nodes))
         for state in states:
             tau, betas, log_weight, run = state
             vals = 2.0 * (_a_body(tau, [rows[b] for b in betas], log_weight, nodes.L) * weight)
@@ -396,7 +465,7 @@ def _segment_step(states: list, levels: range) -> list:
     params = _level_params(states)
     live = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _level_rows("b", params, levels.start, lambda missing: _b_factors(missing, t, sin_t))
+        rows = _level_rows("b", params, (levels.start,), lambda missing: _b_factors(missing, t, sin_t))
         for state in states:
             alpha, betas, run = state
             vals = _b_body(alpha, [rows[b] for b in betas], sin_t) * weight

@@ -23,7 +23,8 @@ others), cached read-only in the same way, and so are a finite
 interval's, per (a, b, step): an integrand that writes to its input
 raises ValueError instead of changing the nodes of every later
 integral.  So a step's nodes are fixed, and ``abcore`` keys the factor
-rows it holds by the step's first level.  No integral stops before
+rows it holds by the step's first level (and the cut of its real-line
+nodes).  No integral stops before
 level _MIN_LEVEL.
 """
 
@@ -294,7 +295,9 @@ def integrate_real_line(f, cfg: QuadConfig | None = None) -> ValueWithError:
     has w = 1/2, so its term is f(0) exactly.  Requires exponential
     decay of f (polynomial factors are fine).  The abscissae reach about
     1.4e153 (so that x*x stays finite), and f must underflow to zero
-    there rather than overflow.
+    there rather than overflow.  Every node of a step is evaluated here;
+    abcore's a integrals, which are exactly 0.0 far below that reach,
+    take each level's nodes up to a cut instead (abcore._line_table).
     """
     return _refined(f, _line_step_nodes, 2.0, cfg, "de-real-line")
 

@@ -403,8 +403,13 @@ class TestAbsorptionIdentity:
 
 
 def _is_row(key) -> bool:
-    """Whether a table key names a factor row pair ("a" | "b", beta, level) rather than a value."""
-    return isinstance(key[-1], int)
+    """Whether a table key names a factor row pair rather than a value (kind, alpha, params, cfg key).
+
+    An "a" pair is keyed ("a", beta, level, j), its nodes those x <= 2**j
+    of the step from level, and a "b" pair ("b", beta, level): both end
+    in ints, a value key (4 entries) in its params and cfg tuples.
+    """
+    return len(key) == {"a": 4, "b": 3}.get(key[0]) and all(isinstance(v, int) for v in key[2:])
 
 
 def _held_bytes() -> int:
@@ -480,15 +485,23 @@ def kernel_calls(monkeypatch):
 class TestTracedKernelShape:
     def test_node_counts_per_call(self, monkeypatch):
         # perfbench/tracing.py wraps the two kernel names in abcore and counts
-        # np.size(args[1]) per call as its nodes: the step table passed in
-        # place of the real-line nodes must count as they do
+        # np.size(args[1]) per call as its nodes: the cut step table passed in
+        # place of the real-line nodes must count as its nodes do, fewer than
+        # the whole step's
         counts = {}
+        served = []  # the real-line step tables abcore asked for, in order
+        line_table = abcore._line_table
+
+        def serve(levels, j):
+            served.append((levels, j, line_table(levels, j)))
+            return served[-1][-1]
+
+        monkeypatch.setattr(abcore, "_line_table", serve)
         for name in ("cosh_pow_integral_scaled", "_f_real_from_z"):
-            counts[name] = [0, 0]
+            counts[name] = []
 
             def wrapped(*args, _name=name, _kernel=getattr(abcore, name), **kwargs):
-                counts[_name][0] += 1
-                counts[_name][1] += np.size(args[1])
+                counts[_name].append((np.size(args[1]), args[1]))
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(abcore, name, wrapped)
@@ -496,13 +509,84 @@ class TestTracedKernelShape:
         res = expect.expected_beta_integral(BetaSpec(3, (-0.5, 0.2, 0.7, 1.3, 2.1, 2.9)), 0.7)
         assert math.isfinite(res.value)
         first = quad._step_levels(0)
-        per_call = {
-            "cosh_pow_integral_scaled": quad._line_step_nodes(first)[0].size,
-            "_f_real_from_z": quad._finite_step_abscissae(0.0, 0.5 * math.pi, first)[0].size,
-        }
-        assert per_call == {"cosh_pow_integral_scaled": 210, "_f_real_from_z": 297}
-        for name, (calls, nodes) in counts.items():
-            assert calls >= 1 and nodes == calls * per_call[name], (name, calls, nodes)
+        assert quad._line_step_nodes(first)[0].size == 210
+        segment = quad._finite_step_abscissae(0.0, 0.5 * math.pi, first)[0].size
+        assert segment == 297
+        assert counts["_f_real_from_z"] and all(size == segment for size, _ in counts["_f_real_from_z"])
+        assert counts["cosh_pow_integral_scaled"]
+        for size, nodes in counts["cosh_pow_integral_scaled"]:
+            levels, j, (weight, cuts, table) = next(entry for entry in served if entry[-1][-1] is nodes)
+            assert size == table.size == weight.size == cuts[-1]
+            assert j < abcore._FULL_J and size < quad._line_step_nodes(levels)[0].size, (levels, j, size)
+        assert counts["cosh_pow_integral_scaled"][0][0] < 100  # of the first step's 210
+
+
+class TestLineCut:
+    """A real-line step keeps its nodes x <= 2**j only (abcore._cut_exponent): every dropped integrand is 0.0."""
+
+    CFG = QuadConfig(rel_tol=1e-15, abs_tol=1e-18)  # refines through steps 6-9 (and on to 11)
+    # (kind, tau, params): tau = alpha - sum(params) from 0.05 to 12, k = len(params) from 1 to 200
+    REQUESTS = [
+        ("a", 0.05, (0.0, 1e-13, 2.5, 7.25)),
+        ("a'", 0.05, (0.4, 1.1, 3.3) * 10),
+        ("a", 0.2, (1e-13,)),
+        ("a", 1.0, (0.0, 2.9)),
+        ("a'", 1.0, (0.5, 1.5, 2.5, 4.0) * 50),
+        ("a", 3.0, (0.25, 1.75, 5.5, 11.0)),
+        ("a'", 2.0, (1022.0, 7.5)),
+        ("a", 12.0, (0.0, 1e-13, 0.5, 3.0, 40.0) * 40),
+        ("a'", 12.0, (20.0, 1022.0, 0.75)),
+        ("a", 1.0, (0.0,) * 3),  # s_0(x) = x: each factor near its bound 1/2 + x/B
+        ("a'", 0.5, (0.0,) * 12),
+    ]
+
+    @staticmethod
+    def _outcomes(cfg):
+        """Each request's (value, abs_err_est) alone, or its QuadratureError's estimate, then all of them in one call."""
+        requests = [(kind, tau + math.fsum(params), P(params)) for kind, tau, params in TestLineCut.REQUESTS]
+        out = []
+        for request in [[r] for r in requests] + [requests]:
+            abcore.clear_cache()
+            try:
+                out.append(abcore._integrals(request, cfg))
+            except quad.QuadratureError as exc:
+                out.append(("QuadratureError", exc.estimate.value, exc.estimate.abs_err_est))
+        for fn in (abcore.a_fn, abcore.a_prime):  # tau = 0.05 through the public calls, held product included
+            abcore.clear_cache()
+            res = fn(0.05 + 10.5, P([0.0, 1e-13, 3.0, 7.5]), cfg, closed_forms=False)
+            out.append((res.value, res.abs_err_est))
+        return out
+
+    def test_cut_is_exact(self, monkeypatch):
+        cut = self._outcomes(self.CFG)
+        # the whole step: every table keeps all its nodes, and each integrand
+        # is checked to be 0.0 at every node the cut would drop
+        cut_exponent, line_table, a_body = abcore._cut_exponent, abcore._line_table, abcore._a_body
+        step, starts, dropped = {}, set(), []
+
+        def whole(states):
+            step["j"] = cut_exponent(states)
+            return abcore._FULL_J
+
+        def table(levels, j):
+            starts.add(levels.start)
+            step["x"] = quad._line_step_nodes(levels)[0]
+            return line_table(levels, j)
+
+        def integrand(*args):
+            vals = a_body(*args)
+            dropped.append(vals[step["x"] > 2.0 ** step["j"]])
+            return vals
+
+        monkeypatch.setattr(abcore, "_cut_exponent", whole)
+        monkeypatch.setattr(abcore, "_line_table", table)
+        monkeypatch.setattr(abcore, "_a_body", integrand)
+        uncut = self._outcomes(self.CFG)
+        assert {0, 6, 7, 8, 9} <= starts
+        assert sum(map(np.size, dropped)) > 0
+        for vals in dropped:
+            assert not vals.any(), vals[vals != 0.0]  # +0.0 or -0.0 at every dropped node
+        assert repr(cut) == repr(uncut)  # float reprs round-trip: every bit, the sign of zero too
 
 
 class TestFactorTable:

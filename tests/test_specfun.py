@@ -830,9 +830,20 @@ class TestCoshPowNodes:
                 array.flat[0] = 1.0
 
     def test_one_table_per_step(self):
+        # one table per step and cut: the step's nodes x <= 2**j, each level's
+        # an ascending prefix, in the whole step's order; j = _FULL_J keeps all
         for first in (0, 6, 9):
             levels = quad._step_levels(first)
-            nodes = abcore._line_table(levels)
-            assert abcore._line_table(levels) is nodes
-            assert nodes.size == quad._line_step_nodes(levels)[0].size
-        assert abcore._line_table.cache_info().maxsize == 13
+            x, weight, cuts = quad._line_step_nodes(levels)
+            full = abcore._line_table(levels, abcore._FULL_J)
+            assert full[0].tobytes() == weight.tobytes() and full[1] == cuts and full[2].size == x.size
+            for j in (4, 10, 11):
+                table = abcore._line_table(levels, j)
+                assert abcore._line_table(levels, j) is table
+                kept_weight, kept_cuts, nodes = table
+                kept = x <= 2.0**j
+                assert nodes.size == kept_weight.size == kept.sum() < x.size
+                assert kept_weight.tobytes() == weight[kept].tobytes()
+                assert nodes.L.tobytes() == full[2].L[kept].tobytes()
+                assert kept_cuts == tuple(int(kept[:cut].sum()) for cut in cuts)
+        assert abcore._line_table.cache_info().maxsize == 32
