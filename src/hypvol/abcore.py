@@ -94,6 +94,7 @@ from . import quad
 from .exact import PiPoly, poly_integral_01, poly_pow
 from .quad import QuadConfig, QuadratureError, ValueWithError
 from .specfun import (
+    _SIN_MAX_BETA,
     _SQRT_PI,
     _U,
     CoshPowNodes,
@@ -118,12 +119,6 @@ __all__ = [
     "a_prime_odd_repeated",
     "clear_cache",
 ]
-
-# quadrature parameters must lie below this: the sin-power series of the
-# b rows (_f_real_from_z) has term counts for parameters below 1024 only,
-# and the cosh-power recurrence takes about p/2 steps
-_MAX_PARAM = 1024.0
-
 
 class NotRepresentableError(ArithmeticError):
     """A value of the engine beyond the double range: the held product P of the F_j(pi/2) that
@@ -503,11 +498,12 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
     bit.  Raises the QuadratureError of the first request that did not
     converge; for a b integral its estimate is that of (alpha+1) * b.
     Raises ValueError, before any kernel runs, if a parameter is at or
-    above _MAX_PARAM.
+    above specfun._SIN_MAX_BETA, the bound of the b rows' sin-power series
+    (the cosh-power recurrence takes about p/2 steps).
     """
     top = max((b for _, _, params in requests for b in params), default=0.0)
-    if top >= _MAX_PARAM:
-        raise ValueError(f"quadrature parameter {top:g} is beyond the kernels' range: each must be below {_MAX_PARAM:g}")
+    if top >= _SIN_MAX_BETA:
+        raise ValueError(f"quadrature parameter {top:g} is beyond the kernels' range: each must be below {_SIN_MAX_BETA:g}")
     ckey = _cfg_key(cfg)
     keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
     found = {key: _cache_get(key) for key in keys}

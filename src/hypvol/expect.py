@@ -4,12 +4,13 @@ Computes expected beta integrals E[int over hull of (1-|x|^2)^beta dx]
 and expected hyperbolic volumes for n independent beta-distributed
 points in dimension d.  Every such query is one subset sum,
 ``_subset_sum``: over the subset classes it adds up the class term
-A~(t+2+s) * (t+1+s) * b~(t+s), with s the inside parameter total, t =
-2*beta + d for beta integrals and t = -1 for hyperbolic volumes.  A is
-a_fn, or its derivative a_prime for the removable singularity at
-negative-integer exponents (the pole path) and for odd-d volumes; ~
-marks abcore's normalized integrals, which carry their own points'
-normalizing constants, so no class term grows with n.
+A~(t+2+s) * (t+1+s) * b~(t+s), with s the inside parameter total and t =
+2*beta + d.  A hyperbolic volume is the beta integral at the limiting
+exponent beta = -(d+1)/2, that is t = -1.  A is a_fn, or its derivative
+a_prime for the removable singularity at negative-integer exponents (the
+pole path, which odd-d volumes take); ~ marks abcore's normalized
+integrals, which carry their own points' normalizing constants, so no
+class term grows with n.
 ``_class_terms`` takes the closed forms where they apply and hands all
 the other integrals of the classes to one ``abcore._integrals`` call,
 which refines them together, one step of refinement levels at a time,
@@ -46,7 +47,7 @@ from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps th
 )
 from .exact import PiPoly, exp_moment, poly_integral_01, poly_pow, sin_sin2_power
 from .quad import QuadConfig, ValueWithError
-from .specfun import _U, gamma_quotient, harmonic, log_gamma
+from .specfun import _U, gamma_quotient, harmonic
 from . import quad as _quad
 
 __all__ = [
@@ -82,6 +83,8 @@ class BetaSpec:
 
     def __init__(self, d: int, betas):
         betas = tuple(float(b) for b in betas)
+        if not float(d).is_integer():
+            raise ValueError("BetaSpec requires an integer d")
         if d < 2:
             raise ValueError("BetaSpec requires d >= 2")
         if len(betas) < d + 1:
@@ -264,6 +267,50 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     return ValueWithError(value / (2.0 * math.pi), max(err / (2.0 * math.pi), cfg.abs_tol), "theta")
 
 
+def _prefactor(d: int, beta: float, pole: bool) -> tuple[float, float]:
+    """pi**(d/2 - 1) Gamma(x)/Gamma(x + d/2), x = beta + 1, or on the pole path (beta = -k) twice its residue
+    (d/d beta = 2 d/dt), as a ``gamma_quotient`` (value, rel); rel adds the roundings of pi's power."""
+    if pole:
+        # Gamma(x)'s residue is (-1)**(k-1)/(k-1)!, and Gamma(d/2 + 1 - k) a factorial at even d and sqrt(pi)
+        # times the half-integers below it at odd d (DLMF 5.4.6): pi's power is d//2 - 1 in both
+        k = -round(beta)
+        den = [float(i) for i in range(1, k)] + [i + 1.0 - 0.5 * (d % 2) for i in range((d + 1) // 2 - k)]
+        value, rel = gamma_quotient((-1.0) ** (k - 1) * 2.0 * math.pi ** (d // 2 - 1.0), den=den)
+        return value, rel + abs(d // 2 - 1.0) * _U
+    # Gamma(x)/Gamma(x + d/2) is over the x + i, i < k, and the x + 1/2 + i, k <= i < d//2, and at odd d
+    # over R(x + k), k the steps to a positive argument
+    k = d // 2 if d % 2 == 0 else (0 if beta + 1.0 > 0.0 else math.floor(-(beta + 1.0)) + 1)
+    den = [beta + (1.0 + i) for i in range(k)] + [beta + (1.5 + i) for i in range(k, d // 2)]
+    value, rel = gamma_quotient(math.pi ** (0.5 * d - 1.0), den=den, down=beta + (1.0 + k) if d % 2 else None)
+    return value, rel + abs(0.5 * d - 1.0) * _U
+
+
+def _beta_integral(
+    spec: BetaSpec, beta: float, cfg: QuadConfig, representation: str, closed_forms: bool
+) -> ExpectationResult:
+    """``expected_beta_integral`` on the closed domain beta >= -(d+1)/2: its bound is the volume's exponent."""
+    rep = _pick_representation(spec, representation)
+    d = spec.d
+    nearest = round(beta)
+    gap = abs(beta - nearest)
+
+    def pole_path():
+        prefactor, rel = _prefactor(d, nearest, True)
+        value, err = _subset_sum(spec, 2.0 * nearest + d, True, "upper", prefactor, cfg, closed_forms)
+        return value, err + abs(value) * rel
+
+    if nearest <= -1 and gap <= _POLE_EXACT:
+        value, err = pole_path()
+        return ExpectationResult(value, err, None, "upper", True)
+    prefactor, rel = _prefactor(d, beta, False)
+    value, err = _subset_sum(spec, 2.0 * beta + d, False, rep, prefactor, cfg, closed_forms)
+    err += abs(value) * rel
+    if nearest <= -1 and gap < _POLE_NEAR:
+        ref, ref_err = pole_path()
+        err = err + abs(value - ref) + ref_err
+    return ExpectationResult(value, err, None, rep, False)
+
+
 def expected_beta_integral(
     spec: BetaSpec,
     beta: float,
@@ -279,44 +326,9 @@ def expected_beta_integral(
     but its error bound is widened by the disagreement with the
     derivative path at the rounded exponent.
     """
-    cfg = cfg or QuadConfig()
     if not -0.5 * (spec.d + 1) < beta < math.inf:
         raise ValueError("expected_beta_integral requires a finite beta > -(d+1)/2")
-    rep = _pick_representation(spec, representation)
-    d = spec.d
-    nearest = round(beta)
-    gap = abs(beta - nearest)
-
-    def pole_path():
-        k = -int(nearest)
-        pole = -float(k)
-        prefactor = (
-            2.0
-            * math.pi ** (0.5 * d - 1.0)
-            / math.exp(log_gamma(pole + 0.5 * d + 1.0))
-            * (-1.0) ** (k - 1)
-            / math.factorial(k - 1)
-        )
-        return _subset_sum(spec, 2.0 * pole + d, True, "upper", prefactor, cfg, closed_forms)
-
-    if nearest <= -1 and gap <= _POLE_EXACT:
-        value, err = pole_path()
-        return ExpectationResult(value, err, None, "upper", True)
-    # pi**(d/2 - 1) Gamma(x)/Gamma(x + d/2), x = beta + 1, is over the x + i, i < k, and the x + 1/2 + i,
-    # k <= i < d//2, and at odd d over R(x + k), k the steps to a positive argument; pi's power adds |d/2 - 1|
-    k = d // 2 if d % 2 == 0 else (0 if beta + 1.0 > 0.0 else math.floor(-(beta + 1.0)) + 1)
-    den = [beta + (1.0 + i) for i in range(k)] + [beta + (1.5 + i) for i in range(k, d // 2)]
-    prefactor, rel = gamma_quotient(math.pi ** (0.5 * d - 1.0), den=den, down=beta + (1.0 + k) if d % 2 else None)
-    value, err = _subset_sum(spec, 2.0 * beta + d, False, rep, prefactor, cfg, closed_forms)
-    err += abs(value) * (rel + abs(0.5 * d - 1.0) * _U)
-    if nearest <= -1 and gap < _POLE_NEAR:
-        ref, ref_err = pole_path()
-        err = err + abs(value - ref) + ref_err
-    return ExpectationResult(value, err, None, rep, False)
-
-
-def _double_factorial(m: int) -> float:
-    return float(math.prod(range(m, 0, -2))) if m > 0 else 1.0
+    return _beta_integral(spec, beta, cfg or QuadConfig(), representation, closed_forms)
 
 
 def expected_hyp_volume(
@@ -326,14 +338,14 @@ def expected_hyp_volume(
     representation: str = "auto",
     closed_forms: bool = True,
 ) -> ExpectationResult:
-    """Expected hyperbolic volume of the random beta polytope.
+    """Expected hyperbolic volume of the random beta polytope: the beta integral at beta = -(d+1)/2.
 
-    method="auto" returns exact values on the two special families
-    (d=2 and d=3 with all points ideal); method="generic" always runs
-    the subset-sum formulas, which is the cross-validation path.  Odd d
-    always sums the upper representation.
+    method="auto" returns exact values on the two special families (d=2
+    and d=3 with all points ideal); method="generic" always runs the
+    subset sum, which is the cross-validation path.  That exponent is a
+    negative integer at odd d, so odd d takes the pole path, which always
+    sums the upper representation.
     """
-    cfg = cfg or QuadConfig()
     if method not in ("auto", "generic"):
         raise ValueError("method must be 'auto' or 'generic'")
     rep = _pick_representation(spec, representation)
@@ -343,14 +355,7 @@ def expected_hyp_volume(
         exact = PiPoly({1: Fraction(spec.n - 2)}) if d == 2 else ideal_polytope3(spec.n)
         value = exact.evaluate()  # correctly rounded: the bar is the rounding's
         return ExpectationResult(value, _U * abs(value), exact, "lower" if d == 2 else "upper", d == 3)
-    if d % 2 == 0:
-        prefactor = (-2.0 * math.pi) ** (d // 2) / (math.pi * _double_factorial(d - 1))
-        value, err = _subset_sum(spec, -1.0, False, rep, prefactor, cfg, closed_forms)
-        return ExpectationResult(value, err, None, rep, False)
-    half = (d - 1) // 2
-    prefactor = 2.0 * math.pi ** (half - 1.0) * (-1.0) ** half / math.factorial(half)
-    value, err = _subset_sum(spec, -1.0, True, "upper", prefactor, cfg, closed_forms)
-    return ExpectationResult(value, err, None, "upper", True)
+    return _beta_integral(spec, -0.5 * (d + 1), cfg or QuadConfig(), rep, closed_forms)
 
 
 # -- exact families ---------------------------------------------------------
@@ -473,19 +478,15 @@ def ideal_simplex_volume(d: int, cfg: QuadConfig | None = None) -> ExpectationRe
         raise ValueError("requires d >= 2")
     if d % 2 == 1:
         exact = _ideal_simplex_odd_exact(d)
-        value = exact.evaluate()
-        return ExpectationResult(value, 1e-15 * abs(value), exact, "upper", True)
+        value = exact.evaluate()  # correctly rounded: the bar is the rounding's
+        return ExpectationResult(value, _U * abs(value), exact, "upper", True)
     from .exact import gamma_half_ratio
 
     r1, s1 = gamma_half_ratio(d, d - 1)
     r2, s2 = gamma_half_ratio(d * (d - 1), d * (d - 1) - 1)
-    frac = Fraction(2 ** (1 + d // 2)) * r1 ** (d + 1) * r2
+    frac = Fraction(2 ** (1 + d // 2), math.prod(range(d - 1, 0, -2))) * r1 ** (d + 1) * r2
     s_total = s1 * (d + 1) + s2 - 2  # extra -2 for the leading 1/pi
-    pref = (
-        float(frac)
-        / _double_factorial(d - 1)
-        * math.pi ** (0.5 * s_total)
-    )
+    pref = float(frac) * math.pi ** (0.5 * s_total)
     res = _quad.integrate_real_line(_ideal_simplex_even_integrand(d), cfg)
     value = pref * res.value
     return ExpectationResult(value, abs(pref) * res.abs_err_est + 1e-15 * abs(value), None, "upper", False)

@@ -33,6 +33,8 @@ class TestBetaSpec:
             BetaSpec(2, (0.0, 0.0))
         with pytest.raises(ValueError):
             BetaSpec(2, (0.0, 0.0, -1.5))
+        with pytest.raises(ValueError, match="integer d"):
+            BetaSpec(3.5, (0.0,) * 5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_betas(self, bad):
@@ -207,6 +209,19 @@ class TestExpectedHypVolume:
                     coeff = n - 2 if d == 2 else mp.mpf(n) / 2 - mp.fsum(mp.mpf(1) / k for k in range(1, n))
                     assert res.abs_err_est == 2.0**-53 * abs(res.value) > 0.0
                     assert abs(res.value - coeff * mp.pi) <= res.abs_err_est, (d, n)
+            for d in (3, 5, 7, 9):
+                res = expect.ideal_simplex_volume(d, CFG)
+                ((power, coeff),) = res.exact.coeffs.items()
+                assert res.abs_err_est == 2.0**-53 * abs(res.value) > 0.0
+                assert abs(res.value - mp.mpf(coeff.numerator) / coeff.denominator * mp.pi**power) <= res.abs_err_est, d
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_odd_d_generic_volumes_take_the_upper_pole_path(self, d):
+        # the exponent -(d+1)/2 is a negative integer at odd d, whatever representation is asked for
+        spec = BetaSpec(d, [-0.5 + 0.3 * i for i in range(d + 2)])
+        for rep in ("auto", "upper", "lower"):
+            res = expect.expected_hyp_volume(spec, CFG, method="generic", representation=rep)
+            assert res.pole_path is True and res.representation == "upper" and res.exact is None, (d, rep)
 
     def test_generic_matches_exact_d3(self):
         for n in (4, 5, 6):
@@ -281,6 +296,23 @@ class TestExpectedHypVolume:
         for res in (up, lo):
             assert abs(res.value - 3.0 * math.pi) <= res.abs_err_est + 60.0 * eps
             assert res.abs_err_est <= 1e-10
+
+
+class TestPrefactor:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_within_its_bound_of_mpmath(self, d):
+        # pi**(d/2 - 1) Gamma(x)/Gamma(x + d/2), x = beta + 1, and on the pole path twice its residue at beta = -k
+        half = mp.mpf(d) / 2
+        with mp.workdps(40):
+            for k in range(1, (d + 1) // 2 + 1):  # at odd d the last is the volume's exponent -(d+1)/2
+                value, rel = expect._prefactor(d, -k, True)
+                exact = 2 * mp.pi ** (half - 1) * (-1) ** (k - 1) / (mp.factorial(k - 1) * mp.gamma(half + 1 - k))
+                assert abs(value - exact) <= rel * abs(exact), (d, k)
+            for beta in (-0.5 * (d + 1) + d % 2 * 0.5, -0.5 * d + 0.25, -1.5, -0.75, 0.0, 0.3, 2.5, 10.0):
+                value, rel = expect._prefactor(d, beta, False)
+                x = mp.mpf(beta) + 1
+                exact = mp.pi ** (half - 1) * mp.gamma(x) / mp.gamma(x + half)
+                assert abs(value - exact) <= rel * abs(exact), (d, beta)
 
 
 class TestPickRepresentation:
