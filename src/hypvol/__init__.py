@@ -18,12 +18,11 @@ from .abcore import (
     a_ones,
     a_prime,
     a_prime_odd_repeated,
-    a_prime_ones_at_pole,
     b_fn,
     b_fn_alt,
     b_ones,
 )
-from .exact import PiPoly, Rational
+from .exact import PiPoly
 from .expect import (
     BetaSpec,
     ExpectationResult,
@@ -37,7 +36,6 @@ from .expect import (
     ideal_polytope3_via_sum,
     ideal_simplex_volume,
     polygon_beta0,
-    poly_log_cos_check,
     theta_fn,
 )
 from .mcsim import (
@@ -48,7 +46,6 @@ from .mcsim import (
     hull_d2,
     hull_d3,
     hyp_area_polygon_d2,
-    hyp_volume_simplex_quadrature,
     ideal_tetra_volume,
     mc_absorption,
     mc_ideal_polytope3_volume,

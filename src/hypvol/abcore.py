@@ -115,7 +115,6 @@ __all__ = [
     "a_prime",
     "a_ones",
     "b_ones",
-    "a_prime_ones_at_pole",
     "a_prime_odd_repeated",
     "clear_cache",
 ]
@@ -252,13 +251,6 @@ def b_ones(d: int, alpha: float) -> float:
     num = [0.5 * (alpha + (2 * j + 1)) for j in range((d + 1) // 2, d)]
     den = [0.5 * (alpha + 2 * j) for j in range(1, d // 2 + 1)]
     return gamma_quotient(_SQRT_PI, num, den, down=0.5 * (alpha + 1.0))[0]
-
-
-def a_prime_ones_at_pole(k: int) -> float:
-    """First-argument derivative at (k+1; 1,...,1) for even k, where a itself vanishes."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError("requires even k >= 2")
-    return (math.pi / k) * (-1.0) ** (k // 2 - 1)
 
 
 def a_prime_odd_repeated(m: int, q: int) -> PiPoly:

@@ -102,17 +102,18 @@ def _cmd_expect(args) -> tuple[str, int]:
     return render_json(output_record("expect", params, res)), 0
 
 
+_CASES = ("ideal3", "ideal-simplex", "polygon-beta0", "ideal2")  # the exact-family cases of hypvolume and table
+
+
 def _case_result(case: str, param: int, cfg: QuadConfig | None = None) -> ExpectationResult:
     """One exact-family case; param is the dimension for ideal-simplex, else n."""
-    if case == "ideal3":
-        return expect.expected_hyp_volume(BetaSpec(3, (-1.0,) * param), cfg)
+    if case not in _CASES:
+        raise ValueError(f"unknown case {case!r}")
     if case == "ideal-simplex":
         return expect.ideal_simplex_volume(param, cfg)
     if case == "polygon-beta0":
-        return expect.polygon_beta0(param, cfg)
-    if case == "ideal2":
-        return expect.expected_hyp_volume(BetaSpec(2, (-1.0,) * param), cfg)
-    raise ValueError(f"unknown case {case!r}")
+        return expect.polygon_beta0(param)
+    return expect.expected_hyp_volume(BetaSpec(3 if case == "ideal3" else 2, (-1.0,) * param), cfg)
 
 
 def _cmd_hypvolume(args) -> tuple[str, int]:
@@ -277,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hypvolume", help="expected hyperbolic volume")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--betas", type=str, default=None)
-    p.add_argument("--case", choices=("ideal3", "ideal-simplex", "polygon-beta0", "ideal2"), default=None)
+    p.add_argument("--case", choices=_CASES, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--method", choices=("auto", "generic"), default="auto")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(run=_cmd_hypvolume)
 
     p = sub.add_parser("table", help="tables of exact families over a parameter range")
-    p.add_argument("--case", choices=("ideal3", "ideal-simplex", "polygon-beta0", "ideal2"), required=True)
+    p.add_argument("--case", choices=_CASES, required=True)
     p.add_argument("--range", type=str, required=True, help="inclusive range a:b")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(run=_cmd_table)

@@ -20,8 +20,6 @@ import functools
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class PiPoly:
     """Exact value of the form sum_k c_k * pi**k with rational c_k."""

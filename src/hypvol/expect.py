@@ -64,7 +64,6 @@ __all__ = [
     "alternating_harmonic_sum",
     "ideal_simplex_volume",
     "polygon_beta0",
-    "poly_log_cos_check",
 ]
 
 # distance to a pole below which its limit is taken (beta at a negative
@@ -248,10 +247,10 @@ def _subset_sum(
         value, err = prefactor * total, abs(prefactor) * err
     else:
         value, err = prefactor * (math.pi - total), abs(prefactor) * (err + _EPS * (math.pi + abs(total)))
-    return value, err + 1e-15 * abs(value)
+    return value, err
 
 
-def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool = True) -> ValueWithError:
+def theta_fn(x: float, y, z, cfg: QuadConfig | None = None) -> ValueWithError:
     """Normalized class term (1/2pi) * prod(c) * a(...) * (linear) * b(...), that is (1/2pi) * a~ * (linear) * b~.
 
     y and z are the inside and outside gammas; the term is the class term
@@ -263,7 +262,7 @@ def theta_fn(x: float, y, z, cfg: QuadConfig | None = None, closed_forms: bool =
     cfg = cfg or QuadConfig()
     if x < -0.5:
         raise ValueError("theta_fn requires x >= -1/2")
-    ((value, err),) = _class_terms(2.0 * x, [(y.scaled(2.0), z.scaled(2.0))], False, cfg, closed_forms)
+    ((value, err),) = _class_terms(2.0 * x, [(y.scaled(2.0), z.scaled(2.0))], False, cfg, closed_forms=True)
     return ValueWithError(value / (2.0 * math.pi), max(err / (2.0 * math.pi), cfg.abs_tol), "theta")
 
 
@@ -403,18 +402,12 @@ def _ideal_simplex_odd_exact(d: int) -> PiPoly:
 
 
 @functools.lru_cache(maxsize=64)  # one entry per even dimension asked for
-def _sinh_pow_series(p: int, terms: int = 26) -> tuple[float, ...]:
-    """Coefficients c_j of integral_0^t sinh(u)**p du = sum c_j t**(p+1+2j)."""
-    base = [Fraction(0)] * (2 * terms)
-    for i in range(terms):
-        base[2 * i] = Fraction(1, math.factorial(2 * i + 1))  # sinh(u)/u series
+def _sinh_pow_series(p: int) -> tuple[float, ...]:
+    """The coefficients c_j, j < 26, of integral_0^t sinh(u)**p du = sum c_j t**(p+1+2j)."""
+    base = [Fraction(0)] * 52
+    base[::2] = [Fraction(1, math.factorial(2 * i + 1)) for i in range(26)]  # sinh(u)/u series
     powed = poly_pow(base, p)
-    out = []
-    for j in range(terms):
-        idx = 2 * j
-        if idx < len(powed):
-            out.append(float(powed[idx] / (p + 1 + idx)))
-    return tuple(out)
+    return tuple(float(powed[k] / (p + 1 + k)) for k in range(0, min(52, len(powed)), 2))
 
 
 def _ideal_simplex_even_integrand(d: int):
@@ -489,10 +482,12 @@ def ideal_simplex_volume(d: int, cfg: QuadConfig | None = None) -> ExpectationRe
     pref = float(frac) * math.pi ** (0.5 * s_total)
     res = _quad.integrate_real_line(_ideal_simplex_even_integrand(d), cfg)
     value = pref * res.value
-    return ExpectationResult(value, abs(pref) * res.abs_err_est + 1e-15 * abs(value), None, "upper", False)
+    # the roundings of frac, of pi (times the exponent), of the power, of pref's product and of the value's
+    rounding = (4.0 + abs(0.5 * s_total)) * _U * abs(value)
+    return ExpectationResult(value, abs(pref) * res.abs_err_est + rounding, None, "upper", False)
 
 
-def polygon_beta0(n: int, cfg: QuadConfig | None = None) -> ExpectationResult:
+def polygon_beta0(n: int) -> ExpectationResult:
     """Expected hyperbolic area for n uniform points in the unit disk.
 
     Exact: -2 pi + 2**(n-1) n pi**-(n-2) b_{n-1}(1; 2), where the
@@ -533,31 +528,3 @@ def _b_ones_param2_exact(m: int) -> PiPoly:
         raise ArithmeticError("imaginary part did not cancel in exact integration")
     return PiPoly(parts[0])
 
-
-def poly_log_cos_check(q: int, coeffs) -> tuple[float, float]:
-    """Both sides of the log-cos moment identity for a rational polynomial Q.
-
-    Left: quadrature of exp(2iq theta) Q(exp(2i theta)) log(cos theta)
-    over (-pi/2, pi/2).  Right: (-1)**(q+1) (pi/2) * integral of
-    t**(q-1) Q(-t) over (0, 1), exact.  Returns (left, right).
-    """
-    if q < 1:
-        raise ValueError("requires q >= 1")
-    coeffs = [Fraction(c) for c in coeffs]
-    cfg = QuadConfig()
-    left_parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        m = q + k
-        # cos(2m theta) log cos theta over (-pi/2, pi/2), substituted to
-        # put the log singularity at 0: theta = pi/2 - t
-        f = lambda t, mm=m: np.cos(2 * mm * (0.5 * math.pi - t)) * np.log(np.sin(t))
-        res = _quad.integrate_finite(f, 0.0, 0.5 * math.pi, cfg)
-        left_parts.append(float(c) * 2.0 * res.value)
-    left = math.fsum(left_parts)
-    acc = Fraction(0)
-    for k, c in enumerate(coeffs):
-        acc += c * Fraction((-1) ** k, q + k)
-    right = PiPoly({1: Fraction((-1) ** (q + 1), 2) * acc}).evaluate()
-    return left, right

@@ -71,13 +71,13 @@ __all__ = [
     "mc_ideal_polytope3_volume",
     "mc_hyp_area_d2",
     "mc_simplex_hyp_volume",
-    "hyp_volume_simplex_quadrature",
 ]
 
 _BLOCK = 1 << 16  # sub-batch size; fixed so stream output is reproducible
 _IDEAL_EPS = 1e-12
 _SIDE_EPS = 1e-12  # a point this close to a facet's hyperplane is on neither side
 _BARY_EPS = 1e-9  # barycentric margin below which the LP decides containment
+_LP_TOL = 1e-10  # contains: x is inside when the LP's phase-I residual is at most this
 _INNER = 128  # barycentric points per simplex in mc_simplex_hyp_volume
 
 
@@ -276,7 +276,7 @@ def _row_chunks(count: int, width: int):
 
 # -- containment ------------------------------------------------------------
 
-def contains(points, x, tol: float = 1e-10) -> bool:
+def contains(points, x) -> bool:
     """Whether x lies in the convex hull, by a phase-I feasibility solve.
 
     Solves {sum l_i p_i = x, sum l_i = 1, l >= 0} with artificial
@@ -324,7 +324,7 @@ def contains(points, x, tol: float = 1e-10) -> bool:
             if i != row and T[i, enter] != 0.0:
                 T[i] -= T[i, enter] * T[row]
         basis[row] = enter
-    return -T[m, -1] <= tol
+    return -T[m, -1] <= _LP_TOL
 
 
 def _inside_hull_d2_batch(q: np.ndarray) -> np.ndarray:
@@ -823,31 +823,6 @@ def _klein_density(xh: np.ndarray) -> np.ndarray:
         q -= xh[..., k] * xh[..., k]
     t = s2 / q
     return t * t if d == 3 else t * np.sqrt(t)
-
-
-def hyp_volume_simplex_quadrature(vertices, cfg: SampleConfig) -> McEstimate:
-    """Monte-Carlo integral of the hyperbolic density over a fixed simplex.
-
-    Uniform barycentric samples (normalized exponentials) weighted by
-    the Euclidean simplex volume.  All vertices must be strictly inside
-    the ball; ideal vertices need the angle-defect or tetrahedron
-    oracles instead.
-    """
-    v = np.asarray(vertices, dtype=float)
-    k, d = v.shape
-    if k != d + 1 or d not in (2, 3):
-        raise ValueError("requires d+1 vertices in dimension 2 or 3")
-    if (np.linalg.norm(v, axis=1) > 1.0 - 1e-9).any():
-        raise ValueError("vertices must be strictly inside the unit ball")
-    # rows (v_i, 1): unnormalized weights w give (sum w_i v_i, sum w_i), and
-    # the determinant is +-d! times the Euclidean volume
-    vh = np.column_stack([v, np.ones(k)])
-    vol_eucl = abs(np.linalg.det(vh)) / math.factorial(d)
-    acc = _Accumulator()
-    for rng, block in _iter_blocks(cfg):
-        w = rng.standard_exponential((block, d + 1))
-        acc.add(vol_eucl * _klein_density(w @ vh))
-    return acc.estimate()
 
 
 def mc_simplex_hyp_volume(spec: BetaSpec, cfg: SampleConfig) -> McEstimate:

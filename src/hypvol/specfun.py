@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -105,27 +104,33 @@ def gamma_ratio_half(x: float) -> float:
 
 
 def quotient_err(factors: int) -> float:
-    """The relative error bound of a ``gamma_quotient`` value with that many linear factors.
+    """The relative error bound of a ``gamma_quotient`` value with one ratio R and that many linear factors.
 
-    GAMMA_RATIO_ERR, one rounding each for the ratio's argument (d log R / d log x < 1),
-    the scale and its product, and two for each factor (its own and its product).
+    GAMMA_RATIO_ERR, one rounding each for the ratio's argument (d log R / d log x < 1)
+    and its product, and those of the quotient without a ratio: one for the scale and
+    two for each factor (its own and its product).
     """
     return GAMMA_RATIO_ERR + (3 + 2 * factors) * _U
 
 
 def gamma_quotient(scale: float, num=(), den=(), up: float | None = None, down: float | None = None):
-    """scale * prod(num) / prod(den), times R(up) or over R(down), and its quotient_err.
+    """scale * prod(num) / prod(den), times R(up) or over R(down), and its relative error bound.
 
     Every Gamma quotient of the engine is one after the recurrence and the duplication
     formula (DLMF 5.5.5).  Each argument may carry one rounding; a factor alpha + j,
     j an integer float, is exact next to its zero (Sterbenz), so a pole stays exact.
+    The bound is quotient_err, and without a ratio only the roundings of the scale and
+    the factors.
     """
+    factors = len(num) + len(den)
     value = scale * math.prod(num) / math.prod(den)
+    if up is None and down is None:
+        return value, (1 + 2 * factors) * _U
     if up is not None:
         value *= gamma_ratio_half(up)
     if down is not None:
         value /= gamma_ratio_half(down)
-    return value, quotient_err(len(num) + len(den))
+    return value, quotient_err(factors)
 
 
 def c_one_dim(beta: float) -> float:
@@ -148,7 +153,6 @@ def c_d_beta(d: int, beta: float) -> float:
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-16
-_EPS = sys.float_info.epsilon
 _CF_MAX_ITER = 500
 
 
@@ -182,18 +186,6 @@ def _betacf(p: float, q: float, x: np.ndarray) -> np.ndarray:
         if done.all():
             break
     return h
-
-
-def complete_beta_rel_err(p: float, q: float) -> float:
-    """Relative error bound of the complete B(p, q) that _inc_beta_parts uses.
-
-    That value is exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q)).
-    The bound covers the error of each log-gamma (LOG_GAMMA_ERR), the
-    rounding of p + q and of the two additions (2 eps relative to each
-    term's magnitude), and the rounding of exp and of one more product.
-    """
-    scale = sum(max(1.0, abs(log_gamma(x))) for x in (p, q, p + q))
-    return (LOG_GAMMA_ERR + 2 * _EPS) * scale + 3 * _EPS
 
 
 def _inc_beta_parts(z: np.ndarray, zc: np.ndarray, p: float, q: float) -> np.ndarray:

@@ -168,7 +168,7 @@ def _harmonic_differences(quick: bool):
 def _closed_form_suite():
     erf5 = math.erf(5.0)
     b34 = math.exp(2 * specfun.log_gamma(0.75) - specfun.log_gamma(1.5))
-    cases = [
+    return [
         ("finite", lambda t: t**-0.5, (0.0, 1.0), 2.0),
         ("finite", lambda t: t**-0.7, (0.0, 1.0), 1.0 / 0.3),
         ("finite", lambda t: np.log(t), (0.0, 1.0), -1.0),
@@ -191,61 +191,33 @@ def _closed_form_suite():
         ("line", lambda x: x * x / np.cosh(x), None, math.pi**3 / 4.0),
         ("line", lambda x: np.cos(x) * np.exp(-x * x), None, math.sqrt(math.pi) * math.exp(-0.25)),
     ]
-    return cases
-
-
-def _closed_form_errors(case: int, rels):
-    """(rel_tol, true error, abs_err_est, rounding slack) of closed-form
-    case ``case`` at each rel_tol in ``rels``."""
-    kind, f, ab, truth = _closed_form_suite()[case]
-    for rel in rels:
-        cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
-        res = (
-            quad.integrate_finite(f, ab[0], ab[1], cfg)
-            if kind == "finite"
-            else quad.integrate_real_line(f, cfg)
-        )
-        yield rel, abs(res.value - truth), res.abs_err_est, 5e-15 * max(1.0, abs(truth))
-
-
-def _error_bound_case(case: int) -> tuple[str | None, float]:
-    """The failure of one closed-form case (None if it holds) and its worst
-    true-error / estimate ratio."""
-    worst = 0.0
-    for rel, err, est, slack in _closed_form_errors(case, (1e-8, 1e-10, 1e-12)):
-        if err > est + slack:
-            return f"case {case} at rel_tol={rel:.0e}: estimate too small: true {err:.2e} vs est {est:.2e}", worst
-        worst = max(worst, err / max(est, 1e-300))
-    return None, worst
-
-
-def _monotone_case(case: int) -> str | None:
-    """The failure of one closed-form case (None if it holds)."""
-    prev = None
-    for rel, err, _, slack in _closed_form_errors(case, (1e-6, 1e-8, 1e-10, 1e-12)):
-        if prev is not None and err > prev + slack:
-            return f"case {case} at rel_tol={rel:.0e}: error grew from {prev:.2e} to {err:.2e}"
-        prev = err
-    return None
 
 
 @_check("quad.error-estimate-bounds")
 def _quad_error_bounds(quick: bool):
     worst_ratio = 0.0
-    for case in range(len(_closed_form_suite())):
-        failure, ratio = _error_bound_case(case)
-        if failure:
-            return False, failure
-        worst_ratio = max(worst_ratio, ratio)
+    for case, (kind, f, ab, truth) in enumerate(_closed_form_suite()):
+        for rel in (1e-8, 1e-10, 1e-12):
+            cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
+            res = quad.integrate_finite(f, *ab, cfg) if kind == "finite" else quad.integrate_real_line(f, cfg)
+            err, est = abs(res.value - truth), res.abs_err_est
+            if err > est + 5e-15 * max(1.0, abs(truth)):
+                return False, f"case {case} at rel_tol={rel:.0e}: estimate too small: true {err:.2e} vs est {est:.2e}"
+            worst_ratio = max(worst_ratio, err / max(est, 1e-300))
     return True, f"estimates bound true error (worst ratio {worst_ratio:.2f})"
 
 
 @_check("quad.tolerance-monotonic")
 def _quad_tolerance_monotonic(quick: bool):
-    for case in range(len(_closed_form_suite())):
-        failure = _monotone_case(case)
-        if failure:
-            return False, failure
+    for case, (kind, f, ab, truth) in enumerate(_closed_form_suite()):
+        prev = None
+        for rel in (1e-6, 1e-8, 1e-10, 1e-12):
+            cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
+            res = quad.integrate_finite(f, *ab, cfg) if kind == "finite" else quad.integrate_real_line(f, cfg)
+            err = abs(res.value - truth)
+            if prev is not None and err > prev + 5e-15 * max(1.0, abs(truth)):
+                return False, f"case {case} at rel_tol={rel:.0e}: error grew from {prev:.2e} to {err:.2e}"
+            prev = err
     return True, "true error non-increasing as rel_tol halves"
 
 
@@ -340,7 +312,7 @@ _ABSORPTION_GRID = [
 def _absorption_theta_sum(d: int, betas, beta: float) -> float:
     spec = BetaSpec(d, betas)
     terms = []
-    for cards in (range(d + 1, spec.n + 1, 2), range(d - 1, -1, -2)):
+    for cards in (expect._upper_cards(spec), expect._lower_cards(spec)):
         for cls in expect.enumerate_classes(spec, cards):
             y = cls.inside.scaled(0.5)
             z = cls.outside.scaled(0.5)
@@ -637,7 +609,7 @@ def _exact_field_consistency(quick: bool):
     from . import cli
 
     for n in (3, 4, 5, 6):
-        res = expect.polygon_beta0(n, _CFG)
+        res = expect.polygon_beta0(n)
         record = cli.output_record("hypvolume", {"case": "polygon-beta0", "n": n}, res)
         if "exact" in record:
             err = abs(res.exact.evaluate() - record["value"])

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from hypvol import abcore, expect, quad, specfun
 from hypvol.abcore import ParamMultiset
+from hypvol.exact import PiPoly
 from hypvol.expect import BetaSpec, enumerate_classes
 from hypvol.quad import QuadConfig
 from hypvol.verify import _ABSORPTION_GRID
@@ -223,23 +225,21 @@ class TestAAgainstMpmath:
 
 class TestAPrime:
     def test_pole_lemma(self):
-        assert abcore.a_prime_ones_at_pole(2) == pytest.approx(math.pi / 2)
-        assert abcore.a_prime_ones_at_pole(4) == pytest.approx(-math.pi / 4)
-        assert abcore.a_prime_ones_at_pole(6) == pytest.approx(math.pi / 6)
-        with pytest.raises(ValueError):
-            abcore.a_prime_ones_at_pole(3)
+        # a' at (2q+1; 1,...,1), where a itself vanishes, is (-1)**(q-1) pi/(2q)
+        for q in range(1, 7):
+            assert abcore.a_prime_odd_repeated(1, q) == PiPoly({1: Fraction((-1) ** (q - 1), 2 * q)}), q
 
     def test_pole_lemma_against_quadrature(self):
         for k in (2, 4, 6):
             got = abcore.a_prime(k + 1.0, P([1.0] * k), CFG, closed_forms=False).value
-            assert got == pytest.approx(abcore.a_prime_ones_at_pole(k), abs=1e-8)
+            assert got == pytest.approx(abcore.a_prime_odd_repeated(1, k // 2).evaluate(), abs=1e-8)
 
     def test_odd_repeated_exact(self):
         val = abcore.a_prime_odd_repeated(1, 2)
         assert val.evaluate() == pytest.approx(-math.pi / 4, rel=1e-15)
         for q in range(1, 7):
             assert abcore.a_prime_odd_repeated(1, q).evaluate() == pytest.approx(
-                abcore.a_prime_ones_at_pole(2 * q), rel=1e-14
+                (-1) ** (q - 1) * math.pi / (2 * q), rel=1e-15
             )
 
     def test_odd_repeated_against_quadrature(self):

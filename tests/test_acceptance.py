@@ -9,8 +9,9 @@ grids, from ``tests/test_verify.py``: representation equality with its
 60 s budget (``expect.representation-equality``), the pole path against
 Richardson extrapolation (``expect.pole-consistency``) and the absorption
 identity (``abcore.absorption-identity``).  The odd-parameter imaginary-axis
-identity of criterion 9 is ``specfun.imag-axis-odd-params``, and its a'
-pole lemma is checked in ``tests/test_abcore.py``.
+identity of criterion 9 is ``specfun.imag-axis-odd-params``.  Its log-cos
+moment lemma is the closed form ``abcore.a_prime_odd_repeated``, checked
+exactly and against quadrature by ``TestAPrime`` in ``tests/test_abcore.py``.
 """
 
 import math
@@ -99,7 +100,7 @@ def test_criterion_04_beta0_polygons():
         6: PiPoly({1: 4, -1: Fraction(-256, 3), -3: Fraction(5537792, 11025)}),
     }
     for n, want in expected.items():
-        res = expect.polygon_beta0(n, CFG)
+        res = expect.polygon_beta0(n)
         assert res.exact == want
         assert abs(res.value - want.evaluate()) <= 1e-9
     elapsed = time.time() - start
@@ -165,10 +166,6 @@ def test_criterion_09_special_function_suite():
             )
             got *= 2.0 * inner.value
         worst = max(worst, abs(got - want))
-    # log-cos moment identity
-    for q, coeffs in ((1, [1]), (2, [1]), (1, [0, 1]), (3, [1, -2, 3])):
-        left, right = expect.poly_log_cos_check(q, coeffs)
-        worst = max(worst, abs(left - right))
     assert worst <= 1e-8
     _report("criterion-9", f"closed forms vs quadrature, worst deviation {worst:.2e}")
 

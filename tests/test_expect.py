@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from hypvol import expect
+from hypvol import expect, specfun
 from hypvol.exact import PiPoly
 from hypvol.expect import BetaSpec
 from hypvol.quad import QuadConfig, QuadratureError
@@ -240,7 +240,7 @@ class TestExpectedHypVolume:
 
     def test_generic_matches_polygon_beta0(self):
         generic = expect.expected_hyp_volume(BetaSpec(2, (0.0,) * 3), CFG, method="generic")
-        assert generic.value == pytest.approx(expect.polygon_beta0(3, CFG).value, abs=1e-10)
+        assert generic.value == pytest.approx(expect.polygon_beta0(3).value, abs=1e-10)
 
     def test_monotone_limit_of_beta_integral(self):
         for spec in (
@@ -313,6 +313,10 @@ class TestPrefactor:
                 x = mp.mpf(beta) + 1
                 exact = mp.pi ** (half - 1) * mp.gamma(x) / mp.gamma(x + half)
                 assert abs(value - exact) <= rel * abs(exact), (d, beta)
+
+    def test_d2_pole_prefactor_reports_its_roundings(self):
+        # no Gamma ratio is evaluated at even d or on the pole path: the bound is the scale's one rounding
+        assert expect._prefactor(2, -1.0, True) == (2.0, specfun._U)
 
 
 class TestPickRepresentation:
@@ -410,30 +414,30 @@ class TestIdealSimplexVolume:
 
 class TestPolygonBeta0:
     def test_exact_renders(self):
-        assert expect.polygon_beta0(3, CFG).exact.render() == "pi - 128/15*pi^-1"
-        assert expect.polygon_beta0(4, CFG).exact.render() == "2*pi - 256/15*pi^-1"
+        assert expect.polygon_beta0(3).exact.render() == "pi - 128/15*pi^-1"
+        assert expect.polygon_beta0(4).exact.render() == "2*pi - 256/15*pi^-1"
         assert (
-            expect.polygon_beta0(5, CFG).exact.render()
+            expect.polygon_beta0(5).exact.render()
             == "3*pi - 128/3*pi^-1 + 5537792/33075*pi^-3"
         )
 
     def test_value_matches_exact(self):
         for n in (3, 4, 5, 6):
-            res = expect.polygon_beta0(n, CFG)
+            res = expect.polygon_beta0(n)
             assert res.value == res.exact.evaluate()
             assert abs(res.value - res.exact.evaluate()) <= res.abs_err_est
 
     def test_against_the_generic_path(self):
         for n in range(3, 41):
-            exact = expect.polygon_beta0(n, CFG)
+            exact = expect.polygon_beta0(n)
             generic = expect.expected_hyp_volume(BetaSpec(2, (0.0,) * n), CFG, method="generic")
             assert abs(exact.value - generic.value) <= exact.abs_err_est + generic.abs_err_est, n
 
     def test_exact_sums_are_memoized(self):
         # a polygon-beta0 table asks for the same Fraction sums on every row of every op
         expect._b_ones_param2_exact.cache_clear()
-        first = expect.polygon_beta0(12, CFG)
-        assert expect.polygon_beta0(12, CFG) == first
+        first = expect.polygon_beta0(12)
+        assert expect.polygon_beta0(12) == first
         info = expect._b_ones_param2_exact.cache_info()
         assert (info.hits, info.misses) == (1, 1) and info.maxsize is not None
 
@@ -443,25 +447,9 @@ class TestPolygonBeta0:
         for n in (3, 4, 5):
             b_num = abcore.b_fn(1.0, abcore.ParamMultiset([2.0] * (n - 1)), CFG).value
             numeric = -2.0 * math.pi + 2.0 ** (n - 1) * n * math.pi ** (2 - n) * b_num
-            assert expect.polygon_beta0(n, CFG).value == pytest.approx(numeric, abs=1e-10)
+            assert expect.polygon_beta0(n).value == pytest.approx(numeric, abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            expect.polygon_beta0(2, CFG)
+            expect.polygon_beta0(2)
 
-
-class TestPolyLogCos:
-    def test_monomial_cases(self):
-        left, right = expect.poly_log_cos_check(1, [1])
-        assert right == pytest.approx(math.pi / 2, rel=1e-14)
-        assert left == pytest.approx(right, abs=1e-10)
-        left, right = expect.poly_log_cos_check(2, [1])
-        assert right == pytest.approx(-math.pi / 4, rel=1e-14)
-        assert left == pytest.approx(right, abs=1e-10)
-        left, right = expect.poly_log_cos_check(1, [0, 1])
-        assert right == pytest.approx(-math.pi / 4, rel=1e-14)
-        assert left == pytest.approx(right, abs=1e-10)
-
-    def test_polynomial_case(self):
-        left, right = expect.poly_log_cos_check(2, [Fraction(1, 3), -2, Fraction(5, 7)])
-        assert left == pytest.approx(right, abs=1e-9)

@@ -337,34 +337,6 @@ class TestGaussBonnetSampling:
 
 
 class TestSimplexQuadrature:
-    def test_tiny_simplex_euclidean(self):
-        tiny = np.array([[0, 0], [1e-3, 0], [0, 1e-3]], float)
-        est = mcsim.hyp_volume_simplex_quadrature(tiny, SampleConfig(seed=1, n_samples=20000))
-        assert est.mean == pytest.approx(5e-7, rel=1e-3)
-
-    def test_matches_angle_defect(self):
-        tri = np.array([[0.5, 0.0], [-0.25, 0.43], [-0.25, -0.43]])
-        est = mcsim.hyp_volume_simplex_quadrature(tri, SampleConfig(seed=2, n_samples=300000, streams=2))
-        exact = mcsim.hyp_area_polygon_d2(tri)
-        assert abs(est.mean - exact) <= 3.0 * est.stderr
-
-    def test_additive_under_subdivision(self):
-        tri = np.array([[0.4, 0.0], [-0.2, 0.35], [-0.2, -0.35]])
-        centroid = tri.mean(axis=0)
-        whole = mcsim.hyp_volume_simplex_quadrature(tri, SampleConfig(seed=5, n_samples=400000))
-        parts = []
-        for i in range(3):
-            sub = np.array([tri[i], tri[(i + 1) % 3], centroid])
-            parts.append(mcsim.hyp_volume_simplex_quadrature(sub, SampleConfig(seed=6 + i, n_samples=400000)))
-        total = sum(p.mean for p in parts)
-        spread = math.sqrt(sum(p.stderr**2 for p in parts) + whole.stderr**2)
-        assert abs(total - whole.mean) <= 3.0 * spread
-
-    def test_ideal_vertex_rejected(self):
-        bad = np.array([[1.0, 0.0], [-0.5, 0.5], [-0.5, -0.5]])
-        with pytest.raises(ValueError):
-            mcsim.hyp_volume_simplex_quadrature(bad, SampleConfig(seed=0, n_samples=10))
-
     def test_inner_outer_estimator(self):
         spec = BetaSpec(2, (0.0, 0.0, 0.0))
         est = mcsim.mc_simplex_hyp_volume(spec, SampleConfig(seed=6, n_samples=30000, streams=2))
@@ -399,19 +371,6 @@ def _full_block_simplex_volume(spec, cfg):
     return acc.estimate()
 
 
-def _normalized_weights_quadrature(v, cfg):
-    """hyp_volume_simplex_quadrature with normalized weights and a float power."""
-    d = v.shape[1]
-    vol_eucl = abs(np.linalg.det(v[1:] - v[0])) / math.factorial(d)
-    acc = mcsim._Accumulator()
-    for rng, block in mcsim._iter_blocks(cfg):
-        w = rng.standard_exponential((block, d + 1))
-        w /= w.sum(axis=1, keepdims=True)
-        x = w @ v
-        acc.add(vol_eucl * (1.0 - (x * x).sum(axis=1)) ** (-0.5 * (d + 1)))
-    return acc.estimate()
-
-
 _PARITY_SPECS = [BetaSpec(2, (0.5, 1.0, 0.0)), BetaSpec(3, (0.5, 1.0, 2.0, 0.0))]
 _PARITY_CFGS = [
     SampleConfig(seed, n, streams) for seed in range(4) for streams in (1, 2) for n in (1000, 2500, 4097)
@@ -429,12 +388,6 @@ class TestSimplexEstimatorParity:
     @pytest.mark.parametrize("cfg", _PARITY_CFGS, ids=lambda c: f"{c.seed}-{c.streams}-{c.n_samples}")
     def test_matches_full_block_form(self, spec, cfg):
         _assert_parity(mcsim.mc_simplex_hyp_volume(spec, cfg), _full_block_simplex_volume(spec, cfg))
-
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("cfg", _PARITY_CFGS, ids=lambda c: f"{c.seed}-{c.streams}-{c.n_samples}")
-    def test_quadrature_matches_normalized_weights(self, d, cfg):
-        v = np.random.default_rng(cfg.seed).uniform(-0.5, 0.5, (d + 1, d))
-        _assert_parity(mcsim.hyp_volume_simplex_quadrature(v, cfg), _normalized_weights_quadrature(v, cfg))
 
     def test_determinism(self):
         spec = BetaSpec(3, (0.5, 1.0, 2.0, 0.0))
