@@ -3,10 +3,10 @@
 ``a_fn`` integrates cosh(x)**(-alpha) times a product of imaginary-axis
 factors over the real line; ``b_fn`` integrates cos(x)**alpha times a
 product of segment factors F_j over (-pi/2, pi/2); the expectation
-engine sums products a * (alpha+1) * b of them over subsets.  Closed
-forms (``_closed_form``) are dispatched for empty, singleton and
-all-ones parameter lists; everything else goes through double-exponential
-quadrature with stable log-magnitude/phase evaluation of the integrands.
+engine sums products a * (alpha+1) * b of them over subsets.  Each
+integral is a request to ``_integrals``: closed forms (``_closed_form``)
+for empty, singleton and all-ones parameter lists, everything else
+double-exponential quadrature with stable log-magnitude/phase evaluation.
 
 Every factor row is divided by its total B_j = F_j(pi/2) = 1/c_j, c_j
 the point's normalizing constant: so every integral here, closed forms
@@ -27,10 +27,10 @@ stopping rule is relative to b: the closed term over alpha+1 is the
 offset of its ``quad.Refinement``.  So each b has one integral and one
 error estimate.
 
-``_integrals`` refines any number of such integrals together: a query
-hands it every integral of its subset classes, and ``a_fn``, ``a_prime``
-and ``b_fn`` hand it one.  It runs ``quad.refine`` twice, once over the
-``a`` integrals and once over the ``b`` integrals, so they take
+``_integrals`` takes any number of such integrals: a query hands it
+every integral of its subset classes, closed forms included, and
+``a_fn``, ``a_prime`` and ``b_fn`` one.  It runs ``quad.refine`` twice
+over the rest, once over the ``a`` and once over the ``b`` integrals, so they take
 ``quad``'s steps of refinement levels: the first covers levels 0..5,
 where nearly every integral stops at the default tolerance, and every
 later step one level, so a default query makes one kernel call per
@@ -473,32 +473,33 @@ def _times_b(alpha: float, betas, offset: float, res: ValueWithError) -> ValueWi
     return ValueWithError(value, err, "tanh-sinh")
 
 
-def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
-    """(value, abs_err_est) of each quadrature integral (kind, alpha, params) in requests.
+def _integrals(requests, cfg: QuadConfig, closed_forms: bool) -> list[ValueWithError]:
+    """The normalized value and bar of each integral (kind, alpha, params) in requests, in order.
 
     kind is "a", "a'" (a_prime's log-weighted integral) or "b", which is
-    (alpha+1) * b, alpha > -1, each normalized (module docstring); an a or
-    a' bar adds |value| times its rows' totals' bounds.  Each integral's
-    floor is abs_tol / P, P the product of its totals, where that is
-    tighter than abs_tol (README).  Values found in the
-    table are reused; the others are refined together by ``quad.refine``,
-    the a integrals with ``_line_step`` and then the b integrals with
-    ``_segment_step``.  A b integral's stopping rule is relative to b: its
-    offset is the closed term over alpha+1.  Every integral keeps its own
-    stopping rule (``quad.Refinement``) and its own integrand, so its
-    value and error estimate are those of a one-integral call, in every
-    bit.  Raises the QuadratureError of the first request that did not
-    converge; for a b integral its estimate is that of (alpha+1) * b.
-    Raises ValueError, before any kernel runs, if a parameter is at or
-    above specfun._SIN_MAX_BETA, the bound of the b rows' sin-power series
-    (the cosh-power recurrence takes about p/2 steps).
+    (alpha+1) * b, alpha > -1 (module docstring).  Each takes its closed
+    form where allowed and known (``_closed_form``), else its value held
+    in the table, else quadrature, the method "de-real-line" for a and a'
+    and "tanh-sinh" for b: those are refined together by ``quad.refine``,
+    the a integrals with ``_line_step``, then the b integrals with
+    ``_segment_step``, each with its own stopping rule (``quad.Refinement``)
+    and integrand, so its value and bar are those of a one-integral call,
+    in every bit.  Its floor is abs_tol / P, P the product of its totals,
+    where that is tighter than abs_tol (README); an a or a' bar adds
+    |value| times its totals' bounds, and a b integral's stopping rule is
+    relative to b: its offset is the closed term over alpha+1.  Raises the
+    QuadratureError of the first request that did not converge, for a b
+    with the estimate of (alpha+1) * b, and ValueError, before any kernel
+    runs, for a parameter bound for quadrature at or above
+    specfun._SIN_MAX_BETA, the bound of the b rows' sin-power series.
     """
-    top = max((b for _, _, params in requests for b in params), default=0.0)
+    out = [_closed_form(kind, alpha, params, closed_forms) for kind, alpha, params in requests]
+    ckey = _cfg_key(cfg)
+    keys = {i: (kind, alpha, params.entries, ckey) for i, (kind, alpha, params) in enumerate(requests) if out[i] is None}
+    top = max((b for key in keys.values() for b in key[2]), default=0.0)
     if top >= _SIN_MAX_BETA:
         raise ValueError(f"quadrature parameter {top:g} is beyond the kernels' range: each must be below {_SIN_MAX_BETA:g}")
-    ckey = _cfg_key(cfg)
-    keys = [(kind, alpha, params.entries, ckey) for kind, alpha, params in requests]
-    found = {key: _cache_get(key) for key in keys}
+    found = {key: _cache_get(key) for key in keys.values()}
     line, segment = {}, {}
     for key, hit in found.items():
         if hit is None:
@@ -524,7 +525,9 @@ def _integrals(requests, cfg: QuadConfig) -> list[tuple[float, float]]:
                     raise
             found[key] = (res.value, res.abs_err_est)
             _hold({key: (found[key], _VALUE_BYTES)})
-    return [found[key] for key in keys]
+    for i, key in keys.items():
+        out[i] = ValueWithError(*found[key], "tanh-sinh" if key[0] == "b" else "de-real-line")
+    return out
 
 
 def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: bool = True) -> ValueWithError | None:
@@ -564,9 +567,7 @@ def _closed_form(kind: str, alpha: float, params: ParamMultiset, closed_forms: b
 def _integral(
     kind: str, alpha: float, params: ParamMultiset, cfg: QuadConfig, closed_forms: bool, per: float = 1.0
 ) -> ValueWithError:
-    """The integral of the rows as they are over per: P times the normalized closed form, if allowed and known,
-    or one-request ``_integrals`` call; the bar adds P's bound.
-    """
+    """The integral of the rows as they are over per: P times the one-request ``_integrals`` call; the bar adds P's bound."""
     P = _held_product(params.entries)
     scale = P / per
     rel = len(params) * (quotient_err(0) + _U) + 2.0 * _U  # P's totals and products, the division by per and the product
@@ -575,9 +576,8 @@ def _integral(
         value = scale * res.value
         return ValueWithError(value, scale * res.abs_err_est + rel * abs(value), res.method)
 
-    method = "tanh-sinh" if kind == "b" else "de-real-line"
     try:
-        res = _closed_form(kind, alpha, params, closed_forms) or ValueWithError(*_integrals([(kind, alpha, params)], cfg)[0], method)
+        res = _integrals([(kind, alpha, params)], cfg, closed_forms)[0]
     except QuadratureError as exc:
         exc.estimate = held(exc.estimate)
         raise

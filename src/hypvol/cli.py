@@ -201,21 +201,18 @@ def _cmd_simulate(args) -> tuple[str, int]:
             raise ValueError("--oracle absorption requires --exponent")
         est = mcsim.mc_absorption(spec, args.exponent, cfg)
         reference = expect.expected_beta_integral(spec, args.exponent).value
-    elif oracle == "gauss-bonnet":
-        if spec.d != 2:
-            raise ValueError("--oracle gauss-bonnet requires --dim 2")
-        est = mcsim.mc_hyp_area_d2(spec, cfg)
+    else:  # a volume oracle; argparse's choices leave no other
+        if oracle == "gauss-bonnet":
+            if spec.d != 2:
+                raise ValueError("--oracle gauss-bonnet requires --dim 2")
+            est = mcsim.mc_hyp_area_d2(spec, cfg)
+        elif oracle == "lobachevsky":
+            if spec.d != 3 or any(b != -1.0 for b in spec.betas):
+                raise ValueError("--oracle lobachevsky requires --dim 3 with all betas -1")
+            est = mcsim.mc_ideal_polytope3_volume(spec.n, cfg)
+        else:
+            est = mcsim.mc_simplex_hyp_volume(spec, cfg)
         reference = expect.expected_hyp_volume(spec).value
-    elif oracle == "lobachevsky":
-        if spec.d != 3 or any(b != -1.0 for b in spec.betas):
-            raise ValueError("--oracle lobachevsky requires --dim 3 with all betas -1")
-        est = mcsim.mc_ideal_polytope3_volume(spec.n, cfg)
-        reference = expect.expected_hyp_volume(spec).value
-    elif oracle == "simplex-mc":
-        est = mcsim.mc_simplex_hyp_volume(spec, cfg)
-        reference = expect.expected_hyp_volume(spec).value
-    else:
-        raise ValueError(f"unknown oracle {oracle!r}")
 
     diff = est.mean - reference
     # with the standard error, the rounding of the mean: a sum of n samples >= 0

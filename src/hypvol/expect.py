@@ -5,17 +5,17 @@ and expected hyperbolic volumes for n independent beta-distributed
 points in dimension d.  Every such query is one subset sum,
 ``_subset_sum``: over the subset classes it adds up the class term
 A~(t+2+s) * (t+1+s) * b~(t+s), with s the inside parameter total and t =
-2*beta + d.  A hyperbolic volume is the beta integral at the limiting
-exponent beta = -(d+1)/2, that is t = -1.  A is a_fn, or its derivative
-a_prime for the removable singularity at negative-integer exponents (the
-pole path, which odd-d volumes take); ~ marks abcore's normalized
-integrals, which carry their own points' normalizing constants, so no
-class term grows with n.
-``_class_terms`` takes the closed forms where they apply and hands all
-the other integrals of the classes to one ``abcore._integrals`` call,
-which refines them together, one step of refinement levels at a time,
-with one factor kernel call per step and kind; each integral keeps its
-own value and error estimate.  ``theta_fn`` is the class term over 2 pi, and a
+2*beta + d, and scales it by its own Gamma prefactor (``_prefactor``).
+A hyperbolic volume is the beta integral at beta = -(d+1)/2, t = -1.  A
+is a_fn, or its derivative a_prime for the removable singularity at
+negative-integer exponents (the pole path, which odd-d volumes take); ~
+marks abcore's normalized integrals, which carry their own points'
+normalizing constants, so no class term grows with n.  ``_class_terms``
+hands every integral of the classes, closed forms included, to one
+``abcore._integrals`` call, which refines the others together, one step
+of refinement levels at a time, with one factor kernel call per step and
+kind; each integral keeps its own value and error estimate.
+``theta_fn`` is the class term over 2 pi, and a
 simplex (n = d+1) is the upper sum with its single class.  The
 integral values and factor rows stay in abcore's one table for later
 queries until ``abcore.clear_cache``; past its byte budget the oldest
@@ -39,7 +39,6 @@ from .abcore import (  # noqa: F401  (a_fn, a_prime and b_fn: perfbench wraps th
     NotRepresentableError,
     ParamMultiset,
     _as_params,
-    _closed_form,
     _integrals,
     a_fn,
     a_prime,
@@ -189,46 +188,36 @@ def _class_terms(
     s is the inside parameter total and A = a_prime when ``derivative``
     else a_fn, both normalized (~).  (t+1+s) * b~(t+s) is abcore's "b"
     integral, finite also at and near its pole t+s = -1 (ideal and
-    near-ideal points).  The
-    integrals without a closed form go to one ``abcore._integrals`` call,
-    in class order, A before b.
+    near-ideal points).  Every integral, closed forms included, goes to
+    one ``abcore._integrals`` call, in class order, A before b.
     """
     requests = []
-
-    def integral(kind, alpha, params):
-        """The closed form's (value, abs_err_est), or the index of a new request."""
-        closed = _closed_form(kind, alpha, params, closed_forms)
-        if closed is None:
-            requests.append((kind, alpha, params))
-            return len(requests) - 1
-        return closed.value, closed.abs_err_est
-
-    pending = []
     for inside, outside in splits:
         s = inside.total()
-        pending.append((integral("a'" if derivative else "a", t + 2.0 + s, inside), integral("b", t + s, outside)))
-    values = _integrals(requests, cfg)
+        requests += [("a'" if derivative else "a", t + 2.0 + s, inside), ("b", t + s, outside)]
+    values = _integrals(requests, cfg, closed_forms)
     terms = []
-    for a, b in pending:
-        a_value, a_err = values[a] if isinstance(a, int) else a
-        prod, prod_err = values[b] if isinstance(b, int) else b
-        terms.append((a_value * prod, a_err * abs(prod) + abs(a_value) * prod_err))
+    for a, b in zip(values[::2], values[1::2]):
+        terms.append((a.value * b.value, a.abs_err_est * abs(b.value) + abs(a.value) * b.abs_err_est))
     return terms
 
 
 def _subset_sum(
-    spec: BetaSpec, t: float, derivative: bool, rep: str, prefactor: float, cfg: QuadConfig, closed_forms: bool
+    spec: BetaSpec, beta: float, pole: bool, rep: str, cfg: QuadConfig, closed_forms: bool
 ) -> tuple[float, float]:
-    """The subset sum behind every query, as (value, abs_err_est).
+    """The subset sum behind every query at exponent beta, as (value, abs_err_est).
 
-    Sums the multiplicity times the normalized class term over the subset
-    classes of the representation: the upper form is prefactor * sum, the
-    lower one prefactor * (pi - sum).  The error bar adds to the class
-    terms' bars the rounding of the sum (n_terms * eps * sum |m * term|)
-    and, in the lower representation, the rounding of pi - sum.  Raises
+    Sums the multiplicity times the normalized class term at t = 2*beta + d
+    over the subset classes of the representation, A = a_prime on the pole
+    path (beta a negative integer): the upper form is prefactor * sum, the
+    lower one prefactor * (pi - sum), the prefactor ``_prefactor(d, beta,
+    pole)``.  The error bar adds to the class terms' bars the rounding of
+    the sum (n_terms * eps * sum |m * term|), in the lower representation
+    that of pi - sum, and the prefactor's bound.  Raises
     NotRepresentableError, before any integral runs, when a multiplicity
     is not finite, and when a class term is not.
     """
+    prefactor, rel = _prefactor(spec.d, beta, pole)
     classes = enumerate_classes(spec, _upper_cards(spec) if rep == "upper" else _lower_cards(spec))
     try:
         mults = [float(cls.multiplicity) for cls in classes]
@@ -236,7 +225,7 @@ def _subset_sum(
         raise NotRepresentableError(f"a multiplicity of the {rep} representation exceeds the float range") from None
     splits = [(cls.inside, cls.outside) for cls in classes]
     vals, errs = [], []
-    for m, (value, err) in zip(mults, _class_terms(t, splits, derivative, cfg, closed_forms)):
+    for m, (value, err) in zip(mults, _class_terms(2.0 * beta + spec.d, splits, pole, cfg, closed_forms)):
         vals.append(m * value)
         errs.append(m * err)
     if not all(map(math.isfinite, vals)):
@@ -247,7 +236,7 @@ def _subset_sum(
         value, err = prefactor * total, abs(prefactor) * err
     else:
         value, err = prefactor * (math.pi - total), abs(prefactor) * (err + _EPS * (math.pi + abs(total)))
-    return value, err
+    return value, err + abs(value) * rel
 
 
 def theta_fn(x: float, y, z, cfg: QuadConfig | None = None) -> ValueWithError:
@@ -289,23 +278,14 @@ def _beta_integral(
 ) -> ExpectationResult:
     """``expected_beta_integral`` on the closed domain beta >= -(d+1)/2: its bound is the volume's exponent."""
     rep = _pick_representation(spec, representation)
-    d = spec.d
     nearest = round(beta)
     gap = abs(beta - nearest)
-
-    def pole_path():
-        prefactor, rel = _prefactor(d, nearest, True)
-        value, err = _subset_sum(spec, 2.0 * nearest + d, True, "upper", prefactor, cfg, closed_forms)
-        return value, err + abs(value) * rel
-
     if nearest <= -1 and gap <= _POLE_EXACT:
-        value, err = pole_path()
+        value, err = _subset_sum(spec, nearest, True, "upper", cfg, closed_forms)
         return ExpectationResult(value, err, None, "upper", True)
-    prefactor, rel = _prefactor(d, beta, False)
-    value, err = _subset_sum(spec, 2.0 * beta + d, False, rep, prefactor, cfg, closed_forms)
-    err += abs(value) * rel
+    value, err = _subset_sum(spec, beta, False, rep, cfg, closed_forms)
     if nearest <= -1 and gap < _POLE_NEAR:
-        ref, ref_err = pole_path()
+        ref, ref_err = _subset_sum(spec, nearest, True, "upper", cfg, closed_forms)
         err = err + abs(value - ref) + ref_err
     return ExpectationResult(value, err, None, rep, False)
 

@@ -71,6 +71,13 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             abcore.b_ones(1, -1.5)
 
+    def test_closed_form_beyond_the_kernels_range(self):
+        # the kernels' bound applies only to integrals bound for quadrature: a
+        # singleton's closed form is returned at any parameter
+        assert abcore.a_fn(2000.0, [1500.0], CFG).value == 0.0018137237908481102
+        with pytest.raises(ValueError, match="below 1024"):
+            abcore.a_fn(2000.0, [1500.0], CFG, closed_forms=False)
+
 
 def _mp_closed(kind, alpha, params):
     """The closed forms' Gamma formulas in 40-digit mpmath: a, or (alpha + 1) * b, normalized.
@@ -521,6 +528,11 @@ class TestTracedKernelShape:
         assert counts["cosh_pow_integral_scaled"][0][0] < 100  # of the first step's 210
 
 
+def _quadrature(requests, cfg):
+    """(value, abs_err_est) of each request from one ``abcore._integrals`` call without closed forms."""
+    return [(res.value, res.abs_err_est) for res in abcore._integrals(requests, cfg, closed_forms=False)]
+
+
 class TestLineCut:
     """A real-line step keeps its nodes x <= 2**j only (abcore._cut_exponent): every dropped integrand is 0.0."""
 
@@ -548,7 +560,7 @@ class TestLineCut:
         for request in [[r] for r in requests] + [requests]:
             abcore.clear_cache()
             try:
-                out.append(abcore._integrals(request, cfg))
+                out.append(_quadrature(request, cfg))
             except quad.QuadratureError as exc:
                 out.append(("QuadratureError", exc.estimate.value, exc.estimate.abs_err_est))
         for fn in (abcore.a_fn, abcore.a_prime):  # tau = 0.05 through the public calls, held product included
@@ -768,11 +780,11 @@ class TestLevelLoop:
         single = []
         for request in self.REQUESTS:
             abcore.clear_cache()
-            single += abcore._integrals([request], self.LOOSE)
+            single += _quadrature([request], self.LOOSE)
         assert len(set(levels)) >= 3  # the integrals stop at different levels
         abcore.clear_cache()
         levels.clear()
-        batch = abcore._integrals(list(self.REQUESTS), self.LOOSE)
+        batch = _quadrature(list(self.REQUESTS), self.LOOSE)
         assert _bits(batch) == _bits(single)
         assert len(levels) == len(self.REQUESTS)  # one stopping rule per request, a b too
         for (kind, alpha, params), (value, err) in zip(self.REQUESTS, single):
@@ -792,7 +804,7 @@ class TestLevelLoop:
         for request in self.REQUESTS:
             abcore.clear_cache()
             with pytest.raises(quad.QuadratureError) as info:
-                abcore._integrals([request], self.NEVER)
+                _quadrature([request], self.NEVER)
             errors[request] = info.value
         failing = [r for r in self.REQUESTS if r[0] == "b" and r[1] == -0.98]
         assert errors[failing[0]].estimate != errors[failing[1]].estimate
@@ -800,7 +812,7 @@ class TestLevelLoop:
             want = errors[order[0]]
             abcore.clear_cache()
             with pytest.raises(quad.QuadratureError) as info:
-                abcore._integrals(list(order), self.NEVER)
+                _quadrature(list(order), self.NEVER)
             assert str(info.value) == str(want)
             assert info.value.estimate == want.estimate
 
@@ -852,7 +864,7 @@ class TestLevelLoop:
                 deepest.clear()
                 before = dict(kernel_calls)
                 try:
-                    outcomes = [(False, *pair) for pair in abcore._integrals(batch, cfg)]
+                    outcomes = [(False, *pair) for pair in _quadrature(batch, cfg)]
                 except quad.QuadratureError as exc:
                     outcomes = [(True, exc.estimate.value, exc.estimate.abs_err_est)]
                 levels = {kind: deepest[method] for kind, (_, method) in kinds.items() if method in deepest}

@@ -286,6 +286,27 @@ class TestSimulate:
         rec = json.loads(out)
         assert code == 0 and rec["params"]["oracle"] == "absorption" and rec["params"]["exponent"] == 0.5
 
+    @pytest.mark.parametrize(
+        "betas,oracle", [("-1,-1,-1,-1,-1", "lobachevsky"), ("0,0.5,1,2", "simplex-mc")]
+    )
+    def test_auto_volume_oracle_in_d3(self, capsys, betas, oracle):
+        code, out, _ = run(capsys, "simulate", "--dim", "3", "--betas", betas, "--samples", "200", "--seed", "1")
+        rec = json.loads(out)
+        assert code == 0 and rec["params"]["oracle"] == oracle and rec["method"] == oracle
+        assert math.isfinite(rec["params"]["z_score"]) and rec["params"]["reference"] > 0.0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--dim", "4", "--betas", "0,0,0,0,0"), "no automatic oracle"),
+            (("--dim", "2", "--betas", "0,0,0", "--oracle", "absorption"), "--oracle absorption requires --exponent"),
+            (("--dim", "3", "--betas", "-1,-1,-1,0", "--oracle", "lobachevsky"), "--oracle lobachevsky requires --dim 3"),
+        ],
+    )
+    def test_oracle_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "simulate", *argv, "--samples", "10", "--seed", "1")
+        assert code == 2 and out == "" and err.startswith("error:") and message in err
+
 
 class TestOutputRecord:
     def test_json_roundtrip(self, capsys):

@@ -242,6 +242,22 @@ class TestMcIdealPolytope:
             cfg = SampleConfig(seed=3, n_samples=count, streams=3)
             assert mcsim.mc_ideal_polytope3_volume(n, cfg) == mcsim.mc_ideal_polytope3_volume(n, cfg)
 
+    def test_nan_volume_is_resampled(self, monkeypatch):
+        # a degenerate hull (probability zero) reads nan: that sample is drawn again from the same stream
+        bruteforce, sizes = mcsim._hull_volumes_bruteforce, []
+
+        def first_nan(P):
+            vols = bruteforce(P)
+            if not sizes:
+                vols[0] = np.nan
+            sizes.append(len(P))
+            return vols
+
+        monkeypatch.setattr(mcsim, "_hull_volumes_bruteforce", first_nan)
+        est = mcsim.mc_ideal_polytope3_volume(6, SampleConfig(seed=3, n_samples=50))
+        assert est.resampled == 1 and est.n == 50 and math.isfinite(est.mean)
+        assert sizes == [50, 1]
+
 
 class TestMcAbsorption:
     def test_matches_formula_d2(self):
@@ -281,6 +297,25 @@ class TestMcAbsorption:
 
 
 class TestGaussBonnetSampling:
+    def test_nan_area_takes_the_per_sample_hull(self, monkeypatch):
+        # a sample the batched angle defect leaves nan is recomputed from its own hull
+        spec = BetaSpec(2, (0.3, -0.5, 1.2, 0.0, 2.0))
+        cfg = SampleConfig(seed=6, n_samples=400)
+        want = mcsim.mc_hyp_area_d2(spec, cfg)
+        batched, marked = mcsim._hyp_areas_d2, []
+
+        def first_nan(pts):
+            areas = batched(pts)
+            if not marked:
+                marked.append(areas[0])
+                areas[0] = np.nan
+            return areas
+
+        monkeypatch.setattr(mcsim, "_hyp_areas_d2", first_nan)
+        got = mcsim.mc_hyp_area_d2(spec, cfg)
+        assert marked and got.n == want.n == 400
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0.0)
+
     def test_zero_variance_ideal(self):
         spec = BetaSpec(2, (-1.0,) * 5)
         est = mcsim.mc_hyp_area_d2(spec, SampleConfig(seed=4, n_samples=800))

@@ -176,32 +176,3 @@ class TestSteps:
         assert all(calls == (1 if stop <= 5 else stop - 4) for _, stop, calls in got)
         assert any(stop <= 5 for _, stop, _ in got) and any(stop > 5 for _, stop, _ in got)
         assert any(outcome[0] for outcome, _, _ in got)  # max_level=4 leaves some cases unconverged
-
-
-
-def _closed_form_errors(case, rels):
-    """(rel_tol, true error, abs_err_est, rounding slack) of closed-form case
-    ``case`` at each rel_tol in ``rels``."""
-    kind, f, ab, truth = _closed_form_suite()[case]
-    for rel in rels:
-        cfg = QuadConfig(rel_tol=rel, abs_tol=1e-15)
-        res = quad.integrate_finite(f, *ab, cfg) if kind == "finite" else quad.integrate_real_line(f, cfg)
-        yield rel, abs(res.value - truth), res.abs_err_est, 5e-15 * max(1.0, abs(truth))
-
-
-class TestClosedFormSuite:
-    """One item per closed-form case, with the tolerances of the
-    ``quad.error-estimate-bounds`` and ``quad.tolerance-monotonic`` checks,
-    so a failure names its case."""
-
-    @pytest.mark.parametrize("case", range(len(_closed_form_suite())))
-    def test_estimate_bounds_true_error(self, case):
-        for rel, err, est, slack in _closed_form_errors(case, (1e-8, 1e-10, 1e-12)):
-            assert err <= est + slack, f"rel_tol={rel:.0e}: true {err:.2e} vs est {est:.2e}"
-
-    @pytest.mark.parametrize("case", range(len(_closed_form_suite())))
-    def test_true_error_monotone_in_tolerance(self, case):
-        prev = None
-        for rel, err, _, slack in _closed_form_errors(case, (1e-6, 1e-8, 1e-10, 1e-12)):
-            assert prev is None or err <= prev + slack, f"rel_tol={rel:.0e}: error grew from {prev:.2e} to {err:.2e}"
-            prev = err

@@ -13,3 +13,19 @@ from hypvol import verify
 def test_registered_check(check_id, fn):
     passed, detail = fn(quick=False)
     assert passed, f"{check_id}: {detail}"
+
+
+def test_error_bounds_check_catches_dropped_bars(monkeypatch):
+    # every finite-interval estimate a millionth of what quad reports: some
+    # closed-form case's true error then exceeds its bar by more than the slack
+    integrate_finite = verify.quad.integrate_finite
+
+    def shrunk(*args, **kwargs):
+        res = integrate_finite(*args, **kwargs)
+        res.abs_err_est /= 1e6
+        return res
+
+    monkeypatch.setattr(verify.quad, "integrate_finite", shrunk)
+    passed, detail = dict(verify._REGISTRY)["quad.error-estimate-bounds"](quick=False)
+    assert not passed, detail
+    assert "estimate too small" in detail
