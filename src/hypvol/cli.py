@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from . import expect, mcsim, verify
+from . import expect, mcsim, specfun, verify
 from .expect import BetaSpec, ExpectationResult
 from .mcsim import McEstimate, SampleConfig
 from .quad import QuadConfig, QuadratureError
@@ -55,7 +55,7 @@ def output_record(command: str, params: dict, result, seed=None) -> dict:
 
 
 def render_json(record: dict) -> str:
-    return json.dumps(record)
+    return json.dumps(record, allow_nan=False)  # strict JSON: no NaN or Infinity
 
 
 def _parse_betas(text: str) -> tuple[float, ...]:
@@ -215,9 +215,15 @@ def _cmd_simulate(args) -> tuple[str, int]:
         reference = expect.expected_hyp_volume(spec).value
 
     diff = est.mean - reference
+    stderr = est.stderr
+    if oracle == "absorption" and stderr == 0.0:
+        # each sample scores 0 or 1/c_d_beta: the per-sample sd the reference
+        # implies, which stays valid when no sample hits
+        scale = 1.0 / specfun.c_d_beta(spec.d, args.exponent)
+        stderr = math.sqrt(max(reference * (scale - reference), 0.0) / est.n)
     # with the standard error, the rounding of the mean: a sum of n samples >= 0
     # errs by less than n eps of their total, so an estimate of zero variance is not off
-    noise = math.hypot(est.stderr, est.n * sys.float_info.epsilon * abs(est.mean))
+    noise = math.hypot(stderr, est.n * sys.float_info.epsilon * abs(est.mean))
     if noise > 0.0:
         z = diff / noise
     else:
@@ -229,7 +235,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
         "streams": args.streams,
         "oracle": oracle,
         "reference": reference,
-        "z_score": z,
+        "z_score": z if math.isfinite(z) else None,
     }
     if args.exponent is not None:
         params["exponent"] = args.exponent

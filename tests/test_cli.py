@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hypvol import cli
+from hypvol.mcsim import McEstimate
 
 
 def run(capsys, *argv):
@@ -98,6 +99,19 @@ class TestHypVolume:
         rec = json.loads(out)
         assert code == 0
         assert rec["value"] == pytest.approx(math.pi - 128.0 / (15.0 * math.pi), abs=1e-9)
+        # --method generic through both parities: six ideal points in d=3 on the pole path within
+        # its bar of 43 pi/60; ideal d=4 and d=5 simplices within the combined bars of --case ideal-simplex
+        code, out, _ = run(capsys, "hypvolume", "--dim", "3", "--betas=" + ",".join(["-1"] * 6), "--method", "generic")
+        rec = json.loads(out)
+        assert code == 0 and rec["method"] == "quadrature-pole-path"
+        assert abs(rec["value"] - 43.0 * math.pi / 60.0) <= rec["abs_err_est"]
+        for d in (4, 5):
+            code, out, _ = run(capsys, "hypvolume", "--dim", str(d), "--betas=" + ",".join(["-1"] * (d + 1)), "--method", "generic")
+            generic = json.loads(out)
+            assert code == 0 and generic["method"] == ("quadrature-pole-path" if d % 2 else "quadrature")
+            code, out, _ = run(capsys, "hypvolume", "--case", "ideal-simplex", "--dim", str(d))
+            case = json.loads(out)
+            assert code == 0 and abs(generic["value"] - case["value"]) <= generic["abs_err_est"] + case["abs_err_est"], d
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "hypvolume", "--case", "ideal3")
@@ -202,11 +216,22 @@ class TestTable:
         assert lines[4].endswith("943/942480*pi^2")
         v2 = float(lines[1].split(",")[1])
         assert v2 == pytest.approx(math.pi, abs=1e-9)
+        # exact for odd d; d=2 and d=4 within their bars of pi and 4 pi^2/3 - 86528/6615
+        code, out, _ = run(capsys, "table", "--case", "ideal-simplex", "--range", "2:9", "--format", "json")
+        table = json.loads(out)
+        rows = {r["param"]: r for r in table}
+        assert code == 0 and len(table) == 8 and sorted(rows) == list(range(2, 10))
+        assert all(rows[d]["exact"] is not None for d in range(3, 10, 2))
+        for d, closed in ((2, math.pi), (4, 4.0 * math.pi**2 / 3.0 - 86528.0 / 6615.0)):
+            assert abs(rows[d]["value"] - closed) <= rows[d]["abs_err_est"], d
 
     def test_polygon_range(self, capsys):
         code, out, _ = run(capsys, "table", "--case", "polygon-beta0", "--range", "3:6")
         lines = out.strip().split("\n")
         assert code == 0 and len(lines) == 5
+        code, out, _ = run(capsys, "table", "--case", "polygon-beta0", "--range", "3:12", "--format", "json")
+        rows = json.loads(out)
+        assert code == 0 and len(rows) == 10 and all(r["exact"] is not None for r in rows)
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--case", "ideal3", "--range", "4:5", "--format", "json")
@@ -245,6 +270,20 @@ class TestSimulate:
         assert code == 0
         assert rec["params"]["oracle"] == "gauss-bonnet"
         assert rec["value"] == pytest.approx(3.0 * math.pi, abs=1e-9)
+
+    def test_z_score_is_strict_json(self, capsys, monkeypatch):
+        # 20 samples without a hit have a sample stderr of 0: the noise is then the one the
+        # reference implies, and a z that is still not finite is written as null
+        def strict(text):
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
+
+        args = ("simulate", "--dim", "4", "--betas=2.8,2.6,-0.5,2.1,2.2,-0.8", "--exponent", "-0.778", "--samples", "20")
+        code, out, _ = run(capsys, *args, "--seed", "0")
+        rec = strict(out)
+        assert code == 0 and rec["abs_err_est"] == 0.0 and math.isfinite(rec["params"]["z_score"])
+        monkeypatch.setattr(cli.mcsim, "mc_hyp_area_d2", lambda spec, cfg: McEstimate(0.0, 0.0, cfg.n_samples))
+        code, out, _ = run(capsys, "simulate", "--dim", "2", "--betas", "-1,-1,-1,-1,-1", "--samples", "500", "--seed", "3")
+        assert code == 0 and strict(out)["params"]["z_score"] is None
 
     def test_deterministic_bytes(self, capsys):
         args = (

@@ -135,6 +135,13 @@ class TestSubsetSumBar:
         lo = expect.expected_beta_integral(spec, -0.5, CFG, representation="lower")
         assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
 
+    def test_representations_agree_within_bars_with_cosh_power_parameters_above_13(self):
+        # parameters above 13 take the cosh-power kernel's upward recurrence
+        spec = BetaSpec(3, (10.0, 0.5, 1.5, 2.5, 11.3))
+        up = expect.expected_beta_integral(spec, 0.7, CFG, representation="upper")
+        lo = expect.expected_beta_integral(spec, 0.7, CFG, representation="lower")
+        assert abs(up.value - lo.value) <= up.abs_err_est + lo.abs_err_est
+
     def test_upper_sum_over_80_unit_betas_fails_or_holds_its_bar(self):
         # a b integral far below its closed term: with a floor of 4 ulps of that term it stopped early
         # and the upper sum read 8.509 +- 2.74, off the lower 2.6088 by more than both bars; it must
@@ -268,9 +275,11 @@ class TestExpectedHypVolume:
                 with pytest.raises(ValueError, match="below 1024"):
                     expect.expected_hyp_volume(BetaSpec(2, betas), CFG, representation=rep)
                 assert time.perf_counter() - start < 1.0
-        # just below the limit the lower representation still converges
+        # just below the limit the lower representation still converges, and auto lies within the combined bars
         res = expect.expected_hyp_volume(BetaSpec(2, (510.0, 0.0, 0.0)), CFG, representation="lower")
         assert 0.0 < res.value < math.pi and res.abs_err_est < 1e-8
+        auto = expect.expected_hyp_volume(BetaSpec(2, (510.0, 0.0, 0.0)), CFG)
+        assert abs(auto.value - res.value) <= auto.abs_err_est + res.abs_err_est
 
     def test_ideal_points_without_closed_forms(self):
         # ideal inside points put a b at its pole alpha = -1, where it is the limit

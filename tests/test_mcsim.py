@@ -236,6 +236,9 @@ class TestMcIdealPolytope:
         est = mcsim.mc_ideal_polytope3_volume(4, SampleConfig(seed=2, n_samples=3, streams=10**12))
         assert est == one_each
         assert est.n == 3 and est.mean > 0.0
+        spec = BetaSpec(2, (0.0,) * 3)
+        one_each, est = (mcsim.mc_absorption(spec, 0.0, SampleConfig(seed=1, n_samples=3, streams=s)) for s in (3, 10**12))
+        assert (est.mean, est.stderr) == (one_each.mean, one_each.stderr)
 
     def test_determinism(self):
         for n, count in ((5, 5000), (12, 600)):

@@ -15,17 +15,18 @@ def test_registered_check(check_id, fn):
     assert passed, f"{check_id}: {detail}"
 
 
-def test_error_bounds_check_catches_dropped_bars(monkeypatch):
-    # every finite-interval estimate a millionth of what quad reports: some
+@pytest.mark.parametrize("name", ["integrate_finite", "integrate_real_line"])
+def test_error_bounds_check_catches_dropped_bars(monkeypatch, name):
+    # every estimate of one integrator a millionth of what quad reports: some
     # closed-form case's true error then exceeds its bar by more than the slack
-    integrate_finite = verify.quad.integrate_finite
+    integrate = getattr(verify.quad, name)
 
     def shrunk(*args, **kwargs):
-        res = integrate_finite(*args, **kwargs)
+        res = integrate(*args, **kwargs)
         res.abs_err_est /= 1e6
         return res
 
-    monkeypatch.setattr(verify.quad, "integrate_finite", shrunk)
+    monkeypatch.setattr(verify.quad, name, shrunk)
     passed, detail = dict(verify._REGISTRY)["quad.error-estimate-bounds"](quick=False)
     assert not passed, detail
     assert "estimate too small" in detail
