@@ -297,8 +297,7 @@ def _a_factors(betas, nodes: CoshPowNodes) -> list[tuple[np.ndarray, np.ndarray]
 
 def _b_factors(betas, t: np.ndarray, sin_t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read-only normalized (F~, log1p(-F~)) at nodes t, F~ = F(t - pi/2)/F(pi/2), for each of betas from one sin-power call."""
-    half_t = 0.5 * t
-    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(half_t) ** 2, np.cos(half_t) ** 2, sin_t)
+    rows = _f_real_from_z(np.array(betas)[:, None], np.sin(0.5 * t) ** 2, sin_t)
     rows = rows / np.array([[f_real_total(b)] for b in betas])
     comps = np.log1p(-rows)
     rows.flags.writeable = comps.flags.writeable = False  # the table holds rows past this query
@@ -401,21 +400,13 @@ def _cut_exponent(states) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _line_table(levels: range, j: int) -> tuple[np.ndarray, tuple[int, ...], CoshPowNodes]:
-    """The step's real-line nodes x <= 2**j, read-only: their weights, cuts and CoshPowNodes.
+    """The step's real-line nodes x <= 2**j (``quad._line_step_cut``), read-only: their weights, cuts and CoshPowNodes.
 
-    Each level's nodes ascend, so its kept nodes are a prefix of its
-    ``quad._line_nodes`` table; the prefixes are joined in order as
-    ``quad._line_step_nodes`` joins the whole tables (``quad._joined``),
-    and j = _FULL_J keeps every node.  The CoshPowNodes holds what the
+    j = _FULL_J keeps every node.  The CoshPowNodes holds what the
     cosh-power kernel derives from the nodes alone.  At most 32 tables
     are held, each no larger than its whole step's (README).
     """
-    prefixes = []
-    for level in levels:
-        x, weight = quad._line_nodes(level)
-        n = np.searchsorted(x, 2.0**j, side="right")
-        prefixes.append((x[:n], weight[:n]))
-    x, weight, cuts = quad._joined(prefixes)
+    x, weight, cuts = quad._line_step_cut(levels, 2.0**j)
     return weight, cuts, CoshPowNodes(x)
 
 

@@ -20,6 +20,7 @@ double range (``expect.NotRepresentableError``) it is {command, error:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -214,16 +215,15 @@ def _cmd_simulate(args) -> tuple[str, int]:
             est = mcsim.mc_simplex_hyp_volume(spec, cfg)
         reference = expect.expected_hyp_volume(spec).value
 
-    diff = est.mean - reference
-    stderr = est.stderr
-    if oracle == "absorption" and stderr == 0.0:
+    if oracle == "absorption" and est.stderr == 0.0:
         # each sample scores 0 or 1/c_d_beta: the per-sample sd the reference
-        # implies, which stays valid when no sample hits
+        # implies, which stays valid when no sample hits; the record carries it
         scale = 1.0 / specfun.c_d_beta(spec.d, args.exponent)
-        stderr = math.sqrt(max(reference * (scale - reference), 0.0) / est.n)
+        est = dataclasses.replace(est, stderr=math.sqrt(max(reference * (scale - reference), 0.0) / est.n))
+    diff = est.mean - reference
     # with the standard error, the rounding of the mean: a sum of n samples >= 0
     # errs by less than n eps of their total, so an estimate of zero variance is not off
-    noise = math.hypot(stderr, est.n * sys.float_info.epsilon * abs(est.mean))
+    noise = math.hypot(est.stderr, est.n * sys.float_info.epsilon * abs(est.mean))
     if noise > 0.0:
         z = diff / noise
     else:

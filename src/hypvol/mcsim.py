@@ -200,11 +200,6 @@ def _sample_block(d: int, betas, rng: np.random.Generator, count: int) -> np.nda
     return out.transpose(2, 1, 0)
 
 
-def _sample_beta_batch(d: int, beta: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count samples of one beta point, shape (count, d): ``_sample_block`` for one point."""
-    return _sample_block(d, (beta,), rng, count)[:, 0]
-
-
 def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarray:
     """One point of the beta family: uniform on the sphere for beta = -1,
     density proportional to (1-|x|^2)**beta inside the ball otherwise."""
@@ -212,7 +207,7 @@ def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarr
         raise ValueError("requires d >= 2")
     if not -1.0 <= beta < math.inf:
         raise ValueError("requires a finite beta >= -1")
-    return _sample_beta_batch(d, beta, rng, 1)[0]
+    return _sample_block(d, (beta,), rng, 1)[0, 0]
 
 
 # -- determinants of point subsets -------------------------------------------
@@ -517,8 +512,6 @@ def hull_d3(points) -> list[tuple[int, int, int]]:
             normal = np.cross(pts[b] - pts[a], pts[c] - pts[a])
             if np.dot(normal, pts[p] - pts[a]) > -eps:
                 visible.append(tri)
-        if not visible:
-            continue
         visible_set = set(visible)
         edge_count: dict[tuple[int, int], int] = {}
         for a, b, c in visible:

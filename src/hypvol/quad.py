@@ -184,10 +184,23 @@ def _joined(tables) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return x, weight, cuts
 
 
+def _line_step_cut(levels: range, top: float) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only ``_line_nodes`` x <= top of the levels of one step, joined in order, and their cuts (``_joined``).
+
+    Each level's kept nodes are a prefix of its ascending table.  Uncached: abcore._line_table holds the cuts.
+    """
+    prefixes = []
+    for level in levels:
+        x, weight = _line_nodes(level)
+        n = np.searchsorted(x, top, side="right")
+        prefixes.append((x[:n], weight[:n]))
+    return _joined(prefixes)
+
+
 @functools.lru_cache(maxsize=None)  # levels are bounded by max_level <= 16
 def _line_step_nodes(levels: range) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Read-only ``_line_nodes`` of the levels of one step, joined in order, and their cuts (``_joined``)."""
-    return _joined([_line_nodes(level) for level in levels])
+    """The whole step: ``_line_step_cut`` keeping every node."""
+    return _line_step_cut(levels, math.inf)
 
 
 @functools.lru_cache(maxsize=64)  # bounded: callers such as verify._quad_f_beta pass arbitrary intervals
@@ -297,7 +310,7 @@ def integrate_real_line(f, cfg: QuadConfig | None = None) -> ValueWithError:
     1.4e153 (so that x*x stays finite), and f must underflow to zero
     there rather than overflow.  Every node of a step is evaluated here;
     abcore's a integrals, which are exactly 0.0 far below that reach,
-    take each level's nodes up to a cut instead (abcore._line_table).
+    take each level's nodes up to a cut instead (``_line_step_cut``).
     """
     return _refined(f, _line_step_nodes, 2.0, cfg, "de-real-line")
 

@@ -271,52 +271,48 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _f_real_from_z(beta, z: np.ndarray, zc: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """Row F(t - pi/2), the integral of sin**beta over (0, t), at z = sin(t/2)**2, zc = cos(t/2)**2, sin_t = sin t.
+def _f_real_from_z(beta, z: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
+    """Row F(t - pi/2), the integral of sin**beta over (0, t), at z = sin(t/2)**2 <= 1/2, sin_t = sin t.
 
     This is the integral of cos**beta up to a node (f_real).  beta is a
     scalar in (-1, _SIN_MAX_BETA), or a column of them with one row
-    each.  For z <= 1/2 the row is sin(t)**(beta + 1)/(beta + 1) times
-    the sum of c_k z**k (DLMF 8.17.8 with a = b = (beta + 1)/2), every
-    term positive (_sin_series_rows); beyond, it is f_real_total less
-    the row at zc, where sin t is the same.  sin t comes from the node
-    itself: 2 sqrt(z zc) would lose the last bits of z and zc, and be 0
-    where z underflows.  Every row sums the same count of terms at every
-    node, in order: the powers of z by doubling (z**(n + j) = z**j z**n,
-    one array product per doubling), the products with the coefficients
-    summed over k (_sum_in_order), no matmul.  So a row is elementwise in
-    its nodes, and the padding to the largest count of its block of
-    parameters adds terms below a quarter ulp, which leave its bits as
-    they are.  Blocks hold about _SIN_BLOCK values.
-    Its relative error is within max(5e-15, 1.5e-16 * beta) at every
-    node with z <= 1/2 and a normal value (golden references in tests):
-    the power of sin t takes most of it.
+    each.  The domain is z <= 1/2: the b integrals' nodes are t < pi/2,
+    and f_real forms F(|x|) as f_real_total less the row.  The row is
+    sin(t)**(beta + 1)/(beta + 1) times the sum of c_k z**k (DLMF 8.17.8
+    with a = b = (beta + 1)/2), every term positive (_sin_series_rows).
+    sin t comes from the node itself: 2 sqrt(z (1 - z)) would lose the
+    last bits of z, and be 0 where z underflows.  Every row sums the same
+    count of terms at every node, in order: the powers of z by doubling
+    (z**(n + j) = z**j z**n, one array product per doubling), the
+    products with the coefficients summed over k (_sum_in_order), no
+    matmul.  So a row is elementwise in its nodes, and the padding to the
+    largest count of its block of parameters adds terms below a quarter
+    ulp, which leave its bits as they are.  Blocks hold about _SIN_BLOCK
+    values.  Its relative error is within max(5e-15, 1.5e-16 * beta) at
+    every node with a normal value (golden references in tests): the
+    power of sin t takes most of it.
     """
     col = np.reshape(np.array(beta, dtype=float), (-1, 1))
-    mirror = z > 0.5
-    w = np.where(mirror, zc, z)
     coeffs, counts = _sin_series_rows(col)
     most = max(counts)
-    width = max(1, min(w.size, _SIN_BLOCK // most))
+    width = max(1, min(z.size, _SIN_BLOCK // most))
     step = max(1, _SIN_BLOCK // (most * width))
-    out = np.empty((len(counts), w.size))
-    for at in range(0, w.size, width):
+    out = np.empty((len(counts), z.size))
+    for at in range(0, z.size, width):
         block = slice(at, at + width)
-        powers = np.empty((most, w[block].size))
+        powers = np.empty((most, z[block].size))
         powers[0] = 1.0
-        done, w_done = 1, w[block]  # w**done
-        while done < most:  # powers done.. from powers 0.. times w**done
+        done, z_done = 1, z[block]  # z**done
+        while done < most:  # powers done.. from powers 0.. times z**done
             more = min(done, most - done)
-            np.multiply(powers[:more], w_done, out=powers[done : done + more])
-            done, w_done = done + more, w_done * w_done
+            np.multiply(powers[:more], z_done, out=powers[done : done + more])
+            done, z_done = done + more, z_done * z_done
         for lo in range(0, len(counts), step):
             count = max(counts[lo : lo + step])
             out[lo : lo + step, block] = _sum_in_order(coeffs[lo : lo + step, :count, None] * powers[:count])
     with np.errstate(divide="ignore", invalid="ignore"):
         out *= sin_t**col * sin_t / (col + 1.0)  # beta + 1 as an exponent would round
-    out[:, sin_t == 0.0] = 0.0  # t = 0, or pi, the mirror of 0: 0**beta is inf for beta < 0
-    if mirror.any():
-        out[:, mirror] = np.array([[f_real_total(b)] for b in col[:, 0].tolist()]) - out[:, mirror]
+    out[:, sin_t == 0.0] = 0.0  # t = 0: 0**beta is inf for beta < 0
     return out[0] if np.ndim(beta) == 0 else out
 
 
@@ -324,7 +320,7 @@ def f_real(beta: float, x):
     """Integral of cos(y)**beta from -pi/2 to x, for x in [-pi/2, pi/2] and -1 < beta < _SIN_MAX_BETA.
 
     The b integrand's row (abcore._b_factors): F(t - pi/2) is
-    ``_f_real_from_z`` at z = sin(t/2)**2, zc = cos(t/2)**2, sin t.
+    ``_f_real_from_z`` at z = sin(t/2)**2 and sin t.
     F(-|x|) takes t = pi/2 - |x|, formed from the split pi/2 so that it
     keeps full relative accuracy near the ends, with sin t = cos(x), and
     F(|x|) is F(pi/2) (f_real_total) less F(-|x|).  The float +-pi/2
@@ -339,7 +335,7 @@ def f_real(beta: float, x):
     ax = np.abs(x1)
     end = ax >= _PIO2_HI
     half_t = 0.5 * np.where(end, 0.0, (_PIO2_HI - ax) + _PIO2_LO)
-    low = _f_real_from_z(beta, np.sin(half_t) ** 2, np.cos(half_t) ** 2, np.where(end, 0.0, np.cos(x1)))
+    low = _f_real_from_z(beta, np.sin(half_t) ** 2, np.where(end, 0.0, np.cos(x1)))
     out = np.where(x1 > 0.0, f_real_total(beta) - low, low)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 

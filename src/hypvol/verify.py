@@ -569,7 +569,7 @@ def _batched_oracles(quick: bool):
     for d, n, count in ((3, 6, 50), (4, 6, 50), (4, 8, 25), (5, 7, 25)):
         count *= reps
         pts = mcsim._sample_block(d, rng.choice([-1.0, -0.5, 0.0, 2.0], n), rng, count)
-        x0 = mcsim._sample_beta_batch(d, 0.0, rng, count)
+        x0 = mcsim._sample_block(d, (0.0,), rng, count)[:, 0]
         got = mcsim._inside_hull_batch(pts - x0[:, None, :])
         want = np.array([mcsim.contains(pts[s], x0[s]) for s in range(count)])
         if (got != want).any():

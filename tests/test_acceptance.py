@@ -130,7 +130,7 @@ def test_criterion_08_monte_carlo_concordance():
         zs.append(f"absorb d={spec.d}: z={z:+.2f}")
         assert abs(z) <= 3.0
     rng = mcsim._stream_rng(77, 0)
-    pts = mcsim._sample_beta_batch(2, -1.0, rng, 500 * 6).reshape(500, 6, 2)
+    pts = mcsim._sample_block(2, (-1.0,), rng, 500 * 6)[:, 0].reshape(500, 6, 2)
     for i in range(500):
         area = mcsim.hyp_area_polygon_d2(mcsim.hull_d2(pts[i]))
         assert abs(area - 4.0 * math.pi) <= 1e-9

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hypvol import cli
+from hypvol import cli, specfun
 from hypvol.mcsim import McEstimate
 
 
@@ -273,14 +273,17 @@ class TestSimulate:
 
     def test_z_score_is_strict_json(self, capsys, monkeypatch):
         # 20 samples without a hit have a sample stderr of 0: the noise is then the one the
-        # reference implies, and a z that is still not finite is written as null
+        # reference implies, the record's bar too, and a z that is still not finite is written as null
         def strict(text):
             return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
 
         args = ("simulate", "--dim", "4", "--betas=2.8,2.6,-0.5,2.1,2.2,-0.8", "--exponent", "-0.778", "--samples", "20")
         code, out, _ = run(capsys, *args, "--seed", "0")
         rec = strict(out)
-        assert code == 0 and rec["abs_err_est"] == 0.0 and math.isfinite(rec["params"]["z_score"])
+        ref = rec["params"]["reference"]
+        implied = math.sqrt(ref * (1.0 / specfun.c_d_beta(4, -0.778) - ref) / 20)
+        assert code == 0 and rec["value"] == 0.0 and math.isfinite(rec["params"]["z_score"])
+        assert rec["abs_err_est"] == implied and abs(rec["value"] - ref) <= rec["abs_err_est"]
         monkeypatch.setattr(cli.mcsim, "mc_hyp_area_d2", lambda spec, cfg: McEstimate(0.0, 0.0, cfg.n_samples))
         code, out, _ = run(capsys, "simulate", "--dim", "2", "--betas", "-1,-1,-1,-1,-1", "--samples", "500", "--seed", "3")
         assert code == 0 and strict(out)["params"]["z_score"] is None

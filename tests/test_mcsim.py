@@ -35,7 +35,7 @@ class TestSampler:
 
     def test_uniform_disk_moment(self):
         rng = mcsim._stream_rng(5, 0)
-        pts = mcsim._sample_beta_batch(2, 0.0, rng, 1_000_000)
+        pts = mcsim._sample_block(2, (0.0,), rng, 1_000_000)[:, 0]
         r2 = (pts * pts).sum(axis=1)
         # E r^2 = (d/2)/(d/2 + beta + 1) = 1/2; sd of mean ~ 2.9e-4
         assert r2.mean() == pytest.approx(0.5, abs=3 * 2.9e-4)
@@ -43,7 +43,7 @@ class TestSampler:
     def test_concentration_for_large_beta(self):
         rng = mcsim._stream_rng(6, 0)
         beta = 50.0
-        pts = mcsim._sample_beta_batch(2, beta, rng, 200_000)
+        pts = mcsim._sample_block(2, (beta,), rng, 200_000)[:, 0]
         r2 = (pts * pts).sum(axis=1)
         want = 1.0 / (1.0 + beta + 1.0)
         stderr = r2.std(ddof=1) / math.sqrt(len(r2))
@@ -121,6 +121,14 @@ class TestHulls:
         facets = mcsim.hull_d3(cube)
         assert len(facets) == 12  # 2n - 4 for n = 8
 
+    def test_point_inside_the_hull_adds_no_facet(self):
+        # the centre sees no facet, so it leaves the cube's hull as it is
+        cube = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float)
+        for pts in (np.vstack([cube, [0.5, 0.5, 0.5]]), np.vstack([cube[:4], [0.5, 0.5, 0.5], cube[4:]])):
+            facets = mcsim.hull_d3(pts)
+            centre = int(np.nonzero((pts == 0.5).all(axis=1))[0][0])
+            assert len(facets) == 12 and not any(centre in tri for tri in facets)
+
     def test_coplanar_error(self):
         flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.2, 0.0]])
         with pytest.raises(DegenerateHullError):
@@ -159,6 +167,14 @@ class TestHypArea:
         tri = 0.99 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         area = mcsim.hyp_area_polygon_d2(tri)
         assert 0.0 < area < math.pi
+
+    def test_clockwise_cycle_has_the_same_area(self):
+        ang = np.array([0.0, 1.3, 2.9, 4.4])
+        cycle = 0.9 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        area = mcsim.hyp_area_polygon_d2(cycle)
+        assert 0.0 < area < 2.0 * math.pi
+        assert mcsim.hyp_area_polygon_d2(cycle[::-1]) == area
+        assert mcsim.hyp_area_polygon_d2(np.roll(cycle[::-1], 2, axis=0)) == pytest.approx(area, rel=1e-14)
 
     def test_non_convex_error(self):
         bad = np.array([[0, 0], [1, 0], [0.2, 0.2], [0, 1]], float)
@@ -324,7 +340,7 @@ class TestGaussBonnetSampling:
         est = mcsim.mc_hyp_area_d2(spec, SampleConfig(seed=4, n_samples=800))
         assert est.mean == pytest.approx(3.0 * math.pi, abs=1e-9)
         rng = mcsim._stream_rng(4, 0)
-        pts = mcsim._sample_beta_batch(2, -1.0, rng, 200 * 5).reshape(200, 5, 2)
+        pts = mcsim._sample_block(2, (-1.0,), rng, 200 * 5)[:, 0].reshape(200, 5, 2)
         for i in range(200):
             area = mcsim.hyp_area_polygon_d2(mcsim.hull_d2(pts[i]))
             assert area == pytest.approx(3.0 * math.pi, abs=1e-9)
@@ -354,7 +370,7 @@ class TestGaussBonnetSampling:
     def test_batched_matches_scalar_near_ideal(self):
         rng = mcsim._stream_rng(21, 0)
         betas = (-0.999, -0.999, -0.999, 0.0, 1.0, -0.5)
-        pts = np.stack([mcsim._sample_beta_batch(2, b, rng, 500) for b in betas], axis=1)
+        pts = np.stack([mcsim._sample_block(2, (b,), rng, 500)[:, 0] for b in betas], axis=1)
         fast = mcsim._hyp_areas_d2(pts)
         slow = np.array([mcsim.hyp_area_polygon_d2(mcsim.hull_d2(p)) for p in pts])
         assert np.abs(fast - slow).max() <= 1e-9
@@ -399,7 +415,7 @@ def _full_block_simplex_volume(spec, cfg):
     for rng, block in mcsim._iter_blocks(cfg):
         verts = np.empty((block, d + 1, d))
         for i, bi in enumerate(spec.betas):
-            verts[:, i, :] = mcsim._sample_beta_batch(d, bi, rng, block)
+            verts[:, i, :] = mcsim._sample_block(d, (bi,), rng, block)[:, 0]
         vol_eucl = np.abs(np.linalg.det(verts[:, 1:, :] - verts[:, :1, :])) / math.factorial(d)
         w = rng.standard_exponential((block, mcsim._INNER, d + 1))
         w /= w.sum(axis=2, keepdims=True)
@@ -464,6 +480,16 @@ class TestGoldenEstimates:
     def test_rows_cover_every_case(self):
         assert [{k: r[k] for k in ("case", "samples", "streams", "seed")} for r in _GOLDEN_ROWS] == _GOLDEN_SCRIPT.CASES
         assert {r["case"] for r in _GOLDEN_ROWS} == set(_GOLDEN_SCRIPT.SPECS) and len(_GOLDEN_SCRIPT.SPECS) == 9
+
+    def test_specs_are_the_benchmarks(self):
+        # the script copies the specs of the benchmark's Monte-Carlo cases and adds n = 4
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        bench = workloads.mc_specs()
+        assert len(bench) == 8 and set(_GOLDEN_SCRIPT.SPECS) - set(bench) == {"lobachevsky-n4"}
+        assert {case: _GOLDEN_SCRIPT.SPECS[case] for case in bench} == bench
 
     @pytest.mark.parametrize("row", _GOLDEN_ROWS, ids=lambda r: f"{r['case']}-{r['streams']}-{r['samples']}")
     def test_same_bits(self, row):
@@ -684,7 +710,7 @@ class TestSampleAxisLastKernels:
         assert _same_bits(got, want)
         assert got.base.shape == (d, len(betas), 1000) and got.base.flags.c_contiguous
         assert ours.random() == theirs.random()
-        assert _same_bits(mcsim._sample_beta_batch(d, 0.5, ours, 7), _ref_sample_beta_batch(d, 0.5, theirs, 7))
+        assert _same_bits(mcsim._sample_block(d, (0.5,), ours, 7)[:, 0], _ref_sample_beta_batch(d, 0.5, theirs, 7))
 
     def test_sphere_points_match_one_draw(self):
         ours, theirs = mcsim._stream_rng(4, 1), mcsim._stream_rng(4, 1)

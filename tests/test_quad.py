@@ -101,7 +101,41 @@ class TestFinite:
         assert est is not None and math.isfinite(est.value)
 
 
+class TestRefinementResult:
+    def test_non_finite_total_or_difference_gives_a_finite_estimate(self):
+        # an unconverged run raises QuadratureError whose estimate is a
+        # ValueWithError, so a non-finite total or difference becomes finite
+        cfg = QuadConfig(max_level=3)
+        overflowed = quad.Refinement(cfg, "m")
+        assert [overflowed.add(part) for part in (1.0, math.inf, 1.0, 1.0)] == [False, False, False, True]
+        with pytest.raises(QuadratureError) as excinfo:
+            overflowed.result()
+        assert (excinfo.value.estimate.value, excinfo.value.estimate.abs_err_est) == (0.0, 1e300)
+        early = quad.Refinement(cfg, "m")  # stopped before _MIN_LEVEL: no difference yet
+        early.add(-3.0)
+        with pytest.raises(QuadratureError) as excinfo:
+            early.result()
+        assert (excinfo.value.estimate.value, excinfo.value.estimate.abs_err_est) == (-3.0, 3.0)
+
+
 class TestRealLine:
+    def test_step_cut_keeps_each_levels_prefix(self):
+        # a cut step holds each level's nodes x <= top in the whole step's
+        # order, read-only, and is the table of abcore's a integrals at cut j
+        for first in (0, 6, 9):
+            levels = quad._step_levels(first)
+            x, weight, cuts = quad._line_step_nodes(levels)
+            whole = quad._line_step_cut(levels, math.inf)
+            assert (whole[0].tobytes(), whole[1].tobytes(), whole[2]) == (x.tobytes(), weight.tobytes(), cuts)
+            for j in (1, 4, 10, 11):
+                kept = x <= 2.0**j
+                cut_x, cut_weight, cut_cuts = quad._line_step_cut(levels, 2.0**j)
+                assert 0 < cut_x.size < x.size and not (cut_x.flags.writeable or cut_weight.flags.writeable)
+                assert (cut_x.tobytes(), cut_weight.tobytes()) == (x[kept].tobytes(), weight[kept].tobytes())
+                assert cut_cuts == tuple(int(kept[:cut].sum()) for cut in cuts)
+                held_weight, held_cuts, nodes = abcore._line_table(levels, j)
+                assert (held_weight.tobytes(), held_cuts, nodes.size) == (cut_weight.tobytes(), cut_cuts, cut_x.size)
+
     def test_sech(self):
         res = quad.integrate_real_line(lambda x: 1.0 / np.cosh(x))
         assert res.value == pytest.approx(math.pi, abs=1e-13)

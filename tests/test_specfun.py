@@ -172,8 +172,13 @@ def _bits(a):
 
 
 def _halves(t):
-    """z = sin(t/2)**2, zc = cos(t/2)**2 and sin t at nodes t, as abcore forms them."""
-    return np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2, np.sin(t)
+    """z = sin(t/2)**2 and sin t at nodes t, as abcore forms them."""
+    return np.sin(0.5 * t) ** 2, np.sin(t)
+
+
+def _uppers(lows, betas):
+    """The upper halves F(pi/2 - t) = F(pi/2) less the rows, as f_real forms F(|x|)."""
+    return np.array([[specfun.f_real_total(b)] for b in betas]) - lows
 
 
 class TestIncBetaBlocks:
@@ -187,37 +192,38 @@ class TestIncBetaBlocks:
         sets = _segment_node_sets()
         assert len(sets) == 8  # the steps of levels 0-5, 6, ..., 12; level 0 holding the centre pi/4
         assert 0.25 * math.pi in sets[0].tolist()
-        # just past pi/2, sin^2(t/2) rounds above 1/2; few nodes put several rows in a block
-        sets += [0.5 * math.pi + np.arange(1, 6) * 2.0**-52, sets[0][::8]]
+        # just below pi/2, sin^2(t/2) rounds to just below 1/2; few nodes put several rows in a block
+        sets += [0.5 * math.pi - np.arange(0, 5) * 2.0**-52, sets[0][::8]]
         col = np.array(self.WIDE)[:, None]
-        underflow = beyond_half = 0
+        underflow = 0
         for t in sets:
-            z, zc, sin_t = _halves(t)
+            z, sin_t = _halves(t)
             underflow += int((z == 0.0).sum())
-            beyond_half += int((z > 0.5).sum())
-            # the row at z and, past the mirror point, at 1 - z
-            lows = specfun._f_real_from_z(col, z, zc, sin_t)
-            highs = specfun._f_real_from_z(col, zc, z, sin_t)
+            assert z.max() <= 0.5
+            # the row at t and the upper half, F(pi/2) less it
+            lows = specfun._f_real_from_z(col, z, sin_t)
+            highs = _uppers(lows, self.WIDE)
             for b, low, high in zip(self.WIDE, lows, highs):
-                assert _bits(low) == _bits(specfun._f_real_from_z(b, z, zc, sin_t))
-                assert _bits(high) == _bits(specfun._f_real_from_z(b, zc, z, sin_t))
-        assert underflow > 0 and beyond_half > 0
+                assert _bits(low) == _bits(specfun._f_real_from_z(b, z, sin_t))
+                assert _bits(high) == _bits(specfun.f_real_total(b) - specfun._f_real_from_z(b, z, sin_t))
+        assert underflow > 0
 
     def test_block_rows_where_both_halves_take_the_same_branch(self):
-        # z = zc = 1/2: the row and its mirror both by the series; both
-        # above 1/2: both by the mirror; t = 0 and t = pi
-        z = np.array([0.0, 1e-300, 0.25, 0.5, 0.5, 0.5 + 2.0**-53, 1.0])
-        zc = np.array([1.0, 1.0, 0.75, 0.5, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.0])
-        sin_t = np.array([0.0, 2e-150, 0.75**0.5, 1.0, 1.0, 1.0, 0.0])
+        # t = 0, tiny, pi/3 and where the two halves meet, z = 1/2 and an ulp
+        # below: every row by the one series, the upper half the total less it
+        z = np.array([0.0, 1e-300, 0.25, 0.5 - 2.0**-54, 0.5])
+        sin_t = np.array([0.0, 2e-150, 0.75**0.5, 1.0, 1.0])
         col = np.array(self.WIDE)[:, None]
-        lows, highs = specfun._f_real_from_z(col, z, zc, sin_t), specfun._f_real_from_z(col, zc, z, sin_t)
+        lows = specfun._f_real_from_z(col, z, sin_t)
+        highs = _uppers(lows, self.WIDE)
         for b, low, high in zip(self.WIDE, lows, highs):
-            assert _bits(low) == _bits(specfun._f_real_from_z(b, z, zc, sin_t))
-            assert _bits(high) == _bits(specfun._f_real_from_z(b, zc, z, sin_t))
+            assert _bits(low) == _bits(specfun._f_real_from_z(b, z, sin_t))
             total = specfun.f_real_total(b)
-            assert low[0] == 0.0 and high[0] == total and low[-1] == total and high[-1] == 0.0
+            assert _bits(high) == _bits(total - specfun._f_real_from_z(b, z, sin_t))
+            assert low[0] == 0.0 and high[0] == total
             for row in (low, high):
-                assert row[3] == pytest.approx(0.5 * total, rel=1e-14) and row[5] == pytest.approx(0.5 * total, rel=1e-14)
+                for i in (3, 4):
+                    assert row[i] == pytest.approx(0.5 * total, rel=1e-14)
 
     def test_row_bits_do_not_depend_on_the_other_nodes(self):
         # one node at a time, and the nodes in reverse, against the whole set:
@@ -225,24 +231,47 @@ class TestIncBetaBlocks:
         sets = _segment_node_sets()
         col = np.array(self.WIDE)[:, None]
         for t in (sets[0], sets[-1][1000:1900]):
-            z, zc, sin_t = _halves(t)
-            rows = specfun._f_real_from_z(col, z, zc, sin_t)
-            backwards = specfun._f_real_from_z(col, z[::-1], zc[::-1], sin_t[::-1])
+            z, sin_t = _halves(t)
+            rows = specfun._f_real_from_z(col, z, sin_t)
+            backwards = specfun._f_real_from_z(col, z[::-1], sin_t[::-1])
             assert _bits(backwards[:, ::-1]) == _bits(rows)
             for i in range(0, t.size, 7):
-                one = specfun._f_real_from_z(col, z[i : i + 1], zc[i : i + 1], sin_t[i : i + 1])
+                one = specfun._f_real_from_z(col, z[i : i + 1], sin_t[i : i + 1])
                 assert _bits(one[:, 0]) == _bits(rows[:, i]), i
 
     def test_one_row_halves_against_inc_beta(self):
-        # both sides see the same z and zc = 1 - z, so sin t is 2 sqrt(z zc) here
-        z = np.random.default_rng(5).uniform(0.0, 1.0, 50)
+        # sin t is 2 sqrt(z zc) here, zc = 1 - z; the upper half is the
+        # incomplete beta at zc
+        z = np.random.default_rng(5).uniform(0.0, 0.5, 50)
         zc = 1.0 - z
         sin_t = 2.0 * np.sqrt(z * zc)
         for b in self.BETAS:
             p = 0.5 * (b + 1.0)
-            low, high = specfun._f_real_from_z(b, z, zc, sin_t), specfun._f_real_from_z(b, zc, z, sin_t)
+            low = specfun._f_real_from_z(b, z, sin_t)
+            high = specfun.f_real_total(b) - low
             assert np.allclose(low, 2.0**b * specfun.inc_beta(z, p, p), rtol=1e-13, atol=0.0)
             assert np.allclose(high, 2.0**b * specfun.inc_beta(zc, p, p), rtol=1e-13, atol=0.0)
+
+    def test_callers_stay_in_the_series_domain(self, monkeypatch):
+        # the kernel sums its series at z <= 1/2 only: every z that the b rows
+        # (tanh-sinh nodes of levels 0-16) and f_real hand it is there
+        seen = []
+
+        def recorded(beta, z, sin_t):
+            seen.append(np.asarray(z))
+            return kernel(beta, z, sin_t)
+
+        kernel = specfun._f_real_from_z
+        monkeypatch.setattr(abcore, "_f_real_from_z", recorded)
+        monkeypatch.setattr(specfun, "_f_real_from_z", recorded)
+        for level in range(17):
+            t, _ = quad._finite_abscissae(0.0, 0.5 * math.pi, level)
+            abcore._b_factors((0.5, 3.0), t, np.sin(t))
+        for x in (0.0, 0.25 * math.pi, -0.25 * math.pi, 0.5 * math.pi, -0.5 * math.pi):
+            specfun.f_real(2.0, x)
+        specfun.f_real(2.0, np.array([0.0, 0.25 * math.pi, -0.5 * math.pi]))
+        assert len(seen) == 17 + 6
+        assert max(float(z.max()) for z in seen) <= 0.5
 
 
 class TestFReal:
