@@ -15,10 +15,12 @@ and serve as the references the kernels are checked against.
 
 Samples are kept with the sample axis last, (coordinate, point,
 sample), from the draw on.  ``_sample_block`` writes each beta point's
-rows of one (d, n, N) array and ``_sphere_points`` copies its Gaussian
-draw there; both hand out the (N, n, d) transposed view, so the kernels
-that take (N, n, d) points see whole contiguous rows of samples when
-they transpose back.  Every step of the d = 2 gap test, the determinant
+rows of one (d, n, N) array and hands out the (N, n, d) transposed view,
+so the kernels that take (N, n, d) points see whole contiguous rows of
+samples when they transpose back.  The ideal-polytope oracle draws its
+N*n sphere points as one ideal point: reshaped to (N, n, 3) they are a
+view of a (3, N, n) array, which ``_hull_facets`` copies to its
+sample-last layout.  Every step of the d = 2 gap test, the determinant
 and hull kernels and the ideal star is a numpy operation on such rows.
 Sums over the small axes (the j cofactor terms of a minor, the d+1 terms
 of a barycentric coordinate, the d squares of a norm) are taken one term
@@ -746,42 +748,30 @@ def _hull_volume_via_hull_d3(points: np.ndarray) -> float:
     return total
 
 
-def _sphere_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """count samples of n uniform points on the sphere, shape (count, n, 3).
-
-    The Gaussian vectors are drawn as (samples, n, 3) in row chunks of
-    about _BLOCK values, which continue one stream, so they are the
-    values of one ``rng.standard_normal((count, n, 3))`` draw.  Each chunk
-    is copied to a sample-last (3, n, count) array, normalized there one
-    coordinate row at a time; the result is its transposed view.
-    """
-    P = np.empty((3, n, count))
-    for rows in _row_chunks(count, 3 * n):
-        chunk = P[:, :, rows]
-        chunk[...] = rng.standard_normal(chunk.shape[::-1]).transpose(2, 1, 0)
-    P /= _norms(P)
-    return P.transpose(2, 1, 0)
-
-
 def mc_ideal_polytope3_volume(n: int, cfg: SampleConfig) -> McEstimate:
     """Sample mean of hyperbolic volumes of hulls of n uniform sphere points.
 
-    Each sample decomposes the hull into ideal tetrahedra sharing the
-    first vertex (``_hull_volumes_bruteforce``), at every n >= 4: for
-    n = 4 the star is the one tetrahedron.  Degenerate hulls (probability
-    zero) are resampled; the resample count is tracked on the returned
-    estimate.
+    The block*n points of a block are block*n samples of one ideal point
+    of ``_sample_block``: one ``rng.standard_normal((block * n, 3))`` draw,
+    normalized, of which sample s takes rows s*n to s*n + n - 1.  Each
+    sample decomposes the hull into ideal tetrahedra sharing the first
+    vertex (``_hull_volumes_bruteforce``), at every n >= 4: for n = 4 the
+    star is the one tetrahedron.  Degenerate hulls (probability zero) are
+    drawn again from the same stream; the resample count is tracked on
+    the returned estimate.
     """
     if n < 4:
         raise ValueError("requires n >= 4")
     acc = _Accumulator()
     resampled = 0
     for rng, block in _iter_blocks(cfg):
-        vols = _hull_volumes_bruteforce(_sphere_points(rng, block, n))
-        while np.isnan(vols).any():
-            bad = np.nonzero(np.isnan(vols))[0]
+        vols = np.empty(block)
+        bad = np.arange(block)
+        while bad.size:
+            P = _sample_block(3, (-1.0,), rng, bad.size * n)[:, 0].reshape(bad.size, n, 3)
+            vols[bad] = _hull_volumes_bruteforce(P)
+            bad = np.flatnonzero(np.isnan(vols))
             resampled += bad.size
-            vols[bad] = _hull_volumes_bruteforce(_sphere_points(rng, bad.size, n))
         acc.add(vols)
     est = acc.estimate()
     est.resampled = resampled

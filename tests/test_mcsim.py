@@ -712,12 +712,24 @@ class TestSampleAxisLastKernels:
         assert ours.random() == theirs.random()
         assert _same_bits(mcsim._sample_block(d, (0.5,), ours, 7)[:, 0], _ref_sample_beta_batch(d, 0.5, theirs, 7))
 
-    def test_sphere_points_match_one_draw(self):
+    def test_ideal_oracle_draws_one_point_per_sphere_point(self, monkeypatch):
+        # the oracle's block*n sphere points are one ideal point of _sample_block:
+        # the values of one (block, n, 3) Gaussian draw, laid out (3, block, n)
+        count, n = 9400, 7  # count*n = 65,800 points, more than _BLOCK
         ours, theirs = mcsim._stream_rng(4, 1), mcsim._stream_rng(4, 1)
-        got = mcsim._sphere_points(ours, 9000, 7)  # over three row chunks
-        want = theirs.standard_normal((9000, 7, 3))
+        drawn = []
+
+        def capture(P):
+            drawn.append(P)
+            return np.zeros(len(P))
+
+        monkeypatch.setattr(mcsim, "_stream_rng", lambda seed, stream: ours)
+        monkeypatch.setattr(mcsim, "_hull_volumes_bruteforce", capture)
+        mcsim.mc_ideal_polytope3_volume(n, SampleConfig(seed=4, n_samples=count))
+        want = theirs.standard_normal((count, n, 3))
         want /= np.linalg.norm(want, axis=2, keepdims=True)
-        assert _same_bits(got, want) and got.base.flags.c_contiguous
+        (got,) = drawn
+        assert _same_bits(got, want) and got.transpose(2, 0, 1).flags.c_contiguous
         assert ours.random() == theirs.random()
 
     @pytest.mark.parametrize("n", [5, 6, 10, 12])
