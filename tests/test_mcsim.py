@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -213,6 +214,31 @@ class TestIdealTetraVolume:
 
     def test_within_sphere_tolerance(self):
         assert mcsim.ideal_tetra_volume(*((1.0 + 1e-12) * REGULAR_TETRA)) == pytest.approx(1.0149416064096536, abs=1e-9)
+
+    @pytest.mark.parametrize("sep", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_near_coincident_vertices_against_mpmath(self, sep):
+        rng = np.random.default_rng(41)
+        base = rng.standard_normal((4, 3))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        for i, j in itertools.combinations(range(4), 2):
+            step = np.cross(base[i], rng.standard_normal(3))
+            p = base.copy()
+            p[j] = base[i] + sep * step / np.linalg.norm(step)
+            p[j] /= np.linalg.norm(p[j])
+            assert abs(mcsim.ideal_tetra_volume(*p) - _mp_ideal_tetra_volume(p)) <= 1e-12, (i, j)
+
+
+def _mp_ideal_tetra_volume(p):
+    """50-digit volume of the ideal tetrahedron on the rows of p: the sum of
+    Lobachevsky values at the angles of the Euclidean triangle with sides
+    |v0-v1||v2-v3|, |v0-v2||v1-v3| and |v0-v3||v1-v2|."""
+    with mp.workdps(50):
+        v = [mp.matrix([mp.mpf(float(x)) for x in row]) for row in p]
+        v = [u / mp.norm(u) for u in v]
+        a, b, c = (mp.norm(v[0] - v[k]) * mp.norm(v[m] - v[l]) for k, m, l in ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
+        alpha = mp.acos((b * b + c * c - a * a) / (2 * b * c))
+        beta = mp.acos((a * a + c * c - b * b) / (2 * a * c))
+        return float(mp.fsum(mp.clsin(2, 2 * t) / 2 for t in (alpha, beta, mp.pi - alpha - beta)))
 
 
 class TestMcIdealPolytope:
@@ -612,9 +638,10 @@ def _ref_tetra_volumes_batch(p):
     z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
     with np.errstate(divide="ignore", invalid="ignore"):
         cr = ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2))
+        w = ((z0 - z1) * (z2 - z3)) / ((z0 - z3) * (z2 - z1))  # cr - 1
         a1 = np.angle(cr)
-        a2 = np.angle(1.0 / (1.0 - cr))
-        a3 = np.angle(1.0 - 1.0 / cr)
+        a2 = -np.angle(w)
+        a3 = np.angle(-w / cr)
     vols = np.abs(lobachevsky(a1) + lobachevsky(a2) + lobachevsky(a3))
     return np.where(np.isfinite(vols), vols, 0.0)
 
