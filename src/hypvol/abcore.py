@@ -215,10 +215,6 @@ def _hold(entries: dict) -> None:
             _table_bytes -= nbytes
 
 
-def _cfg_key(cfg: QuadConfig):
-    return (cfg.rel_tol, cfg.abs_tol, cfg.max_level)
-
-
 # -- closed forms ---------------------------------------------------------
 
 def a_ones(d: int, alpha: float) -> float:
@@ -485,8 +481,7 @@ def _integrals(requests, cfg: QuadConfig, closed_forms: bool) -> list[ValueWithE
     specfun._SIN_MAX_BETA, the bound of the b rows' sin-power series.
     """
     out = [_closed_form(kind, alpha, params, closed_forms) for kind, alpha, params in requests]
-    ckey = _cfg_key(cfg)
-    keys = {i: (kind, alpha, params.entries, ckey) for i, (kind, alpha, params) in enumerate(requests) if out[i] is None}
+    keys = {i: (kind, alpha, params.entries, cfg) for i, (kind, alpha, params) in enumerate(requests) if out[i] is None}
     top = max((b for key in keys.values() for b in key[2]), default=0.0)
     if top >= _SIN_MAX_BETA:
         raise ValueError(f"quadrature parameter {top:g} is beyond the kernels' range: each must be below {_SIN_MAX_BETA:g}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +68,6 @@ __all__ = [
 # integer), and below which the direct value needs a widened error band
 _POLE_EXACT = 1e-12
 _POLE_NEAR = 1e-6
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -231,11 +229,11 @@ def _subset_sum(
     if not all(map(math.isfinite, vals)):
         raise NotRepresentableError("a class term, or its multiple, exceeds the float range")
     total = math.fsum(vals)
-    err = math.fsum(errs) + len(vals) * _EPS * math.fsum(map(abs, vals))
+    err = math.fsum(errs) + 2 * len(vals) * _U * math.fsum(map(abs, vals))
     if rep == "upper":
         value, err = prefactor * total, abs(prefactor) * err
     else:
-        value, err = prefactor * (math.pi - total), abs(prefactor) * (err + _EPS * (math.pi + abs(total)))
+        value, err = prefactor * (math.pi - total), abs(prefactor) * (err + 2.0 * _U * (math.pi + abs(total)))
     return value, err + abs(value) * rel
 
 

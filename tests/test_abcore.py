@@ -410,11 +410,11 @@ class TestAbsorptionIdentity:
 
 
 def _is_row(key) -> bool:
-    """Whether a table key names a factor row pair rather than a value (kind, alpha, params, cfg key).
+    """Whether a table key names a factor row pair rather than a value (kind, alpha, params, cfg).
 
     An "a" pair is keyed ("a", beta, level, j), its nodes those x <= 2**j
     of the step from level, and a "b" pair ("b", beta, level): both end
-    in ints, a value key (4 entries) in its params and cfg tuples.
+    in ints, a value key (4 entries) in its params tuple and QuadConfig.
     """
     return len(key) == {"a": 4, "b": 3}.get(key[0]) and all(isinstance(v, int) for v in key[2:])
 
@@ -445,7 +445,7 @@ class TestCache:
         first = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
         second = abcore.a_fn(3.0, params, CFG, closed_forms=False).value
         assert first == second
-        key = ("a", 3.0, params.entries, abcore._cfg_key(CFG))
+        key = ("a", 3.0, params.entries, CFG)
         assert abcore._cache_get(key) is not None
         assert any(_is_row(key) for key in abcore._table)
         assert abcore._table_bytes == _held_bytes()
